@@ -9,6 +9,9 @@ zero Q-table and empty model with ones pre-trained on forecasted demand.
 Randomness is split into three independent streams (environment demand,
 exploration, planning) plus one for network dropout, so planning depth
 never perturbs the real demand sequence.
+
+Training, evaluation and the warm start's offline replay all run one
+day loop, rollout(), on state indices and the env's day tables.
 """
 
 import time
@@ -17,15 +20,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .demand import DemandDistribution, sample
-from .env import Action, InventoryState, num_actions, num_states, state_index, step
+from .env import (
+    DayTables,
+    DomainError,
+    InventoryState,
+    ModelSpaces,
+    day_tables,
+    num_actions,
+    num_states,
+    state_index,
+)
 from .envmodel import (
     EnvModel,
-    ModelSpaces,
     UnvisitedPairError,
-    model_update,
-    sample_visited,
-    simulate,
-    transition_prob,
+    model_update_idx,
+    sample_visited_idx,
+    simulate_idx,
+    transition_prob_idx,
 )
 from .metrics import RunMetrics
 from .qcore import QTable, greedy_policy, q_update, select_action
@@ -69,12 +80,86 @@ class TrainedAgent:
     probe_trace: list = field(default_factory=list)
 
 
-def _probe(model: EnvModel, pair) -> float | None:
-    s, a, s_next = pair
-    try:
-        return transition_prob(model, s, a, s_next)
-    except UnvisitedPairError:
-        return None
+def rollout(tables: DayTables, s: int, days: int, act, demand, learn=None) -> RunMetrics:
+    """Run `days` real days from state index s.
+
+    Each day act(s) picks the order, demand() draws the day's demand and
+    learn(s, a, s_next, cost), when given, updates the agent.
+    """
+    started = time.perf_counter()
+    daily_costs = []
+    shortage_days = 0
+    holding = 0.0
+    for _ in range(days):
+        a = act(s)
+        d = demand()
+        s_next, cost = int(tables.next[s, a, d]), float(tables.cost[s, a, d])
+        if learn is not None:
+            learn(s, a, s_next, cost)
+        stock = int(tables.stock[s, a])
+        daily_costs.append(cost)
+        shortage_days += d > stock
+        holding += stock
+        s = s_next
+    return RunMetrics(
+        total_cost=float(sum(daily_costs)),
+        daily_costs=daily_costs,
+        shortage_fraction=shortage_days / days,
+        avg_holding=holding / days,
+        wall_seconds=time.perf_counter() - started,
+    )
+
+
+class Learner:
+    """Epsilon-greedy Q-learning with Dyna planning, as rollout's act/learn.
+
+    The schedules are functions of the learner's own step counter t.
+    probe, given as state indices (s, a, s_next), logs the model's
+    transition probability for it after every step (None while unvisited).
+    """
+
+    def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
+                 planning: StcSchedule, explore_rng, plan_rng=None, probe=None):
+        self.q, self.model = q, model
+        self.epsilon, self.planning = epsilon, planning
+        self.explore_rng, self.plan_rng = explore_rng, plan_rng
+        self.probe = probe
+        self.probe_trace = []
+        self.planning_steps = 0
+        self.n_plan = 0
+        self.t = 0
+
+    def act(self, s: int) -> int:
+        eps = stc_value(self.epsilon, self.t)
+        # the planning depth of the learn() call that follows
+        self.n_plan = stc_steps(self.planning, self.t)
+        self.t += 1
+        return select_action(self.q, s, eps, self.explore_rng)
+
+    def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
+        q, model = self.q, self.model
+        q_update(q, s, a, cost, s_next)
+        model_update_idx(model, s, a, s_next, cost)
+        for _ in range(self.n_plan):
+            ps, pa = sample_visited_idx(model, self.plan_rng)
+            sim_next, sim_cost = simulate_idx(model, ps, pa, self.plan_rng)
+            q_update(q, ps, pa, sim_cost, sim_next)
+        self.planning_steps += self.n_plan
+        if self.probe is not None:
+            try:
+                self.probe_trace.append(transition_prob_idx(model, *self.probe))
+            except UnvisitedPairError:
+                self.probe_trace.append(None)
+
+
+def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
+    """The day tables of spaces, once q and dist are checked to fit them."""
+    tables = day_tables(spaces)
+    if q.values.shape != tables.stock.shape:
+        raise DomainError(f"Q-table shape {q.values.shape} != (states, orders) {tables.stock.shape}")
+    if dist.d_max > spaces.d_max:
+        raise DomainError(f"demand reaches {dist.d_max} > d_max {spaces.d_max}")
+    return tables
 
 
 def train(
@@ -94,79 +179,38 @@ def train(
     env_rng, explore_rng, plan_rng, model_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
-    n_s, n_a = num_states(spaces.s_max), num_actions(spaces.a_max)
     if config.warm_start is not None:
         q = config.warm_start.q0.copy()
         q.alpha, q.gamma = config.alpha, config.gamma
         model = config.warm_start.m0.copy()
         model.rng = model_rng
     else:
-        q = QTable(n_s, n_a, config.alpha, config.gamma)
+        q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
         model = EnvModel(
             spaces,
             variant=config.model_variant,
             rng=model_rng,
             transition_loss=config.transition_loss,
         )
-
-    t = 0
-    planning_total = 0
-    episode_metrics = []
-    probe_trace = []
-    for _ in range(config.episodes):
-        s = initial_state
-        started = time.perf_counter()
-        daily_costs = []
-        shortage_days = 0
-        holding = 0.0
-        for _ in range(config.horizon):
-            eps = stc_value(config.epsilon_schedule, t)
-            n_plan = stc_steps(config.planning_schedule, t)
-            t += 1
-
-            s_idx = state_index(s, spaces.s_max)
-            a_idx = select_action(q, s_idx, eps, explore_rng)
-            d = sample(true_demand, env_rng)
-            out = step(
-                s, Action(a_idx), d, spaces.cost_params,
-                s_max=spaces.s_max, a_max=spaces.a_max,
-            )
-            q_update(q, s_idx, a_idx, out.cost, state_index(out.next_state, spaces.s_max))
-            model_update(model, s, Action(a_idx), out.next_state, out.cost)
-
-            for _ in range(n_plan):
-                ps, pa = sample_visited(model, plan_rng)
-                sim_next, sim_cost = simulate(model, ps, pa, plan_rng)
-                q_update(
-                    q,
-                    state_index(ps, spaces.s_max),
-                    pa.order_qty,
-                    sim_cost,
-                    state_index(sim_next, spaces.s_max),
-                )
-            planning_total += n_plan
-
-            daily_costs.append(out.cost)
-            shortage_days += out.shortage > 0
-            holding += s.s2 + s.s3 + a_idx
-            if probe_pair is not None:
-                probe_trace.append(_probe(model, probe_pair))
-            s = out.next_state
-        episode_metrics.append(
-            RunMetrics(
-                total_cost=float(sum(daily_costs)),
-                daily_costs=daily_costs,
-                shortage_fraction=shortage_days / config.horizon,
-                avg_holding=holding / config.horizon,
-                wall_seconds=time.perf_counter() - started,
-            )
-        )
+    tables = _tables(spaces, q, true_demand)
+    probe = None
+    if probe_pair is not None:
+        ps, pa, p_next = probe_pair
+        probe = (state_index(ps, spaces.s_max), pa.order_qty, state_index(p_next, spaces.s_max))
+    learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
+                      explore_rng, plan_rng, probe)
+    s0 = state_index(initial_state, spaces.s_max)
+    episode_metrics = [
+        rollout(tables, s0, config.horizon, learner.act,
+                lambda: sample(true_demand, env_rng), learner.learn)
+        for _ in range(config.episodes)
+    ]
     return TrainedAgent(
         q=q,
         model=model,
         episode_metrics=episode_metrics,
-        planning_steps=planning_total,
-        probe_trace=probe_trace,
+        planning_steps=learner.planning_steps,
+        probe_trace=learner.probe_trace,
     )
 
 
@@ -180,32 +224,10 @@ def evaluate(
     rng: np.random.Generator,
 ) -> list[RunMetrics]:
     """Run the deterministic greedy policy against fresh demand draws."""
-    policy = greedy_policy(agent.q)
-    results = []
-    for _ in range(repetitions):
-        s = initial_state
-        started = time.perf_counter()
-        daily_costs = []
-        shortage_days = 0
-        holding = 0.0
-        for _ in range(days):
-            a_idx = int(policy[state_index(s, spaces.s_max)])
-            d = sample(true_demand, rng)
-            out = step(
-                s, Action(a_idx), d, spaces.cost_params,
-                s_max=spaces.s_max, a_max=spaces.a_max,
-            )
-            daily_costs.append(out.cost)
-            shortage_days += out.shortage > 0
-            holding += s.s2 + s.s3 + a_idx
-            s = out.next_state
-        results.append(
-            RunMetrics(
-                total_cost=float(sum(daily_costs)),
-                daily_costs=daily_costs,
-                shortage_fraction=shortage_days / days,
-                avg_holding=holding / days,
-                wall_seconds=time.perf_counter() - started,
-            )
-        )
-    return results
+    tables = _tables(spaces, agent.q, true_demand)
+    policy = greedy_policy(agent.q).tolist()
+    s0 = state_index(initial_state, spaces.s_max)
+    return [
+        rollout(tables, s0, days, policy.__getitem__, lambda: sample(true_demand, rng))
+        for _ in range(repetitions)
+    ]

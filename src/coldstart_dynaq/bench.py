@@ -208,27 +208,23 @@ def make_warm_start(
     )
 
 
-def _train_stats(agent: TrainedAgent) -> dict:
-    totals = [m.total_cost for m in agent.episode_metrics]
-    return {
-        "avg_total_cost": float(np.mean(totals)),
-        "episode_total_costs": [round(t, 10) for t in totals],
-        "shortage_percentage": float(np.mean([m.shortage_fraction for m in agent.episode_metrics])),
-        "avg_holding": float(np.mean([m.avg_holding for m in agent.episode_metrics])),
-        "total_cost_variance": float(np.var(totals, ddof=1)) if len(totals) > 1 else 0.0,
-        "planning_steps": agent.planning_steps,
-    }
-
-
-def _eval_stats(results: list[RunMetrics]) -> dict:
-    totals = [m.total_cost for m in results]
+def summarize(runs: list[RunMetrics]) -> dict:
+    """Cost, shortage and holding statistics over episodes or test runs."""
+    totals = [m.total_cost for m in runs]
     return {
         "avg_total_cost": float(np.mean(totals)),
         "total_costs": [round(t, 10) for t in totals],
-        "shortage_percentage": float(np.mean([m.shortage_fraction for m in results])),
-        "avg_holding": float(np.mean([m.avg_holding for m in results])),
+        "shortage_percentage": float(np.mean([m.shortage_fraction for m in runs])),
+        "avg_holding": float(np.mean([m.avg_holding for m in runs])),
         "total_cost_variance": float(np.var(totals, ddof=1)) if len(totals) > 1 else 0.0,
     }
+
+
+def _train_stats(agents: list[TrainedAgent]) -> dict:
+    stats = summarize([m for a in agents for m in a.episode_metrics])
+    stats["episode_total_costs"] = stats.pop("total_costs")
+    stats["planning_steps"] = sum(a.planning_steps for a in agents)
+    return stats
 
 
 def _wall_seconds(agent: TrainedAgent) -> float:
@@ -265,7 +261,7 @@ def _table1_one_seed(spec: ExperimentSpec, rep: int) -> list[dict]:
             "sigma2": spec.sigma2,
             "model_variant": spec.model_variant,
             "avg_daily_cost": float(np.mean([m.total_cost / spec.test_days for m in test])),
-            "train": _train_stats(agent),
+            "train": _train_stats([agent]),
             "wall_train_seconds": _wall_seconds(agent),
         })
     return records
@@ -281,21 +277,13 @@ def run_table1(spec: ExperimentSpec) -> dict:
     nested = _map_reps(_table1_one_seed, spec)
     records = [r for group in nested for r in group]
 
-    total_steps = spec.train_episodes * spec.horizon
-    plan_counts = {
-        "adjusted-dyna-q": total_planning_steps(
-            StcSchedule(TABLE1_PARAMS.n0, TABLE1_PARAMS.n_min, TABLE1_PARAMS.n_smoothing),
-            total_steps,
-        ),
-        "dyna-q": round(TABLE1_PARAMS.n0) * total_steps,
-        "q-learning": 0,
-    }
     summary = {}
     for algorithm in spec.algorithms:
-        costs = [r["avg_daily_cost"] for r in records if r["algorithm"] == algorithm]
+        rows = [r for r in records if r["algorithm"] == algorithm]
         summary[algorithm] = {
-            "mean_daily_cost": float(np.mean(costs)),
-            "planning_steps": plan_counts[algorithm],
+            "mean_daily_cost": float(np.mean([r["avg_daily_cost"] for r in rows])),
+            # deterministic, so every replication's count is the same
+            "planning_steps": rows[0]["train"]["planning_steps"],
         }
     if "q-learning" in summary:
         base = summary["q-learning"]["mean_daily_cost"]
@@ -361,8 +349,6 @@ def _scenario_one_rep(spec: ExperimentSpec, params: ScheduleParams, testing: boo
                 warm_start=warm if transfer else None,
             )
             agents.append(train(config, demand_dist, spaces, spec.initial_state))
-        all_metrics = [a.episode_metrics[0] for a in agents]
-        totals = [m.total_cost for m in all_metrics]
         record = {
             "experiment": "scenario2" if testing else "scenario1",
             "replication": rep,
@@ -370,14 +356,7 @@ def _scenario_one_rep(spec: ExperimentSpec, params: ScheduleParams, testing: boo
             "transfer": transfer,
             "sigma2": spec.sigma2,
             "model_variant": spec.model_variant,
-            "train": {
-                "avg_total_cost": float(np.mean(totals)),
-                "episode_total_costs": [round(t, 10) for t in totals],
-                "shortage_percentage": float(np.mean([m.shortage_fraction for m in all_metrics])),
-                "avg_holding": float(np.mean([m.avg_holding for m in all_metrics])),
-                "total_cost_variance": float(np.var(totals, ddof=1)) if runs > 1 else 0.0,
-                "planning_steps": sum(a.planning_steps for a in agents),
-            },
+            "train": _train_stats(agents),
             "wall_train_seconds": float(sum(_wall_seconds(a) for a in agents)),
         }
         if testing:
@@ -386,7 +365,7 @@ def _scenario_one_rep(spec: ExperimentSpec, params: ScheduleParams, testing: boo
                 spec.test_days, spec.test_repetitions,
                 derived_rng(spec.master_seed, rep, 500, j),
             )
-            record["test"] = _eval_stats(test)
+            record["test"] = summarize(test)
         records.append(record)
     return records
 
@@ -416,27 +395,25 @@ def _scenario_defaults(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, horizon=30, test_days=30, test_repetitions=100)
 
 
+def _run_scenario(spec: ExperimentSpec, params: ScheduleParams, testing: bool) -> dict:
+    spec = _scenario_defaults(spec)
+    forecaster = fit_forecaster(spec)
+    nested = _map_reps(_scenario_one_rep, spec, params, testing, forecaster)
+    records = [r for group in nested for r in group]
+    report = _scenario_report(spec, records, testing)
+    _emit(spec, records, report, _scenario_rows(report, "test" if testing else "train"))
+    return {"records": records, "report": report}
+
+
 def run_scenario1(spec: ExperimentSpec) -> dict:
     """Training-month comparison of the five configurations (cost, shortage,
     holding, across-episode cost variance)."""
-    spec = _scenario_defaults(spec)
-    forecaster = fit_forecaster(spec)
-    nested = _map_reps(_scenario_one_rep, spec, SCENARIO1_PARAMS, False, forecaster)
-    records = [r for group in nested for r in group]
-    report = _scenario_report(spec, records, testing=False)
-    _emit(spec, records, report, _scenario_rows(report, "train"))
-    return {"records": records, "report": report}
+    return _run_scenario(spec, SCENARIO1_PARAMS, testing=False)
 
 
 def run_scenario2(spec: ExperimentSpec) -> dict:
     """Scenario-1-style training then a 30-day greedy test repeated 100x."""
-    spec = _scenario_defaults(spec)
-    forecaster = fit_forecaster(spec)
-    nested = _map_reps(_scenario_one_rep, spec, SCENARIO2_PARAMS, True, forecaster)
-    records = [r for group in nested for r in group]
-    report = _scenario_report(spec, records, testing=True)
-    _emit(spec, records, report, _scenario_rows(report, "test"))
-    return {"records": records, "report": report}
+    return _run_scenario(spec, SCENARIO2_PARAMS, testing=True)
 
 
 def _scenario_rows(report, phase):

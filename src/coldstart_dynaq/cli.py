@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .agents import evaluate, train
+from .agents import TrainedAgent, evaluate, train
 from .demand import save_series
 from .env import CostParams, InventoryState
 from .envmodel import save_model
@@ -113,25 +113,14 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     spec = _spec_from_args(args)
-    q = load_qtable(args.qtable)
-
-    class _Shim:
-        pass
-
-    agent = _Shim()
-    agent.q = q
+    agent = TrainedAgent(q=load_qtable(args.qtable), model=None, episode_metrics=[], planning_steps=0)
     results = evaluate(
         agent, spec.true_demand(), spec.spaces(), spec.initial_state,
         args.days, args.repetitions,
         bench.derived_rng(spec.master_seed, 777),
     )
-    totals = [m.total_cost for m in results]
-    report = {
-        "avg_total_cost": float(np.mean(totals)),
-        "total_cost_variance": float(np.var(totals, ddof=1)) if len(totals) > 1 else 0.0,
-        "shortage_percentage": float(np.mean([m.shortage_fraction for m in results])),
-        "avg_holding": float(np.mean([m.avg_holding for m in results])),
-    }
+    report = bench.summarize(results)
+    del report["total_costs"]
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 

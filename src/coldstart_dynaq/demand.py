@@ -9,7 +9,7 @@ for real transaction data.
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -26,6 +26,7 @@ class DemandDistribution:
     """Probability mass function over integer demand 0..d_max."""
 
     pmf: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -34,6 +35,10 @@ class DemandDistribution:
             raise DomainError("pmf must be a non-empty vector")
         if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _PMF_TOL:
             raise DomainError("pmf entries must be >= 0 and sum to 1")
+        # the pmf may sum to 1 - _PMF_TOL: a draw above its total is still d_max
+        cdf = np.cumsum(pmf)
+        cdf[-1] = 1.0
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def d_max(self) -> int:
@@ -119,8 +124,7 @@ def point_mass(value: int, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
 
 def sample(dist: DemandDistribution, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of a single integer demand."""
-    cdf = np.cumsum(dist.pmf)
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    return int(np.searchsorted(dist.cdf, rng.random(), side="right"))
 
 
 def load_transactions(

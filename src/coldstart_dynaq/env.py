@@ -5,9 +5,18 @@ A day unfolds as: yesterday's order arrives and all stock ages one day
 the post-receive stock, demand is served oldest-first, and unmet demand is
 lost and penalized. Holding cost is charged on the pre-sale inventory, not
 the end-of-day inventory.
+
+The dataclass functions below are the readable reference for one day.
+Hot loops instead use the integer core: states as dense indices (see
+state_index) and the day dynamics tabulated once per ModelSpaces by
+day_tables, so one day is a lookup of next-state index and cost by
+(state index, order, demand).
 """
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 S_MAX_DEFAULT = 10
 A_MAX_DEFAULT = 10
@@ -172,3 +181,63 @@ def num_states(s_max: int = S_MAX_DEFAULT) -> int:
 
 def num_actions(a_max: int = A_MAX_DEFAULT) -> int:
     return a_max + 1
+
+
+@dataclass(frozen=True)
+class ModelSpaces:
+    """Cost parameters and the bounds of the state, order and demand ranges."""
+
+    cost_params: CostParams
+    s_max: int = S_MAX_DEFAULT
+    a_max: int = A_MAX_DEFAULT
+    d_max: int = 10
+
+    def __post_init__(self):
+        # an order becomes the freshest bucket, so a_max > s_max would let
+        # the state index (s1*n + s2)*n + s3 alias distinct states
+        if not (self.s_max >= 0 and self.d_max >= 0 and 0 <= self.a_max <= self.s_max):
+            raise DomainError(f"need s_max >= 0, d_max >= 0 and 0 <= a_max <= s_max, got {self}")
+
+
+@dataclass(frozen=True)
+class DayTables:
+    """One day's dynamics for every (state index s, order a, demand d).
+
+    next[s, a, d] is the next state's index and cost[s, a, d] the day's
+    cost, both equal to step(); stock[s, a] is the on-hand stock after
+    the order arrives, so demand d falls short exactly when d > stock.
+    """
+
+    next: np.ndarray
+    cost: np.ndarray
+    stock: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def day_tables(spaces: ModelSpaces) -> DayTables:
+    """Tabulate step() over all states, orders and demands (read-only, cached).
+
+    Built one demand slice at a time to keep the transient memory small;
+    the cost keeps period_cost's operation order so every entry is
+    bit-identical to step().
+    """
+    p, n = spaces.cost_params, spaces.s_max + 1
+    s = np.arange(n**3)
+    # post-receive buckets (s2, s3, a) by (state, order)
+    x1, x2 = (s // n % n)[:, None], (s % n)[:, None]
+    x3 = np.arange(spaces.a_max + 1)[None, :]
+    stock = x1 + x2 + x3
+    holding = p.b1 * x1 + p.b2 * x2 + p.b3 * x3
+    shape = (n**3, spaces.a_max + 1, spaces.d_max + 1)
+    nxt = np.empty(shape, dtype=np.min_scalar_type(n**3 - 1))
+    cost = np.empty(shape)
+    for d in range(spaces.d_max + 1):
+        # FIFO: demand left over after the older buckets
+        y1 = np.maximum(x1 - d, 0)
+        y2 = np.maximum(x2 - np.maximum(d - x1, 0), 0)
+        y3 = np.maximum(x3 - np.maximum(d - x1 - x2, 0), 0)
+        nxt[:, :, d] = (y1 * n + y2) * n + y3
+        cost[:, :, d] = holding + p.cs * np.maximum(d - stock, 0)
+    for table in (nxt, cost, stock):
+        table.flags.writeable = False
+    return DayTables(next=nxt, cost=cost, stock=stock)

@@ -7,10 +7,17 @@ observed transition and estimates its distribution. Three variants share
 one interface: counting (tabular), a deterministic network, and an
 MC-dropout network. Only (s, a) pairs seen in the real environment may be
 simulated from.
+
+The model runs on the integer core: a pair is (state index, order), and
+next states and costs come from the env's day tables, so recovering a
+demand scans one table row and a simulated next state is one lookup.
+The *_idx functions take and return state indices; the functions of the
+same name without the suffix are thin wrappers over them taking
+InventoryState and Action.
 """
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
 
 import numpy as np
 
@@ -18,9 +25,12 @@ from . import nn
 from .env import (
     Action,
     CostParams,
+    DomainError,
     InventoryState,
+    ModelSpaces,
+    day_tables,
+    state_from_index,
     state_index,
-    step,
 )
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
@@ -37,14 +47,6 @@ class InconsistentTransitionError(ValueError):
     """No demand in [0, d_max] explains the observed transition."""
 
 
-@dataclass(frozen=True)
-class ModelSpaces:
-    cost_params: CostParams
-    s_max: int = 10
-    a_max: int = 10
-    d_max: int = 10
-
-
 class EnvModel:
     def __init__(
         self,
@@ -57,15 +59,20 @@ class EnvModel:
         if variant not in VARIANTS:
             raise ValueError(f"unknown model variant {variant!r}")
         self.spaces = spaces
+        self.tables = day_tables(spaces)
         self.variant = variant
         self.mc_samples = mc_samples
         self.rng = rng if rng is not None else np.random.default_rng()
-        # distinct observed (state, action) pairs, in first-seen order
-        self.visited: dict[tuple[int, int], tuple[InventoryState, Action]] = {}
+        # distinct observed (state index, order) pairs in first-seen order,
+        # and each pair's position in that list
+        self.pairs: list[tuple[int, int]] = []
+        self.visited: dict[tuple[int, int], int] = {}
         if variant == "tabular":
             self.demand_counts = np.zeros(spaces.d_max + 1)
-            self.cost_sums: dict[tuple[int, int], float] = {}
-            self.cost_counts: dict[tuple[int, int], int] = {}
+            self.demand_cdf: list[float] = []
+            # per pair, by position in self.pairs
+            self.cost_sums: list[float] = []
+            self.cost_counts: list[int] = []
         else:
             dropout = 0.5 if variant == "mc-dropout" else 0.0
             head = "categorical" if transition_loss == "categorical" else "categorical_mse"
@@ -79,137 +86,185 @@ class EnvModel:
             self.transition_adam = nn.AdamState(self.transition_net)
             self.cost_adam = nn.AdamState(self.cost_net)
 
-    def _key(self, s: InventoryState, a: Action) -> tuple[int, int]:
-        return (state_index(s, self.spaces.s_max), a.order_qty)
-
-    def _encode(self, s: InventoryState, a: Action) -> np.ndarray:
+    def _encode(self, s: int, a: int) -> np.ndarray:
         sp = self.spaces
+        n = sp.s_max + 1
         return np.array(
-            [s.s1 / sp.s_max, s.s2 / sp.s_max, s.s3 / sp.s_max, a.order_qty / sp.a_max]
+            [s // (n * n) / sp.s_max, s // n % n / sp.s_max, s % n / sp.s_max, a / sp.a_max]
         )
 
     def copy(self) -> "EnvModel":
         import copy as _copy
 
-        return _copy.deepcopy(self)
+        # the day tables are shared and read-only
+        return _copy.deepcopy(self, {id(self.tables): self.tables})
 
 
-def recover_demand(
-    spaces: ModelSpaces, s: InventoryState, a: Action, s_next: InventoryState, cost: float
-) -> int:
+def _pair(spaces: ModelSpaces, s: InventoryState, a: Action) -> tuple[int, int]:
+    if not (0 <= a.order_qty <= spaces.a_max):
+        raise DomainError(f"order {a.order_qty} outside [0, {spaces.a_max}]")
+    return state_index(s, spaces.s_max), a.order_qty
+
+
+def _slot(m: EnvModel, s: int, a: int) -> int:
+    """Position of a visited pair in m.pairs."""
+    try:
+        return m.visited[s, a]
+    except KeyError:
+        raise UnvisitedPairError(f"pair (state {s}, order {a}) never observed") from None
+
+
+def _demand_cdf(counts: np.ndarray) -> list[float]:
+    return np.cumsum(counts / counts.sum()).tolist()
+
+
+def recover_demand_idx(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float) -> int:
     """Invert the day dynamics to find the demand behind a transition.
 
     When several demands lead to the same next state (stock-out
     saturation), the shortage term of the cost disambiguates; if it still
     ties, the smallest demand is returned.
     """
-    matches = []
-    for d in range(spaces.d_max + 1):
-        out = step(s, a, d, spaces.cost_params, s_max=spaces.s_max, a_max=spaces.a_max)
-        if out.next_state == s_next:
-            matches.append((d, out.cost))
-    if not matches:
+    tables = day_tables(spaces)
+    matches = np.flatnonzero(tables.next[s, a] == s_next)
+    if not len(matches):
         raise InconsistentTransitionError(
-            f"no demand in [0, {spaces.d_max}] yields {s_next} from {s}, {a}"
+            f"no demand in [0, {spaces.d_max}] yields state {s_next} from state {s}, order {a}"
         )
-    for d, c in matches:
-        if abs(c - cost) <= _COST_TOL:
-            return d
-    return matches[0][0]
+    # argmax picks the first cost match, and index 0 when none matches
+    close = np.abs(tables.cost[s, a, matches] - cost) <= _COST_TOL
+    return int(matches[close.argmax()])
+
+
+def recover_demand(
+    spaces: ModelSpaces, s: InventoryState, a: Action, s_next: InventoryState, cost: float
+) -> int:
+    return recover_demand_idx(spaces, *_pair(spaces, s, a), state_index(s_next, spaces.s_max), cost)
 
 
 def demand_to_next_state(
     spaces: ModelSpaces, s: InventoryState, a: Action, d: int
 ) -> InventoryState:
-    return step(s, a, d, spaces.cost_params, s_max=spaces.s_max, a_max=spaces.a_max).next_state
+    if not (0 <= d <= spaces.d_max):
+        raise DomainError(f"demand {d} outside [0, {spaces.d_max}]")
+    s_idx, a_qty = _pair(spaces, s, a)
+    return state_from_index(int(day_tables(spaces).next[s_idx, a_qty, d]), spaces.s_max)
 
 
-def model_update(
-    m: EnvModel, s: InventoryState, a: Action, s_next: InventoryState, cost: float
-) -> None:
+def model_update_idx(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
     """Fold one real transition into the model and the visit memory."""
-    d = recover_demand(m.spaces, s, a, s_next, cost)
-    key = m._key(s, a)
-    if key not in m.visited:
-        m.visited[key] = (s, a)
+    d = recover_demand_idx(m.spaces, s, a, s_next, cost)
+    if (s, a) not in m.visited:
+        m.visited[s, a] = len(m.pairs)
+        m.pairs.append((s, a))
+        if m.variant == "tabular":
+            m.cost_sums.append(0.0)
+            m.cost_counts.append(0)
     if m.variant == "tabular":
+        i = m.visited[s, a]
         m.demand_counts[d] += 1
-        m.cost_sums[key] = m.cost_sums.get(key, 0.0) + cost
-        m.cost_counts[key] = m.cost_counts.get(key, 0) + 1
+        m.demand_cdf = _demand_cdf(m.demand_counts)
+        m.cost_sums[i] += cost
+        m.cost_counts[i] += 1
     else:
         x = m._encode(s, a)
         nn.train_step(m.transition_net, m.transition_adam, x[None, :], np.array([d]), rng=m.rng)
         nn.train_step(m.cost_net, m.cost_adam, x[None, :], np.array([[cost]]), rng=m.rng)
 
 
-def _require_visited(m: EnvModel, s: InventoryState, a: Action) -> tuple[int, int]:
-    key = m._key(s, a)
-    if key not in m.visited:
-        raise UnvisitedPairError(f"pair ({s}, {a}) never observed")
-    return key
+def model_update(
+    m: EnvModel, s: InventoryState, a: Action, s_next: InventoryState, cost: float
+) -> None:
+    model_update_idx(m, *_pair(m.spaces, s, a), state_index(s_next, m.spaces.s_max), cost)
+
+
+def _predict(m: EnvModel, net: nn.Network, s: int, a: int, rng) -> np.ndarray:
+    x = m._encode(s, a)
+    if m.variant == "det-net":
+        return nn.forward(net, x)
+    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng).mean
+
+
+def transition_pmf_idx(
+    m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Estimated demand-class distribution for a visited pair."""
+    _slot(m, s, a)
+    if m.variant == "tabular":
+        return m.demand_counts / m.demand_counts.sum()
+    pmf = _predict(m, m.transition_net, s, a, rng)
+    return pmf / pmf.sum()
 
 
 def transition_pmf(
     m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Estimated demand-class distribution for a visited pair."""
-    _require_visited(m, s, a)
+    return transition_pmf_idx(m, *_pair(m.spaces, s, a), rng=rng)
+
+
+def estimate_cost_idx(
+    m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
+) -> float:
+    i = _slot(m, s, a)
     if m.variant == "tabular":
-        return m.demand_counts / m.demand_counts.sum()
-    x = m._encode(s, a)
-    if m.variant == "det-net":
-        pmf = nn.forward(m.transition_net, x)
-    else:
-        pmf = nn.mc_predict(
-            m.transition_net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng
-        ).mean
-    return pmf / pmf.sum()
+        return m.cost_sums[i] / m.cost_counts[i]
+    return float(_predict(m, m.cost_net, s, a, rng)[0])
 
 
 def estimate_cost(
     m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator | None = None
 ) -> float:
-    _require_visited(m, s, a)
+    return estimate_cost_idx(m, *_pair(m.spaces, s, a), rng=rng)
+
+
+def simulate_idx(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw a simulated (next state index, cost) for a previously visited pair.
+
+    Draw order: the transition net's dropout masks, the demand's uniform,
+    then the cost net's masks.
+    """
+    _slot(m, s, a)
     if m.variant == "tabular":
-        key = m._key(s, a)
-        return m.cost_sums[key] / m.cost_counts[key]
-    x = m._encode(s, a)
-    if m.variant == "det-net":
-        return float(nn.forward(m.cost_net, x)[0])
-    pred = nn.mc_predict(m.cost_net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng)
-    return float(pred.mean[0])
+        cdf = m.demand_cdf
+    else:
+        cdf = np.cumsum(transition_pmf_idx(m, s, a, rng=rng))
+    d = min(bisect_right(cdf, rng.random()), m.spaces.d_max)
+    return int(m.tables.next[s, a, d]), estimate_cost_idx(m, s, a, rng=rng)
 
 
 def simulate(
     m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator
 ) -> tuple[InventoryState, float]:
-    """Draw a simulated (next state, cost) for a previously visited pair."""
-    _require_visited(m, s, a)
-    pmf = transition_pmf(m, s, a, rng=rng)
-    d = int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
-    d = min(d, m.spaces.d_max)
-    s_next = demand_to_next_state(m.spaces, s, a, d)
-    return s_next, estimate_cost(m, s, a, rng=rng)
+    s_next, cost = simulate_idx(m, *_pair(m.spaces, s, a), rng)
+    return state_from_index(s_next, m.spaces.s_max), cost
+
+
+def transition_prob_idx(m: EnvModel, s: int, a: int, s_next: int) -> float:
+    """Model probability of landing in s_next from a visited (s, a)."""
+    pmf = transition_pmf_idx(m, s, a)
+    total = 0.0
+    # summed in demand order, one term at a time, as a float sum over d
+    for p in pmf[m.tables.next[s, a] == s_next].tolist():
+        total += p
+    return total
 
 
 def transition_prob(
     m: EnvModel, s: InventoryState, a: Action, s_next: InventoryState
 ) -> float:
-    """Model probability of landing in s_next from a visited (s, a)."""
-    pmf = transition_pmf(m, s, a)
-    total = 0.0
-    for d in range(m.spaces.d_max + 1):
-        if demand_to_next_state(m.spaces, s, a, d) == s_next:
-            total += float(pmf[d])
-    return total
+    return transition_prob_idx(m, *_pair(m.spaces, s, a), state_index(s_next, m.spaces.s_max))
+
+
+def sample_visited_idx(m: EnvModel, rng: np.random.Generator) -> tuple[int, int]:
+    """Uniform draw over the distinct observed (state index, order) pairs."""
+    if not m.pairs:
+        raise UnvisitedPairError("model has no observed pairs yet")
+    return m.pairs[int(rng.integers(len(m.pairs)))]
 
 
 def sample_visited(m: EnvModel, rng: np.random.Generator) -> tuple[InventoryState, Action]:
-    """Uniform draw over the distinct observed (state, action) pairs."""
-    if not m.visited:
-        raise UnvisitedPairError("model has no observed pairs yet")
-    pairs = list(m.visited.values())
-    return pairs[int(rng.integers(len(pairs)))]
+    s, a = sample_visited_idx(m, rng)
+    return state_from_index(s, m.spaces.s_max), Action(a)
 
 
 def save_model(m: EnvModel, path) -> None:
@@ -227,12 +282,11 @@ def save_model(m: EnvModel, path) -> None:
         ],
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    keys = list(m.visited)
-    arrays["visited"] = np.array(keys, dtype=int).reshape(len(keys), 2)
+    arrays["visited"] = np.array(m.pairs, dtype=int).reshape(len(m.pairs), 2)
     if m.variant == "tabular":
         arrays["demand_counts"] = m.demand_counts
-        arrays["cost_sums"] = np.array([m.cost_sums[k] for k in keys])
-        arrays["cost_counts"] = np.array([m.cost_counts[k] for k in keys])
+        arrays["cost_sums"] = np.array(m.cost_sums)
+        arrays["cost_counts"] = np.array(m.cost_counts, dtype=int)
     else:
         for prefix, net in (("t", m.transition_net), ("c", m.cost_net)):
             arrays[f"{prefix}_head"] = np.frombuffer(net.head.encode(), dtype=np.uint8)
@@ -243,8 +297,6 @@ def save_model(m: EnvModel, path) -> None:
 
 
 def load_model(path) -> EnvModel:
-    from .env import state_from_index
-
     data = np.load(path)
     meta = json.loads(bytes(data["meta"]).decode())
     b1, b2, b3, cs = meta["cost_params"]
@@ -266,18 +318,14 @@ def load_model(path) -> EnvModel:
         transition_loss=transition_loss,
         rng=np.random.default_rng(0),
     )
-    keys = [tuple(row) for row in data["visited"]]
-    for s_idx, a_qty in keys:
-        m.visited[(int(s_idx), int(a_qty))] = (
-            state_from_index(int(s_idx), spaces.s_max),
-            Action(int(a_qty)),
-        )
+    m.pairs = [(int(s), int(a)) for s, a in data["visited"]]
+    m.visited = {pair: i for i, pair in enumerate(m.pairs)}
     if m.variant == "tabular":
         m.demand_counts = data["demand_counts"]
-        for k, c_sum, c_cnt in zip(keys, data["cost_sums"], data["cost_counts"]):
-            key = (int(k[0]), int(k[1]))
-            m.cost_sums[key] = float(c_sum)
-            m.cost_counts[key] = int(c_cnt)
+        if m.pairs:
+            m.demand_cdf = _demand_cdf(m.demand_counts)
+        m.cost_sums = data["cost_sums"].tolist()
+        m.cost_counts = data["cost_counts"].tolist()
     else:
         for prefix, net in (("t", m.transition_net), ("c", m.cost_net)):
             net.weights = [data[f"{prefix}_w{i}"] for i in range(len(net.sizes) - 1)]

@@ -13,15 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .agents import Learner, rollout
 from .demand import (
     D_MAX_DEFAULT,
     DemandSeries,
     extract_features,
     feature_dim,
 )
-from .env import Action, DomainError, InventoryState, num_actions, num_states, state_index, step
-from .envmodel import EnvModel, ModelSpaces, model_update
-from .qcore import QTable, q_update, select_action
+from .env import (
+    DomainError,
+    InventoryState,
+    ModelSpaces,
+    day_tables,
+    num_actions,
+    num_states,
+    state_index,
+)
+from .envmodel import EnvModel
+from .qcore import QTable
+from .schedule import constant
 
 _HIDDEN = (128, 64)
 
@@ -165,22 +175,17 @@ def build_warm_start(
     """
     if len(offline) == 0:
         raise DomainError("offline series is empty")
+    if offline.quantities.max() > spaces.d_max:
+        raise DomainError(f"offline demand exceeds d_max {spaces.d_max}")
     ss = np.random.SeedSequence(seed)
     explore_rng, model_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), alpha, gamma)
     model = EnvModel(
         spaces, variant=model_variant, rng=model_rng, transition_loss=transition_loss
     )
+    learner = Learner(q, model, constant(epsilon), constant(0.0), explore_rng)
+    s0 = state_index(initial_state, spaces.s_max)
     for _ in range(epochs):
-        s = initial_state
-        for d in offline.quantities:
-            s_idx = state_index(s, spaces.s_max)
-            a_idx = select_action(q, s_idx, epsilon, explore_rng)
-            out = step(
-                s, Action(a_idx), int(d), spaces.cost_params,
-                s_max=spaces.s_max, a_max=spaces.a_max,
-            )
-            q_update(q, s_idx, a_idx, out.cost, state_index(out.next_state, spaces.s_max))
-            model_update(model, s, Action(a_idx), out.next_state, out.cost)
-            s = out.next_state
+        demands = iter(offline.quantities.tolist())
+        rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, learner.learn)
     return WarmStart(q0=q, m0=model, offline_series=offline)

@@ -6,7 +6,7 @@ import pytest
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
 from coldstart_dynaq.demand import discretized_gamma, point_mass, synthesize_history
 from coldstart_dynaq.env import CostParams, InventoryState, state_index
-from coldstart_dynaq.envmodel import ModelSpaces
+from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.schedule import StcSchedule, constant
 
@@ -143,10 +143,7 @@ class TestTrain:
         offline = synthesize_history(point_mass(4), 5, dt.date(2021, 1, 1), np.random.default_rng(0))
         warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
         warm.q0.values[:] = 0.0
-        warm.m0.visited.clear()
-        warm.m0.demand_counts[:] = 0.0
-        warm.m0.cost_sums.clear()
-        warm.m0.cost_counts.clear()
+        warm.m0 = EnvModel(SPACES)
         warmed = train(adjusted_config(seed=9, warm_start=warm), dist, SPACES, S0)
         assert np.array_equal(cold.q.values, warmed.q.values)
         assert [m.total_cost for m in cold.episode_metrics] == [

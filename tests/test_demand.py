@@ -71,6 +71,17 @@ class TestSample:
         second = [sample(dist, rng) for _ in range(20)]
         assert first == second
 
+    def test_draw_above_pmf_total_is_d_max(self):
+        # the pmf sums to 1 - 5e-10, inside the tolerance; a uniform above
+        # that total must still map to d_max, not d_max + 1
+        dist = DemandDistribution(np.array([0.3, 0.7 - 5e-10, 0.0]))
+
+        class Uniform:
+            def random(self):
+                return 0.99999999999999
+
+        assert sample(dist, Uniform()) == 2
+
 
 class TestLoadTransactions:
     def _write(self, path, rows):

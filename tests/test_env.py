@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coldstart_dynaq.env import (
@@ -5,8 +6,10 @@ from coldstart_dynaq.env import (
     CostParams,
     DomainError,
     InventoryState,
+    ModelSpaces,
     age_and_receive,
     consume_demand,
+    day_tables,
     enumerate_actions,
     enumerate_states,
     num_states,
@@ -140,3 +143,36 @@ class TestEnumeration:
 def test_cost_params_ordering_enforced():
     with pytest.raises(DomainError):
         CostParams(0.3, 0.7, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(s_max=-1, a_max=0), dict(d_max=-1), dict(a_max=-1), dict(s_max=5, a_max=6),
+])
+def test_model_spaces_bounds_enforced(bounds):
+    with pytest.raises(DomainError):
+        ModelSpaces(PARAMS, **bounds)
+
+
+@pytest.mark.parametrize("spaces", [
+    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3)),
+    ModelSpaces(CostParams(0.9, 0.4, 0.2, 0.5), s_max=4, a_max=2, d_max=13),
+])
+def test_day_tables_equal_step_everywhere(spaces):
+    """Exhaustive oracle: every (state, order, demand) entry equals step(),
+    the cost to the last bit."""
+    tables = day_tables(spaces)
+    outs = [
+        [
+            [step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
+             for d in range(spaces.d_max + 1)]
+            for a in enumerate_actions(spaces.a_max)
+        ]
+        for s in enumerate_states(spaces.s_max)
+    ]
+    next_idx = [[[state_index(o.next_state, spaces.s_max) for o in row] for row in rows]
+                for rows in outs]
+    assert np.array_equal(tables.next, next_idx)
+    assert tables.cost.tolist() == [[[o.cost for o in row] for row in rows] for rows in outs]
+    short = tables.stock[:, :, None] < np.arange(spaces.d_max + 1)
+    assert short.tolist() == [[[o.shortage > 0 for o in row] for row in rows] for rows in outs]
+    assert not (tables.next.flags.writeable or tables.cost.flags.writeable)

@@ -1,20 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coldstart_dynaq.demand import discretized_gamma, point_mass, sample
-from coldstart_dynaq.env import Action, CostParams, InventoryState, enumerate_states, step
+from coldstart_dynaq.env import (
+    Action,
+    CostParams,
+    InventoryState,
+    enumerate_states,
+    state_from_index,
+    state_index,
+    step,
+)
 from coldstart_dynaq.envmodel import (
     EnvModel,
     InconsistentTransitionError,
     ModelSpaces,
     UnvisitedPairError,
+    demand_to_next_state,
+    estimate_cost,
+    estimate_cost_idx,
     load_model,
     model_update,
+    model_update_idx,
     recover_demand,
+    recover_demand_idx,
     sample_visited,
+    sample_visited_idx,
     save_model,
     simulate,
+    simulate_idx,
+    transition_pmf,
+    transition_pmf_idx,
     transition_prob,
+    transition_prob_idx,
 )
 
 SPACES = ModelSpaces(cost_params=CostParams())
@@ -36,6 +56,31 @@ class TestRecoverDemand:
                 for d in range(11):
                     out = step(s, a, d, SPACES.cost_params)
                     assert recover_demand(SPACES, s, a, out.next_state, out.cost) == d
+
+    @given(
+        st.tuples(*[st.integers(0, 10)] * 4),
+        st.integers(0, 10),
+        st.sampled_from([
+            CostParams(), CostParams(0.9, 0.5, 0.5, 0.0), CostParams(0.8, 0.2, 0.1, 2.5),
+        ]),
+    )
+    def test_inverts_step_where_identifiable(self, sa, d, params):
+        s, a = InventoryState(*sa[:3]), Action(sa[3])
+        outs = [step(s, a, e, params) for e in range(11)]
+        out = outs[d]
+        # demands with the same next state and cost are indistinguishable
+        twins = [
+            e for e, o in enumerate(outs)
+            if o.next_state == out.next_state and abs(o.cost - out.cost) <= 1e-9
+        ]
+        spaces = ModelSpaces(params)
+        assert recover_demand(spaces, s, a, out.next_state, out.cost) == twins[0]
+        if len(twins) == 1:
+            assert twins[0] == d
+        # a cost no candidate explains falls back to the smallest demand
+        # reaching the same next state (all costs here are multiples of 0.1)
+        same_state = [e for e, o in enumerate(outs) if o.next_state == out.next_state]
+        assert recover_demand(spaces, s, a, out.next_state, out.cost + 1e-3) == same_state[0]
 
     def test_inconsistent_transition(self):
         with pytest.raises(InconsistentTransitionError):
@@ -193,6 +238,39 @@ class TestNetVariants:
         for _ in range(300):
             observe(m, PAIR_S, PAIR_A, 2)
         assert transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT) > 0.8
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
+def test_wrappers_agree_with_index_functions(variant):
+    dataclass_model = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(13))
+    index_model = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(13))
+    rng = np.random.default_rng(14)
+    states = [InventoryState(0, 0, 3), InventoryState(2, 1, 0), InventoryState(4, 4, 4)]
+    for i in range(12):
+        s, a, d = states[i % 3], Action(int(rng.integers(11))), int(rng.integers(11))
+        out = step(s, a, d, SPACES.cost_params)
+        idx = (state_index(s), a.order_qty, state_index(out.next_state), out.cost)
+        assert recover_demand(SPACES, s, a, out.next_state, out.cost) == recover_demand_idx(SPACES, *idx)
+        assert demand_to_next_state(SPACES, s, a, d) == out.next_state
+        model_update(dataclass_model, s, a, out.next_state, out.cost)
+        model_update_idx(index_model, *idx)
+    assert dataclass_model.pairs == index_model.pairs
+    for s_idx, a_qty in index_model.pairs:
+        s, a = state_from_index(s_idx), Action(a_qty)
+        next_idx, cost = simulate_idx(index_model, s_idx, a_qty, np.random.default_rng(15))
+        assert simulate(dataclass_model, s, a, np.random.default_rng(15)) == (
+            state_from_index(next_idx), cost)
+        assert np.array_equal(
+            transition_pmf(dataclass_model, s, a, rng=np.random.default_rng(16)),
+            transition_pmf_idx(index_model, s_idx, a_qty, rng=np.random.default_rng(16)))
+        assert estimate_cost(dataclass_model, s, a, rng=np.random.default_rng(17)) == (
+            estimate_cost_idx(index_model, s_idx, a_qty, rng=np.random.default_rng(17)))
+        # both models' own rngs have drawn the same masks so far
+        assert transition_prob(dataclass_model, s, a, PAIR_NEXT) == transition_prob_idx(
+            index_model, s_idx, a_qty, state_index(PAIR_NEXT))
+    drawn = sample_visited(dataclass_model, np.random.default_rng(18))
+    s_idx, a_qty = sample_visited_idx(index_model, np.random.default_rng(18))
+    assert drawn == (state_from_index(s_idx), Action(a_qty))
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net"])
