@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,6 +58,8 @@ class EnvModel:
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown model variant {variant!r}")
+        if mc_samples < 1:
+            raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
         self.spaces = spaces
         self.tables = day_tables(spaces)
         self.variant = variant
@@ -85,6 +87,11 @@ class EnvModel:
             )
             self.transition_adam = nn.AdamState(self.transition_net)
             self.cost_adam = nn.AdamState(self.cost_net)
+        if variant == "det-net":
+            # pair -> (pmf, its cdf, cost); a det-net forward pass is
+            # deterministic, and the weights change only in model_update_idx,
+            # which clears this
+            self.predictions: dict[tuple[int, int], tuple[np.ndarray, list[float], float]] = {}
 
     def _encode(self, s: int, a: int) -> np.ndarray:
         sp = self.spaces
@@ -167,6 +174,8 @@ def model_update_idx(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> N
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
+        if m.variant == "det-net":
+            m.predictions.clear()
         x = m._encode(s, a)
         nn.train_step(m.transition_net, m.transition_adam, x[None, :], np.array([d]), rng=m.rng)
         nn.train_step(m.cost_net, m.cost_adam, x[None, :], np.array([[cost]]), rng=m.rng)
@@ -178,22 +187,42 @@ def model_update(
     model_update_idx(m, *_pair(m.spaces, s, a), state_index(s_next, m.spaces.s_max), cost)
 
 
-def _predict(m: EnvModel, net: nn.Network, s: int, a: int, rng) -> np.ndarray:
-    x = m._encode(s, a)
-    if m.variant == "det-net":
-        return nn.forward(net, x)
+def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
     return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng).mean
+
+
+def _mc_pmf(m: EnvModel, x: np.ndarray, rng) -> np.ndarray:
+    pmf = _mc_mean(m, m.transition_net, x, rng)
+    return pmf / pmf.sum()
+
+
+def _mc_cost(m: EnvModel, x: np.ndarray, rng) -> float:
+    return float(_mc_mean(m, m.cost_net, x, rng)[0])
+
+
+def _det_prediction(m: EnvModel, s: int, a: int) -> tuple[np.ndarray, list[float], float]:
+    """The det-net's (pmf, cdf, cost) for a visited pair, cached until the next update."""
+    hit = m.predictions.get((s, a))
+    if hit is None:
+        x = m._encode(s, a)
+        pmf = nn.forward(m.transition_net, x)
+        pmf = pmf / pmf.sum()
+        pmf.flags.writeable = False
+        cost = float(nn.forward(m.cost_net, x)[0])
+        hit = m.predictions[s, a] = (pmf, np.cumsum(pmf).tolist(), cost)
+    return hit
 
 
 def transition_pmf_idx(
     m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Estimated demand-class distribution for a visited pair."""
+    """Estimated demand-class distribution for a visited pair (read-only for det-net)."""
     _slot(m, s, a)
     if m.variant == "tabular":
         return m.demand_counts / m.demand_counts.sum()
-    pmf = _predict(m, m.transition_net, s, a, rng)
-    return pmf / pmf.sum()
+    if m.variant == "det-net":
+        return _det_prediction(m, s, a)[0]
+    return _mc_pmf(m, m._encode(s, a), rng)
 
 
 def transition_pmf(
@@ -208,7 +237,9 @@ def estimate_cost_idx(
     i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
-    return float(_predict(m, m.cost_net, s, a, rng)[0])
+    if m.variant == "det-net":
+        return _det_prediction(m, s, a)[2]
+    return _mc_cost(m, m._encode(s, a), rng)
 
 
 def estimate_cost(
@@ -223,13 +254,18 @@ def simulate_idx(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple
     Draw order: the transition net's dropout masks, the demand's uniform,
     then the cost net's masks.
     """
-    _slot(m, s, a)
+    i = _slot(m, s, a)
     if m.variant == "tabular":
-        cdf = m.demand_cdf
+        cdf, cost = m.demand_cdf, m.cost_sums[i] / m.cost_counts[i]
+    elif m.variant == "det-net":
+        _, cdf, cost = _det_prediction(m, s, a)
     else:
-        cdf = np.cumsum(transition_pmf_idx(m, s, a, rng=rng))
+        x = m._encode(s, a)
+        cdf = np.cumsum(_mc_pmf(m, x, rng))
     d = min(bisect_right(cdf, rng.random()), m.spaces.d_max)
-    return int(m.tables.next[s, a, d]), estimate_cost_idx(m, s, a, rng=rng)
+    if m.variant == "mc-dropout":
+        cost = _mc_cost(m, x, rng)
+    return int(m.tables.next[s, a, d]), cost
 
 
 def simulate(

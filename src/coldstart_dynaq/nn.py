@@ -4,6 +4,16 @@ Dense layers with ReLU, inverted dropout after each hidden layer, a
 regression (MSE) or categorical (softmax) head, Adam, and Monte-Carlo
 dropout prediction (mean and per-output variance over stochastic forward
 passes). Shared by the environment model and the demand forecaster.
+
+Dropout masks come from uniform doubles u as (u < keep) / keep, so the
+order of the draws pins every result:
+
+- a training pass (`forward(training=True)`, `train_step`) draws one
+  (batch, width) block per hidden layer, first layer first;
+- `mc_predict` draws all its masks with one rng.random((samples, sum of
+  hidden widths)) call and splits the columns per layer. Row i holds
+  sample i's masks, first layer first, which is the order in which one
+  single-row training pass per sample would draw them.
 """
 
 import json
@@ -151,35 +161,30 @@ def _one_hot(Y: np.ndarray, num_classes: int) -> np.ndarray:
     return onehot
 
 
+def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch loss of the outputs against Y, and its gradient at the last pre-activation."""
+    if net.head == "regression":
+        Y = np.asarray(Y, dtype=float).reshape(out.shape)
+        return float(np.mean((out - Y) ** 2)), 2.0 * (out - Y) / out.size
+    onehot = _one_hot(Y, net.sizes[-1])
+    if net.head == "categorical":
+        loss = float(-np.mean(np.sum(onehot * np.log(out + 1e-12), axis=1)))
+        return loss, (out - onehot) / out.shape[0]
+    loss = float(np.mean((out - onehot) ** 2))
+    dout = 2.0 * (out - onehot) / out.size
+    return loss, out * (dout - np.sum(dout * out, axis=1, keepdims=True))
+
+
 def batch_loss(net: Network, X: np.ndarray, Y: np.ndarray, masks=None) -> float:
     """Loss of the current parameters on a batch, with fixed dropout masks."""
     X, _ = _as_batch(X)
     _, _, out = _forward_cached(net, X, masks)
-    if net.head == "regression":
-        Y = np.asarray(Y, dtype=float).reshape(out.shape)
-        return float(np.mean((out - Y) ** 2))
-    onehot = _one_hot(Y, net.sizes[-1])
-    if net.head == "categorical":
-        return float(-np.mean(np.sum(onehot * np.log(out + 1e-12), axis=1)))
-    return float(np.mean((out - onehot) ** 2))
+    return _loss(net, out, Y)[0]
 
 
 def _loss_and_grads(net: Network, X: np.ndarray, Y: np.ndarray, masks):
     acts, pres, out = _forward_cached(net, X, masks)
-    batch = X.shape[0]
-    if net.head == "regression":
-        Yb = np.asarray(Y, dtype=float).reshape(out.shape)
-        loss = float(np.mean((out - Yb) ** 2))
-        dz = 2.0 * (out - Yb) / out.size
-    else:
-        onehot = _one_hot(Y, net.sizes[-1])
-        if net.head == "categorical":
-            loss = float(-np.mean(np.sum(onehot * np.log(out + 1e-12), axis=1)))
-            dz = (out - onehot) / batch
-        else:
-            loss = float(np.mean((out - onehot) ** 2))
-            dout = 2.0 * (out - onehot) / out.size
-            dz = out * (dout - np.sum(dout * out, axis=1, keepdims=True))
+    loss, dz = _loss(net, out, Y)
 
     w_grads = [None] * len(net.weights)
     b_grads = [None] * len(net.biases)
@@ -225,17 +230,41 @@ def mc_predict(
 ) -> Prediction:
     """Monte-Carlo dropout: mean/variance over stochastic forward passes.
 
-    With dropout disabled every pass is identical, so the variance is
-    exactly zero and the mean equals the deterministic output.
+    x is one input row, 1-D or of shape (1, n); the mean and variance have
+    the shape forward(net, x) returns. They equal, bit for bit and from the
+    same draws, those of `samples` single-row training passes. The first
+    layer sees the same input in every pass, so it is computed once. Each
+    later layer is one vector-matrix product per sample, run as a
+    (samples, 1, width) @ W stack, because a (samples, width) matrix
+    product rounds differently. With dropout disabled every pass is
+    identical, so the variance is exactly zero and the mean equals the
+    deterministic output.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    X, single = _as_batch(x)
+    if X.shape != (1, net.sizes[0]):
+        raise ValueError(
+            f"mc_predict takes one input row of {net.sizes[0]} values, got shape {np.shape(x)}"
+        )
     if net.dropout == 0.0:
         out = forward(net, x)
         return Prediction(mean=out, variance=np.zeros_like(out))
     if rng is None:
         raise ValueError("mc_predict with dropout needs an rng")
-    draws = np.stack([forward(net, x, training=True, rng=rng) for _ in range(samples)])
+    keep = 1.0 - net.dropout
+    masks = (rng.random((samples, sum(net.sizes[1:-1]))) < keep) / keep
+    z = np.broadcast_to(X @ net.weights[0] + net.biases[0], (samples, 1, net.sizes[1]))
+    col = 0
+    for width, w, b in zip(net.sizes[1:-1], net.weights[1:], net.biases[1:]):
+        a = np.maximum(z, 0.0) * masks[:, None, col:col + width]
+        z = a @ w + b
+        col += width
+    draws = z[:, 0, :]
+    if net.head in ("categorical", "categorical_mse"):
+        draws = _softmax(draws)
+    if not single:
+        draws = draws[:, None, :]
     return Prediction(mean=draws.mean(axis=0), variance=draws.var(axis=0))
 
 

@@ -112,6 +112,19 @@ class TestArtifactCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_loss_returns_error(self, tmp_path, capsys):
+        # a unit short costs 1e200, so the cost net's squared error overflows
+        path = tmp_path / "huge_shortage_cost.json"
+        path.write_text(json.dumps(
+            {**TINY, "cost_params": [0.7, 0.3, 0.0, 1e200], "initial_state": [0, 0, 0]}
+        ))
+        code = main([
+            "train", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--model", "det-net", "--algorithm", "q-learning",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: non-finite loss")
+
     def test_forecast_writes_series(self, tiny_config, tmp_path):
         out = tmp_path / "fc"
         code = main([

@@ -1,12 +1,15 @@
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldstart_dynaq.demand import discretized_gamma, point_mass, sample
 from coldstart_dynaq.env import (
     Action,
     CostParams,
+    DomainError,
     InventoryState,
     enumerate_states,
     state_from_index,
@@ -14,6 +17,7 @@ from coldstart_dynaq.env import (
     step,
 )
 from coldstart_dynaq.envmodel import (
+    VARIANTS,
     EnvModel,
     InconsistentTransitionError,
     ModelSpaces,
@@ -288,3 +292,82 @@ def test_save_load_round_trip(tmp_path, variant):
     assert transition_prob(loaded, PAIR_S, PAIR_A, PAIR_NEXT) == pytest.approx(
         transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT)
     )
+
+
+def round_trip(m):
+    buf = io.BytesIO()
+    save_model(m, buf)
+    buf.seek(0)
+    return load_model(buf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(VARIANTS),
+    st.sampled_from(["categorical", "mse"]),
+    st.lists(st.tuples(st.integers(0, 1330), st.integers(0, 10), st.integers(0, 10)),
+             min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_save_load_round_trip_property(variant, transition_loss, days, seed):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(seed),
+                 transition_loss=transition_loss)
+    for s, a, d in days:
+        model_update_idx(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+    loaded = round_trip(m)
+    assert (loaded.variant, loaded.pairs, loaded.visited) == (m.variant, m.pairs, m.visited)
+    for s, a in m.pairs:
+        assert np.array_equal(
+            transition_pmf_idx(loaded, s, a, rng=np.random.default_rng(seed)),
+            transition_pmf_idx(m, s, a, rng=np.random.default_rng(seed)))
+        assert estimate_cost_idx(loaded, s, a, rng=np.random.default_rng(seed)) == (
+            estimate_cost_idx(m, s, a, rng=np.random.default_rng(seed)))
+
+
+def test_mc_samples_below_one_rejected():
+    with pytest.raises(DomainError):
+        EnvModel(SPACES, variant="mc-dropout", mc_samples=0)
+    m = EnvModel(SPACES, variant="mc-dropout", rng=np.random.default_rng(0))
+    m.mc_samples = 0
+    with pytest.raises(DomainError):
+        round_trip(m)
+
+
+class TestDetNetCache:
+    PAIRS = [(state_index(PAIR_S), 2), (state_index(InventoryState(2, 1, 0)), 4)]
+
+    def trained(self, seed):
+        m = EnvModel(SPACES, variant="det-net", rng=np.random.default_rng(seed))
+        for i, (s, a) in enumerate(self.PAIRS * 3):
+            model_update_idx(m, s, a, int(m.tables.next[s, a, i]), float(m.tables.cost[s, a, i]))
+        return m
+
+    def predictions(self, m):
+        return [(transition_pmf_idx(m, s, a), estimate_cost_idx(m, s, a)) for s, a in self.PAIRS]
+
+    def assert_same(self, got, want):
+        for (pmf, cost), (want_pmf, want_cost) in zip(got, want):
+            assert np.array_equal(pmf, want_pmf)
+            assert cost == want_cost
+
+    def test_update_invalidates_cached_predictions(self):
+        m = self.trained(20)
+        before = self.predictions(m)
+        s, a = self.PAIRS[0]
+        model_update_idx(m, s, a, int(m.tables.next[s, a, 7]), float(m.tables.cost[s, a, 7]))
+        after = self.predictions(m)
+        # a fresh model with the same weights has an empty cache
+        self.assert_same(after, self.predictions(round_trip(m)))
+        assert not np.array_equal(after[0][0], before[0][0])
+        assert after[0][1] != before[0][1]
+
+    def test_copy_does_not_share_cache(self):
+        m = self.trained(21)
+        before = self.predictions(m)
+        c = m.copy()
+        assert c.predictions is not m.predictions
+        s, a = self.PAIRS[1]
+        model_update_idx(c, s, a, int(c.tables.next[s, a, 9]), float(c.tables.cost[s, a, 9]))
+        self.assert_same(self.predictions(m), before)
+        self.assert_same(self.predictions(c), self.predictions(round_trip(c)))
+        assert not np.array_equal(self.predictions(c)[0][0], before[0][0])

@@ -150,6 +150,39 @@ class TestMcPredict:
         assert np.all(pred.variance >= 0.0)
 
 
+def mc_predict_reference(net, x, samples, rng):
+    """The per-sample loop mc_predict replaced: one single-row training pass per sample."""
+    draws = np.stack([nn.forward(net, x, training=True, rng=rng) for _ in range(samples)])
+    return draws.mean(axis=0), draws.var(axis=0)
+
+
+@pytest.mark.parametrize("head", ["categorical", "categorical_mse", "regression"])
+@pytest.mark.parametrize("samples", [1, 10])
+@pytest.mark.parametrize("row_shape", ["1-D", "(1, n)"])
+@pytest.mark.parametrize("hidden", [(128, 64), (6,), ()], ids=["128-64", "6", "no-hidden"])
+def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
+    out = 1 if head == "regression" else 11
+    for seed in range(3):
+        net = make_net([4, *hidden, out], head=head, dropout=0.5, seed=seed)
+        x = np.random.default_rng(seed + 100).uniform(0.0, 1.0, 4)
+        if row_shape == "(1, n)":
+            x = x[None, :]
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mean, variance = mc_predict_reference(net, x, samples, ref_rng)
+        pred = nn.mc_predict(net, x, samples=samples, rng=rng)
+        assert pred.mean.shape == mean.shape
+        assert np.array_equal(pred.mean, mean)
+        assert np.array_equal(pred.variance, variance)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_mc_predict_rejects_multi_row_input(dropout):
+    net = make_net([3, 4, 2], dropout=dropout)
+    with pytest.raises(ValueError):
+        nn.mc_predict(net, np.ones((2, 3)), rng=np.random.default_rng(0))
+
+
 def test_save_load_round_trip(tmp_path):
     net = make_net([3, 5, 2], head="categorical", dropout=0.5, seed=7)
     path = tmp_path / "net.npz"
