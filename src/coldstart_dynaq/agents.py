@@ -33,12 +33,11 @@ from .env import (
 from .envmodel import (
     EnvModel,
     UnvisitedPairError,
-    model_update_idx,
-    sample_visited_idx,
-    simulate_idx,
-    transition_prob_idx,
+    model_update,
+    sample_visited,
+    simulate,
+    transition_prob,
 )
-from .metrics import RunMetrics
 from .qcore import QTable, greedy_policy, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 
@@ -69,6 +68,22 @@ class AgentConfig:
         elif self.algorithm == "dyna-q":
             if eps.initial != eps.floor or plan.initial != plan.floor:
                 raise ValueError("classic dyna-q requires constant epsilon and planning")
+
+
+@dataclass
+class RunMetrics:
+    """One episode or evaluation run of the inventory environment.
+
+    shortage_fraction is the fraction of days with unmet demand;
+    avg_holding is the mean pre-sale total stock per day. wall_seconds is
+    hardware-dependent and is kept out of reproducible record files.
+    """
+
+    total_cost: float
+    daily_costs: list = field(default_factory=list)
+    shortage_fraction: float = 0.0
+    avg_holding: float = 0.0
+    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -139,15 +154,15 @@ class Learner:
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
         q, model = self.q, self.model
         q_update(q, s, a, cost, s_next)
-        model_update_idx(model, s, a, s_next, cost)
+        model_update(model, s, a, s_next, cost)
         for _ in range(self.n_plan):
-            ps, pa = sample_visited_idx(model, self.plan_rng)
-            sim_next, sim_cost = simulate_idx(model, ps, pa, self.plan_rng)
+            ps, pa = sample_visited(model, self.plan_rng)
+            sim_next, sim_cost = simulate(model, ps, pa, self.plan_rng)
             q_update(q, ps, pa, sim_cost, sim_next)
         self.planning_steps += self.n_plan
         if self.probe is not None:
             try:
-                self.probe_trace.append(transition_prob_idx(model, *self.probe))
+                self.probe_trace.append(transition_prob(model, *self.probe))
             except UnvisitedPairError:
                 self.probe_trace.append(None)
 

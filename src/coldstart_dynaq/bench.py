@@ -18,17 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AgentConfig, TrainedAgent, evaluate, train
+from .agents import AgentConfig, RunMetrics, TrainedAgent, evaluate, train
 from .demand import (
     DemandDistribution,
+    DemandSeries,
     discretized_gamma,
     load_transactions,
     synthesize_history,
 )
-from .env import Action, CostParams, InventoryState
+from .env import Action, CostParams, DomainError, InventoryState
 from .envmodel import ModelSpaces
 from .forecast import Forecaster, WarmStart, build_warm_start, generate_offline, train_forecaster
-from .metrics import RunMetrics
 from .schedule import StcSchedule, constant, stc_steps
 
 # The five benchmark configurations compared in the one-month scenarios.
@@ -101,6 +101,12 @@ class ExperimentSpec:
     offline_horizon: int = 10
     warm_epochs: int = 50
     warm_epsilon: float = 0.2
+
+    def __post_init__(self):
+        if self.repetitions < 1 or self.workers < 1:
+            raise DomainError(
+                f"need repetitions >= 1 and workers >= 1, got {self.repetitions}, {self.workers}"
+            )
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -185,17 +191,21 @@ def fit_forecaster(spec: ExperimentSpec) -> Forecaster:
     )
 
 
-def make_warm_start(
-    spec: ExperimentSpec, forecaster: Forecaster, params: ScheduleParams, rep: int
-) -> WarmStart:
-    offline = generate_offline(
+def offline_series(spec: ExperimentSpec, forecaster: Forecaster, rep: int) -> DemandSeries:
+    """Replication rep's offline_horizon forecasted days, from the day after the history."""
+    return generate_offline(
         forecaster,
         start_date=forecaster.history.dates[-1] + dt.timedelta(days=1),
         h=spec.offline_horizon,
         rng=derived_rng(spec.master_seed, 90003, rep),
     )
+
+
+def make_warm_start(
+    spec: ExperimentSpec, forecaster: Forecaster, params: ScheduleParams, rep: int
+) -> WarmStart:
     return build_warm_start(
-        offline,
+        offline_series(spec, forecaster, rep),
         spec.spaces(),
         alpha=params.alpha,
         gamma=params.gamma,

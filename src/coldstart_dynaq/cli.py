@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import datetime as dt
 import json
 import sys
 from pathlib import Path
@@ -14,7 +13,6 @@ from .agents import TrainedAgent, evaluate, train
 from .demand import save_series
 from .env import CostParams, InventoryState
 from .envmodel import save_model
-from .forecast import generate_offline
 from .qcore import load_qtable, save_qtable
 
 
@@ -126,14 +124,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_forecast(args):
-    spec = _spec_from_args(args)
-    forecaster = bench.fit_forecaster(spec)
-    offline = generate_offline(
-        forecaster,
-        start_date=forecaster.history.dates[-1] + dt.timedelta(days=1),
-        h=args.horizon,
-        rng=bench.derived_rng(spec.master_seed, 90003, 0),
-    )
+    spec = dataclasses.replace(_spec_from_args(args), offline_horizon=args.horizon)
+    offline = bench.offline_series(spec, bench.fit_forecaster(spec), 0)
     out = Path(spec.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     save_series(offline, out / "offline_demand.csv", "forecasted")

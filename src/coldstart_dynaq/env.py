@@ -14,6 +14,7 @@ day_tables, so one day is a lookup of next-state index and cost by
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class CostParams:
     cs: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.b1, self.b2, self.b3, self.cs)):
+            raise DomainError(f"cost parameters must be finite, got {self}")
         if not (self.b1 > self.b2 >= self.b3 >= 0.0):
             raise DomainError(f"need b1 > b2 >= b3 >= 0, got {self}")
         if self.cs < 0.0:

@@ -8,12 +8,10 @@ one interface: counting (tabular), a deterministic network, and an
 MC-dropout network. Only (s, a) pairs seen in the real environment may be
 simulated from.
 
-The model runs on the integer core: a pair is (state index, order), and
+The model runs on the integer core: every function takes and returns
+states as indices (env.state_index) and actions as order quantities, and
 next states and costs come from the env's day tables, so recovering a
 demand scans one table row and a simulated next state is one lookup.
-The *_idx functions take and return state indices; the functions of the
-same name without the suffix are thin wrappers over them taking
-InventoryState and Action.
 """
 
 import json
@@ -22,16 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from . import nn
-from .env import (
-    Action,
-    CostParams,
-    DomainError,
-    InventoryState,
-    ModelSpaces,
-    day_tables,
-    state_from_index,
-    state_index,
-)
+from .env import CostParams, DomainError, ModelSpaces, day_tables
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
 
@@ -89,7 +78,7 @@ class EnvModel:
             self.cost_adam = nn.AdamState(self.cost_net)
         if variant == "det-net":
             # pair -> (pmf, its cdf, cost); a det-net forward pass is
-            # deterministic, and the weights change only in model_update_idx,
+            # deterministic, and the weights change only in model_update,
             # which clears this
             self.predictions: dict[tuple[int, int], tuple[np.ndarray, list[float], float]] = {}
 
@@ -107,12 +96,6 @@ class EnvModel:
         return _copy.deepcopy(self, {id(self.tables): self.tables})
 
 
-def _pair(spaces: ModelSpaces, s: InventoryState, a: Action) -> tuple[int, int]:
-    if not (0 <= a.order_qty <= spaces.a_max):
-        raise DomainError(f"order {a.order_qty} outside [0, {spaces.a_max}]")
-    return state_index(s, spaces.s_max), a.order_qty
-
-
 def _slot(m: EnvModel, s: int, a: int) -> int:
     """Position of a visited pair in m.pairs."""
     try:
@@ -121,17 +104,24 @@ def _slot(m: EnvModel, s: int, a: int) -> int:
         raise UnvisitedPairError(f"pair (state {s}, order {a}) never observed") from None
 
 
+def _check_order(spaces: ModelSpaces, a: int) -> None:
+    # a negative order would silently index the day tables from the end
+    if not (0 <= a <= spaces.a_max):
+        raise DomainError(f"order {a} outside [0, {spaces.a_max}]")
+
+
 def _demand_cdf(counts: np.ndarray) -> list[float]:
     return np.cumsum(counts / counts.sum()).tolist()
 
 
-def recover_demand_idx(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float) -> int:
+def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float) -> int:
     """Invert the day dynamics to find the demand behind a transition.
 
     When several demands lead to the same next state (stock-out
     saturation), the shortage term of the cost disambiguates; if it still
     ties, the smallest demand is returned.
     """
+    _check_order(spaces, a)
     tables = day_tables(spaces)
     matches = np.flatnonzero(tables.next[s, a] == s_next)
     if not len(matches):
@@ -143,24 +133,16 @@ def recover_demand_idx(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: f
     return int(matches[close.argmax()])
 
 
-def recover_demand(
-    spaces: ModelSpaces, s: InventoryState, a: Action, s_next: InventoryState, cost: float
-) -> int:
-    return recover_demand_idx(spaces, *_pair(spaces, s, a), state_index(s_next, spaces.s_max), cost)
-
-
-def demand_to_next_state(
-    spaces: ModelSpaces, s: InventoryState, a: Action, d: int
-) -> InventoryState:
+def demand_to_next_state(spaces: ModelSpaces, s: int, a: int, d: int) -> int:
     if not (0 <= d <= spaces.d_max):
         raise DomainError(f"demand {d} outside [0, {spaces.d_max}]")
-    s_idx, a_qty = _pair(spaces, s, a)
-    return state_from_index(int(day_tables(spaces).next[s_idx, a_qty, d]), spaces.s_max)
+    _check_order(spaces, a)
+    return int(day_tables(spaces).next[s, a, d])
 
 
-def model_update_idx(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
+def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
     """Fold one real transition into the model and the visit memory."""
-    d = recover_demand_idx(m.spaces, s, a, s_next, cost)
+    d = recover_demand(m.spaces, s, a, s_next, cost)
     if (s, a) not in m.visited:
         m.visited[s, a] = len(m.pairs)
         m.pairs.append((s, a))
@@ -179,12 +161,6 @@ def model_update_idx(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> N
         x = m._encode(s, a)
         nn.train_step(m.transition_net, m.transition_adam, x[None, :], np.array([d]), rng=m.rng)
         nn.train_step(m.cost_net, m.cost_adam, x[None, :], np.array([[cost]]), rng=m.rng)
-
-
-def model_update(
-    m: EnvModel, s: InventoryState, a: Action, s_next: InventoryState, cost: float
-) -> None:
-    model_update_idx(m, *_pair(m.spaces, s, a), state_index(s_next, m.spaces.s_max), cost)
 
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
@@ -213,7 +189,7 @@ def _det_prediction(m: EnvModel, s: int, a: int) -> tuple[np.ndarray, list[float
     return hit
 
 
-def transition_pmf_idx(
+def transition_pmf(
     m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Estimated demand-class distribution for a visited pair (read-only for det-net)."""
@@ -225,15 +201,7 @@ def transition_pmf_idx(
     return _mc_pmf(m, m._encode(s, a), rng)
 
 
-def transition_pmf(
-    m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    return transition_pmf_idx(m, *_pair(m.spaces, s, a), rng=rng)
-
-
-def estimate_cost_idx(
-    m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
-) -> float:
+def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None) -> float:
     i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
@@ -242,13 +210,7 @@ def estimate_cost_idx(
     return _mc_cost(m, m._encode(s, a), rng)
 
 
-def estimate_cost(
-    m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator | None = None
-) -> float:
-    return estimate_cost_idx(m, *_pair(m.spaces, s, a), rng=rng)
-
-
-def simulate_idx(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
+def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
     """Draw a simulated (next state index, cost) for a previously visited pair.
 
     Draw order: the transition net's dropout masks, the demand's uniform,
@@ -268,16 +230,9 @@ def simulate_idx(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple
     return int(m.tables.next[s, a, d]), cost
 
 
-def simulate(
-    m: EnvModel, s: InventoryState, a: Action, rng: np.random.Generator
-) -> tuple[InventoryState, float]:
-    s_next, cost = simulate_idx(m, *_pair(m.spaces, s, a), rng)
-    return state_from_index(s_next, m.spaces.s_max), cost
-
-
-def transition_prob_idx(m: EnvModel, s: int, a: int, s_next: int) -> float:
+def transition_prob(m: EnvModel, s: int, a: int, s_next: int) -> float:
     """Model probability of landing in s_next from a visited (s, a)."""
-    pmf = transition_pmf_idx(m, s, a)
+    pmf = transition_pmf(m, s, a)
     total = 0.0
     # summed in demand order, one term at a time, as a float sum over d
     for p in pmf[m.tables.next[s, a] == s_next].tolist():
@@ -285,22 +240,11 @@ def transition_prob_idx(m: EnvModel, s: int, a: int, s_next: int) -> float:
     return total
 
 
-def transition_prob(
-    m: EnvModel, s: InventoryState, a: Action, s_next: InventoryState
-) -> float:
-    return transition_prob_idx(m, *_pair(m.spaces, s, a), state_index(s_next, m.spaces.s_max))
-
-
-def sample_visited_idx(m: EnvModel, rng: np.random.Generator) -> tuple[int, int]:
+def sample_visited(m: EnvModel, rng: np.random.Generator) -> tuple[int, int]:
     """Uniform draw over the distinct observed (state index, order) pairs."""
     if not m.pairs:
         raise UnvisitedPairError("model has no observed pairs yet")
     return m.pairs[int(rng.integers(len(m.pairs)))]
-
-
-def sample_visited(m: EnvModel, rng: np.random.Generator) -> tuple[InventoryState, Action]:
-    s, a = sample_visited_idx(m, rng)
-    return state_from_index(s, m.spaces.s_max), Action(a)
 
 
 def save_model(m: EnvModel, path) -> None:

@@ -16,7 +16,6 @@ order of the draws pins every result:
   single-row training pass per sample would draw them.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,10 +59,6 @@ class Network:
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-limit, limit, (fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
-
-    @property
-    def num_hidden(self) -> int:
-        return len(self.sizes) - 2
 
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
@@ -213,7 +208,9 @@ def train_step(
         if rng is None:
             raise ValueError("train_step with dropout needs an rng")
         masks = draw_masks(net, X.shape[0], rng)
-    loss, grads = _loss_and_grads(net, X, Y, masks)
+    # an overflow shows as a non-finite loss, reported once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = _loss_and_grads(net, X, Y, masks)
     if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} (batch {X.shape}, head {net.head})"
@@ -267,19 +264,3 @@ def mc_predict(
         draws = draws[:, None, :]
     return Prediction(mean=draws.mean(axis=0), variance=draws.var(axis=0))
 
-
-def save_network(net: Network, path) -> None:
-    header = json.dumps({"sizes": net.sizes, "dropout": net.dropout, "head": net.head})
-    arrays = {f"w{i}": w for i, w in enumerate(net.weights)}
-    arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
-    np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
-
-
-def load_network(path) -> Network:
-    data = np.load(path)
-    header = json.loads(bytes(data["header"]).decode())
-    net = Network(header["sizes"], dropout=header["dropout"], head=header["head"],
-                  rng=np.random.default_rng(0))
-    net.weights = [data[f"w{i}"] for i in range(len(net.sizes) - 1)]
-    net.biases = [data[f"b{i}"] for i in range(len(net.sizes) - 1)]
-    return net

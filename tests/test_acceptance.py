@@ -16,7 +16,13 @@ from scipy.stats import binomtest
 from coldstart_dynaq import bench, nn
 from coldstart_dynaq.cli import main as cli_main
 from coldstart_dynaq.demand import discretized_gamma, sample
-from coldstart_dynaq.env import Action, InventoryState, consume_demand, enumerate_states
+from coldstart_dynaq.env import (
+    Action,
+    InventoryState,
+    consume_demand,
+    enumerate_states,
+    state_index,
+)
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces, model_update, transition_pmf
 from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, stc_value
@@ -128,13 +134,14 @@ class TestCriterion5:
         model = EnvModel(spaces, variant="tabular", rng=np.random.default_rng(0))
         rng = np.random.default_rng(42)
         s, a = InventoryState(0, 0, 5), Action(3)
+        s_idx = state_index(s)
         from coldstart_dynaq.env import step
 
         for _ in range(10_000):
             d = sample(true, rng)
             out = step(s, a, d, spaces.cost_params)
-            model_update(model, s, a, out.next_state, out.cost)
-        tv = 0.5 * float(np.abs(transition_pmf(model, s, a) - true.pmf).sum())
+            model_update(model, s_idx, a.order_qty, state_index(out.next_state), out.cost)
+        tv = 0.5 * float(np.abs(transition_pmf(model, s_idx, a.order_qty) - true.pmf).sum())
         elapsed = time.perf_counter() - start
         _verdict(5, "tabular model TV distance < 0.03", tv < 0.03 and elapsed < 5.0)
 

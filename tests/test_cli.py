@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -50,6 +51,14 @@ class TestArgumentHandling:
         path.write_text("{nope")
         with pytest.raises(SystemExit):
             main(["fig3", "--config", str(path)])
+
+    @pytest.mark.parametrize("override", [{"repetitions": 0}, {"workers": 0}])
+    def test_repetitions_and_workers_below_one(self, tmp_path, capsys, override):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, **override}))
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need repetitions >= 1")
 
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):
@@ -118,10 +127,13 @@ class TestArtifactCommands:
         path.write_text(json.dumps(
             {**TINY, "cost_params": [0.7, 0.3, 0.0, 1e200], "initial_state": [0, 0, 0]}
         ))
-        code = main([
-            "train", "--config", str(path), "--out", str(tmp_path / "out"),
-            "--model", "det-net", "--algorithm", "q-learning",
-        ])
+        # the error line is the only report: numpy's overflow warning would raise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "train", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--model", "det-net", "--algorithm", "q-learning",
+            ])
         assert code == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: non-finite loss")
 

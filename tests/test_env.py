@@ -145,6 +145,15 @@ def test_cost_params_ordering_enforced():
         CostParams(0.3, 0.7, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("params", [
+    (0.7, 0.3, 0.0, float("nan")), (0.7, 0.3, 0.0, float("inf")),
+    (float("inf"), 0.3, 0.0, 1.0),
+])
+def test_cost_params_must_be_finite(params):
+    with pytest.raises(DomainError):
+        CostParams(*params)
+
+
 @pytest.mark.parametrize("bounds", [
     dict(s_max=-1, a_max=0), dict(d_max=-1), dict(a_max=-1), dict(s_max=5, a_max=6),
 ])

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart_dynaq.demand import discretized_gamma, point_mass, sample
+from coldstart_dynaq import agents, envmodel
+from coldstart_dynaq.demand import discretized_gamma, sample
 from coldstart_dynaq.env import (
     Action,
     CostParams,
     DomainError,
     InventoryState,
     enumerate_states,
-    state_from_index,
     state_index,
     step,
 )
@@ -24,33 +24,37 @@ from coldstart_dynaq.envmodel import (
     UnvisitedPairError,
     demand_to_next_state,
     estimate_cost,
-    estimate_cost_idx,
     load_model,
     model_update,
-    model_update_idx,
     recover_demand,
-    recover_demand_idx,
     sample_visited,
-    sample_visited_idx,
     save_model,
     simulate,
-    simulate_idx,
     transition_pmf,
-    transition_pmf_idx,
     transition_prob,
-    transition_prob_idx,
 )
 
 SPACES = ModelSpaces(cost_params=CostParams())
 PAIR_S = InventoryState(0, 0, 3)
 PAIR_A = Action(2)
 PAIR_NEXT = InventoryState(0, 1, 2)
+# the same pair as the model's (state index, order) and next state index
+S, A, NEXT = state_index(PAIR_S), PAIR_A.order_qty, state_index(PAIR_NEXT)
 
 
 def observe(m, s, a, d):
     out = step(s, a, d, SPACES.cost_params)
-    model_update(m, s, a, out.next_state, out.cost)
+    model_update(m, state_index(s), a.order_qty, state_index(out.next_state), out.cost)
     return out
+
+
+def recover(spaces, s, a, out, cost):
+    return recover_demand(spaces, state_index(s), a.order_qty, state_index(out.next_state), cost)
+
+
+def observe_table(m, s, a, d):
+    """Feed the model one real day of index pair (s, a) with demand d."""
+    model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
 
 
 class TestRecoverDemand:
@@ -59,7 +63,7 @@ class TestRecoverDemand:
             for a in (Action(0), Action(2), Action(5)):
                 for d in range(11):
                     out = step(s, a, d, SPACES.cost_params)
-                    assert recover_demand(SPACES, s, a, out.next_state, out.cost) == d
+                    assert recover(SPACES, s, a, out, out.cost) == d
 
     @given(
         st.tuples(*[st.integers(0, 10)] * 4),
@@ -78,17 +82,38 @@ class TestRecoverDemand:
             if o.next_state == out.next_state and abs(o.cost - out.cost) <= 1e-9
         ]
         spaces = ModelSpaces(params)
-        assert recover_demand(spaces, s, a, out.next_state, out.cost) == twins[0]
+        assert recover(spaces, s, a, out, out.cost) == twins[0]
         if len(twins) == 1:
             assert twins[0] == d
         # a cost no candidate explains falls back to the smallest demand
         # reaching the same next state (all costs here are multiples of 0.1)
         same_state = [e for e, o in enumerate(outs) if o.next_state == out.next_state]
-        assert recover_demand(spaces, s, a, out.next_state, out.cost + 1e-3) == same_state[0]
+        assert recover(spaces, s, a, out, out.cost + 1e-3) == same_state[0]
 
     def test_inconsistent_transition(self):
         with pytest.raises(InconsistentTransitionError):
-            recover_demand(SPACES, InventoryState(0, 0, 0), Action(0), InventoryState(5, 5, 5), 0.0)
+            recover_demand(SPACES, state_index(InventoryState(0, 0, 0)), 0,
+                           state_index(InventoryState(5, 5, 5)), 0.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("order", [-1, 11])
+    def test_order_out_of_range(self, variant, order):
+        m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(0))
+        observe(m, PAIR_S, PAIR_A, 2)
+        pairs = list(m.pairs)
+        with pytest.raises(DomainError):
+            recover_demand(SPACES, S, order, NEXT, 0.0)
+        with pytest.raises(DomainError):
+            model_update(m, S, order, NEXT, 0.0)
+        assert m.pairs == pairs
+
+    def test_demand_to_next_state(self):
+        for d in range(11):
+            assert demand_to_next_state(SPACES, S, A, d) == state_index(
+                step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state)
+        for a, d in ((A, -1), (A, 11), (-1, 2), (11, 2)):
+            with pytest.raises(DomainError):
+                demand_to_next_state(SPACES, S, a, d)
 
 
 class TestTabularUpdate:
@@ -122,14 +147,14 @@ class TestSimulate:
         observe(m, PAIR_S, PAIR_A, 2)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            s_next, _ = simulate(m, PAIR_S, PAIR_A, rng)
-            assert s_next == PAIR_NEXT
+            s_next, _ = simulate(m, S, A, rng)
+            assert s_next == NEXT
 
     def test_cost_running_mean_of_constant(self):
         m = EnvModel(SPACES)
         out = observe(m, PAIR_S, PAIR_A, 2)
         observe(m, PAIR_S, PAIR_A, 2)
-        _, c = simulate(m, PAIR_S, PAIR_A, np.random.default_rng(2))
+        _, c = simulate(m, S, A, np.random.default_rng(2))
         assert c == pytest.approx(out.cost)
 
     def test_seeded_reproducibility(self):
@@ -138,14 +163,14 @@ class TestSimulate:
         rng = np.random.default_rng(3)
         for _ in range(50):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
-        a = [simulate(m, PAIR_S, PAIR_A, np.random.default_rng(4)) for _ in range(10)]
-        b = [simulate(m, PAIR_S, PAIR_A, np.random.default_rng(4)) for _ in range(10)]
+        a = [simulate(m, S, A, np.random.default_rng(4)) for _ in range(10)]
+        b = [simulate(m, S, A, np.random.default_rng(4)) for _ in range(10)]
         assert a == b
 
     def test_unvisited_pair_errors(self):
         m = EnvModel(SPACES)
         with pytest.raises(UnvisitedPairError):
-            simulate(m, PAIR_S, PAIR_A, np.random.default_rng(0))
+            simulate(m, S, A, np.random.default_rng(0))
 
     def test_outputs_reachable_states(self):
         dist = discretized_gamma(5.0, 5.0, 10)
@@ -154,10 +179,10 @@ class TestSimulate:
         for _ in range(100):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
         reachable = {
-            step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state for d in range(11)
+            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state) for d in range(11)
         }
         for _ in range(100):
-            s_next, _ = simulate(m, PAIR_S, PAIR_A, rng)
+            s_next, _ = simulate(m, S, A, rng)
             assert s_next in reachable
 
 
@@ -165,17 +190,17 @@ class TestTransitionProb:
     def test_point_mass(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        assert transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT) == 1.0
+        assert transition_prob(m, S, A, NEXT) == 1.0
 
     def test_unreachable_next_state(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        assert transition_prob(m, PAIR_S, PAIR_A, InventoryState(9, 9, 9)) == 0.0
+        assert transition_prob(m, S, A, state_index(InventoryState(9, 9, 9))) == 0.0
 
     def test_unvisited_error(self):
         m = EnvModel(SPACES)
         with pytest.raises(UnvisitedPairError):
-            transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT)
+            transition_prob(m, S, A, NEXT)
 
     def test_concentration_after_30_days(self):
         dist = discretized_gamma(5.0, 5.0, 10)
@@ -185,7 +210,7 @@ class TestTransitionProb:
             m = EnvModel(SPACES)
             for _ in range(30):
                 observe(m, PAIR_S, PAIR_A, sample(dist, rng))
-            est = transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT)
+            est = transition_prob(m, S, A, NEXT)
             hits += abs(est - dist.pmf[2]) <= 0.1
         assert hits >= 80
 
@@ -194,14 +219,14 @@ class TestSampleVisited:
     def test_single_pair(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        assert sample_visited(m, np.random.default_rng(0)) == (PAIR_S, PAIR_A)
+        assert sample_visited(m, np.random.default_rng(0)) == (S, A)
 
     def test_two_pairs_balanced(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
         observe(m, InventoryState(1, 1, 1), Action(5), 0)
         rng = np.random.default_rng(1)
-        draws = [sample_visited(m, rng)[1].order_qty for _ in range(10**4)]
+        draws = [sample_visited(m, rng)[1] for _ in range(10**4)]
         frac = draws.count(2) / len(draws)
         assert 0.47 < frac < 0.53
 
@@ -220,18 +245,17 @@ class TestNetVariants:
         for _ in range(30):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
         pmf = [
-            transition_prob(m, PAIR_S, PAIR_A, step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state)
-            for d in range(11)
+            transition_prob(m, S, A, demand_to_next_state(SPACES, S, A, d)) for d in range(11)
         ]
         assert all(p >= 0 for p in pmf)
 
     def test_simulate_runs(self, variant):
         m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(8))
         observe(m, PAIR_S, PAIR_A, 2)
-        s_next, cost = simulate(m, PAIR_S, PAIR_A, np.random.default_rng(9))
+        s_next, cost = simulate(m, S, A, np.random.default_rng(9))
         assert isinstance(cost, float)
         reachable = {
-            step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state for d in range(11)
+            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state) for d in range(11)
         }
         assert s_next in reachable
 
@@ -241,40 +265,13 @@ class TestNetVariants:
         m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(10))
         for _ in range(300):
             observe(m, PAIR_S, PAIR_A, 2)
-        assert transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT) > 0.8
+        assert transition_prob(m, S, A, NEXT) > 0.8
 
 
-@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
-def test_wrappers_agree_with_index_functions(variant):
-    dataclass_model = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(13))
-    index_model = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(13))
-    rng = np.random.default_rng(14)
-    states = [InventoryState(0, 0, 3), InventoryState(2, 1, 0), InventoryState(4, 4, 4)]
-    for i in range(12):
-        s, a, d = states[i % 3], Action(int(rng.integers(11))), int(rng.integers(11))
-        out = step(s, a, d, SPACES.cost_params)
-        idx = (state_index(s), a.order_qty, state_index(out.next_state), out.cost)
-        assert recover_demand(SPACES, s, a, out.next_state, out.cost) == recover_demand_idx(SPACES, *idx)
-        assert demand_to_next_state(SPACES, s, a, d) == out.next_state
-        model_update(dataclass_model, s, a, out.next_state, out.cost)
-        model_update_idx(index_model, *idx)
-    assert dataclass_model.pairs == index_model.pairs
-    for s_idx, a_qty in index_model.pairs:
-        s, a = state_from_index(s_idx), Action(a_qty)
-        next_idx, cost = simulate_idx(index_model, s_idx, a_qty, np.random.default_rng(15))
-        assert simulate(dataclass_model, s, a, np.random.default_rng(15)) == (
-            state_from_index(next_idx), cost)
-        assert np.array_equal(
-            transition_pmf(dataclass_model, s, a, rng=np.random.default_rng(16)),
-            transition_pmf_idx(index_model, s_idx, a_qty, rng=np.random.default_rng(16)))
-        assert estimate_cost(dataclass_model, s, a, rng=np.random.default_rng(17)) == (
-            estimate_cost_idx(index_model, s_idx, a_qty, rng=np.random.default_rng(17)))
-        # both models' own rngs have drawn the same masks so far
-        assert transition_prob(dataclass_model, s, a, PAIR_NEXT) == transition_prob_idx(
-            index_model, s_idx, a_qty, state_index(PAIR_NEXT))
-    drawn = sample_visited(dataclass_model, np.random.default_rng(18))
-    s_idx, a_qty = sample_visited_idx(index_model, np.random.default_rng(18))
-    assert drawn == (state_from_index(s_idx), Action(a_qty))
+def test_agents_bind_the_envmodel_functions():
+    # the learner must call the public names, the ones a traced run wraps
+    for name in ("model_update", "simulate", "sample_visited", "transition_prob"):
+        assert getattr(agents, name) is getattr(envmodel, name)
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net"])
@@ -289,8 +286,8 @@ def test_save_load_round_trip(tmp_path, variant):
     loaded = load_model(path)
     assert loaded.variant == m.variant
     assert set(loaded.visited) == set(m.visited)
-    assert transition_prob(loaded, PAIR_S, PAIR_A, PAIR_NEXT) == pytest.approx(
-        transition_prob(m, PAIR_S, PAIR_A, PAIR_NEXT)
+    assert transition_prob(loaded, S, A, NEXT) == pytest.approx(
+        transition_prob(m, S, A, NEXT)
     )
 
 
@@ -313,15 +310,15 @@ def test_save_load_round_trip_property(variant, transition_loss, days, seed):
     m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(seed),
                  transition_loss=transition_loss)
     for s, a, d in days:
-        model_update_idx(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+        observe_table(m, s, a, d)
     loaded = round_trip(m)
     assert (loaded.variant, loaded.pairs, loaded.visited) == (m.variant, m.pairs, m.visited)
     for s, a in m.pairs:
         assert np.array_equal(
-            transition_pmf_idx(loaded, s, a, rng=np.random.default_rng(seed)),
-            transition_pmf_idx(m, s, a, rng=np.random.default_rng(seed)))
-        assert estimate_cost_idx(loaded, s, a, rng=np.random.default_rng(seed)) == (
-            estimate_cost_idx(m, s, a, rng=np.random.default_rng(seed)))
+            transition_pmf(loaded, s, a, rng=np.random.default_rng(seed)),
+            transition_pmf(m, s, a, rng=np.random.default_rng(seed)))
+        assert estimate_cost(loaded, s, a, rng=np.random.default_rng(seed)) == (
+            estimate_cost(m, s, a, rng=np.random.default_rng(seed)))
 
 
 def test_mc_samples_below_one_rejected():
@@ -334,16 +331,16 @@ def test_mc_samples_below_one_rejected():
 
 
 class TestDetNetCache:
-    PAIRS = [(state_index(PAIR_S), 2), (state_index(InventoryState(2, 1, 0)), 4)]
+    PAIRS = [(S, A), (state_index(InventoryState(2, 1, 0)), 4)]
 
     def trained(self, seed):
         m = EnvModel(SPACES, variant="det-net", rng=np.random.default_rng(seed))
         for i, (s, a) in enumerate(self.PAIRS * 3):
-            model_update_idx(m, s, a, int(m.tables.next[s, a, i]), float(m.tables.cost[s, a, i]))
+            observe_table(m, s, a, i)
         return m
 
     def predictions(self, m):
-        return [(transition_pmf_idx(m, s, a), estimate_cost_idx(m, s, a)) for s, a in self.PAIRS]
+        return [(transition_pmf(m, s, a), estimate_cost(m, s, a)) for s, a in self.PAIRS]
 
     def assert_same(self, got, want):
         for (pmf, cost), (want_pmf, want_cost) in zip(got, want):
@@ -354,7 +351,7 @@ class TestDetNetCache:
         m = self.trained(20)
         before = self.predictions(m)
         s, a = self.PAIRS[0]
-        model_update_idx(m, s, a, int(m.tables.next[s, a, 7]), float(m.tables.cost[s, a, 7]))
+        observe_table(m, s, a, 7)
         after = self.predictions(m)
         # a fresh model with the same weights has an empty cache
         self.assert_same(after, self.predictions(round_trip(m)))
@@ -367,7 +364,7 @@ class TestDetNetCache:
         c = m.copy()
         assert c.predictions is not m.predictions
         s, a = self.PAIRS[1]
-        model_update_idx(c, s, a, int(c.tables.next[s, a, 9]), float(c.tables.cost[s, a, 9]))
+        observe_table(c, s, a, 9)
         self.assert_same(self.predictions(m), before)
         self.assert_same(self.predictions(c), self.predictions(round_trip(c)))
         assert not np.array_equal(self.predictions(c)[0][0], before[0][0])

@@ -183,18 +183,6 @@ def test_mc_predict_rejects_multi_row_input(dropout):
         nn.mc_predict(net, np.ones((2, 3)), rng=np.random.default_rng(0))
 
 
-def test_save_load_round_trip(tmp_path):
-    net = make_net([3, 5, 2], head="categorical", dropout=0.5, seed=7)
-    path = tmp_path / "net.npz"
-    nn.save_network(net, path)
-    loaded = nn.load_network(path)
-    assert loaded.sizes == net.sizes
-    assert loaded.head == net.head
-    assert loaded.dropout == net.dropout
-    x = np.array([0.4, 0.5, 0.6])
-    assert np.array_equal(nn.forward(loaded, x), nn.forward(net, x))
-
-
 def test_constructor_validation():
     with pytest.raises(ValueError):
         nn.Network([3], rng=np.random.default_rng(0))
