@@ -13,7 +13,7 @@ import csv
 import datetime as dt
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,10 @@ class ExperimentSpec:
     warm_epsilon: float = 0.2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise DomainError(f"{f.name} must be an integer, got {value!r}")
         if self.repetitions < 1 or self.workers < 1:
             raise DomainError(
                 f"need repetitions >= 1 and workers >= 1, got {self.repetitions}, {self.workers}"

@@ -20,7 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from . import nn
-from .env import CostParams, DomainError, ModelSpaces, day_tables
+from .env import CostParams, DomainError, ModelSpaces, day_tables, num_states
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
 
@@ -104,8 +104,10 @@ def _slot(m: EnvModel, s: int, a: int) -> int:
         raise UnvisitedPairError(f"pair (state {s}, order {a}) never observed") from None
 
 
-def _check_order(spaces: ModelSpaces, a: int) -> None:
-    # a negative order would silently index the day tables from the end
+def _check_pair(spaces: ModelSpaces, s: int, a: int) -> None:
+    # a negative state or order would silently index the day tables from the end
+    if not (0 <= s < num_states(spaces.s_max)):
+        raise DomainError(f"state index {s} outside [0, {num_states(spaces.s_max)})")
     if not (0 <= a <= spaces.a_max):
         raise DomainError(f"order {a} outside [0, {spaces.a_max}]")
 
@@ -121,7 +123,7 @@ def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float
     saturation), the shortage term of the cost disambiguates; if it still
     ties, the smallest demand is returned.
     """
-    _check_order(spaces, a)
+    _check_pair(spaces, s, a)
     tables = day_tables(spaces)
     matches = np.flatnonzero(tables.next[s, a] == s_next)
     if not len(matches):
@@ -136,7 +138,7 @@ def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float
 def demand_to_next_state(spaces: ModelSpaces, s: int, a: int, d: int) -> int:
     if not (0 <= d <= spaces.d_max):
         raise DomainError(f"demand {d} outside [0, {spaces.d_max}]")
-    _check_order(spaces, a)
+    _check_pair(spaces, s, a)
     return int(day_tables(spaces).next[s, a, d])
 
 

@@ -9,7 +9,8 @@ Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
 
 - a training pass (`forward(training=True)`, `train_step`) draws one
-  (batch, width) block per hidden layer, first layer first;
+  (batch, width) block per hidden layer, first layer first, all taken in
+  that order from one rng.random(batch * sum of hidden widths) call;
 - `mc_predict` draws all its masks with one rng.random((samples, sum of
   hidden widths)) call and splits the columns per layer. Row i holds
   sample i's masks, first layer first, which is the order in which one
@@ -18,6 +19,7 @@ order of the draws pins every result:
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,23 +67,32 @@ class Network:
 
 
 class AdamState:
+    """Adam (Kingma & Ba 2015) with m and v flat over net.parameters().
+
+    spans[i] is parameter i's slice. apply runs each elementwise step once
+    over the whole vector in reused buffers, matching per-array bit for bit.
+    """
+
     def __init__(self, net: Network, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
+        ends = list(accumulate(p.size for p in net.parameters()))
+        self.spans = list(zip([0, *ends[:-1]], ends))
+        self.m, self.v, *self._scratch = (np.zeros(ends[-1]) for _ in range(5))
 
     def apply(self, net: Network, grads: list[np.ndarray]) -> None:
-        self.step_count += 1
-        t = self.step_count
-        for p, g, m, v in zip(net.parameters(), grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            m_hat = m / (1 - ADAM_BETA1**t)
-            v_hat = v / (1 - ADAM_BETA2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        t = self.step_count = self.step_count + 1
+        m, v, (g, tmp, step) = self.m, self.v, self._scratch
+        np.concatenate(grads, axis=None, out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(1 - ADAM_BETA1, g, out=tmp)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=tmp), g, out=tmp)
+        np.multiply(self.learning_rate, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=tmp), out=tmp), ADAM_EPS, out=tmp)
+        step /= tmp
+        for p, (start, end) in zip(net.parameters(), self.spans):
+            p -= step[start:end].reshape(p.shape)
 
 
 def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.ndarray] | None:
@@ -89,10 +100,9 @@ def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.nd
     if net.dropout == 0.0:
         return None
     keep = 1.0 - net.dropout
-    return [
-        (rng.random((batch, size)) < keep) / keep
-        for size in net.sizes[1:-1]
-    ]
+    starts = list(accumulate(net.sizes[1:-1], initial=0))
+    flat = (rng.random(batch * starts[-1]) < keep) / keep
+    return [flat[batch * a:batch * b].reshape(batch, b - a) for a, b in zip(starts, starts[1:])]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -159,8 +169,8 @@ def _one_hot(Y: np.ndarray, num_classes: int) -> np.ndarray:
 def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch loss of the outputs against Y, and its gradient at the last pre-activation."""
     if net.head == "regression":
-        Y = np.asarray(Y, dtype=float).reshape(out.shape)
-        return float(np.mean((out - Y) ** 2)), 2.0 * (out - Y) / out.size
+        diff = out - np.asarray(Y, dtype=float).reshape(out.shape)
+        return float(np.mean(diff**2)), 2.0 * diff / out.size
     onehot = _one_hot(Y, net.sizes[-1])
     if net.head == "categorical":
         loss = float(-np.mean(np.sum(onehot * np.log(out + 1e-12), axis=1)))

@@ -60,6 +60,15 @@ class TestArgumentHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: need repetitions >= 1")
 
+    @pytest.mark.parametrize("override", [{"repetitions": "2"}, {"horizon": 2.0}, {"workers": True}])
+    def test_integer_field_of_wrong_type(self, tmp_path, capsys, override):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, **override}))
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        (name,) = override
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be an integer")
+
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):
             main(["table1", "--model", "oracle"])

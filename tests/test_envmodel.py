@@ -13,6 +13,7 @@ from coldstart_dynaq.env import (
     DomainError,
     InventoryState,
     enumerate_states,
+    num_states,
     state_index,
     step,
 )
@@ -107,13 +108,27 @@ class TestRecoverDemand:
             model_update(m, S, order, NEXT, 0.0)
         assert m.pairs == pairs
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("state", [-1, num_states(SPACES.s_max)])
+    def test_state_out_of_range(self, variant, state):
+        m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(0))
+        observe(m, PAIR_S, PAIR_A, 2)
+        pairs = list(m.pairs)
+        # a next state and cost that state 1330 does reach with this order
+        s_next, cost = demand_to_next_state(SPACES, 1330, A, 0), float(m.tables.cost[1330, A, 0])
+        with pytest.raises(DomainError):
+            recover_demand(SPACES, state, A, s_next, cost)
+        with pytest.raises(DomainError):
+            model_update(m, state, A, s_next, cost)
+        assert m.pairs == pairs
+
     def test_demand_to_next_state(self):
         for d in range(11):
             assert demand_to_next_state(SPACES, S, A, d) == state_index(
                 step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state)
-        for a, d in ((A, -1), (A, 11), (-1, 2), (11, 2)):
+        for s, a, d in ((S, A, -1), (S, A, 11), (S, -1, 2), (S, 11, 2), (-1, A, 2), (1331, A, 2)):
             with pytest.raises(DomainError):
-                demand_to_next_state(SPACES, S, a, d)
+                demand_to_next_state(SPACES, s, a, d)
 
 
 class TestTabularUpdate:

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from coldstart_dynaq import nn
+from coldstart_dynaq import envmodel, nn
+from coldstart_dynaq.env import CostParams, ModelSpaces
 
 
 def make_net(sizes, head="regression", dropout=0.0, seed=0):
@@ -174,6 +177,110 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
         assert np.array_equal(pred.mean, mean)
         assert np.array_equal(pred.variance, variance)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class AdamReference:
+    """The per-array Adam update the flat AdamState replaced."""
+
+    def __init__(self, net, learning_rate=0.001):
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.m = [np.zeros_like(p) for p in net.parameters()]
+        self.v = [np.zeros_like(p) for p in net.parameters()]
+
+    def apply(self, net, grads):
+        self.step_count += 1
+        t = self.step_count
+        for p, g, m, v in zip(net.parameters(), grads, self.m, self.v):
+            m *= nn.ADAM_BETA1
+            m += (1 - nn.ADAM_BETA1) * g
+            v *= nn.ADAM_BETA2
+            v += (1 - nn.ADAM_BETA2) * g * g
+            m_hat = m / (1 - nn.ADAM_BETA1**t)
+            v_hat = v / (1 - nn.ADAM_BETA2**t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+
+
+def draw_masks_reference(net, batch, rng):
+    """The per-layer mask draws the one-draw draw_masks replaced."""
+    if net.dropout == 0.0:
+        return None
+    keep = 1.0 - net.dropout
+    return [(rng.random((batch, size)) < keep) / keep for size in net.sizes[1:-1]]
+
+
+def train_step_reference(net, adam, X, Y, rng):
+    loss, grads = nn._loss_and_grads(net, X, Y, draw_masks_reference(net, len(X), rng))
+    adam.apply(net, grads)
+    return loss
+
+
+def training_batch(data, sizes, head, batch):
+    X = data.uniform(0.0, 1.0, (batch, sizes[0]))
+    if head == "regression":
+        return X, data.normal(size=(batch, sizes[-1]))
+    return X, data.integers(0, sizes[-1], batch)
+
+
+# the forecaster, the transition net, the cost net, and a net with no hidden layer
+TRAIN_CASES = [
+    ([21, 128, 64, 1], "regression"),
+    ([4, 128, 64, 11], "categorical"),
+    ([4, 128, 64, 11], "categorical_mse"),
+    ([4, 128, 64, 1], "regression"),
+    ([4, 11], "regression"),
+    ([4, 11], "categorical"),
+    ([4, 11], "categorical_mse"),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, head", TRAIN_CASES, ids=[f"{'-'.join(map(str, s))}-{h}" for s, h in TRAIN_CASES]
+)
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("batch", [1, 13, 32])
+def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
+    net = make_net(sizes, head=head, dropout=dropout, seed=batch)
+    ref_net = copy.deepcopy(net)
+    adam, ref_adam = nn.AdamState(net, 0.003), AdamReference(ref_net, 0.003)
+    rng, ref_rng = np.random.default_rng(batch), np.random.default_rng(batch)
+    data = np.random.default_rng(100 + batch)
+    for _ in range(200):
+        X, Y = training_batch(data, sizes, head, batch)
+        assert nn.train_step(net, adam, X, Y, rng=rng) == train_step_reference(
+            ref_net, ref_adam, X, Y, ref_rng
+        )
+    assert adam.step_count == ref_adam.step_count == 200
+    for (start, end), p, ref_p, m, v in zip(
+        adam.spans, net.parameters(), ref_net.parameters(), ref_adam.m, ref_adam.v
+    ):
+        assert np.array_equal(p, ref_p)
+        assert np.array_equal(adam.m[start:end].reshape(p.shape), m)
+        assert np.array_equal(adam.v[start:end].reshape(p.shape), v)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
+def test_copied_env_model_trains_like_the_original(variant):
+    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant=variant, rng=np.random.default_rng(0))
+    days = np.random.default_rng(1).integers(0, [1331, 11, 11], size=(100, 3)).tolist()
+
+    def train(model, rng, days):
+        model.rng = rng
+        next_state, cost = model.tables.next, model.tables.cost
+        for s, a, d in days:
+            envmodel.model_update(model, s, a, int(next_state[s, a, d]), float(cost[s, a, d]))
+
+    train(m, np.random.default_rng(2), days[:50])
+    c = m.copy()
+    train(m, np.random.default_rng(3), days[50:])
+    train(c, np.random.default_rng(3), days[50:])
+    for net in ("transition_net", "cost_net"):
+        for p, q in zip(getattr(m, net).parameters(), getattr(c, net).parameters()):
+            assert p is not q and np.array_equal(p, q)
+    for adam in ("transition_adam", "cost_adam"):
+        assert np.array_equal(getattr(m, adam).m, getattr(c, adam).m)
+        assert np.array_equal(getattr(m, adam).v, getattr(c, adam).v)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
