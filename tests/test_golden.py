@@ -1,16 +1,29 @@
-"""Golden record digests: the records of tiny experiments stay byte-identical.
+"""Golden digests: the outputs and learned bits of tiny experiments stay fixed.
 
-Each case runs one tiny `table1`, `scenario2` or `fig3` configuration
-under one model variant and compares the sha256 of its
-`*_records.jsonl` with a digest pinned from an earlier version of the
-code. A refactor may change how a record is computed but not its bytes,
-which also pins the order of every RNG draw. `fig3` covers the
-`transition_prob` probe path; `scenario2` and `fig3` cover the warm
-starts of every variant.
+Each case runs one tiny `table1`, `scenario1`, `scenario2` or `fig3`
+configuration under one model variant and compares sha256 digests with
+ones pinned from an earlier version of the code:
+
+- `records`, `report` and `summary`: the bytes of `*_records.jsonl`,
+  `*_report.json` and `*_summary.csv`;
+- `learned`: every trained agent's Q-table bytes in call order, each
+  followed by its final model's learned state (the tabular counts and
+  cost sums, or the nets' weights and biases), with each warm start's
+  Q-table and model hashed the same way when it is built.
+
+A refactor may change how a record is computed but not its bytes, which
+also pins the order of every RNG draw. The records see only what
+evaluation reads (a Q-table's argmin, costs from the true tables), so a
+last-bit change in a Q-value or a net weight shows only in `learned`,
+which is captured by wrapping `bench.train` and `bench.make_warm_start`
+and draws no random numbers. `fig3` covers the `transition_prob` probe
+path; `scenario1` is the one path with per-run seed keys (rep, j, i);
+`scenario1`, `scenario2` and `fig3` cover the warm starts of every
+variant.
 
 The neural variants' digests depend on floating-point results of the
 BLAS in use, so they hold for one numpy/BLAS build. A change meant to
-alter the records re-pins them with
+alter the outputs re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,6 +31,7 @@ and says why in its change notes.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -42,14 +56,20 @@ TINY = dict(
 
 RUNNERS = {
     "table1": bench.run_table1,
+    "scenario1": bench.run_scenario1,
     "scenario2": bench.run_scenario2,
     "fig3": bench.run_fig3,
 }
+VARIANTS = ("tabular", "det-net", "mc-dropout")
+FILES = {"records": "records.jsonl", "report": "report.json", "summary": "summary.csv"}
 
 GOLDEN = {
     ("table1", "tabular"): "319d9f4541ec25b2e0e1d5928e3ef462db9462f7b4bb0d7f3e869d0a202c4e60",
     ("table1", "det-net"): "030a3b838fc2495286c2f34d3f8e4cdcfe93419078818c7510ab507a82f633d2",
     ("table1", "mc-dropout"): "e218b959e686f9c5800e49d01eee3d928f553347c5ab3e835eb5c4b4d6a86fca",
+    ("scenario1", "tabular"): "b369fb3941a5bd15672d0f6df6a9a6eb3f12a44ac552e16cabbe532e2880752b",
+    ("scenario1", "det-net"): "b5244448ba0896ce2e00382371159ece915441d53f37b1d1a0b2eb9612d1204e",
+    ("scenario1", "mc-dropout"): "e3732fd7a1f9458b2d388a9d0291810c28bb1765d9736187d0ba21de5324d70e",
     ("scenario2", "tabular"): "28356710730a34698a5b99f573eeb399d63018c35459464012dfbcb7f63255fd",
     ("scenario2", "det-net"): "ba6d570b92fbff2fc7919e78fd305cdb3904ae1c7ad06bfe95b2b91411f74285",
     ("scenario2", "mc-dropout"): "d41fa92cdef4ef94a50192a418fe426f231ab01e08cb85f90fff5c8ab228fdf9",
@@ -58,24 +78,140 @@ GOLDEN = {
     ("fig3", "mc-dropout"): "2ede2e2499c4e0cde7a7b8f7163935252fc31307586d4d084256df78f675359d",
 }
 
+# (experiment, variant) -> digests of the report, the summary and the learned bits
+GOLDEN_MORE = {
+    ("table1", "tabular"): {
+        "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
+        "summary": "e66571d984a488f5264c2c8a43a3e592b52d50ea75b86aafa9a9d87c4d466c60",
+        "learned": "4ce5dccbcc8696b3f6cd8d1ff2a7f4305845078c8aeae638683145bac4322cb4",
+    },
+    ("table1", "det-net"): {
+        "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
+        "summary": "aadf5c3833083cd2f9882a1fdc182cd4eb544f974f6763498d757fbfcf77cd2e",
+        "learned": "5b03b5072c12beb1ec91816abe2a4221f25ad0ee878fe503d9994c25d6214cce",
+    },
+    ("table1", "mc-dropout"): {
+        "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
+        "summary": "6203f1e9efb70e10d33806ea2ceac2adac218502fa80207ab0cc2a7d9b963a80",
+        "learned": "27ac4a37b8fcb22a3f7e29d0975957a2fd9e73f2709ef442f2ffdb142c053e1e",
+    },
+    ("scenario1", "tabular"): {
+        "report": "9733829ba575964eb7af3fdd11971b0b259e8f181087b4827ca038d20783ce2f",
+        "summary": "745ec2917820066e09e2ca91f580cc2a013a870373eff4e4895b172a5a7075d8",
+        "learned": "ddba33fd9ef8a1eb30125138d651da1df5b5c5002c4505588395f6ad587581fc",
+    },
+    ("scenario1", "det-net"): {
+        "report": "fc47a153c74b7aa9ffdf3d4b44674805c46bc1c3671d7b71a0acd2570cece1e4",
+        "summary": "820f932d23a4fc2d10296284bc9cae03b456846122f15499e23f7fe47c000abb",
+        "learned": "5a6fec5b3a5891dc59a2998f98c46c5de5b2e58f32f40fac3473affe016b3f53",
+    },
+    ("scenario1", "mc-dropout"): {
+        "report": "81cb9378e10119a3d3a886d97acd204dd06bfdcc09dd847e5178b43fb415bb90",
+        "summary": "5fd060fbf5c3d719f6bc7cfd69498837772f1f1431f34e779457920eb8050fea",
+        "learned": "10b5ce0f5943bc895b7934545088547a412f9b59db11e9193b0b97eddf14b488",
+    },
+    ("scenario2", "tabular"): {
+        "report": "cea5374a2c4bdb769fa2eab88ffdf3d7ca2d04bcec10f1fb3aef2128f70f48b2",
+        "summary": "7349e9e7530fd2fa965d33d85d932a638e3241de4e7d702ece1a33b3a5703301",
+        "learned": "cfe573bfad14f940036e4031c6a207e6c55801fe965fb863e8b4bc54a4e860b2",
+    },
+    ("scenario2", "det-net"): {
+        "report": "9aaa4eb5ae529f75ce4d4c33387a8b2d5f700642a53c47b19b6a92f221f3a512",
+        "summary": "4a60d5a4e330847d6d6fdf622e1f3e4b888c004096a9cc3e5677d7f3559fd363",
+        "learned": "d1bf28dc45a29641d532ec9fea05b546cfb893a41ae937b13e4e5ec8461f6472",
+    },
+    ("scenario2", "mc-dropout"): {
+        "report": "9f8c74e5e88a8053fa1bfc2a1d5d144cfb1b003d30830c98603234d8dc701e90",
+        "summary": "cdb1a92de0299060958a79995a0b7e45d636920ed2519998c85f4a158d839e95",
+        "learned": "ba5ee6c174e25fe8121f5ec5934ed083409b596a36443bb40adc5bc185126f62",
+    },
+    ("fig3", "tabular"): {
+        "report": "d29a63417ba6a98571653cb43abebc334c1d4f5e63ec3e33154aab09390c5d97",
+        "summary": "b5a5ac923d859ab34ce69ecc4808c9f4c1d3f0618e356f2b4d1f4441456ec0e3",
+        "learned": "4b32bb24f4f6f5b132dbfd5001f92d2eef2245d73d7f41d2f0287723a31ebc92",
+    },
+    ("fig3", "det-net"): {
+        "report": "d29a63417ba6a98571653cb43abebc334c1d4f5e63ec3e33154aab09390c5d97",
+        "summary": "82994182e2649e8188577b470bd5813d2fe9ecc98c59c3a8242f2ff3454570ec",
+        "learned": "56a8c44c422417ac93a1a2d388784ff939f8bd9ad1a2c2b1a9122a1cb059fb38",
+    },
+    ("fig3", "mc-dropout"): {
+        "report": "d29a63417ba6a98571653cb43abebc334c1d4f5e63ec3e33154aab09390c5d97",
+        "summary": "f378cc0646e7e2de1027979c929d6098185eed128fc4b18b48c2593d549bdb31",
+        "learned": "767236d54e04c9122c8b6f894a712bf91d852b718018cd25b6839e328e214fe8",
+    },
+}
 
-def records_digest(experiment: str, variant: str, out_dir) -> str:
+
+def _hash_learned(h, q, model) -> None:
+    h.update(q.values.tobytes())
+    if model.variant == "tabular":
+        h.update(model.demand_counts.tobytes())
+        h.update(repr(model.cost_sums).encode())
+    else:
+        for net in (model.transition_net, model.cost_net):
+            for p in net.parameters():
+                h.update(p.tobytes())
+
+
+def run_case(experiment: str, variant: str, out_dir: Path) -> dict:
+    """sha256 digests of one case's output files and learned bits."""
+    learned = hashlib.sha256()
+    train, make_warm_start = bench.train, bench.make_warm_start
+
+    def hashing_train(*args, **kwargs):
+        agent = train(*args, **kwargs)
+        _hash_learned(learned, agent.q, agent.model)
+        return agent
+
+    def hashing_warm_start(*args, **kwargs):
+        warm = make_warm_start(*args, **kwargs)
+        _hash_learned(learned, warm.q0, warm.m0)
+        return warm
+
     spec = bench.ExperimentSpec(name="golden", out_dir=str(out_dir), model_variant=variant, **TINY)
-    RUNNERS[experiment](spec)
-    return hashlib.sha256((out_dir / f"{experiment}_records.jsonl").read_bytes()).hexdigest()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "train", hashing_train)
+        mp.setattr(bench, "make_warm_start", hashing_warm_start)
+        RUNNERS[experiment](spec)
+    digests = {
+        kind: hashlib.sha256((out_dir / f"{experiment}_{name}").read_bytes()).hexdigest()
+        for kind, name in FILES.items()
+    }
+    digests["learned"] = learned.hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def case_digests(tmp_path_factory):
+    """Runs each case once per module; the tests below compare its digests."""
+    cache = {}
+
+    def get(experiment, variant):
+        if (experiment, variant) not in cache:
+            out_dir = tmp_path_factory.mktemp(f"{experiment}-{variant}")
+            cache[experiment, variant] = run_case(experiment, variant, out_dir)
+        return cache[experiment, variant]
+
+    return get
 
 
 @pytest.mark.parametrize("experiment, variant", sorted(GOLDEN))
-def test_records_match_golden_digest(experiment, variant, tmp_path):
-    assert records_digest(experiment, variant, tmp_path) == GOLDEN[experiment, variant]
+def test_records_match_golden_digest(experiment, variant, case_digests):
+    assert case_digests(experiment, variant)["records"] == GOLDEN[experiment, variant]
+
+
+@pytest.mark.parametrize("kind", ["report", "summary", "learned"])
+@pytest.mark.parametrize("experiment, variant", sorted(GOLDEN_MORE))
+def test_outputs_and_learned_bits_match_golden_digest(experiment, variant, kind, case_digests):
+    assert case_digests(experiment, variant)[kind] == GOLDEN_MORE[experiment, variant][kind]
 
 
 if __name__ == "__main__":
     import tempfile
-    from pathlib import Path
 
     for experiment in RUNNERS:
-        for variant in ("tabular", "det-net", "mc-dropout"):
+        for variant in VARIANTS:
             with tempfile.TemporaryDirectory() as tmp:
-                digest = records_digest(experiment, variant, Path(tmp))
-            print(f'    ("{experiment}", "{variant}"): "{digest}",')
+                digests = run_case(experiment, variant, Path(tmp))
+            print(f'    ("{experiment}", "{variant}"): {digests}')
