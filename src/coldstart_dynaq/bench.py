@@ -14,12 +14,14 @@ import datetime as dt
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .agents import AgentConfig, RunMetrics, TrainedAgent, evaluate, train
+from .agents import ALGORITHMS, AgentConfig, RunMetrics, TrainedAgent, evaluate, train
 from .demand import (
+    BINNINGS,
     DemandDistribution,
     DemandSeries,
     discretized_gamma,
@@ -27,7 +29,7 @@ from .demand import (
     synthesize_history,
 )
 from .env import Action, CostParams, DomainError, InventoryState
-from .envmodel import ModelSpaces
+from .envmodel import ModelSpaces, check_options
 from .forecast import Forecaster, WarmStart, build_warm_start, generate_offline, train_forecaster
 from .schedule import StcSchedule, constant, stc_steps
 
@@ -39,6 +41,9 @@ SCENARIO_CONFIGS = (
     ("dyna-q", False),
     ("q-learning", False),
 )
+
+# Averaged over replications in the scenario reports, in their CSV column order.
+_SCENARIO_STATS = ("avg_total_cost", "shortage_percentage", "avg_holding", "total_cost_variance")
 
 # Monitored transition for probability tracking: post-sale stock (0,0,3), order 2,
 # demand 2 lands in (0,1,2).
@@ -111,6 +116,14 @@ class ExperimentSpec:
             raise DomainError(
                 f"need repetitions >= 1 and workers >= 1, got {self.repetitions}, {self.workers}"
             )
+        # checked here, so a bad config fails before any worker process starts
+        if not self.algorithms or not all(a in ALGORITHMS for a in self.algorithms):
+            raise DomainError(
+                f"algorithms must be a non-empty subset of {ALGORITHMS}, got {self.algorithms!r}"
+            )
+        if self.binning not in BINNINGS:
+            raise DomainError(f"unknown binning {self.binning!r}, choose from {BINNINGS}")
+        check_options(self.spaces(), self.model_variant, self.transition_loss)
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -138,8 +151,6 @@ def agent_config(
     algorithm: str,
     seed: int,
     spec: ExperimentSpec,
-    episodes: int,
-    horizon: int,
     warm_start: WarmStart | None = None,
 ) -> AgentConfig:
     """Schedule wiring per algorithm: adjusted decays via STC, classic holds
@@ -164,8 +175,8 @@ def agent_config(
         model_variant=spec.model_variant,
         transition_loss=spec.transition_loss,
         warm_start=warm_start,
-        horizon=horizon,
-        episodes=episodes,
+        horizon=spec.horizon,
+        episodes=spec.train_episodes,
         seed=seed,
     )
 
@@ -234,62 +245,83 @@ def summarize(runs: list[RunMetrics]) -> dict:
     }
 
 
-def _train_stats(agents: list[TrainedAgent]) -> dict:
-    stats = summarize([m for a in agents for m in a.episode_metrics])
+def _test(spec: ExperimentSpec, agent: TrainedAgent, rng: np.random.Generator) -> list[RunMetrics]:
+    """The greedy policy's test_repetitions runs of test_days days."""
+    return evaluate(
+        agent, spec.true_demand(), spec.spaces(), spec.initial_state,
+        spec.test_days, spec.test_repetitions, rng,
+    )
+
+
+# ----------------------------------------------------------- replications
+
+
+def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, rep: int, *,
+                 runs=((),), forecaster: Forecaster | None = None, probe=None) -> list[dict]:
+    """Train every (algorithm, transfer) configuration of replication rep.
+
+    Configuration j trains one agent per key in runs, seeded by (rep, j,
+    *key), each with probe_pair=probe. With a forecaster, one warm start
+    per replication seeds every transfer configuration. record(spec, rep,
+    j, algorithm, transfer, agents) turns configuration j into its record.
+    """
+    demand_dist, spaces = spec.true_demand(), spec.spaces()
+    warm = None if forecaster is None else make_warm_start(spec, forecaster, params, rep)
+    records = []
+    for j, (algorithm, transfer) in enumerate(configs):
+        agents = []
+        for key in runs:
+            seed = seed_int(spec.master_seed, rep, j, *key)
+            config = agent_config(params, algorithm, seed, spec, warm if transfer else None)
+            agents.append(train(config, demand_dist, spaces, spec.initial_state, probe_pair=probe))
+        records.append(record(spec, rep, j, algorithm, transfer, agents))
+    return records
+
+
+def _map_reps(spec: ExperimentSpec, record, params: ScheduleParams, configs, **kw) -> list[dict]:
+    """Every replication's records in order, from spec.workers processes."""
+    one_rep = partial(_replication, spec, record, params, configs, **kw)
+    reps = range(spec.repetitions)
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            nested = list(pool.map(one_rep, reps))
+    else:
+        nested = map(one_rep, reps)
+    return [r for group in nested for r in group]
+
+
+def _record(experiment, spec, rep, algorithm, agents) -> dict:
+    """The fields every trained configuration's record shares."""
+    episodes = [m for a in agents for m in a.episode_metrics]
+    stats = summarize(episodes)
     stats["episode_total_costs"] = stats.pop("total_costs")
     stats["planning_steps"] = sum(a.planning_steps for a in agents)
-    return stats
-
-
-def _wall_seconds(agent: TrainedAgent) -> float:
-    return float(sum(m.wall_seconds for m in agent.episode_metrics))
+    return {
+        "experiment": experiment,
+        "replication": rep,
+        "algorithm": algorithm,
+        "sigma2": spec.sigma2,
+        "model_variant": spec.model_variant,
+        "train": stats,
+        "wall_train_seconds": float(sum(m.wall_seconds for m in episodes)),
+    }
 
 
 # ---------------------------------------------------------------- table 1
 
 
-def _table1_one_seed(spec: ExperimentSpec, rep: int) -> list[dict]:
-    demand_dist = spec.true_demand()
-    spaces = spec.spaces()
-    records = []
-    for j, algorithm in enumerate(spec.algorithms):
-        config = agent_config(
-            TABLE1_PARAMS,
-            algorithm,
-            seed_int(spec.master_seed, rep, j),
-            spec,
-            spec.train_episodes,
-            spec.horizon,
-        )
-        agent = train(config, demand_dist, spaces, spec.initial_state)
-        # same test demand stream for every algorithm: paired comparison
-        test = evaluate(
-            agent, demand_dist, spaces, spec.initial_state,
-            spec.test_days, spec.test_repetitions,
-            derived_rng(spec.master_seed, rep, 500),
-        )
-        records.append({
-            "experiment": "table1",
-            "replication": rep,
-            "algorithm": algorithm,
-            "sigma2": spec.sigma2,
-            "model_variant": spec.model_variant,
-            "avg_daily_cost": float(np.mean([m.total_cost / spec.test_days for m in test])),
-            "train": _train_stats([agent]),
-            "wall_train_seconds": _wall_seconds(agent),
-        })
-    return records
-
-
-def improvement(baseline: float, value: float) -> float:
-    """(baseline - value) / baseline, the relative improvement fraction."""
-    return (baseline - value) / baseline
+def _table1_record(spec, rep, j, algorithm, transfer, agents) -> dict:
+    # same test demand stream for every algorithm: paired comparison
+    test = _test(spec, agents[0], derived_rng(spec.master_seed, rep, 500))
+    record = _record("table1", spec, rep, algorithm, agents)
+    record["avg_daily_cost"] = float(np.mean([m.total_cost / spec.test_days for m in test]))
+    return record
 
 
 def run_table1(spec: ExperimentSpec) -> dict:
     """Train/test comparison of the configured algorithms at one sigma^2."""
-    nested = _map_reps(_table1_one_seed, spec)
-    records = [r for group in nested for r in group]
+    configs = [(algorithm, False) for algorithm in spec.algorithms]
+    records = _map_reps(spec, _table1_record, TABLE1_PARAMS, configs)
 
     summary = {}
     for algorithm in spec.algorithms:
@@ -299,25 +331,17 @@ def run_table1(spec: ExperimentSpec) -> dict:
             # deterministic, so every replication's count is the same
             "planning_steps": rows[0]["train"]["planning_steps"],
         }
-    if "q-learning" in summary:
-        base = summary["q-learning"]["mean_daily_cost"]
-        for algorithm in spec.algorithms:
-            summary[algorithm]["cost_improvement_vs_qlearning"] = improvement(
-                base, summary[algorithm]["mean_daily_cost"]
-            )
-    if "dyna-q" in summary:
-        base_steps = summary["dyna-q"]["planning_steps"]
-        for algorithm in spec.algorithms:
-            summary[algorithm]["planning_improvement_vs_dynaq"] = (
-                improvement(base_steps, summary[algorithm]["planning_steps"])
-                if base_steps else 0.0
+    # relative improvements, (baseline - value) / baseline
+    for stats in summary.values():
+        if "q-learning" in summary:
+            base = summary["q-learning"]["mean_daily_cost"]
+            stats["cost_improvement_vs_qlearning"] = (base - stats["mean_daily_cost"]) / base
+        if "dyna-q" in summary:
+            base = summary["dyna-q"]["planning_steps"]
+            stats["planning_improvement_vs_dynaq"] = (
+                (base - stats["planning_steps"]) / base if base else 0.0
             )
     report = {"experiment": "table1", "spec_name": spec.name, "summary": summary}
-    _emit(spec, records, report, _table_rows_table1(spec, summary))
-    return {"records": records, "report": report}
-
-
-def _table_rows_table1(spec, summary):
     rows = []
     for algorithm, stats in summary.items():
         rows.append({
@@ -329,93 +353,52 @@ def _table_rows_table1(spec, summary):
             "planning_steps": stats["planning_steps"],
             "planning_improvement_vs_dynaq": f"{stats.get('planning_improvement_vs_dynaq', 0.0):.4f}",
         })
-    return rows
+    _emit(spec, records, report, rows)
+    return {"records": records, "report": report}
 
 
 # ------------------------------------------------------------- scenarios
 
 
-def _scenario_one_rep(spec: ExperimentSpec, params: ScheduleParams, testing: bool,
-                      forecaster: Forecaster, rep: int) -> list[dict]:
-    """One harness replication of a scenario.
-
-    Training is a single cold-start month: horizon steps from scratch, all
-    the history a newly launched product has. Scenario 1 repeats that
-    training train_episodes times independently and reports statistics
-    across the runs; scenario 2 trains once and tests the greedy policy
-    test_repetitions times.
-    """
-    demand_dist = spec.true_demand()
-    spaces = spec.spaces()
-    warm = make_warm_start(spec, forecaster, params, rep)
-    runs = 1 if testing else spec.train_episodes
-    records = []
-    for j, (algorithm, transfer) in enumerate(SCENARIO_CONFIGS):
-        agents = []
-        for i in range(runs):
-            config = agent_config(
-                params,
-                algorithm,
-                seed_int(spec.master_seed, rep, j, i),
-                spec,
-                episodes=1,
-                horizon=spec.horizon,
-                warm_start=warm if transfer else None,
-            )
-            agents.append(train(config, demand_dist, spaces, spec.initial_state))
-        record = {
-            "experiment": "scenario2" if testing else "scenario1",
-            "replication": rep,
-            "algorithm": algorithm,
-            "transfer": transfer,
-            "sigma2": spec.sigma2,
-            "model_variant": spec.model_variant,
-            "train": _train_stats(agents),
-            "wall_train_seconds": float(sum(_wall_seconds(a) for a in agents)),
-        }
-        if testing:
-            test = evaluate(
-                agents[0], demand_dist, spaces, spec.initial_state,
-                spec.test_days, spec.test_repetitions,
-                derived_rng(spec.master_seed, rep, 500, j),
-            )
-            record["test"] = summarize(test)
-        records.append(record)
-    return records
+def _scenario1_record(spec, rep, j, algorithm, transfer, agents) -> dict:
+    return {**_record("scenario1", spec, rep, algorithm, agents), "transfer": transfer}
 
 
-def _scenario_report(spec: ExperimentSpec, records: list[dict], testing: bool) -> dict:
-    key = "test" if testing else "train"
-    summary = {}
-    for algorithm, transfer in SCENARIO_CONFIGS:
-        rows = [
-            r for r in records
-            if r["algorithm"] == algorithm and r["transfer"] == transfer
-        ]
-        summary[f"{algorithm}|transfer={transfer}"] = {
-            "avg_total_cost": float(np.mean([r[key]["avg_total_cost"] for r in rows])),
-            "shortage_percentage": float(np.mean([r[key]["shortage_percentage"] for r in rows])),
-            "avg_holding": float(np.mean([r[key]["avg_holding"] for r in rows])),
-            "total_cost_variance": float(np.mean([r[key]["total_cost_variance"] for r in rows])),
-        }
-    return {
-        "experiment": "scenario2" if testing else "scenario1",
-        "spec_name": spec.name,
-        "summary": summary,
-    }
-
-
-def _scenario_defaults(spec: ExperimentSpec) -> ExperimentSpec:
-    return replace(spec, horizon=30, test_days=30, test_repetitions=100)
+def _scenario2_record(spec, rep, j, algorithm, transfer, agents) -> dict:
+    test = _test(spec, agents[0], derived_rng(spec.master_seed, rep, 500, j))
+    record = _record("scenario2", spec, rep, algorithm, agents)
+    return {**record, "transfer": transfer, "test": summarize(test)}
 
 
 def _run_scenario(spec: ExperimentSpec, params: ScheduleParams, testing: bool) -> dict:
-    spec = _scenario_defaults(spec)
-    forecaster = fit_forecaster(spec)
-    nested = _map_reps(_scenario_one_rep, spec, params, testing, forecaster)
-    records = [r for group in nested for r in group]
-    report = _scenario_report(spec, records, testing)
-    _emit(spec, records, report, _scenario_rows(report, "test" if testing else "train"))
+    """One harness replication trains each configuration from scratch for
+    a single cold-start month: horizon steps, all the history a newly
+    launched product has. Scenario 1 repeats that training train_episodes
+    times independently and reports statistics across the runs; scenario
+    2 trains once and tests the greedy policy test_repetitions times.
+    """
+    runs = [(i,) for i in range(1 if testing else spec.train_episodes)]
+    spec = replace(spec, train_episodes=1, horizon=30, test_days=30, test_repetitions=100)
+    experiment, key = ("scenario2", "test") if testing else ("scenario1", "train")
+    records = _map_reps(
+        spec, _scenario2_record if testing else _scenario1_record, params, SCENARIO_CONFIGS,
+        runs=runs, forecaster=fit_forecaster(spec),
+    )
+    summary, rows = {}, []
+    for algorithm, transfer in SCENARIO_CONFIGS:
+        group = [
+            r[key] for r in records if r["algorithm"] == algorithm and r["transfer"] == transfer
+        ]
+        stats = {name: float(np.mean([g[name] for g in group])) for name in _SCENARIO_STATS}
+        summary[f"{algorithm}|transfer={transfer}"] = stats
+        rows.append({
+            "algorithm": algorithm,
+            "transfer": transfer,
+            "phase": key,
+            **{name: f"{value:.4f}" for name, value in stats.items()},
+        })
+    report = {"experiment": experiment, "spec_name": spec.name, "summary": summary}
+    _emit(spec, records, report, rows)
     return {"records": records, "report": report}
 
 
@@ -430,59 +413,27 @@ def run_scenario2(spec: ExperimentSpec) -> dict:
     return _run_scenario(spec, SCENARIO2_PARAMS, testing=True)
 
 
-def _scenario_rows(report, phase):
-    rows = []
-    for name, stats in report["summary"].items():
-        algorithm, transfer = name.split("|transfer=")
-        rows.append({
-            "algorithm": algorithm,
-            "transfer": transfer,
-            "phase": phase,
-            "avg_total_cost": f"{stats['avg_total_cost']:.4f}",
-            "shortage_percentage": f"{stats['shortage_percentage']:.4f}",
-            "avg_holding": f"{stats['avg_holding']:.4f}",
-            "total_cost_variance": f"{stats['total_cost_variance']:.4f}",
-        })
-    return rows
-
-
 # ----------------------------------------------------------------- fig 3
 
 
-def _fig3_one_rep(spec: ExperimentSpec, forecaster: Forecaster, rep: int) -> list[dict]:
-    demand_dist = spec.true_demand()
-    spaces = spec.spaces()
-    warm = make_warm_start(spec, forecaster, SCENARIO2_PARAMS, rep)
-    probe = (PROBE_STATE, PROBE_ACTION, PROBE_NEXT)
-    records = []
-    for j, (algorithm, transfer) in enumerate(SCENARIO_CONFIGS):
-        config = agent_config(
-            SCENARIO2_PARAMS,
-            algorithm,
-            seed_int(spec.master_seed, rep, j),
-            spec,
-            episodes=1,
-            horizon=spec.horizon,
-            warm_start=warm if transfer else None,
-        )
-        agent = train(config, demand_dist, spaces, spec.initial_state, probe_pair=probe)
-        records.append({
-            "experiment": "fig3",
-            "replication": rep,
-            "algorithm": algorithm,
-            "transfer": transfer,
-            "trace": [None if p is None else round(p, 12) for p in agent.probe_trace],
-        })
-    return records
+def _fig3_record(spec, rep, j, algorithm, transfer, agents) -> dict:
+    return {
+        "experiment": "fig3",
+        "replication": rep,
+        "algorithm": algorithm,
+        "transfer": transfer,
+        "trace": [None if p is None else round(p, 12) for p in agents[0].probe_trace],
+    }
 
 
 def run_fig3(spec: ExperimentSpec) -> dict:
     """Per-iteration model estimates of the monitored transition, plus the
     true probability line from the discretized-Gamma pmf."""
-    spec = replace(spec, horizon=30)
-    forecaster = fit_forecaster(spec)
-    nested = _map_reps(_fig3_one_rep, spec, forecaster)
-    records = [r for group in nested for r in group]
+    spec = replace(spec, train_episodes=1, horizon=30)
+    records = _map_reps(
+        spec, _fig3_record, SCENARIO2_PARAMS, SCENARIO_CONFIGS,
+        forecaster=fit_forecaster(spec), probe=(PROBE_STATE, PROBE_ACTION, PROBE_NEXT),
+    )
     true_value = float(spec.true_demand().pmf[PROBE_DEMAND_CLASS])
     report = {
         "experiment": "fig3",
@@ -506,14 +457,6 @@ def run_fig3(spec: ExperimentSpec) -> dict:
 
 
 # ------------------------------------------------------------- plumbing
-
-
-def _map_reps(fn, spec: ExperimentSpec, *args):
-    reps = range(spec.repetitions)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            return list(pool.map(fn, *zip(*[(spec, *args, r) for r in reps])))
-    return [fn(spec, *args, r) for r in reps]
 
 
 def _strip_timings(record: dict) -> dict:

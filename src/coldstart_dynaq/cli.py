@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .agents import TrainedAgent, evaluate, train
+from .agents import ALGORITHMS, TrainedAgent, evaluate, train
 from .demand import save_series
 from .env import CostParams, InventoryState
-from .envmodel import save_model
+from .envmodel import VARIANTS, save_model
 from .qcore import load_qtable, save_qtable
 
 
@@ -56,9 +56,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int, help="parallel worker processes")
     parser.add_argument("--sigma2", type=float, help="demand variance")
-    parser.add_argument(
-        "--model", choices=("tabular", "det-net", "mc-dropout"), help="model variant"
-    )
+    parser.add_argument("--model", choices=VARIANTS, help="model variant")
 
 
 def _cmd_experiment(runner):
@@ -85,8 +83,6 @@ def _cmd_train(args):
         args.algorithm,
         bench.seed_int(spec.master_seed, 0, 0),
         spec,
-        spec.train_episodes,
-        spec.horizon,
         warm_start=warm,
     )
     agent = train(config, spec.true_demand(), spec.spaces(), spec.initial_state)
@@ -152,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single agent and save artifacts")
     _add_common(p)
-    p.add_argument("--algorithm", default="adjusted-dyna-q",
-                   choices=("adjusted-dyna-q", "dyna-q", "q-learning"))
+    p.add_argument("--algorithm", default="adjusted-dyna-q", choices=ALGORITHMS)
     p.add_argument("--transfer", choices=("on", "off"), default="off")
     p.set_defaults(handler=_cmd_train)
 

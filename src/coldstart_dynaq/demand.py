@@ -17,6 +17,7 @@ from scipy import stats
 from .env import DomainError
 
 D_MAX_DEFAULT = 10
+BINNINGS = ("center", "floor")
 
 _PMF_TOL = 1e-9
 
@@ -71,17 +72,6 @@ class DemandSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Numeric lag/moving-average block u and calendar block v."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.u, self.v])
-
-
 def feature_dim(window: int) -> int:
     # window lags + window mean, then 7 day-of-week + weekend flag +
     # week number + sin/cos day-in-month + sin/cos day-in-year
@@ -102,7 +92,7 @@ def discretized_gamma(
     """
     if mean <= 0 or variance <= 0:
         raise DomainError("mean and variance must be > 0")
-    if binning not in ("center", "floor"):
+    if binning not in BINNINGS:
         raise DomainError(f"unknown binning rule {binning!r}")
     shape = mean * mean / variance
     scale = variance / mean
@@ -127,13 +117,8 @@ def sample(dist: DemandDistribution, rng: np.random.Generator) -> int:
     return int(np.searchsorted(dist.cdf, rng.random(), side="right"))
 
 
-def load_transactions(
-    path,
-    product_name: str,
-    date_range: tuple | None = None,
-    delimiter: str = ",",
-) -> DemandSeries:
-    """Aggregate a delimited transactions file into a daily demand series.
+def load_transactions(path, product_name: str) -> DemandSeries:
+    """Aggregate a comma-separated transactions file into a daily demand series.
 
     Expects a header with date, product and quantity columns (ISO-8601
     dates).  Rows are filtered to `product_name`, summed per day, and
@@ -141,7 +126,7 @@ def load_transactions(
     """
     totals: dict[dt.date, int] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        reader = csv.DictReader(fh)
         required = {"date", "product", "quantity"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DomainError(f"{path}: need columns {sorted(required)}")
@@ -153,8 +138,6 @@ def load_transactions(
                 raise DomainError(f"{path}: unparseable row {rownum}: {exc}") from exc
             if row["product"].strip() != product_name:
                 continue
-            if date_range is not None and not (date_range[0] <= day <= date_range[1]):
-                continue
             totals[day] = totals.get(day, 0) + qty
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
@@ -164,22 +147,22 @@ def load_transactions(
     return DemandSeries(dates=tuple(dates), quantities=quantities)
 
 
-def save_series(series: DemandSeries, path, product_name: str, delimiter: str = ","):
+def save_series(series: DemandSeries, path, product_name: str):
     """Write a series in the same transactions format load_transactions reads."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["date", "product", "quantity"])
         for day, qty in zip(series.dates, series.quantities):
             writer.writerow([day.isoformat(), product_name, int(qty)])
 
 
-def extract_features(series: DemandSeries, day_index: int, window: int) -> FeatureVector:
+def extract_features(series: DemandSeries, day_index: int, window: int) -> np.ndarray:
     """Features for predicting the demand of day `day_index`.
 
-    u holds the `window` previous demands (most recent first) and their
-    mean; v encodes the calendar of the day before: one-hot day-of-week,
-    weekend flag, ISO week scaled to [0, 1], and sin/cos positions within
-    the month and the year.
+    The first window + 1 entries are the `window` previous demands (most
+    recent first) and their mean; the rest encode the calendar of the day
+    before: one-hot day-of-week, weekend flag, ISO week scaled to [0, 1],
+    and sin/cos positions within the month and the year.
     """
     if day_index < window:
         raise DomainError(f"day_index {day_index} needs >= {window} days of history")
@@ -188,7 +171,6 @@ def extract_features(series: DemandSeries, day_index: int, window: int) -> Featu
     if day_index > len(series):
         raise DomainError(f"day_index {day_index} outside series of length {len(series)}")
     lags = series.quantities[day_index - window:day_index][::-1].astype(float)
-    u = np.concatenate([lags, [lags.mean()]])
 
     date = series.dates[day_index - 1]
     dow = np.zeros(7)
@@ -202,13 +184,14 @@ def extract_features(series: DemandSeries, day_index: int, window: int) -> Featu
     month_angle = 2.0 * math.pi * date.day / days_in_month
     year_len = 366 if date.year % 4 == 0 and (date.year % 100 != 0 or date.year % 400 == 0) else 365
     year_angle = 2.0 * math.pi * date.timetuple().tm_yday / year_len
-    v = np.concatenate([
+    return np.concatenate([
+        lags,
+        [lags.mean()],
         dow,
         [weekend, week],
         [math.sin(month_angle), math.cos(month_angle)],
         [math.sin(year_angle), math.cos(year_angle)],
     ])
-    return FeatureVector(u=u, v=v)
 
 
 def synthesize_history(

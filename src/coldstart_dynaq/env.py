@@ -157,25 +157,11 @@ def enumerate_states(s_max: int = S_MAX_DEFAULT) -> list[InventoryState]:
     ]
 
 
-def enumerate_actions(a_max: int = A_MAX_DEFAULT) -> list[Action]:
-    return [Action(q) for q in range(a_max + 1)]
-
-
 def state_index(state: InventoryState, s_max: int = S_MAX_DEFAULT) -> int:
     """Dense index in [0, (s_max+1)^3), lexicographic in (s1, s2, s3)."""
     _check_state(state, s_max)
     n = s_max + 1
     return (state.s1 * n + state.s2) * n + state.s3
-
-
-def state_from_index(index: int, s_max: int = S_MAX_DEFAULT) -> InventoryState:
-    n = s_max + 1
-    if not (0 <= index < n**3):
-        raise DomainError(f"state index {index} outside [0, {n ** 3})")
-    s3 = index % n
-    s2 = (index // n) % n
-    s1 = index // (n * n)
-    return InventoryState(s1, s2, s3)
 
 
 def num_states(s_max: int = S_MAX_DEFAULT) -> int:

@@ -23,6 +23,7 @@ from . import nn
 from .env import CostParams, DomainError, ModelSpaces, day_tables, num_states
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
+TRANSITION_LOSSES = ("categorical", "mse")
 
 _HIDDEN = (128, 64)
 _COST_TOL = 1e-9
@@ -36,6 +37,25 @@ class InconsistentTransitionError(ValueError):
     """No demand in [0, d_max] explains the observed transition."""
 
 
+def check_options(spaces: ModelSpaces, variant: str, transition_loss: str) -> None:
+    """Reject with one DomainError a model that EnvModel cannot build or learn.
+
+    recover_demand tells shortage demands apart by their shortage cost
+    alone, so with cs within _COST_TOL of 0 it would map every shortage to
+    the smallest such demand and bias what every algorithm's model learns.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown model variant {variant!r}, choose from {VARIANTS}")
+    if transition_loss not in TRANSITION_LOSSES:
+        raise DomainError(
+            f"unknown transition_loss {transition_loss!r}, choose from {TRANSITION_LOSSES}"
+        )
+    if not spaces.cost_params.cs > _COST_TOL:
+        raise DomainError(
+            f"a learned model needs shortage cost cs > {_COST_TOL}, got {spaces.cost_params.cs}"
+        )
+
+
 class EnvModel:
     def __init__(
         self,
@@ -45,8 +65,7 @@ class EnvModel:
         mc_samples: int = 10,
         transition_loss: str = "categorical",
     ):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown model variant {variant!r}")
+        check_options(spaces, variant, transition_loss)
         if mc_samples < 1:
             raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
         self.spaces = spaces
@@ -166,7 +185,7 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
 
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
-    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng).mean
+    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng)
 
 
 def _mc_pmf(m: EnvModel, x: np.ndarray, rng) -> np.ndarray:

@@ -54,12 +54,10 @@ class Forecaster:
 class WarmStart:
     q0: QTable
     m0: EnvModel
-    offline_series: DemandSeries
 
 
 def _design_row(f_window: int, d_max: int, series: DemandSeries, day: int) -> np.ndarray:
-    feats = extract_features(series, day, f_window)
-    x = feats.concat()
+    x = extract_features(series, day, f_window)
     x[: f_window + 1] /= d_max
     return x
 
@@ -98,27 +96,19 @@ def train_forecaster(
     return Forecaster(net=net, window=window, history=series, d_max=d_max)
 
 
-def predict_mean(f: Forecaster, series: DemandSeries, day_index: int) -> float:
-    """Deterministic (dropout off) demand prediction, clamped to [0, d_max]."""
-    x = _design_row(f.window, f.d_max, series, day_index)
-    raw = float(nn.forward(f.net, x)[0]) * f.d_max
-    return min(max(raw, 0.0), float(f.d_max))
-
-
 def predict_next(
     f: Forecaster,
     series: DemandSeries,
     day_index: int,
     rng: np.random.Generator | None = None,
-    stochastic: bool = True,
 ) -> int:
     """One demand prediction, clamped to [0, d_max] and rounded half-up.
 
-    stochastic=True draws a single dropout-sampled forward pass, which
+    With dropout on, it is a single dropout-sampled forward pass, which
     preserves day-to-day variability in generated series.
     """
     x = _design_row(f.window, f.d_max, series, day_index)
-    if stochastic and f.net.dropout > 0.0:
+    if f.net.dropout > 0.0:
         if rng is None:
             raise ValueError("stochastic prediction needs an rng")
         raw = float(nn.forward(f.net, x, training=True, rng=rng)[0])
@@ -188,4 +178,4 @@ def build_warm_start(
     for _ in range(epochs):
         demands = iter(offline.quantities.tolist())
         rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, learner.learn)
-    return WarmStart(q0=q, m0=model, offline_series=offline)
+    return WarmStart(q0=q, m0=model)

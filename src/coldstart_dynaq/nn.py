@@ -2,8 +2,8 @@
 
 Dense layers with ReLU, inverted dropout after each hidden layer, a
 regression (MSE) or categorical (softmax) head, Adam, and Monte-Carlo
-dropout prediction (mean and per-output variance over stochastic forward
-passes). Shared by the environment model and the demand forecaster.
+dropout prediction (the mean over stochastic forward passes). Shared by
+the environment model and the demand forecaster.
 
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
@@ -18,7 +18,6 @@ order of the draws pins every result:
 """
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -28,12 +27,6 @@ HEADS = ("regression", "categorical", "categorical_mse")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mean: np.ndarray
-    variance: np.ndarray
 
 
 class Network:
@@ -234,18 +227,17 @@ def mc_predict(
     x: np.ndarray,
     samples: int = 10,
     rng: np.random.Generator | None = None,
-) -> Prediction:
-    """Monte-Carlo dropout: mean/variance over stochastic forward passes.
+) -> np.ndarray:
+    """Monte-Carlo dropout: the mean over stochastic forward passes.
 
-    x is one input row, 1-D or of shape (1, n); the mean and variance have
-    the shape forward(net, x) returns. They equal, bit for bit and from the
-    same draws, those of `samples` single-row training passes. The first
+    x is one input row, 1-D or of shape (1, n); the mean has the shape
+    forward(net, x) returns. It equals, bit for bit and from the same
+    draws, that of `samples` single-row training passes. The first
     layer sees the same input in every pass, so it is computed once. Each
     later layer is one vector-matrix product per sample, run as a
     (samples, 1, width) @ W stack, because a (samples, width) matrix
     product rounds differently. With dropout disabled every pass is
-    identical, so the variance is exactly zero and the mean equals the
-    deterministic output.
+    identical, so the mean is the deterministic output.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -255,8 +247,7 @@ def mc_predict(
             f"mc_predict takes one input row of {net.sizes[0]} values, got shape {np.shape(x)}"
         )
     if net.dropout == 0.0:
-        out = forward(net, x)
-        return Prediction(mean=out, variance=np.zeros_like(out))
+        return forward(net, x)
     if rng is None:
         raise ValueError("mc_predict with dropout needs an rng")
     keep = 1.0 - net.dropout
@@ -272,5 +263,5 @@ def mc_predict(
         draws = _softmax(draws)
     if not single:
         draws = draws[:, None, :]
-    return Prediction(mean=draws.mean(axis=0), variance=draws.var(axis=0))
+    return draws.mean(axis=0)
 

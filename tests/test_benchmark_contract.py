@@ -1,0 +1,63 @@
+"""The package keeps every name the benchmark harness resolves in it.
+
+`benchmarks/run.py --trace 1` wraps each (module, function) pair of its
+TRACED tuple, and every run looks names up in `bench`; a name deleted
+from the package would make those runs fail with AttributeError. The
+file is parsed, not imported: importing it sets the BLAS thread
+variables for the whole process.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+from coldstart_dynaq import bench
+
+RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+
+# bench names run.py uses, some through getattr or inside a code string
+BENCH_NAMES = (
+    "train",
+    "fit_forecaster",
+    "make_warm_start",
+    "run_table1",
+    "run_scenario2",
+    "TABLE1_PARAMS",
+    "SCENARIO2_PARAMS",
+    "SCENARIO_CONFIGS",
+    "total_planning_steps",
+    "ExperimentSpec",
+)
+
+TREE = ast.parse(RUN_PY.read_text())
+
+
+def traced() -> tuple:
+    for node in TREE.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED assignment in {RUN_PY}")
+
+
+def test_traced_functions_resolve():
+    pairs = traced()
+    assert pairs
+    missing = [
+        f"{module}.{name}" for module, name in pairs
+        if not callable(getattr(importlib.import_module(f"coldstart_dynaq.{module}"), name, None))
+    ]
+    assert not missing
+
+
+def test_bench_keeps_the_names_the_benchmark_uses():
+    # every <...>.bench.<name> attribute run.py reads, and the listed ones
+    read = {
+        node.attr for node in ast.walk(TREE)
+        if isinstance(node, ast.Attribute)
+        and (isinstance(node.value, ast.Name) and node.value.id == "bench"
+             or isinstance(node.value, ast.Attribute) and node.value.attr == "bench")
+    }
+    assert {"TABLE1_PARAMS", "train"} <= read
+    assert sorted(name for name in read.union(BENCH_NAMES) if not hasattr(bench, name)) == []
+    bench.ExperimentSpec().true_demand()

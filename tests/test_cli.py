@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from coldstart_dynaq import bench
 from coldstart_dynaq.cli import main
 
 TINY = {
@@ -68,6 +69,24 @@ class TestArgumentHandling:
         err = capsys.readouterr().err.splitlines()
         (name,) = override
         assert len(err) == 1 and err[0].startswith(f"error: {name} must be an integer")
+
+    @pytest.mark.parametrize("override", [
+        {"model_variant": "oracle"},
+        {"transition_loss": "banana", "model_variant": "det-net"},
+        {"algorithms": []},
+        {"algorithms": ["dyna-q", "sarsa"]},
+        {"binning": "ceil"},
+        {"s_max": 5},  # below the default a_max of 10
+        {"cost_params": [0.7, 0.3, 0.0, 0.0]},
+    ])
+    def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
+        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a worker pool started"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "workers": 2, **override}))
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):

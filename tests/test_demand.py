@@ -135,35 +135,34 @@ class TestExtractFeatures:
     def test_constant_series_lags(self):
         series = self._series([5] * 10)
         feats = extract_features(series, 5, window=3)
-        assert list(feats.u) == [5.0, 5.0, 5.0, 5.0]
+        assert list(feats[:4]) == [5.0, 5.0, 5.0, 5.0]
 
     def test_monday_one_hot(self):
         # 2021-03-01 is a Monday; predicting day 4 uses day 3's calendar
         series = self._series([1, 2, 3, 4, 5, 6, 7, 8])
-        feats = extract_features(series, 8, window=7)
+        v = extract_features(series, 8, window=7)[8:]
         prev = series.dates[7]  # 2021-03-08, also a Monday
         assert prev.weekday() == 0
-        assert list(feats.v[:7]) == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert feats.v[7] == 0.0  # weekend flag
+        assert list(v[:7]) == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert v[7] == 0.0  # weekend flag
 
     def test_cyclic_encoding_values(self):
         series = self._series([1] * 20, start=dt.date(2021, 4, 1))  # 30-day month
-        feats = extract_features(series, 16, window=3)
+        v = extract_features(series, 16, window=3)[4:]
         date = series.dates[15]  # April 16
         angle = 2 * math.pi * date.day / 30
-        assert feats.v[9] == pytest.approx(math.sin(angle))
-        assert feats.v[10] == pytest.approx(math.cos(angle))
+        assert v[9] == pytest.approx(math.sin(angle))
+        assert v[10] == pytest.approx(math.cos(angle))
 
     def test_cyclic_pairs_unit_norm(self):
         series = self._series(list(range(12)))
-        feats = extract_features(series, 9, window=4)
-        assert feats.v[9] ** 2 + feats.v[10] ** 2 == pytest.approx(1.0, abs=1e-9)
-        assert feats.v[11] ** 2 + feats.v[12] ** 2 == pytest.approx(1.0, abs=1e-9)
+        v = extract_features(series, 9, window=4)[5:]
+        assert v[9] ** 2 + v[10] ** 2 == pytest.approx(1.0, abs=1e-9)
+        assert v[11] ** 2 + v[12] ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_dimensionality(self):
         series = self._series([2] * 15)
-        feats = extract_features(series, 9, window=7)
-        assert len(feats.concat()) == feature_dim(7)
+        assert extract_features(series, 9, window=7).shape == (feature_dim(7),)
 
     def test_insufficient_history(self):
         series = self._series([1, 2, 3])

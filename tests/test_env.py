@@ -10,11 +10,10 @@ from coldstart_dynaq.env import (
     age_and_receive,
     consume_demand,
     day_tables,
-    enumerate_actions,
     enumerate_states,
+    num_actions,
     num_states,
     period_cost,
-    state_from_index,
     state_index,
     step,
 )
@@ -130,14 +129,15 @@ class TestEnumeration:
     def test_counts(self):
         assert len(enumerate_states(s_max=1)) == 8
         assert len(enumerate_states(s_max=10)) == 1331
-        assert len(enumerate_actions(a_max=10)) == 11
+        assert num_actions(a_max=10) == 11
 
     def test_index_bijection(self):
         states = enumerate_states(s_max=10)
         assert len({state_index(s) for s in states}) == num_states()
         for i, s in enumerate(states):
             assert state_index(s) == i
-            assert state_from_index(i) == s
+        # the dense order is lexicographic in (s1, s2, s3)
+        assert [(s.s1, s.s2, s.s3) for s in states] == sorted((s.s1, s.s2, s.s3) for s in states)
 
 
 def test_cost_params_ordering_enforced():
@@ -174,7 +174,7 @@ def test_day_tables_equal_step_everywhere(spaces):
         [
             [step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
              for d in range(spaces.d_max + 1)]
-            for a in enumerate_actions(spaces.a_max)
+            for a in map(Action, range(spaces.a_max + 1))
         ]
         for s in enumerate_states(spaces.s_max)
     ]

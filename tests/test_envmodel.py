@@ -345,6 +345,26 @@ def test_mc_samples_below_one_rejected():
         round_trip(m)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unknown_transition_loss_rejected(variant):
+    with pytest.raises(DomainError, match="transition_loss"):
+        EnvModel(SPACES, variant=variant, transition_loss="banana")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("cs", [0.0, 1e-10])
+def test_shortage_cost_near_zero_rejected(variant, cs):
+    # every demand beyond the stock then reaches the same next state at
+    # the same cost, and recover_demand would return the smallest of them
+    spaces = ModelSpaces(CostParams(0.7, 0.3, 0.0, cs))
+    stock = PAIR_S.s2 + PAIR_S.s3 + PAIR_A.order_qty  # on hand once the order arrives
+    outs = [step(PAIR_S, PAIR_A, d, spaces.cost_params) for d in range(stock, 11)]
+    assert all(o.next_state == outs[0].next_state for o in outs)
+    assert all(abs(o.cost - outs[0].cost) <= 1e-9 for o in outs)
+    with pytest.raises(DomainError, match="cs >"):
+        EnvModel(spaces, variant=variant)
+
+
 class TestDetNetCache:
     PAIRS = [(S, A), (state_index(InventoryState(2, 1, 0)), 4)]
 

@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from coldstart_dynaq import nn
 from coldstart_dynaq.demand import (
     discretized_gamma,
     point_mass,
@@ -11,9 +12,9 @@ from coldstart_dynaq.demand import (
 from coldstart_dynaq.env import CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import ModelSpaces
 from coldstart_dynaq.forecast import (
+    _design_row,
     build_warm_start,
     generate_offline,
-    predict_mean,
     train_forecaster,
 )
 
@@ -25,11 +26,17 @@ def constant_series(value, days, rng_seed=0):
     return synthesize_history(point_mass(value), days, START, np.random.default_rng(rng_seed))
 
 
+def mean_prediction(f, series, day):
+    """The forecaster's dropout-off prediction for `day`, clamped to [0, d_max]."""
+    raw = float(nn.forward(f.net, _design_row(f.window, f.d_max, series, day))[0]) * f.d_max
+    return min(max(raw, 0.0), float(f.d_max))
+
+
 class TestTrainForecaster:
     def test_fits_constant_series(self):
         series = constant_series(4, 120)
         f = train_forecaster(series, window=7, epochs=600, rng=np.random.default_rng(0))
-        preds = [predict_mean(f, series, day) for day in range(100, 115)]
+        preds = [mean_prediction(f, series, day) for day in range(100, 115)]
         assert all(abs(p - 4) <= 0.5 for p in preds)
 
     def test_beats_trivial_error_bound(self):
@@ -38,7 +45,7 @@ class TestTrainForecaster:
         f = train_forecaster(series, window=7, epochs=100, rng=np.random.default_rng(2))
         holdout = range(400, 500)
         errors = [
-            abs(predict_mean(f, series, day) - series.quantities[day])
+            abs(mean_prediction(f, series, day) - series.quantities[day])
             for day in holdout
         ]
         assert np.mean(errors) <= 2.0

@@ -210,8 +210,13 @@ def test_outputs_and_learned_bits_match_golden_digest(experiment, variant, kind,
 if __name__ == "__main__":
     import tempfile
 
+    more = []
     for experiment in RUNNERS:
         for variant in VARIANTS:
             with tempfile.TemporaryDirectory() as tmp:
                 digests = run_case(experiment, variant, Path(tmp))
-            print(f'    ("{experiment}", "{variant}"): {digests}')
+            print(f'    ("{experiment}", "{variant}"): "{digests.pop("records")}",')
+            more.append(f'    ("{experiment}", "{variant}"): {{')
+            more += [f'        "{kind}": "{digest}",' for kind, digest in digests.items()]
+            more.append("    },")
+    print("\n".join(more))

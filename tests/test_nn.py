@@ -127,36 +127,23 @@ class TestGradients:
 
 
 class TestMcPredict:
-    def test_no_dropout_zero_variance(self):
+    def test_no_dropout_mean_is_forward(self):
         net = make_net([3, 4, 2])
         x = np.array([1.0, 2.0, 3.0])
-        pred = nn.mc_predict(net, x, samples=10)
-        assert np.array_equal(pred.variance, np.zeros(2))
-        assert np.array_equal(pred.mean, nn.forward(net, x))
-
-    def test_single_sample_zero_variance(self):
-        net = make_net([3, 4, 2], dropout=0.5)
-        pred = nn.mc_predict(net, np.ones(3), samples=1, rng=np.random.default_rng(4))
-        assert np.allclose(pred.variance, 0.0)
+        assert np.array_equal(nn.mc_predict(net, x, samples=10), nn.forward(net, x))
 
     def test_seeded_reproducibility(self):
         net = make_net([3, 8, 2], dropout=0.5)
         x = np.array([0.1, 0.2, 0.3])
         a = nn.mc_predict(net, x, samples=10, rng=np.random.default_rng(5))
         b = nn.mc_predict(net, x, samples=10, rng=np.random.default_rng(5))
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
-
-    def test_variance_nonnegative(self):
-        net = make_net([3, 8, 2], dropout=0.5)
-        pred = nn.mc_predict(net, np.ones(3), samples=10, rng=np.random.default_rng(6))
-        assert np.all(pred.variance >= 0.0)
+        assert np.array_equal(a, b)
 
 
 def mc_predict_reference(net, x, samples, rng):
     """The per-sample loop mc_predict replaced: one single-row training pass per sample."""
     draws = np.stack([nn.forward(net, x, training=True, rng=rng) for _ in range(samples)])
-    return draws.mean(axis=0), draws.var(axis=0)
+    return draws.mean(axis=0)
 
 
 @pytest.mark.parametrize("head", ["categorical", "categorical_mse", "regression"])
@@ -171,11 +158,10 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
         if row_shape == "(1, n)":
             x = x[None, :]
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        mean, variance = mc_predict_reference(net, x, samples, ref_rng)
+        mean = mc_predict_reference(net, x, samples, ref_rng)
         pred = nn.mc_predict(net, x, samples=samples, rng=rng)
-        assert pred.mean.shape == mean.shape
-        assert np.array_equal(pred.mean, mean)
-        assert np.array_equal(pred.variance, variance)
+        assert pred.shape == mean.shape
+        assert np.array_equal(pred, mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
