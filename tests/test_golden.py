@@ -21,6 +21,11 @@ path; `scenario1` is the one path with per-run seed keys (rep, j, i);
 `scenario1`, `scenario2` and `fig3` cover the warm starts of every
 variant.
 
+`TRAIN_GOLDEN` pins the artifacts of `coldstart-dynaq train` for three
+algorithm × transfer × model cases: `qtable.json` and both convergence
+CSVs (`model.npz` is a zip with timestamps, and the Q-table pins the
+learned bits that matter to `evaluate`).
+
 The neural variants' digests depend on floating-point results of the
 BLAS in use, so they hold for one numpy/BLAS build. A change meant to
 alter the outputs re-pins them with
@@ -30,12 +35,14 @@ alter the outputs re-pins them with
 and says why in its change notes.
 """
 
+import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from coldstart_dynaq import bench
+from coldstart_dynaq import bench, cli
 from coldstart_dynaq.env import InventoryState
 
 # Starting in the probed state makes fig3's trace non-empty from warm
@@ -142,6 +149,31 @@ GOLDEN_MORE = {
     },
 }
 
+TRAIN_CASES = (
+    ("adjusted-dyna-q", "on", "mc-dropout"),
+    ("q-learning", "off", "tabular"),
+    ("dyna-q", "on", "det-net"),
+)
+# (algorithm, transfer, model) -> digests of the `train` command's artifacts
+TRAIN_GOLDEN = {
+    ("adjusted-dyna-q", "on", "mc-dropout"): {
+        "qtable.json": "cccac5c97f74ff4e95f18896a8a4fbc68a33d50ecf6a61983d79ac0836b26247",
+        "convergence_episodes.csv": "728e7cb05f114771e27bb7696ec719090ef3efdbe20b5884ef12d59624e9595a",
+        "convergence_iterations.csv": "849a598f8c866d1bd819e153125d6b1000d604e8ceb90082a5c9a1c615f6b0de",
+    },
+    ("q-learning", "off", "tabular"): {
+        "qtable.json": "b5c36557928e49bab87e180689face3fa503913021c2d81ed1ad5f86e07bbfb7",
+        "convergence_episodes.csv": "1f169f5644ce4c47b1934d25c7451f7d57626055dac0dcf78ece00247a3ec7b5",
+        "convergence_iterations.csv": "b4a149efeb3f2672f15c7042d6b2bb44ebdfb5b7f3e91caa07d127e1399c931e",
+    },
+    ("dyna-q", "on", "det-net"): {
+        "qtable.json": "688e3ce3da7adebc8e52a8ffe438cb597b1978066478812c76992e0061aa6770",
+        "convergence_episodes.csv": "728e7cb05f114771e27bb7696ec719090ef3efdbe20b5884ef12d59624e9595a",
+        "convergence_iterations.csv": "849a598f8c866d1bd819e153125d6b1000d604e8ceb90082a5c9a1c615f6b0de",
+    },
+}
+TRAIN_FILES = ("qtable.json", "convergence_episodes.csv", "convergence_iterations.csv")
+
 
 def _hash_learned(h, q, model) -> None:
     h.update(q.values.tobytes())
@@ -182,6 +214,20 @@ def run_case(experiment: str, variant: str, out_dir: Path) -> dict:
     return digests
 
 
+def run_train_case(algorithm: str, transfer: str, variant: str, out_dir: Path) -> dict:
+    """sha256 digests of the `train` command's artifacts for one tiny config."""
+    config = out_dir / "config.json"
+    config.write_text(json.dumps(
+        {**TINY, "train_episodes": 2, "initial_state": dataclasses.astuple(TINY["initial_state"])}
+    ))
+    code = cli.main([
+        "train", "--config", str(config), "--out", str(out_dir),
+        "--algorithm", algorithm, "--transfer", transfer, "--model", variant,
+    ])
+    assert code == 0
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in TRAIN_FILES}
+
+
 @pytest.fixture(scope="module")
 def case_digests(tmp_path_factory):
     """Runs each case once per module; the tests below compare its digests."""
@@ -207,6 +253,13 @@ def test_outputs_and_learned_bits_match_golden_digest(experiment, variant, kind,
     assert case_digests(experiment, variant)[kind] == GOLDEN_MORE[experiment, variant][kind]
 
 
+@pytest.mark.parametrize("algorithm, transfer, variant", TRAIN_CASES)
+def test_train_command_artifacts_match_golden_digest(algorithm, transfer, variant, tmp_path):
+    assert run_train_case(algorithm, transfer, variant, tmp_path) == TRAIN_GOLDEN[
+        algorithm, transfer, variant
+    ]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -220,3 +273,9 @@ if __name__ == "__main__":
             more += [f'        "{kind}": "{digest}",' for kind, digest in digests.items()]
             more.append("    },")
     print("\n".join(more))
+    for case in TRAIN_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = run_train_case(*case, Path(tmp))
+        print("    (" + ", ".join(f'"{part}"' for part in case) + "): {")
+        print("\n".join(f'        "{name}": "{digest}",' for name, digest in digests.items()))
+        print("    },")
