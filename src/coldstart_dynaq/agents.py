@@ -1,10 +1,12 @@
 """Training loops: Q-learning, classic Dyna-Q, and adjusted Dyna-Q.
 
-All three are the same loop with different schedules: Q-learning runs zero
-planning steps, classic Dyna-Q keeps exploration and planning constant,
-and adjusted Dyna-Q decays both with a search-then-convergence schedule of
-the global environment-step counter. An optional warm start replaces the
-zero Q-table and empty model with ones pre-trained on forecasted demand.
+All three are one loop that sees only an exploration and a planning
+schedule: Q-learning runs zero planning steps, classic Dyna-Q keeps
+exploration and planning constant, and adjusted Dyna-Q decays both with a
+search-then-convergence schedule of the global environment-step counter.
+bench names the algorithms and builds their schedules. An optional warm
+start replaces the zero Q-table and empty model with ones pre-trained on
+forecasted demand.
 
 Randomness is split into three independent streams (environment demand,
 exploration, planning) plus one for network dropout, so planning depth
@@ -41,12 +43,9 @@ from .envmodel import (
 from .qcore import QTable, greedy_policy, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 
-ALGORITHMS = ("q-learning", "dyna-q", "adjusted-dyna-q")
-
 
 @dataclass
 class AgentConfig:
-    algorithm: str
     alpha: float = 0.3
     gamma: float = 0.9
     epsilon_schedule: StcSchedule = field(default_factory=lambda: constant(0.4))
@@ -57,17 +56,6 @@ class AgentConfig:
     horizon: int = 100
     episodes: int = 100
     seed: int = 0
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        eps, plan = self.epsilon_schedule, self.planning_schedule
-        if self.algorithm == "q-learning":
-            if not (plan.initial == plan.floor == 0.0):
-                raise ValueError("q-learning requires a constant-zero planning schedule")
-        elif self.algorithm == "dyna-q":
-            if eps.initial != eps.floor or plan.initial != plan.floor:
-                raise ValueError("classic dyna-q requires constant epsilon and planning")
 
 
 @dataclass
@@ -230,7 +218,7 @@ def train(
 
 
 def evaluate(
-    agent: TrainedAgent,
+    q: QTable,
     true_demand: DemandDistribution,
     spaces: ModelSpaces,
     initial_state: InventoryState,
@@ -238,9 +226,9 @@ def evaluate(
     repetitions: int,
     rng: np.random.Generator,
 ) -> list[RunMetrics]:
-    """Run the deterministic greedy policy against fresh demand draws."""
-    tables = _tables(spaces, agent.q, true_demand)
-    policy = greedy_policy(agent.q).tolist()
+    """Run q's deterministic greedy policy against fresh demand draws."""
+    tables = _tables(spaces, q, true_demand)
+    policy = greedy_policy(q).tolist()
     s0 = state_index(initial_state, spaces.s_max)
     return [
         rollout(tables, s0, days, policy.__getitem__, lambda: sample(true_demand, rng))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import ALGORITHMS, AgentConfig, RunMetrics, TrainedAgent, evaluate, train
+from .agents import AgentConfig, RunMetrics, evaluate, train
 from .demand import (
     BINNINGS,
     DemandDistribution,
@@ -31,7 +31,10 @@ from .demand import (
 from .env import Action, CostParams, DomainError, InventoryState
 from .envmodel import ModelSpaces, check_options
 from .forecast import Forecaster, WarmStart, build_warm_start, generate_offline, train_forecaster
+from .qcore import QTable
 from .schedule import StcSchedule, constant, stc_steps
+
+ALGORITHMS = ("q-learning", "dyna-q", "adjusted-dyna-q")
 
 # The five benchmark configurations compared in the one-month scenarios.
 SCENARIO_CONFIGS = (
@@ -41,6 +44,11 @@ SCENARIO_CONFIGS = (
     ("dyna-q", False),
     ("q-learning", False),
 )
+
+# Spec fields that must be at least 1: each counts workers, runs or days, and a
+# mean over zero runs or days is 0/0.
+_COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
+           "test_repetitions", "offline_horizon")
 
 # Averaged over replications in the scenario reports, in their CSV column order.
 _SCENARIO_STATS = ("avg_total_cost", "shortage_percentage", "avg_holding", "total_cost_variance")
@@ -112,10 +120,9 @@ class ExperimentSpec:
             value = getattr(self, f.name)
             if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
                 raise DomainError(f"{f.name} must be an integer, got {value!r}")
-        if self.repetitions < 1 or self.workers < 1:
-            raise DomainError(
-                f"need repetitions >= 1 and workers >= 1, got {self.repetitions}, {self.workers}"
-            )
+        low = {name: getattr(self, name) for name in _COUNTS if getattr(self, name) < 1}
+        if low:
+            raise DomainError(f"need {', '.join(f'{n} >= 1' for n in _COUNTS)}, got {low}")
         # checked here, so a bad config fails before any worker process starts
         if not self.algorithms or not all(a in ALGORITHMS for a in self.algorithms):
             raise DomainError(
@@ -146,39 +153,14 @@ def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def agent_config(
-    params: ScheduleParams,
-    algorithm: str,
-    seed: int,
-    spec: ExperimentSpec,
-    warm_start: WarmStart | None = None,
-) -> AgentConfig:
-    """Schedule wiring per algorithm: adjusted decays via STC, classic holds
-    the initial values constant, Q-learning never plans."""
+def schedules(params: ScheduleParams, algorithm: str) -> tuple[StcSchedule, StcSchedule]:
+    """An algorithm's (epsilon, planning) schedules: adjusted Dyna-Q decays
+    both via STC, classic Dyna-Q holds the initial values constant, and
+    Q-learning never plans."""
     if algorithm == "adjusted-dyna-q":
-        eps = StcSchedule(params.eps0, params.eps_min, params.eps_smoothing)
-        plan = StcSchedule(params.n0, params.n_min, params.n_smoothing)
-    elif algorithm == "dyna-q":
-        eps = constant(params.eps0)
-        plan = constant(params.n0)
-    elif algorithm == "q-learning":
-        eps = constant(params.eps0)
-        plan = constant(0.0)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return AgentConfig(
-        algorithm=algorithm,
-        alpha=params.alpha,
-        gamma=params.gamma,
-        epsilon_schedule=eps,
-        planning_schedule=plan,
-        model_variant=spec.model_variant,
-        transition_loss=spec.transition_loss,
-        warm_start=warm_start,
-        horizon=spec.horizon,
-        episodes=spec.train_episodes,
-        seed=seed,
-    )
+        return (StcSchedule(params.eps0, params.eps_min, params.eps_smoothing),
+                StcSchedule(params.n0, params.n_min, params.n_smoothing))
+    return constant(params.eps0), constant(params.n0 if algorithm == "dyna-q" else 0.0)
 
 
 def total_planning_steps(plan: StcSchedule, steps: int) -> int:
@@ -245,10 +227,10 @@ def summarize(runs: list[RunMetrics]) -> dict:
     }
 
 
-def _test(spec: ExperimentSpec, agent: TrainedAgent, rng: np.random.Generator) -> list[RunMetrics]:
-    """The greedy policy's test_repetitions runs of test_days days."""
+def _test(spec: ExperimentSpec, q: QTable, rng: np.random.Generator) -> list[RunMetrics]:
+    """test_repetitions runs of test_days days of q's greedy policy."""
     return evaluate(
-        agent, spec.true_demand(), spec.spaces(), spec.initial_state,
+        q, spec.true_demand(), spec.spaces(), spec.initial_state,
         spec.test_days, spec.test_repetitions, rng,
     )
 
@@ -269,10 +251,14 @@ def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, 
     warm = None if forecaster is None else make_warm_start(spec, forecaster, params, rep)
     records = []
     for j, (algorithm, transfer) in enumerate(configs):
+        eps, plan = schedules(params, algorithm)
         agents = []
         for key in runs:
-            seed = seed_int(spec.master_seed, rep, j, *key)
-            config = agent_config(params, algorithm, seed, spec, warm if transfer else None)
+            config = AgentConfig(
+                params.alpha, params.gamma, eps, plan, spec.model_variant, spec.transition_loss,
+                warm if transfer else None, spec.horizon, spec.train_episodes,
+                seed_int(spec.master_seed, rep, j, *key),
+            )
             agents.append(train(config, demand_dist, spaces, spec.initial_state, probe_pair=probe))
         records.append(record(spec, rep, j, algorithm, transfer, agents))
     return records
@@ -312,7 +298,7 @@ def _record(experiment, spec, rep, algorithm, agents) -> dict:
 
 def _table1_record(spec, rep, j, algorithm, transfer, agents) -> dict:
     # same test demand stream for every algorithm: paired comparison
-    test = _test(spec, agents[0], derived_rng(spec.master_seed, rep, 500))
+    test = _test(spec, agents[0].q, derived_rng(spec.master_seed, rep, 500))
     record = _record("table1", spec, rep, algorithm, agents)
     record["avg_daily_cost"] = float(np.mean([m.total_cost / spec.test_days for m in test]))
     return record
@@ -365,7 +351,7 @@ def _scenario1_record(spec, rep, j, algorithm, transfer, agents) -> dict:
 
 
 def _scenario2_record(spec, rep, j, algorithm, transfer, agents) -> dict:
-    test = _test(spec, agents[0], derived_rng(spec.master_seed, rep, 500, j))
+    test = _test(spec, agents[0].q, derived_rng(spec.master_seed, rep, 500, j))
     record = _record("scenario2", spec, rep, algorithm, agents)
     return {**record, "transfer": transfer, "test": summarize(test)}
 

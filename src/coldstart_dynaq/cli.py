@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .agents import ALGORITHMS, TrainedAgent, evaluate, train
+from .agents import evaluate
 from .demand import save_series
 from .env import CostParams, InventoryState
 from .envmodel import VARIANTS, save_model
@@ -73,19 +73,15 @@ def _cmd_experiment(runner):
 
 
 def _cmd_train(args):
+    """Train replication 0's configuration (args.algorithm, args.transfer)
+    of a table1 run, and save the agent and its convergence data."""
     spec = _spec_from_args(args)
-    warm = None
-    if args.transfer == "on":
-        forecaster = bench.fit_forecaster(spec)
-        warm = bench.make_warm_start(spec, forecaster, bench.TABLE1_PARAMS, 0)
-    config = bench.agent_config(
-        bench.TABLE1_PARAMS,
-        args.algorithm,
-        bench.seed_int(spec.master_seed, 0, 0),
-        spec,
-        warm_start=warm,
+    transfer = args.transfer == "on"
+    # record()'s last argument holds the configuration's one trained agent
+    (agent,) = bench._replication(
+        spec, lambda *fields: fields[-1][0], bench.TABLE1_PARAMS, [(args.algorithm, transfer)], 0,
+        forecaster=bench.fit_forecaster(spec) if transfer else None,
     )
-    agent = train(config, spec.true_demand(), spec.spaces(), spec.initial_state)
     out = Path(spec.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     save_qtable(agent.q, out / "qtable.json")
@@ -95,7 +91,7 @@ def _cmd_train(args):
     with open(out / "convergence_episodes.csv", "w") as fh:
         fh.write("episode,mean_daily_cost\n")
         for i, m in enumerate(agent.episode_metrics):
-            fh.write(f"{i},{m.total_cost / config.horizon:.6f}\n")
+            fh.write(f"{i},{m.total_cost / spec.horizon:.6f}\n")
     daily = np.array([m.daily_costs for m in agent.episode_metrics])
     with open(out / "convergence_iterations.csv", "w") as fh:
         fh.write("iteration,mean_cost\n")
@@ -107,9 +103,8 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     spec = _spec_from_args(args)
-    agent = TrainedAgent(q=load_qtable(args.qtable), model=None, episode_metrics=[], planning_steps=0)
     results = evaluate(
-        agent, spec.true_demand(), spec.spaces(), spec.initial_state,
+        load_qtable(args.qtable), spec.true_demand(), spec.spaces(), spec.initial_state,
         args.days, args.repetitions,
         bench.derived_rng(spec.master_seed, 777),
     )
@@ -148,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single agent and save artifacts")
     _add_common(p)
-    p.add_argument("--algorithm", default="adjusted-dyna-q", choices=ALGORITHMS)
+    p.add_argument("--algorithm", default="adjusted-dyna-q", choices=bench.ALGORITHMS)
     p.add_argument("--transfer", choices=("on", "off"), default="off")
     p.set_defaults(handler=_cmd_train)
 

@@ -9,6 +9,7 @@ for real transaction data.
 import csv
 import datetime as dt
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ class DemandDistribution:
     """Probability mass function over integer demand 0..d_max."""
 
     pmf: np.ndarray
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -36,10 +37,7 @@ class DemandDistribution:
             raise DomainError("pmf must be a non-empty vector")
         if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _PMF_TOL:
             raise DomainError("pmf entries must be >= 0 and sum to 1")
-        # the pmf may sum to 1 - _PMF_TOL: a draw above its total is still d_max
-        cdf = np.cumsum(pmf)
-        cdf[-1] = 1.0
-        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "cdf", cdf_of(pmf))
 
     @property
     def d_max(self) -> int:
@@ -72,6 +70,18 @@ class DemandSeries:
         return len(self.dates)
 
 
+def cdf_of(pmf: np.ndarray) -> list[float]:
+    """The cumulative sums of pmf, with the last one pinned to 1.
+
+    Inverse-CDF draws take bisect_right(cdf, u) for a uniform u in [0, 1).
+    A pmf may sum to a little under 1 (within _PMF_TOL, or a learned
+    model's rounding), and a u above its total still draws the last class.
+    """
+    cdf = np.cumsum(pmf).tolist()
+    cdf[-1] = 1.0
+    return cdf
+
+
 def feature_dim(window: int) -> int:
     # window lags + window mean, then 7 day-of-week + weekend flag +
     # week number + sin/cos day-in-month + sin/cos day-in-year
@@ -96,12 +106,11 @@ def discretized_gamma(
         raise DomainError(f"unknown binning rule {binning!r}")
     shape = mean * mean / variance
     scale = variance / mean
-    cdf = stats.gamma(a=shape, scale=scale).cdf
     if binning == "center":
         edges = np.concatenate([[0.0], np.arange(d_max) + 0.5, [np.inf]])
     else:
         edges = np.concatenate([np.arange(d_max + 1), [np.inf]])
-    pmf = np.diff(cdf(edges))
+    pmf = np.diff(stats.gamma.cdf(edges, a=shape, scale=scale))
     pmf = pmf / pmf.sum()
     return DemandDistribution(pmf=pmf)
 
@@ -114,7 +123,7 @@ def point_mass(value: int, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
 
 def sample(dist: DemandDistribution, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of a single integer demand."""
-    return int(np.searchsorted(dist.cdf, rng.random(), side="right"))
+    return bisect_right(dist.cdf, rng.random())
 
 
 def load_transactions(path, product_name: str) -> DemandSeries:

@@ -20,6 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from . import nn
+from .demand import cdf_of
 from .env import CostParams, DomainError, ModelSpaces, day_tables, num_states
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
@@ -131,10 +132,6 @@ def _check_pair(spaces: ModelSpaces, s: int, a: int) -> None:
         raise DomainError(f"order {a} outside [0, {spaces.a_max}]")
 
 
-def _demand_cdf(counts: np.ndarray) -> list[float]:
-    return np.cumsum(counts / counts.sum()).tolist()
-
-
 def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float) -> int:
     """Invert the day dynamics to find the demand behind a transition.
 
@@ -173,7 +170,7 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
     if m.variant == "tabular":
         i = m.visited[s, a]
         m.demand_counts[d] += 1
-        m.demand_cdf = _demand_cdf(m.demand_counts)
+        m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
@@ -206,7 +203,7 @@ def _det_prediction(m: EnvModel, s: int, a: int) -> tuple[np.ndarray, list[float
         pmf = pmf / pmf.sum()
         pmf.flags.writeable = False
         cost = float(nn.forward(m.cost_net, x)[0])
-        hit = m.predictions[s, a] = (pmf, np.cumsum(pmf).tolist(), cost)
+        hit = m.predictions[s, a] = (pmf, cdf_of(pmf), cost)
     return hit
 
 
@@ -244,8 +241,8 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
         _, cdf, cost = _det_prediction(m, s, a)
     else:
         x = m._encode(s, a)
-        cdf = np.cumsum(_mc_pmf(m, x, rng))
-    d = min(bisect_right(cdf, rng.random()), m.spaces.d_max)
+        cdf = cdf_of(_mc_pmf(m, x, rng))
+    d = bisect_right(cdf, rng.random())
     if m.variant == "mc-dropout":
         cost = _mc_cost(m, x, rng)
     return int(m.tables.next[s, a, d]), cost
@@ -324,7 +321,7 @@ def load_model(path) -> EnvModel:
     if m.variant == "tabular":
         m.demand_counts = data["demand_counts"]
         if m.pairs:
-            m.demand_cdf = _demand_cdf(m.demand_counts)
+            m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())
         m.cost_sums = data["cost_sums"].tolist()
         m.cost_counts = data["cost_counts"].tolist()
     else:

@@ -108,12 +108,7 @@ def predict_next(
     preserves day-to-day variability in generated series.
     """
     x = _design_row(f.window, f.d_max, series, day_index)
-    if f.net.dropout > 0.0:
-        if rng is None:
-            raise ValueError("stochastic prediction needs an rng")
-        raw = float(nn.forward(f.net, x, training=True, rng=rng)[0])
-    else:
-        raw = float(nn.forward(f.net, x)[0])
+    raw = float(nn.mc_predict(f.net, x, samples=1, rng=rng)[0])
     value = math.floor(raw * f.d_max + 0.5)
     return min(max(value, 0), f.d_max)
 

@@ -8,9 +8,9 @@ the environment model and the demand forecaster.
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
 
-- a training pass (`forward(training=True)`, `train_step`) draws one
-  (batch, width) block per hidden layer, first layer first, all taken in
-  that order from one rng.random(batch * sum of hidden widths) call;
+- a training pass (`train_step`) draws one (batch, width) block per
+  hidden layer, first layer first, all taken in that order from one
+  rng.random(batch * sum of hidden widths) call;
 - `mc_predict` draws all its masks with one rng.random((samples, sum of
   hidden widths)) call and splits the columns per layer. Row i holds
   sample i's masks, first layer first, which is the order in which one
@@ -131,22 +131,12 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def forward(
-    net: Network,
-    x: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One forward pass; dropout masks are drawn only when training=True."""
+def forward(net: Network, x: np.ndarray) -> np.ndarray:
+    """One deterministic forward pass, dropout off."""
     X, single = _as_batch(x)
     if X.shape[1] != net.sizes[0]:
         raise ValueError(f"input dim {X.shape[1]} != network input {net.sizes[0]}")
-    masks = None
-    if training and net.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training forward with dropout needs an rng")
-        masks = draw_masks(net, X.shape[0], rng)
-    _, _, out = _forward_cached(net, X, masks)
+    _, _, out = _forward_cached(net, X, None)
     return out[0] if single else out
 
 
@@ -232,7 +222,8 @@ def mc_predict(
 
     x is one input row, 1-D or of shape (1, n); the mean has the shape
     forward(net, x) returns. It equals, bit for bit and from the same
-    draws, that of `samples` single-row training passes. The first
+    draws, that of `samples` single-row passes, each masked by its own
+    draw_masks(net, 1, rng); samples=1 is one dropout-sampled pass. The first
     layer sees the same input in every pass, so it is computed once. Each
     later layer is one vector-matrix product per sample, run as a
     (samples, 1, width) @ W stack, because a (samples, width) matrix

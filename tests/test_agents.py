@@ -1,7 +1,6 @@
 import datetime as dt
 
 import numpy as np
-import pytest
 
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
 from coldstart_dynaq.demand import discretized_gamma, point_mass, synthesize_history
@@ -16,7 +15,6 @@ S0 = InventoryState(0, 0, 5)
 
 def q_learning_config(**kw):
     base = dict(
-        algorithm="q-learning",
         epsilon_schedule=constant(0.4),
         planning_schedule=constant(0.0),
         horizon=30,
@@ -29,7 +27,6 @@ def q_learning_config(**kw):
 
 def adjusted_config(**kw):
     base = dict(
-        algorithm="adjusted-dyna-q",
         epsilon_schedule=StcSchedule(0.4, 0.1, 7500.0),
         planning_schedule=StcSchedule(100.0, 10.0, 5000.0),
         horizon=30,
@@ -40,31 +37,12 @@ def adjusted_config(**kw):
     return AgentConfig(**base)
 
 
-class TestConfigValidation:
-    def test_q_learning_must_not_plan(self):
-        with pytest.raises(ValueError):
-            q_learning_config(planning_schedule=constant(5.0))
-
-    def test_classic_requires_constant_schedules(self):
-        with pytest.raises(ValueError):
-            AgentConfig(
-                algorithm="dyna-q",
-                epsilon_schedule=StcSchedule(0.4, 0.1, 100.0),
-                planning_schedule=constant(10.0),
-            )
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            AgentConfig(algorithm="sarsa")
-
-
 class TestTrain:
     def test_zero_planning_equals_q_learning(self):
         # adjusted Dyna-Q degenerates to Q-learning when planning is off
         dist = discretized_gamma(5.0, 5.0, 10)
         ref = train(q_learning_config(), dist, SPACES, S0)
         degenerate = AgentConfig(
-            algorithm="adjusted-dyna-q",
             epsilon_schedule=constant(0.4),
             planning_schedule=constant(0.0),
             horizon=30,
@@ -104,11 +82,11 @@ class TestTrain:
         dist = discretized_gamma(5.0, 5.0, 10)
         greedy_eps = constant(0.0)
         no_plan = AgentConfig(
-            algorithm="q-learning", epsilon_schedule=greedy_eps,
+            epsilon_schedule=greedy_eps,
             planning_schedule=constant(0.0), horizon=30, episodes=1, seed=3,
         )
         with_plan = AgentConfig(
-            algorithm="dyna-q", epsilon_schedule=greedy_eps,
+            epsilon_schedule=greedy_eps,
             planning_schedule=constant(3.0), horizon=30, episodes=1, seed=3,
         )
         a = train(no_plan, dist, SPACES, S0)
@@ -130,7 +108,7 @@ class TestTrain:
         dist = discretized_gamma(5.0, 5.0, 10)
         adjusted = train(adjusted_config(episodes=10, seed=2), dist, SPACES, S0)
         classic = AgentConfig(
-            algorithm="dyna-q", epsilon_schedule=constant(0.4),
+            epsilon_schedule=constant(0.4),
             planning_schedule=constant(100.0), horizon=30, episodes=10, seed=2,
         )
         classic_agent = train(classic, dist, SPACES, S0)
@@ -155,19 +133,19 @@ class TestEvaluate:
     def test_zero_demand_zero_cost(self):
         dist = point_mass(0)
         agent = train(adjusted_config(episodes=20, seed=4), dist, SPACES, InventoryState(0, 0, 0))
-        results = evaluate(agent, dist, SPACES, InventoryState(0, 0, 0), 30, 5,
+        results = evaluate(agent.q, dist, SPACES, InventoryState(0, 0, 0), 30, 5,
                            np.random.default_rng(0))
         assert all(m.total_cost == 0.0 for m in results)
 
     def test_repetition_count(self):
         dist = discretized_gamma(5.0, 5.0, 10)
         agent = train(q_learning_config(), dist, SPACES, S0)
-        results = evaluate(agent, dist, SPACES, S0, 30, 100, np.random.default_rng(1))
+        results = evaluate(agent.q, dist, SPACES, S0, 30, 100, np.random.default_rng(1))
         assert len(results) == 100
 
     def test_seeded_determinism(self):
         dist = discretized_gamma(5.0, 5.0, 10)
         agent = train(q_learning_config(), dist, SPACES, S0)
-        a = evaluate(agent, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
-        b = evaluate(agent, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
+        a = evaluate(agent.q, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
+        b = evaluate(agent.q, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
         assert [m.total_cost for m in a] == [m.total_cost for m in b]

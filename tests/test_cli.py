@@ -78,6 +78,11 @@ class TestArgumentHandling:
         {"binning": "ceil"},
         {"s_max": 5},  # below the default a_max of 10
         {"cost_params": [0.7, 0.3, 0.0, 0.0]},
+        {"train_episodes": 0},
+        {"horizon": 0},
+        {"test_days": 0},
+        {"test_repetitions": 0},
+        {"offline_horizon": 0},
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",

@@ -1,12 +1,17 @@
 import datetime as dt
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 from coldstart_dynaq.demand import (
     DemandDistribution,
     DemandSeries,
+    cdf_of,
     discretized_gamma,
     extract_features,
     feature_dim,
@@ -41,6 +46,20 @@ class TestDiscretizedGamma:
     def test_truncation_bias_bound(self):
         for var in (1.0, 3.0, 5.0):
             assert abs(discretized_gamma(5.0, var, 10).mean() - 5.0) < 0.25
+
+    @pytest.mark.parametrize("binning", ["center", "floor"])
+    @pytest.mark.parametrize("mean, variance", [
+        (5.0, 1.0), (5.0, 3.0), (5.0, 5.0), (4.48, 5.0), (2.0, 8.0), (0.5, 0.1), (9.0, 20.0),
+    ])
+    def test_matches_frozen_distribution(self, mean, variance, binning):
+        # the frozen scipy distribution the module-level cdf call replaced
+        cdf = stats.gamma(a=mean * mean / variance, scale=variance / mean).cdf
+        if binning == "center":
+            edges = np.concatenate([[0.0], np.arange(10) + 0.5, [np.inf]])
+        else:
+            edges = np.concatenate([np.arange(11), [np.inf]])
+        pmf = np.diff(cdf(edges))
+        assert np.array_equal(discretized_gamma(mean, variance, 10, binning).pmf, pmf / pmf.sum())
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -81,6 +100,23 @@ class TestSample:
                 return 0.99999999999999
 
         assert sample(dist, Uniform()) == 2
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(any),
+        st.sampled_from([1.0 - 5e-10, 1.0, 1.0 + 1e-15, 1.0 + 5e-10]),
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.floats(1.0 - 1e-9, 1.0, exclude_max=True)),
+    )
+    def test_cdf_draw_matches_both_old_rules(self, weights, total, u):
+        pmf = np.array(weights) / sum(weights) * total
+        d_max = len(pmf) - 1
+        drawn = bisect_right(cdf_of(pmf), u)
+        # DemandDistribution's rule: pin the last cdf entry, then searchsorted
+        pinned = np.cumsum(pmf)
+        pinned[-1] = 1.0
+        assert drawn == int(np.searchsorted(pinned, u, side="right"))
+        # the model rule: an unpinned cdf, clamped to d_max
+        assert drawn == min(bisect_right(np.cumsum(pmf).tolist(), u), d_max)
 
 
 class TestLoadTransactions:

@@ -1,9 +1,12 @@
 import copy
+import datetime as dt
+import math
 
 import numpy as np
 import pytest
 
-from coldstart_dynaq import envmodel, nn
+from coldstart_dynaq import envmodel, forecast, nn
+from coldstart_dynaq.demand import point_mass, synthesize_history
 from coldstart_dynaq.env import CostParams, ModelSpaces
 
 
@@ -30,13 +33,6 @@ class TestForward:
         net = make_net([3, 4, 2])
         with pytest.raises(ValueError):
             nn.forward(net, np.zeros(5))
-
-    def test_seeded_dropout_reproducible(self):
-        net = make_net([3, 8, 2], dropout=0.5)
-        x = np.array([0.5, -0.5, 1.0])
-        a = nn.forward(net, x, training=True, rng=np.random.default_rng(9))
-        b = nn.forward(net, x, training=True, rng=np.random.default_rng(9))
-        assert np.array_equal(a, b)
 
     def test_softmax_head_valid_distribution(self):
         net = make_net([3, 8, 5], head="categorical")
@@ -140,9 +136,15 @@ class TestMcPredict:
         assert np.array_equal(a, b)
 
 
+def dropout_pass_reference(net, x, rng):
+    """One single-row training pass: fresh dropout masks, then the layers."""
+    _, _, out = nn._forward_cached(net, np.atleast_2d(x), nn.draw_masks(net, 1, rng))
+    return out if np.ndim(x) == 2 else out[0]
+
+
 def mc_predict_reference(net, x, samples, rng):
     """The per-sample loop mc_predict replaced: one single-row training pass per sample."""
-    draws = np.stack([nn.forward(net, x, training=True, rng=rng) for _ in range(samples)])
+    draws = np.stack([dropout_pass_reference(net, x, rng) for _ in range(samples)])
     return draws.mean(axis=0)
 
 
@@ -162,6 +164,25 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
         pred = nn.mc_predict(net, x, samples=samples, rng=rng)
         assert pred.shape == mean.shape
         assert np.array_equal(pred, mean)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_predict_next_is_one_dropout_pass(dropout):
+    # the forecaster's net; predict_next scales, clamps and rounds one pass
+    history = synthesize_history(point_mass(4), 30, dt.date(2021, 1, 1), np.random.default_rng(0))
+    for seed in range(3):
+        # untrained, its scaled outputs fall both in [0, 10] and below 0
+        net = make_net([21, 128, 64, 1], dropout=dropout, seed=seed)
+        f = forecast.Forecaster(net=net, window=7, history=history, d_max=10)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        predictions, expected = [], []
+        for day in range(7, 31):
+            x = forecast._design_row(7, 10, history, day)
+            raw = float(dropout_pass_reference(net, x, ref_rng)[0])
+            expected.append(min(max(math.floor(raw * 10 + 0.5), 0), 10))
+            predictions.append(forecast.predict_next(f, history, day, rng=rng))
+        assert predictions == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
