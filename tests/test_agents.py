@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 
+from coldstart_dynaq import bench
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
 from coldstart_dynaq.demand import discretized_gamma, point_mass, synthesize_history
 from coldstart_dynaq.env import CostParams, InventoryState, state_index
@@ -35,6 +36,23 @@ def adjusted_config(**kw):
     )
     base.update(kw)
     return AgentConfig(**base)
+
+
+class TestConfigValidation:
+    # bench.schedules owns the algorithm -> (epsilon, planning) rule the agents are built with
+    PARAMS = (bench.TABLE1_PARAMS, bench.SCENARIO1_PARAMS, bench.SCENARIO2_PARAMS)
+
+    def test_q_learning_must_not_plan(self):
+        for p in self.PARAMS:
+            eps, plan = bench.schedules(p, "q-learning")
+            assert (eps, plan) == (constant(p.eps0), constant(0.0))
+        agent = train(q_learning_config(epsilon_schedule=eps, planning_schedule=plan),
+                      discretized_gamma(5.0, 5.0, 10), SPACES, S0)
+        assert agent.planning_steps == 0
+
+    def test_classic_requires_constant_schedules(self):
+        for p in self.PARAMS:
+            assert bench.schedules(p, "dyna-q") == (constant(p.eps0), constant(p.n0))
 
 
 class TestTrain:

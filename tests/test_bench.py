@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq import bench
-from coldstart_dynaq.schedule import StcSchedule, constant, stc_steps
+from coldstart_dynaq.schedule import StcSchedule, stc_steps
 
 
 def tiny_spec(**kw):
@@ -39,15 +39,13 @@ class TestSeeding:
 
 
 class TestSchedules:
-    def test_each_algorithm_gets_its_schedules(self):
-        # adjusted decays both via STC, classic holds them constant, Q-learning never plans
+    def test_adjusted_decays_both_via_stc(self):
+        # classic Dyna-Q and Q-learning are pinned in test_agents.TestConfigValidation
         for p in (bench.TABLE1_PARAMS, bench.SCENARIO1_PARAMS, bench.SCENARIO2_PARAMS):
             assert bench.schedules(p, "adjusted-dyna-q") == (
                 StcSchedule(p.eps0, p.eps_min, p.eps_smoothing),
                 StcSchedule(p.n0, p.n_min, p.n_smoothing),
             )
-            assert bench.schedules(p, "dyna-q") == (constant(p.eps0), constant(p.n0))
-            assert bench.schedules(p, "q-learning") == (constant(p.eps0), constant(0.0))
 
 
 class TestPlanningCounts:
