@@ -24,7 +24,11 @@ variant.
 `TRAIN_GOLDEN` pins the artifacts of `coldstart-dynaq train` for three
 algorithm × transfer × model cases: `qtable.json` and both convergence
 CSVs (`model.npz` is a zip with timestamps, and the Q-table pins the
-learned bits that matter to `evaluate`).
+learned bits that matter to `evaluate`). `EVALUATE_GOLDEN` pins what
+`coldstart-dynaq evaluate` prints for the Q-table of the `q-learning`
+train case, once with every flag it reads given and once with none, and
+`FORECAST_GOLDEN` the `offline_demand.csv` that `coldstart-dynaq
+forecast` writes with `--horizon` given.
 
 The neural variants' digests depend on floating-point results of the
 BLAS in use, so they hold for one numpy/BLAS build. A change meant to
@@ -35,8 +39,10 @@ alter the outputs re-pins them with
 and says why in its change notes.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -174,6 +180,18 @@ TRAIN_GOLDEN = {
 }
 TRAIN_FILES = ("qtable.json", "convergence_episodes.csv", "convergence_iterations.csv")
 
+# flag set -> digest of `evaluate`'s stdout on the q-learning train case's Q-table
+EVALUATE_FLAGS = {
+    "given": ("--days", "5", "--repetitions", "3", "--seed", "4", "--sigma2", "3.0"),
+    "defaults": (),
+}
+EVALUATE_GOLDEN = {
+    "given": "8e73ac883589c3165b6a62ff14cdc881f146488d94750f7028e438a4d2d0bbb8",
+    "defaults": "ff3817c9f1342d6ded895f061df6dcf6612b3837f63e961a81a23fea3235b31d",
+}
+# digest of `forecast --horizon 4 --seed 6`'s offline_demand.csv on the tiny config
+FORECAST_GOLDEN = "4a8261ce8e206ab8b44ca935da0ff0ba9d616f7a753a684f70cd87f2ebf9da0c"
+
 
 def _hash_learned(h, q, model) -> None:
     h.update(q.values.tobytes())
@@ -214,18 +232,43 @@ def run_case(experiment: str, variant: str, out_dir: Path) -> dict:
     return digests
 
 
-def run_train_case(algorithm: str, transfer: str, variant: str, out_dir: Path) -> dict:
-    """sha256 digests of the `train` command's artifacts for one tiny config."""
+def _write_config(out_dir: Path) -> Path:
     config = out_dir / "config.json"
     config.write_text(json.dumps(
         {**TINY, "train_episodes": 2, "initial_state": dataclasses.astuple(TINY["initial_state"])}
     ))
+    return config
+
+
+def run_train_case(algorithm: str, transfer: str, variant: str, out_dir: Path) -> dict:
+    """sha256 digests of the `train` command's artifacts for one tiny config."""
+    config = _write_config(out_dir)
     code = cli.main([
         "train", "--config", str(config), "--out", str(out_dir),
         "--algorithm", algorithm, "--transfer", transfer, "--model", variant,
     ])
     assert code == 0
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in TRAIN_FILES}
+
+
+def run_evaluate_case(flags, out_dir: Path) -> str:
+    """sha256 of `evaluate`'s stdout on the q-learning train case's Q-table."""
+    run_train_case("q-learning", "off", "tabular", out_dir)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["evaluate", "--qtable", str(out_dir / "qtable.json"), *flags])
+    assert code == 0
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def run_forecast_case(out_dir: Path) -> str:
+    """sha256 of the offline series `forecast` writes for the tiny config."""
+    code = cli.main([
+        "forecast", "--config", str(_write_config(out_dir)), "--out", str(out_dir),
+        "--horizon", "4", "--seed", "6",
+    ])
+    assert code == 0
+    return hashlib.sha256((out_dir / "offline_demand.csv").read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +303,15 @@ def test_train_command_artifacts_match_golden_digest(algorithm, transfer, varian
     ]
 
 
+@pytest.mark.parametrize("flags", sorted(EVALUATE_FLAGS))
+def test_evaluate_command_output_matches_golden_digest(flags, tmp_path):
+    assert run_evaluate_case(EVALUATE_FLAGS[flags], tmp_path) == EVALUATE_GOLDEN[flags]
+
+
+def test_forecast_command_series_matches_golden_digest(tmp_path):
+    assert run_forecast_case(tmp_path) == FORECAST_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -279,3 +331,8 @@ if __name__ == "__main__":
         print("    (" + ", ".join(f'"{part}"' for part in case) + "): {")
         print("\n".join(f'        "{name}": "{digest}",' for name, digest in digests.items()))
         print("    },")
+    for flags in EVALUATE_FLAGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{flags}": "{run_evaluate_case(EVALUATE_FLAGS[flags], Path(tmp))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'FORECAST_GOLDEN = "{run_forecast_case(Path(tmp))}"')
