@@ -13,7 +13,7 @@ import csv
 import datetime as dt
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .demand import (
     load_transactions,
     synthesize_history,
 )
-from .env import Action, CostParams, DomainError, InventoryState
+from .env import Action, CostParams, DomainError, InventoryState, is_finite_real
 from .envmodel import ModelSpaces, check_options
 from .forecast import Forecaster, WarmStart, build_warm_start, generate_offline, train_forecaster
 from .qcore import QTable
@@ -48,7 +48,23 @@ SCENARIO_CONFIGS = (
 # Spec fields that must be at least 1: each counts workers, runs or days, and a
 # mean over zero runs or days is 0/0.
 _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
-           "test_repetitions", "offline_horizon")
+           "test_repetitions", "offline_horizon", "window")
+
+# Spec fields that are a Gamma distribution's mean or variance.
+_MOMENTS = ("mu", "sigma2", "source_mean", "source_var")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A spec field's annotation -> the test its value must pass, and how that reads.
+_KINDS = {
+    int: (_is_int, "an integer"),
+    float: (is_finite_real, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    str | None: (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 # Averaged over replications in the scenario reports, in their CSV column order.
 _SCENARIO_STATS = ("avg_total_cost", "shortage_percentage", "avg_holding", "total_cost_variance")
@@ -116,18 +132,38 @@ class ExperimentSpec:
     warm_epsilon: float = 0.2
 
     def __post_init__(self):
+        """Check every field, so a bad config fails with one DomainError before
+        any worker process starts. JSON lists become the cost parameters, the
+        initial state and the algorithm tuple."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is int and (not isinstance(value, int) or isinstance(value, bool)):
-                raise DomainError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in _KINDS and not _KINDS[f.type][0](value):
+                raise DomainError(f"{f.name} must be {_KINDS[f.type][1]}, got {value!r}")
         low = {name: getattr(self, name) for name in _COUNTS if getattr(self, name) < 1}
         if low:
             raise DomainError(f"need {', '.join(f'{n} >= 1' for n in _COUNTS)}, got {low}")
-        # checked here, so a bad config fails before any worker process starts
-        if not self.algorithms or not all(a in ALGORITHMS for a in self.algorithms):
+        low = {name: getattr(self, name) for name in _MOMENTS if getattr(self, name) <= 0}
+        if low:
+            raise DomainError(f"need {', '.join(f'{n} > 0' for n in _MOMENTS)}, got {low}")
+        if not 0 <= self.warm_epsilon <= 1:
+            raise DomainError(f"warm_epsilon must be in [0, 1], got {self.warm_epsilon}")
+        if self.dataset_path is None and self.source_days <= self.window + 1:
+            raise DomainError(
+                f"source_days must be > window + 1 = {self.window + 1}, got {self.source_days}"
+            )
+        self.cost_params = _from_list(CostParams, self.cost_params, "cost_params")
+        self.initial_state = _from_list(InventoryState, self.initial_state, "initial_state")
+        if not all(_is_int(v) and 0 <= v <= self.s_max for v in astuple(self.initial_state)):
+            raise DomainError(
+                f"initial_state must be 3 integers in [0, {self.s_max}], got {self.initial_state}"
+            )
+        if not isinstance(self.algorithms, (list, tuple)) or not self.algorithms or not all(
+            a in ALGORITHMS for a in self.algorithms
+        ):
             raise DomainError(
                 f"algorithms must be a non-empty subset of {ALGORITHMS}, got {self.algorithms!r}"
             )
+        self.algorithms = tuple(self.algorithms)
         if self.binning not in BINNINGS:
             raise DomainError(f"unknown binning {self.binning!r}, choose from {BINNINGS}")
         check_options(self.spaces(), self.model_variant, self.transition_loss)
@@ -142,6 +178,15 @@ class ExperimentSpec:
 
     def true_demand(self) -> DemandDistribution:
         return discretized_gamma(self.mu, self.sigma2, self.d_max, binning=self.binning)
+
+
+def _from_list(cls, value, name: str):
+    """value if it is a cls, else a cls built from a list of its fields."""
+    if isinstance(value, (list, tuple)) and len(value) == len(fields(cls)):
+        return cls(*value)
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a list of {len(fields(cls))} values, got {value!r}")
+    return value
 
 
 def seed_int(master_seed: int, *key: int) -> int:
@@ -450,7 +495,7 @@ def _strip_timings(record: dict) -> dict:
 
 
 def _emit(spec: ExperimentSpec, records, report, table_rows) -> None:
-    if spec.out_dir is None:
+    if not spec.out_dir:  # None, or an empty --out
         return
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,54 +9,53 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .agents import evaluate
 from .demand import save_series
-from .env import CostParams, InventoryState
 from .envmodel import VARIANTS, save_model
 from .qcore import load_qtable, save_qtable
 
 
+_SPEC_FIELDS = {f.name for f in dataclasses.fields(bench.ExperimentSpec)}
+
+# Each flag sets the spec field named by its dest.
+_FLAGS = {
+    "--out": dict(dest="out_dir", help="output directory"),
+    "--seed": dict(dest="master_seed", type=int, help="master seed"),
+    "--workers": dict(type=int, help="parallel worker processes"),
+    "--sigma2": dict(type=float, help="demand variance"),
+    "--model": dict(dest="model_variant", choices=VARIANTS, help="model variant"),
+    "--days": dict(dest="test_days", type=int, help="days per test run"),
+    "--repetitions": dict(dest="test_repetitions", type=int, help="test runs"),
+    "--horizon": dict(dest="offline_horizon", type=int, help="forecasted days"),
+}
+
+
 def _spec_from_args(args) -> bench.ExperimentSpec:
-    spec = bench.ExperimentSpec()
-    if getattr(args, "config", None):
+    """The spec from the flags given, then the config file, then the defaults."""
+    values = {}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise SystemExit(f"config file not found: {path}")
         try:
-            overrides = json.loads(path.read_text())
+            values = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise SystemExit(f"unreadable config {path}: {exc}")
-        if "cost_params" in overrides:
-            overrides["cost_params"] = CostParams(*overrides["cost_params"])
-        if "initial_state" in overrides:
-            overrides["initial_state"] = InventoryState(*overrides["initial_state"])
-        if "algorithms" in overrides:
-            overrides["algorithms"] = tuple(overrides["algorithms"])
-        known = {f.name for f in dataclasses.fields(bench.ExperimentSpec)}
-        unknown = set(overrides) - known
+        if not isinstance(values, dict):
+            raise SystemExit(f"config {path} must be a JSON object")
+        unknown = set(values) - _SPEC_FIELDS
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        spec = dataclasses.replace(spec, **overrides)
-    if getattr(args, "out", None):
-        spec = dataclasses.replace(spec, out_dir=args.out)
-    if getattr(args, "seed", None) is not None:
-        spec = dataclasses.replace(spec, master_seed=args.seed)
-    if getattr(args, "workers", None) is not None:
-        spec = dataclasses.replace(spec, workers=args.workers)
-    if getattr(args, "sigma2", None) is not None:
-        spec = dataclasses.replace(spec, sigma2=args.sigma2)
-    if getattr(args, "model", None) is not None:
-        spec = dataclasses.replace(spec, model_variant=args.model)
-    return spec
+    values.update(
+        (name, value) for name, value in vars(args).items()
+        if name in _SPEC_FIELDS and value is not None
+    )
+    return bench.ExperimentSpec(**values)
 
 
-def _add_common(parser) -> None:
+def _add_flags(parser, *flags) -> None:
     parser.add_argument("--config", help="JSON config file overriding spec fields")
-    parser.add_argument("--out", help="output directory for reports and records")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
-    parser.add_argument("--sigma2", type=float, help="demand variance")
-    parser.add_argument("--model", choices=VARIANTS, help="model variant")
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _cmd_experiment(runner):
@@ -103,19 +102,15 @@ def _cmd_train(args):
 
 def _cmd_evaluate(args):
     spec = _spec_from_args(args)
-    results = evaluate(
-        load_qtable(args.qtable), spec.true_demand(), spec.spaces(), spec.initial_state,
-        args.days, args.repetitions,
-        bench.derived_rng(spec.master_seed, 777),
-    )
-    report = bench.summarize(results)
+    q = load_qtable(args.qtable)
+    report = bench.summarize(bench._test(spec, q, bench.derived_rng(spec.master_seed, 777)))
     del report["total_costs"]
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_forecast(args):
-    spec = dataclasses.replace(_spec_from_args(args), offline_horizon=args.horizon)
+    spec = _spec_from_args(args)
     offline = bench.offline_series(spec, bench.fit_forecaster(spec), 0)
     out = Path(spec.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -138,25 +133,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig3", bench.run_fig3, "transition-probability tracking"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        _add_flags(p, "--out", "--seed", "--workers", "--sigma2", "--model")
         p.set_defaults(handler=_cmd_experiment(runner))
 
     p = sub.add_parser("train", help="train a single agent and save artifacts")
-    _add_common(p)
+    _add_flags(p, "--out", "--seed", "--sigma2", "--model")
     p.add_argument("--algorithm", default="adjusted-dyna-q", choices=bench.ALGORITHMS)
     p.add_argument("--transfer", choices=("on", "off"), default="off")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved Q-table greedily")
-    _add_common(p)
+    _add_flags(p, "--seed", "--sigma2", "--days", "--repetitions")
     p.add_argument("--qtable", required=True)
-    p.add_argument("--days", type=int, default=100)
-    p.add_argument("--repetitions", type=int, default=1)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("forecast", help="train the forecaster and emit an offline series")
-    _add_common(p)
-    p.add_argument("--horizon", type=int, default=10)
+    _add_flags(p, "--out", "--seed", "--horizon")
     p.set_defaults(handler=_cmd_forecast)
 
     return parser

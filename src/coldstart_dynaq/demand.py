@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc
 
 from .env import DomainError
 
@@ -35,8 +35,8 @@ class DemandDistribution:
         object.__setattr__(self, "pmf", pmf)
         if pmf.ndim != 1 or len(pmf) < 1:
             raise DomainError("pmf must be a non-empty vector")
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _PMF_TOL:
-            raise DomainError("pmf entries must be >= 0 and sum to 1")
+        if not np.isfinite(pmf).all() or np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _PMF_TOL:
+            raise DomainError("pmf entries must be finite, >= 0 and sum to 1")
         object.__setattr__(self, "cdf", cdf_of(pmf))
 
     @property
@@ -110,7 +110,8 @@ def discretized_gamma(
         edges = np.concatenate([[0.0], np.arange(d_max) + 0.5, [np.inf]])
     else:
         edges = np.concatenate([np.arange(d_max + 1), [np.inf]])
-    pmf = np.diff(stats.gamma.cdf(edges, a=shape, scale=scale))
+    # the regularized lower incomplete gamma function is the Gamma CDF
+    pmf = np.diff(gammainc(shape, edges / scale))
     pmf = pmf / pmf.sum()
     return DemandDistribution(pmf=pmf)
 

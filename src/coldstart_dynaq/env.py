@@ -15,6 +15,7 @@ day_tables, so one day is a lookup of next-state index and cost by
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ A_MAX_DEFAULT = 10
 
 class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int or float; a bool or a str is not a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,8 @@ class CostParams:
     cs: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.b1, self.b2, self.b3, self.cs)):
-            raise DomainError(f"cost parameters must be finite, got {self}")
+        if not all(is_finite_real(v) for v in (self.b1, self.b2, self.b3, self.cs)):
+            raise DomainError(f"cost parameters must be finite numbers, got {self}")
         if not (self.b1 > self.b2 >= self.b3 >= 0.0):
             raise DomainError(f"need b1 > b2 >= b3 >= 0, got {self}")
         if self.cs < 0.0:

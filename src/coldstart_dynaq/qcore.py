@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .env import DomainError
+
 
 class QTable:
     """Dense [num_states x num_actions] table of estimated discounted cost."""
@@ -84,5 +86,8 @@ def load_qtable(path) -> QTable:
         payload = json.load(fh)
     n_s, n_a = payload["shape"]
     q = QTable(n_s, n_a, payload["alpha"], payload["gamma"])
-    q.values = np.array(payload["values"]).reshape(n_s, n_a)
+    q.values = np.array(payload["values"], dtype=float).reshape(n_s, n_a)
+    # argmin would pick a NaN entry's action
+    if not np.isfinite(q.values).all():
+        raise DomainError(f"{path}: Q-values must be finite")
     return q

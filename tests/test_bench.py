@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq import bench
+from coldstart_dynaq.env import CostParams, InventoryState
 from coldstart_dynaq.schedule import StcSchedule, stc_steps
 
 
@@ -36,6 +37,24 @@ class TestSeeding:
         a = bench.derived_rng(3, 0).random(4)
         b = bench.derived_rng(3, 1).random(4)
         assert not np.array_equal(a, b)
+
+
+class TestSpecFromJson:
+    def test_lists_become_records(self):
+        spec = bench.ExperimentSpec(
+            cost_params=[0.9, 0.4, 0, 2], initial_state=[1, 2, 3], algorithms=["dyna-q"]
+        )
+        assert spec.cost_params == CostParams(0.9, 0.4, 0, 2)
+        assert spec.initial_state == InventoryState(1, 2, 3)
+        assert spec.algorithms == ("dyna-q",)
+
+    def test_int_allowed_for_float_fields(self):
+        spec = bench.ExperimentSpec(mu=4, sigma2=3, source_mean=5, source_var=2, warm_epsilon=1)
+        assert spec.true_demand().pmf.sum() == pytest.approx(1.0)
+
+    def test_source_days_unchecked_with_dataset(self):
+        # a transactions file sets its own length; the forecaster checks it
+        bench.ExperimentSpec(dataset_path="sales.csv", source_days=0)
 
 
 class TestSchedules:

@@ -83,6 +83,27 @@ class TestArgumentHandling:
         {"test_days": 0},
         {"test_repetitions": 0},
         {"offline_horizon": 0},
+        {"sigma2": "5"},
+        {"mu": True},
+        {"sigma2": float("nan")},
+        {"source_var": float("inf")},
+        {"mu": 0},
+        {"sigma2": -1.0},
+        {"source_mean": 0},
+        {"source_var": -2.0},
+        {"warm_epsilon": 1.5},
+        {"warm_epsilon": -0.1},
+        {"window": 0},
+        {"source_days": 8},  # the default window of 7 needs more than 8 days
+        {"cost_params": ["a", 0.3, 0, 1]},
+        {"cost_params": [0.7, 0.3]},
+        {"cost_params": 5},
+        {"initial_state": [1, 2]},
+        {"initial_state": [0, 0, 50]},
+        {"initial_state": [0, -1, 3]},
+        {"initial_state": [0, 1.5, 3]},
+        {"algorithms": 5},
+        {"out_dir": 5},
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",
@@ -96,6 +117,26 @@ class TestArgumentHandling:
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):
             main(["table1", "--model", "oracle"])
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--workers", "2"),
+        ("evaluate", "--workers", "2"),
+        ("forecast", "--workers", "2"),
+        ("evaluate", "--model", "tabular"),
+        ("forecast", "--model", "tabular"),
+        ("evaluate", "--out", "elsewhere"),
+        ("forecast", "--sigma2", "3.0"),
+    ])
+    def test_flag_the_command_does_not_read_is_refused(
+        self, tiny_config, tmp_path, capsys, command, flag, value
+    ):
+        argv = [command, "--config", tiny_config, flag, value]
+        if command == "evaluate":
+            argv += ["--qtable", str(tmp_path / "q.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestExperimentCommands:
@@ -123,6 +164,18 @@ class TestExperimentCommands:
         ).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def trained_qtable(tmp_path_factory):
+    """A Q-table that `train` wrote for the tiny config."""
+    out = tmp_path_factory.mktemp("trained")
+    config = out / "config.json"
+    config.write_text(json.dumps(TINY))
+    assert main([
+        "train", "--config", str(config), "--out", str(out), "--algorithm", "q-learning",
+    ]) == 0
+    return str(out / "qtable.json")
+
+
 class TestArtifactCommands:
     def test_train_then_evaluate(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -148,6 +201,42 @@ class TestArtifactCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["avg_total_cost"] >= 0.0
         assert 0.0 <= report["shortage_percentage"] <= 1.0
+
+    @pytest.mark.parametrize("flag", ["--days", "--repetitions"])
+    def test_evaluate_count_below_one(self, trained_qtable, capsys, flag):
+        capsys.readouterr()
+        assert main(["evaluate", "--qtable", trained_qtable, flag, "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need repetitions >= 1")
+
+    def test_evaluate_flag_then_config_then_default(self, trained_qtable, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"test_days": 5, "test_repetitions": 3}))
+        capsys.readouterr()
+        assert main(["evaluate", "--qtable", trained_qtable, "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["evaluate", "--qtable", trained_qtable, "--days", "5",
+                     "--repetitions", "3"]) == 0
+        assert capsys.readouterr().out == from_config
+        # a flag beats the config, and the merged spec is what gets checked
+        path.write_text(json.dumps({"test_days": 0, "test_repetitions": 0}))
+        assert main(["evaluate", "--qtable", trained_qtable, "--config", str(path),
+                     "--days", "5", "--repetitions", "3"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert main(["evaluate", "--qtable", trained_qtable]) == 0
+        assert capsys.readouterr().out != from_config
+
+    def test_evaluate_non_finite_qtable(self, trained_qtable, tmp_path, capsys):
+        payload = json.loads(open(trained_qtable).read())
+        payload["values"][7] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "--qtable", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
 
     def test_evaluate_missing_qtable_returns_error(self, tmp_path, capsys):
         code = main(["evaluate", "--qtable", str(tmp_path / "none.json")])
@@ -179,3 +268,9 @@ class TestArtifactCommands:
         assert code == 0
         lines = (out / "offline_demand.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
+
+    def test_forecast_horizon_from_config(self, tiny_config, tmp_path):
+        out = tmp_path / "fc"
+        assert main(["forecast", "--config", tiny_config, "--out", str(out)]) == 0
+        lines = (out / "offline_demand.csv").read_text().splitlines()
+        assert len(lines) == 1 + TINY["offline_horizon"]

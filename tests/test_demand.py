@@ -65,6 +65,8 @@ class TestDiscretizedGamma:
         with pytest.raises(DomainError):
             discretized_gamma(0.0, 1.0, 10)
         with pytest.raises(DomainError):
+            discretized_gamma(5.0, float("nan"), 10)
+        with pytest.raises(DomainError):
             discretized_gamma(5.0, -1.0, 10)
         with pytest.raises(DomainError):
             discretized_gamma(5.0, 1.0, 10, binning="round")
@@ -227,6 +229,13 @@ def test_demand_distribution_validation():
         DemandDistribution(pmf=np.array([0.5, 0.6]))
     with pytest.raises(DomainError):
         DemandDistribution(pmf=np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize("pmf", [[np.nan] * 11, [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_demand_distribution_must_be_finite(pmf):
+    # abs(nan - 1) > tol is false, so an all-NaN pmf once passed the sum check
+    with pytest.raises(DomainError):
+        DemandDistribution(pmf=np.array(pmf))
 
 
 def test_demand_series_validation():

@@ -148,6 +148,7 @@ def test_cost_params_ordering_enforced():
 @pytest.mark.parametrize("params", [
     (0.7, 0.3, 0.0, float("nan")), (0.7, 0.3, 0.0, float("inf")),
     (float("inf"), 0.3, 0.0, 1.0),
+    ("0.7", 0.3, 0.0, 1.0), (0.7, 0.3, 0.0, True), (0.7, 0.3, None, 1.0),
 ])
 def test_cost_params_must_be_finite(params):
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coldstart_dynaq.env import DomainError
 from coldstart_dynaq.qcore import (
     QTable,
     greedy_policy,
@@ -125,6 +126,17 @@ def test_serialization_round_trip(tmp_path):
     loaded = load_qtable(path)
     assert loaded.alpha == q.alpha and loaded.gamma == q.gamma
     assert np.array_equal(loaded.values, q.values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_load_refuses_non_finite_values(tmp_path, bad):
+    # argmin would pick a NaN entry's action, so such a table must not load
+    q = make_q(4, 3)
+    q.values[2, 1] = bad
+    path = tmp_path / "q.json"
+    save_qtable(q, path)
+    with pytest.raises(DomainError):
+        load_qtable(path)
 
 
 def test_invalid_learning_params():
