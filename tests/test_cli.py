@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -229,7 +230,7 @@ class TestArtifactCommands:
         assert capsys.readouterr().out != from_config
 
     def test_evaluate_non_finite_qtable(self, trained_qtable, tmp_path, capsys):
-        payload = json.loads(open(trained_qtable).read())
+        payload = json.loads(Path(trained_qtable).read_text())
         payload["values"][7] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(payload))
