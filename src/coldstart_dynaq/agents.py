@@ -5,12 +5,13 @@ schedule: Q-learning runs zero planning steps, classic Dyna-Q keeps
 exploration and planning constant, and adjusted Dyna-Q decays both with a
 search-then-convergence schedule of the global environment-step counter.
 bench names the algorithms and builds their schedules. An optional warm
-start replaces the zero Q-table and empty model with ones pre-trained on
-forecasted demand.
+start, a Learner pre-trained on forecasted demand, replaces the zero
+Q-table and empty model with copies of its own.
 
 Randomness is split into three independent streams (environment demand,
-exploration, planning) plus one for network dropout, so planning depth
-never perturbs the real demand sequence.
+exploration, planning), one for network dropout and one for the probe's
+MC-dropout reads, so planning depth never perturbs the real demand
+sequence and probing never perturbs training.
 
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables.
@@ -52,7 +53,7 @@ class AgentConfig:
     planning_schedule: StcSchedule = field(default_factory=lambda: constant(0.0))
     model_variant: str = "tabular"
     transition_loss: str = "categorical"
-    warm_start: object = None
+    warm_start: "Learner | None" = None
     horizon: int = 100
     episodes: int = 100
     seed: int = 0
@@ -72,15 +73,6 @@ class RunMetrics:
     shortage_fraction: float = 0.0
     avg_holding: float = 0.0
     wall_seconds: float = 0.0
-
-
-@dataclass
-class TrainedAgent:
-    q: QTable
-    model: EnvModel
-    episode_metrics: list
-    planning_steps: int
-    probe_trace: list = field(default_factory=list)
 
 
 def rollout(tables: DayTables, s: int, days: int, act, demand, learn=None) -> RunMetrics:
@@ -116,9 +108,13 @@ def rollout(tables: DayTables, s: int, days: int, act, demand, learn=None) -> Ru
 class Learner:
     """Epsilon-greedy Q-learning with Dyna planning, as rollout's act/learn.
 
-    The schedules are functions of the learner's own step counter t.
-    probe, given as state indices (s, a, s_next), logs the model's
-    transition probability for it after every step (None while unvisited).
+    A learner is the trained agent and, built over offline demand, the warm
+    start: its Q-table q, its model, its planning_steps and probe_trace,
+    and the episode_metrics train records. The schedules are functions of
+    the learner's own step counter t. probe, given as state indices (s, a,
+    s_next) and a generator, logs the model's transition probability for
+    it after every step (None while unvisited); an MC-dropout model's read
+    draws from that generator alone.
     """
 
     def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
@@ -128,6 +124,7 @@ class Learner:
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.probe = probe
         self.probe_trace = []
+        self.episode_metrics: list[RunMetrics] = []
         self.planning_steps = 0
         self.n_plan = 0
         self.t = 0
@@ -171,21 +168,21 @@ def train(
     spaces: ModelSpaces,
     initial_state: InventoryState,
     probe_pair: tuple | None = None,
-) -> TrainedAgent:
+) -> Learner:
     """Run the configured training loop against the true demand process.
 
     probe_pair, when given as (state, action, next_state), logs the model's
     transition-probability estimate for that pair after every environment
-    step (None while the pair is still unvisited).
+    step (None while the pair is still unvisited). Returns the learner.
     """
     ss = np.random.SeedSequence(config.seed)
-    env_rng, explore_rng, plan_rng, model_rng = (
-        np.random.default_rng(child) for child in ss.spawn(4)
+    env_rng, explore_rng, plan_rng, model_rng, probe_rng = (
+        np.random.default_rng(child) for child in ss.spawn(5)
     )
     if config.warm_start is not None:
-        q = config.warm_start.q0.copy()
+        q = config.warm_start.q.copy()
         q.alpha, q.gamma = config.alpha, config.gamma
-        model = config.warm_start.m0.copy()
+        model = config.warm_start.model.copy()
         model.rng = model_rng
     else:
         q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
@@ -199,22 +196,17 @@ def train(
     probe = None
     if probe_pair is not None:
         ps, pa, p_next = probe_pair
-        probe = (state_index(ps, spaces.s_max), pa.order_qty, state_index(p_next, spaces.s_max))
+        probe = (state_index(ps, spaces.s_max), pa.order_qty, state_index(p_next, spaces.s_max),
+                 probe_rng)
     learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
                       explore_rng, plan_rng, probe)
     s0 = state_index(initial_state, spaces.s_max)
-    episode_metrics = [
+    learner.episode_metrics = [
         rollout(tables, s0, config.horizon, learner.act,
                 lambda: sample(true_demand, env_rng), learner.learn)
         for _ in range(config.episodes)
     ]
-    return TrainedAgent(
-        q=q,
-        model=model,
-        episode_metrics=episode_metrics,
-        planning_steps=learner.planning_steps,
-        probe_trace=learner.probe_trace,
-    )
+    return learner
 
 
 def evaluate(

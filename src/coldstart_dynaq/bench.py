@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AgentConfig, RunMetrics, evaluate, train
+from .agents import AgentConfig, Learner, RunMetrics, evaluate, train
 from .demand import (
     BINNINGS,
     DemandDistribution,
@@ -30,7 +30,7 @@ from .demand import (
 )
 from .env import Action, CostParams, DomainError, InventoryState, is_finite_real
 from .envmodel import ModelSpaces, check_options
-from .forecast import Forecaster, WarmStart, build_warm_start, generate_offline, train_forecaster
+from .forecast import Forecaster, build_warm_start, generate_offline, train_forecaster
 from .qcore import QTable
 from .schedule import StcSchedule, constant, stc_steps
 
@@ -245,7 +245,7 @@ def offline_series(spec: ExperimentSpec, forecaster: Forecaster, rep: int) -> De
 
 def make_warm_start(
     spec: ExperimentSpec, forecaster: Forecaster, params: ScheduleParams, rep: int
-) -> WarmStart:
+) -> Learner:
     return build_warm_start(
         offline_series(spec, forecaster, rep),
         spec.spaces(),
@@ -310,11 +310,13 @@ def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, 
 
 
 def _map_reps(spec: ExperimentSpec, record, params: ScheduleParams, configs, **kw) -> list[dict]:
-    """Every replication's records in order, from spec.workers processes."""
+    """Every replication's records in order, from at most spec.workers
+    processes and never more than there are replications."""
     one_rep = partial(_replication, spec, record, params, configs, **kw)
     reps = range(spec.repetitions)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, spec.repetitions)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(one_rep, reps))
     else:
         nested = map(one_rep, reps)

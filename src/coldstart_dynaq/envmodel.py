@@ -182,7 +182,8 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
 
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
-    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng if rng is not None else m.rng)
+    # never m.rng: a read drawing from the training stream would change what is learned
+    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng)
 
 
 def _mc_pmf(m: EnvModel, x: np.ndarray, rng) -> np.ndarray:
@@ -248,9 +249,14 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     return int(m.tables.next[s, a, d]), cost
 
 
-def transition_prob(m: EnvModel, s: int, a: int, s_next: int) -> float:
-    """Model probability of landing in s_next from a visited (s, a)."""
-    pmf = transition_pmf(m, s, a)
+def transition_prob(
+    m: EnvModel, s: int, a: int, s_next: int, rng: np.random.Generator | None = None
+) -> float:
+    """Model probability of landing in s_next from a visited (s, a).
+
+    An MC-dropout model draws its dropout masks from rng.
+    """
+    pmf = transition_pmf(m, s, a, rng)
     total = 0.0
     # summed in demand order, one term at a time, as a float sum over d
     for p in pmf[m.tables.next[s, a] == s_next].tolist():

@@ -50,12 +50,6 @@ class Forecaster:
     d_max: int
 
 
-@dataclass
-class WarmStart:
-    q0: QTable
-    m0: EnvModel
-
-
 def _design_row(f_window: int, d_max: int, series: DemandSeries, day: int) -> np.ndarray:
     x = extract_features(series, day, f_window)
     x[: f_window + 1] /= d_max
@@ -66,15 +60,14 @@ def train_forecaster(
     series: DemandSeries,
     window: int = 7,
     epochs: int = 200,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     d_max: int = D_MAX_DEFAULT,
     dropout: float = 0.5,
     batch_size: int = 32,
     learning_rate: float = 0.001,
 ) -> Forecaster:
     """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE."""
-    if rng is None:
-        rng = np.random.default_rng()
     if len(series) <= window + 1:
         raise DomainError(
             f"series of length {len(series)} too short for window {window}"
@@ -151,12 +144,12 @@ def build_warm_start(
     transition_loss: str = "categorical",
     initial_state: InventoryState = InventoryState(0, 0, 5),
     seed: int = 0,
-) -> WarmStart:
+) -> Learner:
     """Q-learning over the offline series, replayed cyclically for `epochs`.
 
     Every offline transition also feeds the environment model, so both the
-    warm Q-table and the warm model reflect only demand values present in
-    the offline series.
+    returned learner's Q-table and its model reflect only demand values
+    present in the offline series.
     """
     if len(offline) == 0:
         raise DomainError("offline series is empty")
@@ -173,4 +166,4 @@ def build_warm_start(
     for _ in range(epochs):
         demands = iter(offline.quantities.tolist())
         rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, learner.learn)
-    return WarmStart(q0=q, m0=model)
+    return learner

@@ -35,7 +35,8 @@ class Network:
         sizes: list[int],
         dropout: float = 0.0,
         head: str = "regression",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -43,8 +44,6 @@ class Network:
             raise ValueError(f"dropout must be in [0,1), got {dropout}")
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
-        if rng is None:
-            rng = np.random.default_rng()
         self.sizes = list(sizes)
         self.dropout = dropout
         self.head = head

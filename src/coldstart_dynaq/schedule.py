@@ -36,5 +36,5 @@ def stc_value(sched: StcSchedule, t: int) -> float:
 
 
 def stc_steps(sched: StcSchedule, t: int) -> int:
-    """Integer-valued schedule (planning steps); round-half-to-even."""
-    return max(round(stc_value(sched, t)), round(sched.floor))
+    """Integer-valued schedule (planning steps); round-half-to-even, never below round(floor)."""
+    return round(stc_value(sched, t))

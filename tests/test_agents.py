@@ -1,6 +1,7 @@
 import datetime as dt
 
 import numpy as np
+import pytest
 
 from coldstart_dynaq import bench
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
@@ -138,13 +139,45 @@ class TestTrain:
         cold = train(adjusted_config(seed=9), dist, SPACES, S0)
         offline = synthesize_history(point_mass(4), 5, dt.date(2021, 1, 1), np.random.default_rng(0))
         warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
-        warm.q0.values[:] = 0.0
-        warm.m0 = EnvModel(SPACES)
+        warm.q.values[:] = 0.0
+        warm.model = EnvModel(SPACES)
         warmed = train(adjusted_config(seed=9, warm_start=warm), dist, SPACES, S0)
         assert np.array_equal(cold.q.values, warmed.q.values)
         assert [m.total_cost for m in cold.episode_metrics] == [
             m.total_cost for m in warmed.episode_metrics
         ]
+
+
+def learned_state(model) -> list[bytes]:
+    """What a model has learned: tabular counts and cost sums, or net parameters."""
+    if model.variant == "tabular":
+        return [model.demand_counts.tobytes(), repr(model.cost_sums).encode()]
+    return [p.tobytes() for net in (model.transition_net, model.cost_net)
+            for p in net.parameters()]
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
+def test_probe_does_not_change_training(variant):
+    # a random-order warm start from the probed state visits the probed pair,
+    # so the probe reads the model from the first day on
+    s0 = bench.PROBE_STATE
+    offline = synthesize_history(point_mass(2), 3, dt.date(2021, 1, 1), np.random.default_rng(0))
+    warm = build_warm_start(offline, SPACES, epochs=30, epsilon=1.0, model_variant=variant,
+                            initial_state=s0, seed=1)
+    eps, plan = bench.schedules(bench.SCENARIO2_PARAMS, "adjusted-dyna-q")
+    config = adjusted_config(epsilon_schedule=eps, planning_schedule=plan, model_variant=variant,
+                             warm_start=warm, horizon=10, episodes=1, seed=2)
+    dist = discretized_gamma(5.0, 5.0, 10)
+    probe = (bench.PROBE_STATE, bench.PROBE_ACTION, bench.PROBE_NEXT)
+    probed = train(config, dist, SPACES, s0, probe_pair=probe)
+    plain = train(config, dist, SPACES, s0)
+    assert None not in probed.probe_trace
+    assert plain.probe_trace == []
+    assert probed.q.values.tobytes() == plain.q.values.tobytes()
+    assert learned_state(probed.model) == learned_state(plain.model)
+    assert [m.daily_costs for m in probed.episode_metrics] == [
+        m.daily_costs for m in plain.episode_metrics
+    ]
 
 
 class TestEvaluate:

@@ -187,3 +187,25 @@ class TestEmit:
         assert (a_dir / "fig3_records.jsonl").read_bytes() == (
             b_dir / "fig3_records.jsonl"
         ).read_bytes()
+
+    def test_pool_never_larger_than_the_replications(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        bench.run_table1(tiny_spec(repetitions=1, workers=3, algorithms=["q-learning"]))
+        assert sizes == []
+        bench.run_table1(tiny_spec(repetitions=2, workers=8, algorithms=["q-learning"]))
+        assert sizes == [2]

@@ -2,12 +2,15 @@
 
 `benchmarks/run.py --trace 1` wraps each (module, function) pair of its
 TRACED tuple, and every run looks names up in `bench`; a name deleted
-from the package would make those runs fail with AttributeError. The
+from the package would make those runs fail with AttributeError. Its
+TrainTimer reads attributes of each `bench.train` call's config and
+result, so those must outlive a change to what `train` returns. The
 file is parsed, not imported: importing it sets the BLAS thread
 variables for the whole process.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -61,3 +64,36 @@ def test_bench_keeps_the_names_the_benchmark_uses():
     assert {"TABLE1_PARAMS", "train"} <= read
     assert sorted(name for name in read.union(BENCH_NAMES) if not hasattr(bench, name)) == []
     bench.ExperimentSpec().true_demand()
+
+
+def _dotted(node) -> str | None:
+    """The dotted path (a.b.c) of an attribute chain on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_train_result_has_what_the_train_timer_reads(monkeypatch):
+    timer = next(n for n in TREE.body if isinstance(n, ast.ClassDef) and n.name == "TrainTimer")
+    read = {_dotted(n) for n in ast.walk(timer) if isinstance(n, ast.Attribute)}
+    read = {d for d in read if d and d.split(".")[0] in ("agent", "config")}
+    assert {"agent.planning_steps", "agent.model.visited", "config.episodes",
+            "config.horizon"} <= read
+    calls, train = [], bench.train
+
+    def recording_train(config, *args, **kwargs):
+        agent = train(config, *args, **kwargs)
+        calls.append({"agent": agent, "config": config})
+        return agent
+
+    monkeypatch.setattr(bench, "train", recording_train)
+    bench.run_table1(bench.ExperimentSpec(
+        repetitions=1, train_episodes=1, horizon=3, test_days=1, algorithms=["dyna-q"],
+    ))
+    assert calls
+    for names in calls:
+        for dotted in sorted(read):
+            root, *attrs = dotted.split(".")
+            functools.reduce(getattr, attrs, names[root])

@@ -259,8 +259,10 @@ class TestNetVariants:
         rng = np.random.default_rng(7)
         for _ in range(30):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+        read_rng = np.random.default_rng(8)
         pmf = [
-            transition_prob(m, S, A, demand_to_next_state(SPACES, S, A, d)) for d in range(11)
+            transition_prob(m, S, A, demand_to_next_state(SPACES, S, A, d), read_rng)
+            for d in range(11)
         ]
         assert all(p >= 0 for p in pmf)
 
@@ -281,6 +283,18 @@ class TestNetVariants:
         for _ in range(300):
             observe(m, PAIR_S, PAIR_A, 2)
         assert transition_prob(m, S, A, NEXT) > 0.8
+
+
+def test_mc_dropout_read_needs_its_own_generator():
+    # reading with the model's training stream would change what it learns next
+    m = EnvModel(SPACES, variant="mc-dropout", rng=np.random.default_rng(6))
+    observe(m, PAIR_S, PAIR_A, 2)
+    state = m.rng.bit_generator.state
+    with pytest.raises(ValueError, match="needs an rng"):
+        transition_prob(m, S, A, NEXT)
+    assert m.rng.bit_generator.state == state
+    assert 0.0 <= transition_prob(m, S, A, NEXT, np.random.default_rng(7)) <= 1.0
+    assert m.rng.bit_generator.state == state
 
 
 def test_agents_bind_the_envmodel_functions():

@@ -93,13 +93,13 @@ class TestBuildWarmStart:
         warm = build_warm_start(offline, SPACES, epochs=100, seed=0,
                                 initial_state=InventoryState(0, 0, 0))
         empty = state_index(InventoryState(0, 0, 0))
-        assert int(np.argmin(warm.q0.values[empty])) == 0
+        assert int(np.argmin(warm.q.values[empty])) == 0
 
     def test_model_supported_on_offline_classes(self):
         offline = synthesize_history(point_mass(4), 10, START, np.random.default_rng(10))
         warm = build_warm_start(offline, SPACES, epochs=50, seed=1)
-        assert len(warm.m0.visited) > 0
-        support = np.flatnonzero(warm.m0.demand_counts)
+        assert len(warm.model.visited) > 0
+        support = np.flatnonzero(warm.model.demand_counts)
         assert set(support) <= set(offline.quantities)
 
     def test_seeded_determinism(self):
@@ -107,17 +107,17 @@ class TestBuildWarmStart:
         offline = synthesize_history(dist, 10, START, np.random.default_rng(11))
         a = build_warm_start(offline, SPACES, epochs=20, seed=2)
         b = build_warm_start(offline, SPACES, epochs=20, seed=2)
-        assert np.array_equal(a.q0.values, b.q0.values)
-        assert np.array_equal(a.m0.demand_counts, b.m0.demand_counts)
-        assert list(a.m0.visited) == list(b.m0.visited)
+        assert np.array_equal(a.q.values, b.q.values)
+        assert np.array_equal(a.model.demand_counts, b.model.demand_counts)
+        assert list(a.model.visited) == list(b.model.visited)
 
     def test_q_zero_on_unvisited_pairs(self):
         offline = synthesize_history(point_mass(4), 10, START, np.random.default_rng(12))
         warm = build_warm_start(offline, SPACES, epochs=5, seed=3)
-        assert np.all(np.isfinite(warm.q0.values))
-        visited_states = {k[0] for k in warm.m0.visited}
-        untouched = [i for i in range(warm.q0.num_states) if i not in visited_states]
-        assert np.all(warm.q0.values[untouched] == 0.0)
+        assert np.all(np.isfinite(warm.q.values))
+        visited_states = {k[0] for k in warm.model.visited}
+        untouched = [i for i in range(warm.q.num_states) if i not in visited_states]
+        assert np.all(warm.q.values[untouched] == 0.0)
 
     def test_empty_series_rejected(self):
         empty = synthesize_history(point_mass(0), 0, START, np.random.default_rng(13))

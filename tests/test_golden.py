@@ -9,7 +9,8 @@ ones pinned from an earlier version of the code:
 - `learned`: every trained agent's Q-table bytes in call order, each
   followed by its final model's learned state (the tabular counts and
   cost sums, or the nets' weights and biases), with each warm start's
-  Q-table and model hashed the same way when it is built.
+  `q` and `model` hashed the same way when it is built. A trained agent
+  and a warm start are both the `Learner` that did the learning.
 
 A refactor may change how a record is computed but not its bytes, which
 also pins the order of every RNG draw. The records see only what
@@ -17,7 +18,7 @@ evaluation reads (a Q-table's argmin, costs from the true tables), so a
 last-bit change in a Q-value or a net weight shows only in `learned`,
 which is captured by wrapping `bench.train` and `bench.make_warm_start`
 and draws no random numbers. `fig3` covers the `transition_prob` probe
-path; `scenario1` is the one path with per-run seed keys (rep, j, i);
+path, whose MC-dropout reads draw from their own stream; `scenario1` is the one path with per-run seed keys (rep, j, i);
 `scenario1`, `scenario2` and `fig3` cover the warm starts of every
 variant.
 
@@ -88,7 +89,7 @@ GOLDEN = {
     ("scenario2", "mc-dropout"): "d41fa92cdef4ef94a50192a418fe426f231ab01e08cb85f90fff5c8ab228fdf9",
     ("fig3", "tabular"): "4a7f2a24a46cb3471ce99ebd3e427f1f35e216a045f2163eefde76d0ed16f1b3",
     ("fig3", "det-net"): "ea43c7881f810b92f7f44b6c1b45e90ce0abd5cb5fafc7790784116388188fef",
-    ("fig3", "mc-dropout"): "2ede2e2499c4e0cde7a7b8f7163935252fc31307586d4d084256df78f675359d",
+    ("fig3", "mc-dropout"): "8947fe4a04b45301e0719bc1aa73a9dc589d0c22a403e9a4cdad2a2d5070d153",
 }
 
 # (experiment, variant) -> digests of the report, the summary and the learned bits
@@ -150,8 +151,8 @@ GOLDEN_MORE = {
     },
     ("fig3", "mc-dropout"): {
         "report": "d29a63417ba6a98571653cb43abebc334c1d4f5e63ec3e33154aab09390c5d97",
-        "summary": "f378cc0646e7e2de1027979c929d6098185eed128fc4b18b48c2593d549bdb31",
-        "learned": "767236d54e04c9122c8b6f894a712bf91d852b718018cd25b6839e328e214fe8",
+        "summary": "4238bb0b45684bdc5e79f017dfd4d4b07cd73f92db5fe4608ddfb5c5652e13f6",
+        "learned": "1a5d58c2f1de5ad18ba6d29a8bc95ed480d350c5453b9fed7a0a7dde6353e26a",
     },
 }
 
@@ -216,7 +217,7 @@ def run_case(experiment: str, variant: str, out_dir: Path) -> dict:
 
     def hashing_warm_start(*args, **kwargs):
         warm = make_warm_start(*args, **kwargs)
-        _hash_learned(learned, warm.q0, warm.m0)
+        _hash_learned(learned, warm.q, warm.model)
         return warm
 
     spec = bench.ExperimentSpec(name="golden", out_dir=str(out_dir), model_variant=variant, **TINY)
