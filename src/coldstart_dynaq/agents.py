@@ -14,7 +14,9 @@ MC-dropout reads, so planning depth never perturbs the real demand
 sequence and probing never perturbs training.
 
 Training, evaluation and the warm start's offline replay all run one
-day loop, rollout(), on state indices and the env's day tables.
+day loop, rollout(), on state indices and the env's day tables. While a
+Learner learns, its Q-table is Python list rows, not q.values; learner.q
+is current once train or forecast.build_warm_start returns.
 """
 
 import time
@@ -115,11 +117,16 @@ class Learner:
     s_next) and a generator, logs the model's transition probability for
     it after every step (None while unvisited); an MC-dropout model's read
     draws from that generator alone.
+
+    act and learn work on rows, q.values as Python list rows, which are
+    cheaper to index and update one entry at a time than a numpy array.
+    finish() writes them back into q.values and drops them.
     """
 
     def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
                  planning: StcSchedule, explore_rng, plan_rng=None, probe=None):
         self.q, self.model = q, model
+        self.rows = q.values.tolist()
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.probe = probe
@@ -134,22 +141,28 @@ class Learner:
         # the planning depth of the learn() call that follows
         self.n_plan = stc_steps(self.planning, self.t)
         self.t += 1
-        return select_action(self.q, s, eps, self.explore_rng)
+        return select_action(self.rows[s], eps, self.explore_rng)
 
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
-        q, model = self.q, self.model
-        q_update(q, s, a, cost, s_next)
+        rows, model = self.rows, self.model
+        alpha, gamma = self.q.alpha, self.q.gamma
+        q_update(rows, s, a, cost, s_next, alpha, gamma)
         model_update(model, s, a, s_next, cost)
         for _ in range(self.n_plan):
             ps, pa = sample_visited(model, self.plan_rng)
             sim_next, sim_cost = simulate(model, ps, pa, self.plan_rng)
-            q_update(q, ps, pa, sim_cost, sim_next)
+            q_update(rows, ps, pa, sim_cost, sim_next, alpha, gamma)
         self.planning_steps += self.n_plan
         if self.probe is not None:
             try:
                 self.probe_trace.append(transition_prob(model, *self.probe))
             except UnvisitedPairError:
                 self.probe_trace.append(None)
+
+    def finish(self) -> None:
+        """Write the learned rows back into q.values and drop them."""
+        self.q.values[:] = self.rows
+        self.rows = None
 
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
@@ -206,6 +219,7 @@ def train(
                 lambda: sample(true_demand, env_rng), learner.learn)
         for _ in range(config.episodes)
     ]
+    learner.finish()
     return learner
 
 

@@ -50,6 +50,9 @@ SCENARIO_CONFIGS = (
 _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
            "test_repetitions", "offline_horizon", "window")
 
+# More worker processes than this is a config error, not a machine size.
+MAX_WORKERS = 64
+
 # Spec fields that are a Gamma distribution's mean or variance.
 _MOMENTS = ("mu", "sigma2", "source_mean", "source_var")
 
@@ -142,6 +145,8 @@ class ExperimentSpec:
         low = {name: getattr(self, name) for name in _COUNTS if getattr(self, name) < 1}
         if low:
             raise DomainError(f"need {', '.join(f'{n} >= 1' for n in _COUNTS)}, got {low}")
+        if self.workers > MAX_WORKERS:
+            raise DomainError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
         low = {name: getattr(self, name) for name in _MOMENTS if getattr(self, name) <= 0}
         if low:
             raise DomainError(f"need {', '.join(f'{n} > 0' for n in _MOMENTS)}, got {low}")

@@ -69,11 +69,14 @@ class EnvModel:
         check_options(spaces, variant, transition_loss)
         if mc_samples < 1:
             raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
+        # an unseeded generator would give the nets unreproducible weights
+        if variant != "tabular" and rng is None:
+            raise DomainError(f"a {variant} model needs a seeded generator, got rng=None")
         self.spaces = spaces
         self.tables = day_tables(spaces)
         self.variant = variant
         self.mc_samples = mc_samples
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         # distinct observed (state index, order) pairs in first-seen order,
         # and each pair's position in that list
         self.pairs: list[tuple[int, int]] = []

@@ -2,6 +2,13 @@
 
 All Q operations work on dense state/action indices; the env module owns
 the bijection between states and indices.
+
+A QTable holds its values as a numpy array. While a Learner learns, it
+keeps them as Python list rows instead, which q_update and select_action
+work on: per-call numpy overhead on an 11-element row costs more than the
+arithmetic, and Python floats are IEEE doubles, so the same operations in
+the same order give the same bits. The Learner writes the rows back into
+QTable.values when it is done.
 """
 
 import json
@@ -38,20 +45,23 @@ class QTable:
         return out
 
 
-def q_update(q: QTable, s: int, a: int, cost: float, s_next: int) -> float:
+def q_update(rows: list, s: int, a: int, cost: float, s_next: int,
+             alpha: float, gamma: float) -> float:
     """One Q-learning step toward cost + gamma * min_a' Q(s', a').
 
-    Only the (s, a) entry changes. Returns the updated entry.
+    rows is the Q-table as Python list rows (QTable.values.tolist()); only
+    rows[s][a] changes. Returns the updated entry.
     """
     if not math.isfinite(cost):
         raise ValueError(f"cost must be finite, got {cost}")
-    target = cost + q.gamma * q.values[s_next].min()
-    q.values[s, a] += q.alpha * (target - q.values[s, a])
-    return float(q.values[s, a])
+    target = cost + gamma * min(rows[s_next])
+    row = rows[s]
+    row[a] += alpha * (target - row[a])
+    return row[a]
 
 
-def select_action(q: QTable, s: int, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over the cost row: explore uniformly, else argmin.
+def select_action(row: list, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy over one cost row: explore uniformly, else argmin.
 
     Greedy ties are broken uniformly at random, which keeps early training
     (all-zero rows) from locking onto action 0.
@@ -59,10 +69,10 @@ def select_action(q: QTable, s: int, epsilon: float, rng: np.random.Generator) -
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
     if rng.random() < epsilon:
-        return int(rng.integers(q.num_actions))
-    row = q.values[s]
-    best = np.flatnonzero(row == row.min())
-    return int(best[rng.integers(len(best))])
+        return int(rng.integers(len(row)))
+    low = min(row)
+    best = [i for i, v in enumerate(row) if v == low]
+    return best[rng.integers(len(best))]
 
 
 def greedy_policy(q: QTable) -> np.ndarray:

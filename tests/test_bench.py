@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq import bench
-from coldstart_dynaq.env import CostParams, InventoryState
+from coldstart_dynaq.env import CostParams, DomainError, InventoryState
 from coldstart_dynaq.schedule import StcSchedule, stc_steps
 
 
@@ -188,7 +188,9 @@ class TestEmit:
             b_dir / "fig3_records.jsonl"
         ).read_bytes()
 
-    def test_pool_never_larger_than_the_replications(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool the bench starts, run in-process."""
         sizes = []
 
         class InProcessPool:
@@ -205,7 +207,20 @@ class TestEmit:
                 return map(fn, items)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_never_larger_than_the_replications(self, pool_sizes):
+        sizes = pool_sizes
         bench.run_table1(tiny_spec(repetitions=1, workers=3, algorithms=["q-learning"]))
         assert sizes == []
         bench.run_table1(tiny_spec(repetitions=2, workers=8, algorithms=["q-learning"]))
         assert sizes == [2]
+
+    def test_workers_above_the_bound_start_no_pool(self, pool_sizes):
+        with pytest.raises(DomainError, match="workers"):
+            bench.run_table1(tiny_spec(repetitions=2, workers=bench.MAX_WORKERS + 1,
+                                       algorithms=["q-learning"]))
+        assert pool_sizes == []
+        bench.run_table1(tiny_spec(repetitions=2, workers=bench.MAX_WORKERS,
+                                   algorithms=["q-learning"]))
+        assert pool_sizes == [2]

@@ -359,6 +359,14 @@ def test_mc_samples_below_one_rejected():
         round_trip(m)
 
 
+@pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
+def test_neural_model_without_generator_rejected(variant):
+    # a fallback default_rng() would give the nets unreproducible weights
+    with pytest.raises(DomainError, match="seeded generator"):
+        EnvModel(SPACES, variant=variant)
+    assert EnvModel(SPACES).rng is None
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_unknown_transition_loss_rejected(variant):
     with pytest.raises(DomainError, match="transition_loss"):

@@ -1,8 +1,13 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from coldstart_dynaq.env import DomainError
+from coldstart_dynaq import agents
+from coldstart_dynaq.demand import discretized_gamma, synthesize_history
+from coldstart_dynaq.env import CostParams, DomainError, InventoryState, ModelSpaces
+from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import (
     QTable,
     greedy_policy,
@@ -11,6 +16,7 @@ from coldstart_dynaq.qcore import (
     save_qtable,
     select_action,
 )
+from coldstart_dynaq.schedule import StcSchedule
 
 
 def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
@@ -20,23 +26,25 @@ def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
 class TestQUpdate:
     def test_single_step_from_zero(self):
         q = make_q()
-        assert q_update(q, 0, 1, 2.0, 2) == pytest.approx(0.6)
+        assert q_update(q.values.tolist(), 0, 1, 2.0, 2, q.alpha, q.gamma) == pytest.approx(0.6)
 
     def test_zero_cost_fixed_point(self):
         q = make_q()
-        assert q_update(q, 0, 0, 0.0, 1) == 0.0
+        assert q_update(q.values.tolist(), 0, 0, 0.0, 1, q.alpha, q.gamma) == 0.0
 
     def test_hand_evaluation(self):
         q = make_q()
         q.values[0, 0] = 1.0
         q.values[1, :] = 1.0
-        assert q_update(q, 0, 0, 0.1, 1) == pytest.approx(1.0)
+        assert q_update(q.values.tolist(), 0, 0, 0.1, 1, q.alpha, q.gamma) == pytest.approx(1.0)
 
     def test_only_target_entry_changes(self):
         q = make_q()
         q.values[:] = np.arange(9).reshape(3, 3).astype(float)
         before = q.values.copy()
-        q_update(q, 1, 2, 3.0, 0)
+        rows = q.values.tolist()
+        q_update(rows, 1, 2, 3.0, 0, q.alpha, q.gamma)
+        q.values[:] = rows
         mask = np.ones_like(before, dtype=bool)
         mask[1, 2] = False
         assert np.array_equal(q.values[mask], before[mask])
@@ -44,46 +52,42 @@ class TestQUpdate:
     def test_non_finite_cost(self):
         q = make_q()
         with pytest.raises(ValueError):
-            q_update(q, 0, 0, float("nan"), 1)
+            q_update(q.values.tolist(), 0, 0, float("nan"), 1, q.alpha, q.gamma)
 
 
 class TestSelectAction:
     def test_pure_argmin(self):
-        q = make_q(1, 3)
-        q.values[0] = [3.0, 1.0, 2.0]
+        row = [3.0, 1.0, 2.0]
         rng = np.random.default_rng(0)
-        assert all(select_action(q, 0, 0.0, rng) == 1 for _ in range(50))
+        assert all(select_action(row, 0.0, rng) == 1 for _ in range(50))
 
     def test_full_exploration_uniform(self):
-        q = make_q(1, 4)
+        row = [0.0] * 4
         rng = np.random.default_rng(1)
         counts = np.bincount(
-            [select_action(q, 0, 1.0, rng) for _ in range(10**4)], minlength=4
+            [select_action(row, 1.0, rng) for _ in range(10**4)], minlength=4
         )
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_greedy_tie_break_uniform(self):
-        q = make_q(1, 3)
-        q.values[0] = [1.0, 1.0, 5.0]
+        row = [1.0, 1.0, 5.0]
         rng = np.random.default_rng(2)
-        picks = [select_action(q, 0, 0.0, rng) for _ in range(4000)]
+        picks = [select_action(row, 0.0, rng) for _ in range(4000)]
         assert 2 not in picks
         frac = picks.count(0) / len(picks)
         assert 0.45 < frac < 0.55
 
     def test_argmin_invariant_under_row_shift(self):
-        q = make_q(1, 3)
-        q.values[0] = [3.0, 1.0, 2.0]
+        row = [3.0, 1.0, 2.0]
         rng = np.random.default_rng(3)
-        before = select_action(q, 0, 0.0, rng)
-        q.values[0] += 10.0
-        after = select_action(q, 0, 0.0, rng)
+        before = select_action(row, 0.0, rng)
+        row = [v + 10.0 for v in row]
+        after = select_action(row, 0.0, rng)
         assert before == after == 1
 
     def test_epsilon_bounds(self):
-        q = make_q()
         with pytest.raises(ValueError):
-            select_action(q, 0, 1.5, np.random.default_rng(0))
+            select_action([0.0] * 3, 1.5, np.random.default_rng(0))
 
 
 class TestGreedyPolicy:
@@ -109,13 +113,98 @@ class TestGreedyPolicy:
         oracle = np.argmin(costs + gamma * v[nxt], axis=1)
 
         q = QTable(2, 2, 0.5, gamma)
+        rows = q.values.tolist()
         rng = np.random.default_rng(4)
         s = 0
         for _ in range(20000):
-            a = select_action(q, s, 0.3, rng)
-            q_update(q, s, a, costs[s, a], nxt[s, a])
+            a = select_action(rows[s], 0.3, rng)
+            q_update(rows, s, a, costs[s, a], nxt[s, a], q.alpha, q.gamma)
             s = nxt[s, a]
+        q.values[:] = rows
         assert np.array_equal(greedy_policy(q), oracle)
+
+
+def numpy_q_update(q, s, a, cost, s_next):
+    """Reference for q_update: the same step in numpy on QTable.values."""
+    target = cost + q.gamma * q.values[s_next].min()
+    q.values[s, a] += q.alpha * (target - q.values[s, a])
+
+
+def numpy_select_action(q, s, epsilon, rng):
+    """Reference for select_action: the same choice in numpy on QTable.values."""
+    if rng.random() < epsilon:
+        return int(rng.integers(q.num_actions))
+    row = q.values[s]
+    best = np.flatnonzero(row == row.min())
+    return int(best[rng.integers(len(best))])
+
+
+def test_rows_match_the_numpy_reference_bit_for_bit():
+    # 12 states keep s == s_next common; rows reset to a constant keep
+    # greedy ties common; epsilon is 0, 1 or uniform in between
+    n_states, n_actions, steps = 12, 11, 100_000
+    q = QTable(n_states, n_actions, 0.3, 0.9)
+    rows = q.values.tolist()
+    ref_rng, row_rng = np.random.default_rng(7), np.random.default_rng(7)
+    plan = np.random.default_rng(8)
+    states = plan.integers(n_states, size=steps)
+    nexts = np.where(plan.random(steps) < 0.2, states, plan.integers(n_states, size=steps))
+    costs = np.where(plan.random(steps) < 0.3, 0.0, plan.exponential(2.0, steps))
+    epsilons = np.choose(plan.integers(3, size=steps), [0.0, 1.0, plan.random(steps)])
+    ref_actions, row_actions, ties = [], [], 0
+    for i, (s, s_next, cost, eps) in enumerate(
+        zip(states.tolist(), nexts.tolist(), costs.tolist(), epsilons.tolist())
+    ):
+        if i % 25 == 0:
+            q.values[s] = i % 50 / 10
+            rows[s] = [i % 50 / 10] * n_actions
+        ties += eps == 0.0 and rows[s].count(min(rows[s])) > 1
+        a = numpy_select_action(q, s, eps, ref_rng)
+        ref_actions.append(a)
+        numpy_q_update(q, s, a, cost, s_next)
+        a = select_action(rows[s], eps, row_rng)
+        row_actions.append(a)
+        q_update(rows, s, a, cost, s_next, q.alpha, q.gamma)
+    assert ties > steps // 20
+    assert row_actions == ref_actions
+    assert np.array(rows).tobytes() == q.values.tobytes()
+    assert row_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+SPACES = ModelSpaces(cost_params=CostParams())
+DEMAND = discretized_gamma(5.0, 5.0, 10)
+
+
+def _train():
+    config = agents.AgentConfig(
+        epsilon_schedule=StcSchedule(0.4, 0.1, 7500.0),
+        planning_schedule=StcSchedule(10.0, 2.0, 500.0),
+        horizon=30,
+        episodes=2,
+    )
+    return agents.train(config, DEMAND, SPACES, InventoryState(0, 0, 5))
+
+
+def _warm_start():
+    offline = synthesize_history(DEMAND, 10, dt.date(2024, 1, 1), np.random.default_rng(0))
+    return build_warm_start(offline, SPACES, epochs=5)
+
+
+@pytest.mark.parametrize("learn", [_train, _warm_start])
+def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn):
+    learned = []
+    finish = agents.Learner.finish
+
+    def keeping_finish(learner):
+        learned.append([row[:] for row in learner.rows])
+        finish(learner)
+
+    monkeypatch.setattr(agents.Learner, "finish", keeping_finish)
+    learner = learn()
+    assert len(learned) == 1
+    assert learner.rows is None
+    assert learner.q.values.any()
+    assert learner.q.values.tobytes() == np.array(learned[0]).tobytes()
 
 
 def test_serialization_round_trip(tmp_path):
