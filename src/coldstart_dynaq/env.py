@@ -22,6 +22,12 @@ import numpy as np
 
 S_MAX_DEFAULT = 10
 A_MAX_DEFAULT = 10
+# Upper bound on every cost parameter. A day then costs at most
+# COST_MAX * (3 * s_max + d_max) and a Q-value at most that over 1 - gamma
+# (>= 2**-53 for a float gamma < 1). For any state space whose day tables
+# fit in memory both stay finite, and so does the cost net's squared error
+# on such costs.
+COST_MAX = 1e6
 
 
 class DomainError(ValueError):
@@ -57,7 +63,7 @@ class CostParams:
     """Per-unit holding costs by shelf-life bucket and the shortage penalty.
 
     b1 > b2 >= b3 >= 0: the oldest stock is the most expensive to hold since
-    it is discarded at the end of the day.
+    it is discarded at the end of the day. b1 and cs are at most COST_MAX.
     """
 
     b1: float = 0.7
@@ -72,6 +78,8 @@ class CostParams:
             raise DomainError(f"need b1 > b2 >= b3 >= 0, got {self}")
         if self.cs < 0.0:
             raise DomainError(f"shortage cost must be >= 0, got {self.cs}")
+        if max(self.b1, self.cs) > COST_MAX:
+            raise DomainError(f"cost parameters must be <= {COST_MAX:g}, got {self}")
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,7 @@ def sample_visited(m: EnvModel, rng: np.random.Generator) -> tuple[int, int]:
     """Uniform draw over the distinct observed (state index, order) pairs."""
     if not m.pairs:
         raise UnvisitedPairError("model has no observed pairs yet")
-    return m.pairs[int(rng.integers(len(m.pairs)))]
+    return m.pairs[rng.integers(len(m.pairs))]
 
 
 def save_model(m: EnvModel, path) -> None:

@@ -1,0 +1,101 @@
+"""Scalar draws from a PCG64 Generator without numpy's per-call overhead.
+
+A WordStream pulls the generator's raw 64-bit words in blocks and serves
+the two scalar draws the hot loops make, random() and integers(n), in
+pure Python. Each returns what the wrapped Generator would have returned
+for the same call, and close() leaves the generator in the exact state
+numpy would have left it in, so a wrapped stream changes no record.
+
+This copies numpy's own arithmetic for PCG64:
+- random() is next_double: (w >> 11) * 2**-53.
+- integers(n) is numpy's 32-bit Lemire draw (Lemire 2019, "Fast random
+  integer generation in an interval"). Its 32-bit halves follow PCG64's
+  next_uint32: the low half of a fresh word is used and the high half is
+  cached for the next 32-bit draw. n == 1 draws nothing.
+random_raw and next_double never touch the cached half. The hot-loop
+functions that take an rng (qcore.select_action, envmodel.sample_visited
+and simulate, demand.sample) call only these two, so they take a stream
+in place of a Generator.
+"""
+
+import numpy as np
+
+from .env import DomainError
+
+_BLOCK = 256
+_HALF = 1 << 32
+_LOW = _HALF - 1
+
+
+class WordStream:
+    """random() and integers(n) of one PCG64 Generator, served from its words.
+
+    Draw from the generator directly only after close() (or the end of a
+    with block), and wrap it again before drawing from a stream.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise DomainError(
+                f"a word stream copies PCG64's draws, got a {type(bit_generator).__name__} generator"
+            )
+        self.rng = rng
+        state = bit_generator.state
+        self._cached, self._half = bool(state["has_uint32"]), state["uinteger"]
+        # the unused words of the current block, the next one last
+        self._words = []
+        self._pop = self._words.pop
+
+    def __enter__(self) -> "WordStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _refill(self) -> int:
+        words = self.rng.bit_generator.random_raw(_BLOCK).tolist()
+        words.reverse()
+        self._words[:] = words
+        return self._pop()
+
+    def random(self) -> float:
+        try:
+            w = self._pop()
+        except IndexError:
+            w = self._refill()
+        return (w >> 11) * 2**-53
+
+    def integers(self, n: int) -> int:
+        """Uniform in [0, n) for 1 <= n <= 2**32, as Generator.integers(n)."""
+        if not 1 < n <= _HALF:
+            if n == 1:
+                return 0
+            raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        while True:
+            if self._cached:
+                self._cached = False
+                m = self._half * n
+            else:
+                try:
+                    w = self._pop()
+                except IndexError:
+                    w = self._refill()
+                self._cached, self._half = True, w >> 32
+                m = (w & _LOW) * n
+            # Lemire's rejection keeps the draw unbiased: a low half below
+            # (2**32 - n) % n draws again, and the cheap test against n
+            # settles almost every draw
+            if m & _LOW >= n or m & _LOW >= (_HALF - n) % n:
+                return m >> 32
+
+    def close(self) -> None:
+        """Move the generator back over the unused words and hand back the cached half."""
+        bit_generator = self.rng.bit_generator
+        if self._words:
+            # advance resets the cached half, which is written back below
+            bit_generator.advance(2**128 - len(self._words))
+            self._words.clear()
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(self._cached), self._half
+        bit_generator.state = state

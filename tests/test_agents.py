@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from coldstart_dynaq import bench
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
 from coldstart_dynaq.demand import discretized_gamma, point_mass, synthesize_history
-from coldstart_dynaq.env import CostParams, InventoryState, state_index
+from coldstart_dynaq.env import COST_MAX, CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.schedule import StcSchedule, constant
@@ -200,3 +201,24 @@ class TestEvaluate:
         a = evaluate(agent.q, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
         b = evaluate(agent.q, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
         assert [m.total_cost for m in a] == [m.total_cost for m in b]
+
+    def test_refuses_a_generator_the_stream_cannot_copy(self):
+        # its draws are PCG64 arithmetic: an MT19937 would silently get others
+        dist = discretized_gamma(5.0, 5.0, 10)
+        q = train(q_learning_config(episodes=1), dist, SPACES, S0).q
+        with pytest.raises(DomainError, match="MT19937"):
+            evaluate(q, dist, SPACES, S0, 5, 1, np.random.Generator(np.random.MT19937(0)))
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net"])
+def test_costs_at_the_bound_train_finitely(variant):
+    # one unit short costs COST_MAX: Q-values and the cost net's loss stay finite
+    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX))
+    config = q_learning_config(model_variant=variant, planning_schedule=constant(3.0),
+                               horizon=20, episodes=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        learner = train(config, discretized_gamma(5.0, 5.0, 10), spaces, InventoryState(0, 0, 0))
+    # shortages at cost COST_MAX reached the table
+    assert learner.q.values.max() > COST_MAX / 10
+    assert np.isfinite(learner.q.values).all()

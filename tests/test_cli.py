@@ -105,6 +105,8 @@ class TestArgumentHandling:
         {"initial_state": [0, 1.5, 3]},
         {"algorithms": 5},
         {"out_dir": 5},
+        {"cost_params": [1e308, 0.3, 0, 1]},
+        {"cost_params": [0.7, 0.3, 0, 1e200]},
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",
@@ -244,8 +246,8 @@ class TestArtifactCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_non_finite_loss_returns_error(self, tmp_path, capsys):
-        # a unit short costs 1e200, so the cost net's squared error overflows
+    def test_huge_shortage_cost_fails_before_training(self, tmp_path, capsys):
+        # a unit short costing 1e200 would overflow the cost net's squared error
         path = tmp_path / "huge_shortage_cost.json"
         path.write_text(json.dumps(
             {**TINY, "cost_params": [0.7, 0.3, 0.0, 1e200], "initial_state": [0, 0, 0]}
@@ -258,7 +260,8 @@ class TestArtifactCommands:
                 "--model", "det-net", "--algorithm", "q-learning",
             ])
         assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: non-finite loss")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cost parameters must be <= 1e+06")
 
     def test_forecast_writes_series(self, tiny_config, tmp_path):
         out = tmp_path / "fc"

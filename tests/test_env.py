@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq.env import (
+    COST_MAX,
     Action,
     CostParams,
     DomainError,
@@ -153,6 +154,18 @@ def test_cost_params_ordering_enforced():
 def test_cost_params_must_be_finite(params):
     with pytest.raises(DomainError):
         CostParams(*params)
+
+
+@pytest.mark.parametrize("params", [(1e308, 0.3, 0.0, 1.0), (0.7, 0.3, 0.0, 1e200)])
+def test_cost_params_above_the_bound(params):
+    # the first overflowed the day tables, the second the cost net's loss
+    with pytest.raises(DomainError, match="cost parameters must be <= 1e\\+06"):
+        CostParams(*params)
+
+
+def test_cost_params_at_the_bound_give_finite_day_costs():
+    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX))
+    assert np.isfinite(day_tables(spaces).cost).all()
 
 
 @pytest.mark.parametrize("bounds", [

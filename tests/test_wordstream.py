@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from coldstart_dynaq.env import DomainError
+from coldstart_dynaq.wordstream import WordStream
+
+# n == 1 draws nothing, 2**32 takes a 32-bit half as it is, and 2**31 + 5
+# rejects about half of its draws
+NS = (1, 2, 3, 11, 3000, 2**31 + 5, 2**32)
+
+
+def test_stream_matches_numpy_draw_for_draw():
+    draws, per_wrap = 1_000_000, 50_000
+    ref, wrapped = np.random.default_rng(11), np.random.default_rng(11)
+    # enter with a cached 32-bit half pending
+    assert wrapped.integers(11) == ref.integers(11)
+    plan = np.random.default_rng(12)
+    kinds = plan.integers(len(NS) + 1, size=draws).tolist()
+    for start in range(0, draws, per_wrap):
+        want, got = [], []
+        with WordStream(wrapped) as stream:
+            for k in kinds[start:start + per_wrap]:
+                if k == len(NS):
+                    want.append(ref.random())
+                    got.append(stream.random())
+                else:
+                    want.append(int(ref.integers(NS[k])))
+                    got.append(stream.integers(NS[k]))
+        assert got == want
+        assert wrapped.bit_generator.state == ref.bit_generator.state
+        # numpy's own draws between wraps, leaving a cached half or not
+        for rng in (wrapped, ref):
+            rng.random(3)
+            rng.integers(5, size=start // per_wrap % 3)
+            rng.integers(2**31 + 5)
+        assert wrapped.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_close_without_draws_keeps_the_state(cached):
+    rng = np.random.default_rng(3)
+    if cached:
+        rng.integers(11)
+    before = rng.bit_generator.state
+    WordStream(rng).close()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+def test_refuses_a_generator_other_than_pcg64(bit_generator):
+    with pytest.raises(DomainError, match=bit_generator.__name__):
+        WordStream(np.random.Generator(bit_generator(0)))
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
+def test_integers_outside_the_32_bit_range(n):
+    with pytest.raises(DomainError):
+        WordStream(np.random.default_rng(0)).integers(n)
