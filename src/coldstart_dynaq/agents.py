@@ -18,7 +18,9 @@ evaluate's demand. The dropout, probe and MC-dropout planning streams
 stay plain Generators.
 
 Training, evaluation and the warm start's offline replay all run one
-day loop, rollout(), on state indices and the env's day tables. While a
+day loop, rollout(), on state indices and the env's day tables. After
+each real step a Learner plans one burst, envmodel.plan, and runs
+q_update over its simulated transitions in draw order. While a
 Learner learns, its Q-table is Python list rows, not q.values; learner.q
 is current once train or forecast.build_warm_start returns.
 """
@@ -43,8 +45,7 @@ from .envmodel import (
     EnvModel,
     UnvisitedPairError,
     model_update,
-    sample_visited,
-    simulate,
+    plan,
     transition_prob,
 )
 from .qcore import QTable, greedy_policy, q_update, select_action
@@ -159,9 +160,7 @@ class Learner:
         alpha, gamma = self.q.alpha, self.q.gamma
         q_update(rows, s, a, cost, s_next, alpha, gamma)
         model_update(model, s, a, s_next, cost)
-        for _ in range(self.n_plan):
-            ps, pa = sample_visited(model, self.plan_rng)
-            sim_next, sim_cost = simulate(model, ps, pa, self.plan_rng)
+        for ps, pa, sim_next, sim_cost in plan(model, self.n_plan, self.plan_rng):
             q_update(rows, ps, pa, sim_cost, sim_next, alpha, gamma)
         self.planning_steps += self.n_plan
         if self.probe is not None:

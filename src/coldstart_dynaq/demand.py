@@ -70,16 +70,18 @@ class DemandSeries:
         return len(self.dates)
 
 
-def cdf_of(pmf: np.ndarray) -> list[float]:
+def cdf_of(pmf: np.ndarray) -> list:
     """The cumulative sums of pmf, with the last one pinned to 1.
+
+    A stack of pmfs along the last axis gives one such list per pmf.
 
     Inverse-CDF draws take bisect_right(cdf, u) for a uniform u in [0, 1).
     A pmf may sum to a little under 1 (within _PMF_TOL, or a learned
     model's rounding), and a u above its total still draws the last class.
     """
-    cdf = np.cumsum(pmf).tolist()
-    cdf[-1] = 1.0
-    return cdf
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf.tolist()
 
 
 def feature_dim(window: int) -> int:

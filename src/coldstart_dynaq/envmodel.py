@@ -12,6 +12,10 @@ The model runs on the integer core: every function takes and returns
 states as indices (env.state_index) and actions as order quantities, and
 next states and costs come from the env's day tables, so recovering a
 demand scans one table row and a simulated next state is one lookup.
+
+Planning runs in bursts: plan(m, n, rng) returns the n transitions that
+n sample_visited and simulate calls would, from the same draws. A det-net
+burst predicts all its uncached pairs with one stacked forward per net.
 """
 
 import json
@@ -198,17 +202,23 @@ def _mc_cost(m: EnvModel, x: np.ndarray, rng) -> float:
     return float(_mc_mean(m, m.cost_net, x, rng)[0])
 
 
-def _det_prediction(m: EnvModel, s: int, a: int) -> tuple[np.ndarray, list[float], float]:
-    """The det-net's (pmf, cdf, cost) for a visited pair, cached until the next update."""
-    hit = m.predictions.get((s, a))
-    if hit is None:
-        x = m._encode(s, a)
-        pmf = nn.forward(m.transition_net, x)
-        pmf = pmf / pmf.sum()
-        pmf.flags.writeable = False
-        cost = float(nn.forward(m.cost_net, x)[0])
-        hit = m.predictions[s, a] = (pmf, cdf_of(pmf), cost)
-    return hit
+def _det_predict(m: EnvModel, pairs) -> dict:
+    """Cache the det-net's (pmf, cdf, cost) of every pair not cached yet; returns the cache.
+
+    One forward pass per net takes the missing pairs as a (P, 1, 4) stack:
+    one vector-matrix product per row, bit for bit a one-row forward. The
+    weights change only in model_update, which clears the cache.
+    """
+    todo = [pair for pair in dict.fromkeys(pairs) if pair not in m.predictions]
+    if not todo:
+        return m.predictions
+    x = np.array([m._encode(s, a) for s, a in todo])[:, None, :]
+    pmfs = nn.forward(m.transition_net, x)[:, 0]
+    pmfs /= pmfs.sum(axis=-1, keepdims=True)
+    pmfs.flags.writeable = False
+    costs = nn.forward(m.cost_net, x)[:, 0, 0].tolist()
+    m.predictions.update(zip(todo, zip(pmfs, cdf_of(pmfs), costs)))
+    return m.predictions
 
 
 def transition_pmf(
@@ -219,7 +229,7 @@ def transition_pmf(
     if m.variant == "tabular":
         return m.demand_counts / m.demand_counts.sum()
     if m.variant == "det-net":
-        return _det_prediction(m, s, a)[0]
+        return _det_predict(m, [(s, a)])[s, a][0]
     return _mc_pmf(m, m._encode(s, a), rng)
 
 
@@ -228,8 +238,22 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
     if m.variant == "det-net":
-        return _det_prediction(m, s, a)[2]
+        return _det_predict(m, [(s, a)])[s, a][2]
     return _mc_cost(m, m._encode(s, a), rng)
+
+
+def _outcomes(m: EnvModel, draws) -> list[tuple[int, int, int, float]]:
+    """(s, a, next state index, cost) of each drawn ((s, a), demand uniform u).
+
+    The pairs are visited, and a det-net's are cached.
+    """
+    nxt = m.tables.next
+    if m.variant == "tabular":
+        cdf, sums, counts, slots = m.demand_cdf, m.cost_sums, m.cost_counts, m.visited
+        return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), sums[i] / counts[i])
+                for (s, a), u in draws for i in (slots[s, a],)]
+    return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), cost)
+            for (s, a), u in draws for _, cdf, cost in (m.predictions[s, a],)]
 
 
 def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -238,18 +262,35 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     Draw order: the transition net's dropout masks, the demand's uniform,
     then the cost net's masks.
     """
-    i = _slot(m, s, a)
-    if m.variant == "tabular":
-        cdf, cost = m.demand_cdf, m.cost_sums[i] / m.cost_counts[i]
-    elif m.variant == "det-net":
-        _, cdf, cost = _det_prediction(m, s, a)
-    else:
-        x = m._encode(s, a)
-        cdf = cdf_of(_mc_pmf(m, x, rng))
-    d = bisect_right(cdf, rng.random())
+    _slot(m, s, a)
     if m.variant == "mc-dropout":
-        cost = _mc_cost(m, x, rng)
-    return int(m.tables.next[s, a, d]), cost
+        x = m._encode(s, a)
+        d = bisect_right(cdf_of(_mc_pmf(m, x, rng)), rng.random())
+        return int(m.tables.next[s, a, d]), _mc_cost(m, x, rng)
+    if m.variant == "det-net":
+        _det_predict(m, [(s, a)])
+    return _outcomes(m, [((s, a), rng.random())])[0][2:]
+
+
+def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, int, float]]:
+    """One planning burst: n simulated transitions (s, a, s_next, cost) in draw order.
+
+    It draws what n sample_visited + simulate calls would, in their order.
+    No draw depends on the Q-values a burst updates, so a tabular or det-net
+    burst draws every pair and demand uniform first, and a det-net then
+    predicts the uncached pairs in one stacked pass per net. MC-dropout
+    simulates pair by pair: its dropout masks are drawn between the pairs.
+    """
+    if m.variant == "mc-dropout":
+        burst = []
+        for _ in range(n):
+            s, a = sample_visited(m, rng)
+            burst.append((s, a, *simulate(m, s, a, rng)))
+        return burst
+    draws = [(sample_visited(m, rng), rng.random()) for _ in range(n)]
+    if m.variant == "det-net":
+        _det_predict(m, [pair for pair, _ in draws])
+    return _outcomes(m, draws)
 
 
 def transition_prob(
@@ -325,9 +366,23 @@ def load_model(path) -> EnvModel:
         transition_loss=transition_loss,
         rng=np.random.default_rng(0),
     )
-    m.pairs = [(int(s), int(a)) for s, a in data["visited"]]
+    visited = data["visited"]
+    if visited.ndim != 2 or visited.shape[1] != 2:
+        raise DomainError(f"visited must have shape (pairs, 2), got {visited.shape}")
+    m.pairs = [(int(s), int(a)) for s, a in visited]
+    for s, a in m.pairs:
+        _check_pair(spaces, s, a)
     m.visited = {pair: i for i, pair in enumerate(m.pairs)}
+    if len(m.visited) != len(m.pairs):
+        raise DomainError("visited lists a pair twice")
     if m.variant == "tabular":
+        if not (len(data["cost_sums"]) == len(data["cost_counts"]) == len(m.pairs)
+                and all(n >= 1 for n in data["cost_counts"].tolist())
+                and data["demand_counts"].shape == (spaces.d_max + 1,)):
+            raise DomainError(
+                f"a tabular model needs cost_sums and cost_counts (each >= 1) for each of its "
+                f"{len(m.pairs)} visited pairs and {spaces.d_max + 1} demand_counts"
+            )
         m.demand_counts = data["demand_counts"]
         if m.pairs:
             m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())

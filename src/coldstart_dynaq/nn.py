@@ -98,9 +98,9 @@ def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.nd
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward_cached(net: Network, X: np.ndarray, masks):
@@ -131,10 +131,16 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """One deterministic forward pass, dropout off."""
+    """One deterministic forward pass, dropout off, over the last axis of x.
+
+    x is one row, a (batch, n) matrix or a (rows, 1, n) stack. A stack runs
+    one vector-matrix product per row, so each row's output equals that
+    row's own forward bit for bit; a (batch, n) matrix product rounds
+    differently.
+    """
     X, single = _as_batch(x)
-    if X.shape[1] != net.sizes[0]:
-        raise ValueError(f"input dim {X.shape[1]} != network input {net.sizes[0]}")
+    if X.shape[-1] != net.sizes[0]:
+        raise ValueError(f"input dim {X.shape[-1]} != network input {net.sizes[0]}")
     _, _, out = _forward_cached(net, X, None)
     return out[0] if single else out
 

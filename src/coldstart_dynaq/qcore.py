@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .env import DomainError
+from .env import DomainError, is_finite_real
 
 
 class QTable:
@@ -91,13 +91,29 @@ def save_qtable(q: QTable, path) -> None:
         json.dump(payload, fh)
 
 
+def _check_payload(path, payload) -> None:
+    """Reject with one DomainError a Q-table file QTable cannot be built from."""
+    if not isinstance(payload, dict) or not {"shape", "alpha", "gamma", "values"} <= set(payload):
+        raise DomainError(f"{path}: a Q-table file is an object with shape, alpha, gamma, values")
+    shape = payload["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise DomainError(f"{path}: shape must be two integers >= 1, got {shape!r}")
+    for key in ("alpha", "gamma"):
+        if not is_finite_real(payload[key]):
+            raise DomainError(f"{path}: {key} must be a finite number, got {payload[key]!r}")
+    values = payload["values"]
+    # argmin would pick a NaN entry's action
+    if not (isinstance(values, list) and len(values) == shape[0] * shape[1]
+            and all(is_finite_real(v) for v in values)):
+        raise DomainError(f"{path}: values must be a list of {shape[0] * shape[1]} finite numbers")
+
+
 def load_qtable(path) -> QTable:
     with open(path) as fh:
         payload = json.load(fh)
+    _check_payload(path, payload)
     n_s, n_a = payload["shape"]
     q = QTable(n_s, n_a, payload["alpha"], payload["gamma"])
     q.values = np.array(payload["values"], dtype=float).reshape(n_s, n_a)
-    # argmin would pick a NaN entry's action
-    if not np.isfinite(q.values).all():
-        raise DomainError(f"{path}: Q-values must be finite")
     return q

@@ -241,6 +241,34 @@ class TestArtifactCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: [1, 2],
+        lambda p: {**p, "alpha": "x"},
+        lambda p: {**p, "gamma": None},
+        lambda p: {**p, "alpha": 1.5},
+        lambda p: {**p, "shape": [1331.5, 11]},
+        lambda p: {**p, "shape": ["1331", 11]},
+        lambda p: {**p, "shape": [True, 11]},
+        lambda p: {**p, "shape": [1331]},
+        lambda p: {**p, "shape": [0, 11]},
+        lambda p: {**p, "shape": 14641},
+        lambda p: {**p, "values": p["values"][:-1]},
+        lambda p: {**p, "values": ["x", *p["values"][1:]]},
+        lambda p: {**p, "values": [[v] for v in p["values"]]},
+        lambda p: {k: v for k, v in p.items() if k != "gamma"},
+    ], ids=["list", "alpha-str", "gamma-null", "alpha-range", "shape-float", "shape-str",
+            "shape-bool", "shape-1d", "shape-zero", "shape-int", "values-short",
+            "values-str", "values-nested", "gamma-missing"])
+    def test_evaluate_malformed_qtable(self, trained_qtable, tmp_path, capsys, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(json.loads(Path(trained_qtable).read_text()))))
+        capsys.readouterr()
+        assert main(["evaluate", "--qtable", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_evaluate_missing_qtable_returns_error(self, tmp_path, capsys):
         code = main(["evaluate", "--qtable", str(tmp_path / "none.json")])
         assert code == 1

@@ -27,6 +27,7 @@ from coldstart_dynaq.envmodel import (
     estimate_cost,
     load_model,
     model_update,
+    plan,
     recover_demand,
     sample_visited,
     save_model,
@@ -34,6 +35,7 @@ from coldstart_dynaq.envmodel import (
     transition_pmf,
     transition_prob,
 )
+from coldstart_dynaq.wordstream import WordStream
 
 SPACES = ModelSpaces(cost_params=CostParams())
 PAIR_S = InventoryState(0, 0, 3)
@@ -251,6 +253,54 @@ class TestSampleVisited:
             sample_visited(m, np.random.default_rng(0))
 
 
+def plan_reference(m, n, rng):
+    """The planning loop before bursts: one sample_visited and one simulate per step."""
+    burst = []
+    for _ in range(n):
+        s, a = sample_visited(m, rng)
+        burst.append((s, a, *simulate(m, s, a, rng)))
+    return burst
+
+
+def planning_stream(m, rng):
+    """What a Learner plans from: a word stream, a plain Generator for MC-dropout."""
+    return rng if m.variant == "mc-dropout" else WordStream(rng)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_plan_draws_as_the_per_pair_loop(variant):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40))
+    days = np.random.default_rng(41).integers(0, [1331, 11, 11], size=(60, 3)).tolist()
+    for s, a, d in days[:30]:
+        observe_table(m, s, a, d)
+    seeds = np.random.SeedSequence(42).spawn(30)
+    for (s, a, d), seed, n in zip(days[30:], seeds, [1, 2, 7, 100, 0, 250] * 5):
+        observe_table(m, s, a, d)
+        if variant == "det-net":
+            assert m.predictions == {}
+        # a loaded copy has the same weights and counts, and an empty cache
+        ref = round_trip(m)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_stream, want_stream = planning_stream(m, got_rng), planning_stream(m, want_rng)
+        got, want = plan(m, n, got_stream), plan_reference(ref, n, want_stream)
+        if variant != "mc-dropout":
+            got_stream.close()
+            want_stream.close()
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_burst_on_an_empty_model(variant):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(43))
+    rng = np.random.default_rng(44)
+    state = rng.bit_generator.state
+    assert plan(m, 0, rng) == []
+    assert rng.bit_generator.state == state
+    with pytest.raises(UnvisitedPairError):
+        plan(m, 1, rng)
+
+
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
 class TestNetVariants:
     def test_pmf_valid_after_updates(self, variant):
@@ -299,7 +349,7 @@ def test_mc_dropout_read_needs_its_own_generator():
 
 def test_agents_bind_the_envmodel_functions():
     # the learner must call the public names, the ones a traced run wraps
-    for name in ("model_update", "simulate", "sample_visited", "transition_prob"):
+    for name in ("model_update", "plan", "transition_prob"):
         assert getattr(agents, name) is getattr(envmodel, name)
 
 
@@ -348,6 +398,53 @@ def test_save_load_round_trip_property(variant, transition_loss, days, seed):
             transition_pmf(m, s, a, rng=np.random.default_rng(seed)))
         assert estimate_cost(loaded, s, a, rng=np.random.default_rng(seed)) == (
             estimate_cost(m, s, a, rng=np.random.default_rng(seed)))
+
+
+def resaved(m, **changes):
+    """m saved, with the arrays in changes replacing its own."""
+    buf = io.BytesIO()
+    save_model(m, buf)
+    buf.seek(0)
+    arrays = {**np.load(buf), **changes}
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    out.seek(0)
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("pair", [(-1, 3), (1331, 3), (5, -1), (5, 11)])
+def test_load_rejects_a_visited_pair_outside_the_spaces(variant, pair):
+    # a state of -1 would index the day tables from the end, as state 1330
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(50))
+    observe_table(m, 5, 3, 2)
+    with pytest.raises(DomainError, match="outside"):
+        load_model(resaved(m, visited=np.array([pair])))
+
+
+@pytest.mark.parametrize("visited", [
+    np.array([[5, 3], [6, 3]]),  # one more pair than cost_sums holds
+    np.array([[5, 3], [5, 3]]),
+    np.zeros((1, 3), dtype=int),
+])
+def test_load_rejects_visited_pairs_the_arrays_do_not_match(visited):
+    m = EnvModel(SPACES)
+    observe_table(m, 5, 3, 2)
+    with pytest.raises(DomainError):
+        load_model(resaved(m, visited=visited))
+
+
+@pytest.mark.parametrize("changes", [
+    {"cost_sums": np.array([1.0, 2.0])},
+    {"cost_counts": np.array([0])},
+    {"demand_counts": np.ones(12)},
+])
+def test_load_rejects_tabular_arrays_off_the_visited_pairs(changes):
+    m = EnvModel(SPACES)
+    observe_table(m, 5, 3, 2)
+    load_model(resaved(m))
+    with pytest.raises(DomainError, match="a tabular model needs"):
+        load_model(resaved(m, **changes))
 
 
 def test_mc_samples_below_one_rejected():

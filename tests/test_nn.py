@@ -290,6 +290,28 @@ def test_copied_env_model_trains_like_the_original(variant):
         assert np.array_equal(getattr(m, adam).v, getattr(c, adam).v)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 37, 170])
+@pytest.mark.parametrize("net_name,transition_loss", [
+    ("transition_net", "categorical"),
+    ("transition_net", "mse"),
+    ("cost_net", "categorical"),
+])
+def test_stacked_forward_matches_one_row_forwards(rows, net_name, transition_loss):
+    # a det-net plans from a (rows, 1, 4) stack; each row must get the bits
+    # of its own one-row forward, which a (rows, 4) matrix product does not
+    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant="det-net",
+                          rng=np.random.default_rng(rows), transition_loss=transition_loss)
+    days = np.random.default_rng(rows + 1).integers(0, [1331, 11, 11], size=(20 + rows, 3))
+    for s, a, d in days[:20].tolist():
+        envmodel.model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+    net = getattr(m, net_name)
+    X = np.array([m._encode(s, a) for s, a, _ in days[20:].tolist()])
+    stacked = nn.forward(net, X[:, None, :])
+    assert stacked.shape == (rows, 1, net.sizes[-1])
+    for x, out in zip(X, stacked):
+        assert out[0].tobytes() == nn.forward(net, x).tobytes()
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_mc_predict_rejects_multi_row_input(dropout):
     net = make_net([3, 4, 2], dropout=dropout)
