@@ -19,8 +19,9 @@ stay plain Generators.
 
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
-each real step a Learner plans one burst, envmodel.plan, and runs
-q_update over its simulated transitions in draw order. While a
+each real step a Learner plans one burst, envmodel.plan, which draws
+the whole burst before it reads the model, and runs q_update over its
+simulated transitions in draw order. While a
 Learner learns, its Q-table is Python list rows, not q.values; learner.q
 is current once train or forecast.build_warm_start returns.
 """
@@ -137,8 +138,9 @@ class Learner:
         self.rows = q.values.tolist()
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng = WordStream(explore_rng)
-        # an MC-dropout simulate draws two 1920-word mask arrays; serving those
-        # from a stream cut scenario2-mc-dropout q_updates_per_s by about 22 %
+        # an MC-dropout burst draws a 3841-word row of uniforms per step;
+        # serving array draws from a stream cut scenario2-mc-dropout
+        # q_updates_per_s by about 22 % (measured on per-pair planning)
         self.plan_rng = (plan_rng if plan_rng is None or model.variant == "mc-dropout"
                          else WordStream(plan_rng))
         self.probe = probe

@@ -15,7 +15,9 @@ demand scans one table row and a simulated next state is one lookup.
 
 Planning runs in bursts: plan(m, n, rng) returns the n transitions that
 n sample_visited and simulate calls would, from the same draws. A det-net
-burst predicts all its uncached pairs with one stacked forward per net.
+burst predicts all its uncached pairs with one stacked forward per net,
+and an MC-dropout burst reads its pairs, up to eight at a time, with one
+stacked MC-dropout pass per net.
 """
 
 import json
@@ -32,6 +34,8 @@ TRANSITION_LOSSES = ("categorical", "mse")
 
 _HIDDEN = (128, 64)
 _COST_TOL = 1e-9
+# rows of uniforms an MC-dropout burst holds at once
+_MC_CHUNK = 8
 
 
 class UnvisitedPairError(KeyError):
@@ -190,16 +194,31 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
     # never m.rng: a read drawing from the training stream would change what is learned
-    return nn.mc_predict(net, x, samples=m.mc_samples, rng=rng)
+    return nn.mc_predict(net, x, nn.mc_uniforms(net, m.mc_samples, rng))
 
 
-def _mc_pmf(m: EnvModel, x: np.ndarray, rng) -> np.ndarray:
-    pmf = _mc_mean(m, m.transition_net, x, rng)
-    return pmf / pmf.sum()
+def _mc_row(m: EnvModel) -> int:
+    """Uniforms one MC-dropout simulate draws: both nets' masks and the demand's."""
+    return m.mc_samples * (nn.mask_width(m.transition_net) + nn.mask_width(m.cost_net)) + 1
 
 
-def _mc_cost(m: EnvModel, x: np.ndarray, rng) -> float:
-    return float(_mc_mean(m, m.cost_net, x, rng)[0])
+def _mc_outcomes(m: EnvModel, pairs: list, u: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """(s, a, next state index, cost) of each visited pair, from its row of u.
+
+    Row i holds what one simulate of pair i draws, in order: the transition
+    net's (samples, width) uniforms, the demand's, then the cost net's.
+    Each net makes one MC-dropout pass over the (pairs, 1, 4) stack, which
+    gives each row the bits of its own one-row read.
+    """
+    rows, samples = len(pairs), m.mc_samples
+    t_width, c_width = nn.mask_width(m.transition_net), nn.mask_width(m.cost_net)
+    split = samples * t_width
+    x = np.array([m._encode(s, a) for s, a in pairs])[:, None, :]
+    pmfs = nn.mc_predict(m.transition_net, x, u[:, :split].reshape(rows, samples, t_width))[:, 0]
+    pmfs /= pmfs.sum(axis=-1, keepdims=True)
+    c_u = u[:, split + 1:].reshape(rows, samples, c_width)
+    costs = nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist()
+    return _outcomes(m, zip(pairs, u[:, split].tolist()), zip(pmfs, cdf_of(pmfs), costs))
 
 
 def _det_predict(m: EnvModel, pairs) -> dict:
@@ -230,7 +249,8 @@ def transition_pmf(
         return m.demand_counts / m.demand_counts.sum()
     if m.variant == "det-net":
         return _det_predict(m, [(s, a)])[s, a][0]
-    return _mc_pmf(m, m._encode(s, a), rng)
+    pmf = _mc_mean(m, m.transition_net, m._encode(s, a), rng)
+    return pmf / pmf.sum()
 
 
 def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None) -> float:
@@ -239,21 +259,25 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
         return m.cost_sums[i] / m.cost_counts[i]
     if m.variant == "det-net":
         return _det_predict(m, [(s, a)])[s, a][2]
-    return _mc_cost(m, m._encode(s, a), rng)
+    return float(_mc_mean(m, m.cost_net, m._encode(s, a), rng)[0])
 
 
-def _outcomes(m: EnvModel, draws) -> list[tuple[int, int, int, float]]:
+def _outcomes(m: EnvModel, draws, preds=None) -> list[tuple[int, int, int, float]]:
     """(s, a, next state index, cost) of each drawn ((s, a), demand uniform u).
 
-    The pairs are visited, and a det-net's are cached.
+    The pairs are visited. A neural model reads each draw's (pmf, cdf,
+    cost) from preds, by default a det-net's cached predictions.
     """
     nxt = m.tables.next
     if m.variant == "tabular":
         cdf, sums, counts, slots = m.demand_cdf, m.cost_sums, m.cost_counts, m.visited
         return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), sums[i] / counts[i])
                 for (s, a), u in draws for i in (slots[s, a],)]
+    if preds is None:
+        pairs = [pair for pair, _ in draws]
+        preds = map(_det_predict(m, pairs).__getitem__, pairs)
     return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), cost)
-            for (s, a), u in draws for _, cdf, cost in (m.predictions[s, a],)]
+            for ((s, a), u), (_, cdf, cost) in zip(draws, preds)]
 
 
 def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -264,11 +288,7 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     """
     _slot(m, s, a)
     if m.variant == "mc-dropout":
-        x = m._encode(s, a)
-        d = bisect_right(cdf_of(_mc_pmf(m, x, rng)), rng.random())
-        return int(m.tables.next[s, a, d]), _mc_cost(m, x, rng)
-    if m.variant == "det-net":
-        _det_predict(m, [(s, a)])
+        return _mc_outcomes(m, [(s, a)], rng.random((1, _mc_row(m))))[0][2:]
     return _outcomes(m, [((s, a), rng.random())])[0][2:]
 
 
@@ -276,21 +296,29 @@ def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, 
     """One planning burst: n simulated transitions (s, a, s_next, cost) in draw order.
 
     It draws what n sample_visited + simulate calls would, in their order.
-    No draw depends on the Q-values a burst updates, so a tabular or det-net
-    burst draws every pair and demand uniform first, and a det-net then
-    predicts the uncached pairs in one stacked pass per net. MC-dropout
-    simulates pair by pair: its dropout masks are drawn between the pairs.
+    No draw depends on a prediction, and the weights do not change within a
+    burst, so every pair and uniform comes first: each pair, then its demand
+    uniform, or for MC-dropout its row of simulate's uniforms. Then a det-net
+    predicts the uncached pairs with one stacked pass per net, and an
+    MC-dropout model reads the pairs, _MC_CHUNK at a time, the same way.
     """
+    if not n:
+        return []
     if m.variant == "mc-dropout":
+        # no draw waits on a read, so a long burst may draw and read in
+        # chunks: a whole 20-step burst's uniforms are 600 kB, and holding
+        # them at once raised scenario2-mc-dropout peak_rss_mb by about 1 MB
+        u = np.empty((min(n, _MC_CHUNK), _mc_row(m)))
         burst = []
-        for _ in range(n):
-            s, a = sample_visited(m, rng)
-            burst.append((s, a, *simulate(m, s, a, rng)))
+        for start in range(0, n, _MC_CHUNK):
+            rows = u[:min(_MC_CHUNK, n - start)]
+            pairs = []
+            for row in rows:
+                pairs.append(sample_visited(m, rng))
+                rng.random(out=row)
+            burst += _mc_outcomes(m, pairs, rows)
         return burst
-    draws = [(sample_visited(m, rng), rng.random()) for _ in range(n)]
-    if m.variant == "det-net":
-        _det_predict(m, [pair for pair, _ in draws])
-    return _outcomes(m, draws)
+    return _outcomes(m, [(sample_visited(m, rng), rng.random()) for _ in range(n)])
 
 
 def transition_prob(
@@ -344,21 +372,53 @@ def save_model(m: EnvModel, path) -> None:
     np.savez(path, **arrays)
 
 
+_META_INTS = ("s_max", "a_max", "d_max", "mc_samples")
+_HEADS = {"t": ("categorical", "categorical_mse"), "c": ("regression",)}
+
+
+def _array(data, key: str) -> np.ndarray:
+    if key not in data.files:
+        raise DomainError(f"the model file has no {key!r} array")
+    return data[key]
+
+
+def _parameter(data, key: str, like: np.ndarray) -> np.ndarray:
+    """The saved weight or bias `key`, checked against the array it replaces."""
+    value = _array(data, key)
+    if value.shape != like.shape or value.dtype != like.dtype or not np.isfinite(value).all():
+        raise DomainError(
+            f"{key} must be a finite {like.dtype} array of shape {like.shape}, "
+            f"got {value.dtype} {value.shape}"
+        )
+    return value
+
+
 def load_model(path) -> EnvModel:
+    """Read a model save_model wrote; a malformed file is one DomainError."""
     data = np.load(path)
-    meta = json.loads(bytes(data["meta"]).decode())
-    b1, b2, b3, cs = meta["cost_params"]
+    meta = json.loads(bytes(_array(data, "meta")).decode())
+    if not isinstance(meta, dict) or not {"variant", "cost_params", *_META_INTS} <= meta.keys():
+        raise DomainError(f"model meta needs variant, cost_params and {', '.join(_META_INTS)}")
+    for key in _META_INTS:
+        # a bool is an int to Python, and 10.5 samples would fail only at the first read
+        if type(meta[key]) is not int:
+            raise DomainError(f"model meta {key} must be an int, got {meta[key]!r}")
+    if not (isinstance(meta["cost_params"], list) and len(meta["cost_params"]) == 4):
+        raise DomainError(f"model meta cost_params must be 4 numbers, got {meta['cost_params']!r}")
     spaces = ModelSpaces(
-        cost_params=CostParams(b1, b2, b3, cs),
+        cost_params=CostParams(*meta["cost_params"]),
         s_max=meta["s_max"],
         a_max=meta["a_max"],
         d_max=meta["d_max"],
     )
+    check_options(spaces, meta["variant"], "categorical")
     transition_loss = "categorical"
     if meta["variant"] != "tabular":
-        transition_loss = (
-            "categorical" if bytes(data["t_head"]).decode() == "categorical" else "mse"
-        )
+        heads = {p: bytes(_array(data, f"{p}_head")).decode(errors="replace") for p in _HEADS}
+        for p, allowed in _HEADS.items():
+            if heads[p] not in allowed:
+                raise DomainError(f"{p}_head must be one of {allowed}, got {heads[p]!r}")
+        transition_loss = "categorical" if heads["t"] == "categorical" else "mse"
     m = EnvModel(
         spaces,
         variant=meta["variant"],
@@ -366,7 +426,7 @@ def load_model(path) -> EnvModel:
         transition_loss=transition_loss,
         rng=np.random.default_rng(0),
     )
-    visited = data["visited"]
+    visited = _array(data, "visited")
     if visited.ndim != 2 or visited.shape[1] != 2:
         raise DomainError(f"visited must have shape (pairs, 2), got {visited.shape}")
     m.pairs = [(int(s), int(a)) for s, a in visited]
@@ -376,20 +436,22 @@ def load_model(path) -> EnvModel:
     if len(m.visited) != len(m.pairs):
         raise DomainError("visited lists a pair twice")
     if m.variant == "tabular":
-        if not (len(data["cost_sums"]) == len(data["cost_counts"]) == len(m.pairs)
-                and all(n >= 1 for n in data["cost_counts"].tolist())
-                and data["demand_counts"].shape == (spaces.d_max + 1,)):
+        sums, counts = _array(data, "cost_sums"), _array(data, "cost_counts")
+        demand_counts = _array(data, "demand_counts")
+        if not (len(sums) == len(counts) == len(m.pairs)
+                and all(n >= 1 for n in counts.tolist())
+                and demand_counts.shape == (spaces.d_max + 1,)):
             raise DomainError(
                 f"a tabular model needs cost_sums and cost_counts (each >= 1) for each of its "
                 f"{len(m.pairs)} visited pairs and {spaces.d_max + 1} demand_counts"
             )
-        m.demand_counts = data["demand_counts"]
+        m.demand_counts = demand_counts
         if m.pairs:
             m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())
-        m.cost_sums = data["cost_sums"].tolist()
-        m.cost_counts = data["cost_counts"].tolist()
+        m.cost_sums = sums.tolist()
+        m.cost_counts = counts.tolist()
     else:
         for prefix, net in (("t", m.transition_net), ("c", m.cost_net)):
-            net.weights = [data[f"{prefix}_w{i}"] for i in range(len(net.sizes) - 1)]
-            net.biases = [data[f"{prefix}_b{i}"] for i in range(len(net.sizes) - 1)]
+            net.weights = [_parameter(data, f"{prefix}_w{i}", w) for i, w in enumerate(net.weights)]
+            net.biases = [_parameter(data, f"{prefix}_b{i}", b) for i, b in enumerate(net.biases)]
     return m

@@ -101,7 +101,7 @@ def predict_next(
     preserves day-to-day variability in generated series.
     """
     x = _design_row(f.window, f.d_max, series, day_index)
-    raw = float(nn.mc_predict(f.net, x, samples=1, rng=rng)[0])
+    raw = float(nn.mc_predict(f.net, x, nn.mc_uniforms(f.net, 1, rng))[0])
     value = math.floor(raw * f.d_max + 0.5)
     return min(max(value, 0), f.d_max)
 

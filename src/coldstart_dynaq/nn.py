@@ -11,10 +11,12 @@ order of the draws pins every result:
 - a training pass (`train_step`) draws one (batch, width) block per
   hidden layer, first layer first, all taken in that order from one
   rng.random(batch * sum of hidden widths) call;
-- `mc_predict` draws all its masks with one rng.random((samples, sum of
-  hidden widths)) call and splits the columns per layer. Row i holds
-  sample i's masks, first layer first, which is the order in which one
-  single-row training pass per sample would draw them.
+- an MC-dropout read draws one (samples, sum of hidden widths) block,
+  rng.random((samples, width)) (`mc_uniforms`), and splits the columns
+  per layer. Row i holds sample i's uniforms, first layer first, which is
+  the order in which one single-row training pass per sample would draw
+  them. `mc_predict` computes over uniforms already drawn, for one row or
+  a stack of rows, so a caller may draw many reads before computing them.
 """
 
 import math
@@ -217,47 +219,80 @@ def train_step(
     return loss
 
 
-def mc_predict(
-    net: Network,
-    x: np.ndarray,
-    samples: int = 10,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Monte-Carlo dropout: the mean over stochastic forward passes.
+def mask_width(net: Network) -> int:
+    """Uniforms one MC-dropout sample draws: the hidden widths, 0 without dropout."""
+    return sum(net.sizes[1:-1]) if net.dropout > 0.0 else 0
 
-    x is one input row, 1-D or of shape (1, n); the mean has the shape
-    forward(net, x) returns. It equals, bit for bit and from the same
-    draws, that of `samples` single-row passes, each masked by its own
-    draw_masks(net, 1, rng); samples=1 is one dropout-sampled pass. The first
-    layer sees the same input in every pass, so it is computed once. Each
-    later layer is one vector-matrix product per sample, run as a
-    (samples, 1, width) @ W stack, because a (samples, width) matrix
-    product rounds differently. With dropout disabled every pass is
-    identical, so the mean is the deterministic output.
+
+def mc_uniforms(net: Network, samples: int, rng: np.random.Generator | None) -> np.ndarray:
+    """The uniforms of one MC-dropout read, (samples, mask_width(net)) from rng.
+
+    Without dropout nothing is drawn and rng may be None.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    X, single = _as_batch(x)
-    if X.shape != (1, net.sizes[0]):
+    if net.dropout == 0.0:
+        return np.empty((samples, 0))
+    if rng is None:
+        raise ValueError("an MC-dropout read needs an rng")
+    return rng.random((samples, mask_width(net)))
+
+
+def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Monte-Carlo dropout: the mean over stochastic forward passes.
+
+    x is one input row, 1-D or of shape (1, n), with u its (samples,
+    mask_width) uniforms from mc_uniforms; or a (rows, 1, n) stack with u a
+    (rows, samples, mask_width) stack. The mean has the shape forward(net,
+    x) returns. Sample i keeps a hidden unit when its uniform is below
+    1 - dropout and scales it by 1 / (1 - dropout), the masks of draw_masks.
+    Each row's mean equals, bit for bit, that of `samples` single-row
+    passes masked in that order; samples=1 is one dropout-sampled pass.
+
+    A row's first layer is the same in every sample, so it runs once per
+    row. Each later layer is one vector-matrix product per sample, run as a
+    (rows * samples, 1, width) @ W stack, because a 2-D matrix product
+    rounds differently. Without dropout every pass is the deterministic one.
+    """
+    X = np.asarray(x, dtype=float)
+    n = net.sizes[0]
+    stacked = X.ndim == 3
+    if not (X.shape in ((n,), (1, n)) or stacked and X.shape[1:] == (1, n)):
         raise ValueError(
-            f"mc_predict takes one input row of {net.sizes[0]} values, got shape {np.shape(x)}"
+            f"mc_predict takes one input row of {n} values or a (rows, 1, {n}) stack, "
+            f"got shape {X.shape}"
+        )
+    rows = len(X) if stacked else 1
+    U = np.asarray(u) if stacked else np.asarray(u)[None]
+    if U.ndim != 3 or U.shape[0] != rows or U.shape[1] < 1 or U.shape[2] != mask_width(net):
+        raise ValueError(
+            f"mc_predict needs ({rows}, samples, {mask_width(net)}) uniforms, got {np.shape(u)}"
         )
     if net.dropout == 0.0:
-        return forward(net, x)
-    if rng is None:
-        raise ValueError("mc_predict with dropout needs an rng")
+        return forward(net, X)
+    samples = U.shape[1]
     keep = 1.0 - net.dropout
-    masks = (rng.random((samples, sum(net.sizes[1:-1]))) < keep) / keep
-    z = np.broadcast_to(X @ net.weights[0] + net.biases[0], (samples, 1, net.sizes[1]))
+    kept = U < keep
+    # a mask (u < keep) / keep is 0 or 1 / keep: multiplying by the kept
+    # flag, then by 1 / keep, rounds as multiplying by the mask does
+    scale = 1.0 / keep
+    z = X.reshape(rows, 1, n) @ net.weights[0]
+    z += net.biases[0]
     col = 0
     for width, w, b in zip(net.sizes[1:-1], net.weights[1:], net.biases[1:]):
-        a = np.maximum(z, 0.0) * masks[:, None, col:col + width]
-        z = a @ w + b
+        # z is (rows, 1, width) for the first layer, (rows, samples, width) after
+        a = np.multiply(np.maximum(z, 0.0, out=z), kept[:, :, col:col + width],
+                        out=z if z.shape[1] == samples else None)
+        a *= scale
+        z = (a.reshape(rows * samples, 1, width) @ w).reshape(rows, samples, len(b))
+        z += b
         col += width
-    draws = z[:, 0, :]
+    # with no hidden layer every sample is the same pass
+    draws = z if len(net.sizes) > 2 else np.broadcast_to(z, (rows, samples, net.sizes[-1]))
     if net.head in ("categorical", "categorical_mse"):
         draws = _softmax(draws)
-    if not single:
-        draws = draws[:, None, :]
-    return draws.mean(axis=0)
-
+    # the sum and division np.mean makes, without its Python-level wrapper
+    mean = draws.sum(axis=1) / samples
+    if stacked:
+        return mean[:, None, :]
+    return mean if X.ndim == 2 else mean[0]

@@ -1,12 +1,14 @@
 import io
+import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart_dynaq import agents, envmodel
-from coldstart_dynaq.demand import discretized_gamma, sample
+from coldstart_dynaq import agents, envmodel, nn
+from coldstart_dynaq.demand import cdf_of, discretized_gamma, sample
 from coldstart_dynaq.env import (
     Action,
     CostParams,
@@ -253,12 +255,29 @@ class TestSampleVisited:
             sample_visited(m, np.random.default_rng(0))
 
 
+def mc_read_reference(m, net, x, rng):
+    """An MC-dropout read as a loop of single-row training passes, one per sample."""
+    passes = [nn._forward_cached(net, x[None, :], nn.draw_masks(net, 1, rng))[2][0]
+              for _ in range(m.mc_samples)]
+    return np.stack(passes).mean(axis=0)
+
+
+def simulate_reference(m, s, a, rng):
+    """simulate as it was before bursts: an MC-dropout model reads pair by pair."""
+    if m.variant != "mc-dropout":
+        return simulate(m, s, a, rng)
+    x = m._encode(s, a)
+    pmf = mc_read_reference(m, m.transition_net, x, rng)
+    d = bisect_right(cdf_of(pmf / pmf.sum()), rng.random())
+    return int(m.tables.next[s, a, d]), float(mc_read_reference(m, m.cost_net, x, rng)[0])
+
+
 def plan_reference(m, n, rng):
     """The planning loop before bursts: one sample_visited and one simulate per step."""
     burst = []
     for _ in range(n):
         s, a = sample_visited(m, rng)
-        burst.append((s, a, *simulate(m, s, a, rng)))
+        burst.append((s, a, *simulate_reference(m, s, a, rng)))
     return burst
 
 
@@ -267,9 +286,15 @@ def planning_stream(m, rng):
     return rng if m.variant == "mc-dropout" else WordStream(rng)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_plan_draws_as_the_per_pair_loop(variant):
-    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40))
+@pytest.mark.parametrize("variant, transition_loss", [
+    ("tabular", "categorical"),
+    ("det-net", "categorical"),
+    ("mc-dropout", "categorical"),
+    ("mc-dropout", "mse"),
+], ids=["tabular", "det-net", "mc-dropout", "mc-dropout-mse"])
+def test_plan_draws_as_the_per_pair_loop(variant, transition_loss):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40),
+                 transition_loss=transition_loss)
     days = np.random.default_rng(41).integers(0, [1331, 11, 11], size=(60, 3)).tolist()
     for s, a, d in days[:30]:
         observe_table(m, s, a, d)
@@ -288,6 +313,20 @@ def test_plan_draws_as_the_per_pair_loop(variant):
             want_stream.close()
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
+    # the training stream m.rng draws the nets' training masks; a burst
+    # drawing from it would change what the model learns next
+    m = EnvModel(SPACES, variant="mc-dropout", rng=np.random.default_rng(45))
+    for s, a, d in np.random.default_rng(46).integers(0, [1331, 11, 11], size=(10, 3)).tolist():
+        observe_table(m, s, a, d)
+    state = m.rng.bit_generator.state
+    rng = np.random.default_rng(47)
+    plan_state = rng.bit_generator.state
+    assert len(plan(m, 20, rng)) == 20
+    assert m.rng.bit_generator.state == state
+    assert rng.bit_generator.state != plan_state
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -370,11 +409,22 @@ def test_save_load_round_trip(tmp_path, variant):
     )
 
 
-def round_trip(m):
+def round_trip_file(m):
     buf = io.BytesIO()
     save_model(m, buf)
     buf.seek(0)
-    return load_model(buf)
+    return buf
+
+
+def as_file(arrays):
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    out.seek(0)
+    return out
+
+
+def round_trip(m):
+    return load_model(round_trip_file(m))
 
 
 @settings(max_examples=30, deadline=None)
@@ -402,14 +452,7 @@ def test_save_load_round_trip_property(variant, transition_loss, days, seed):
 
 def resaved(m, **changes):
     """m saved, with the arrays in changes replacing its own."""
-    buf = io.BytesIO()
-    save_model(m, buf)
-    buf.seek(0)
-    arrays = {**np.load(buf), **changes}
-    out = io.BytesIO()
-    np.savez(out, **arrays)
-    out.seek(0)
-    return out
+    return as_file({**np.load(round_trip_file(m)), **changes})
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -445,6 +488,53 @@ def test_load_rejects_tabular_arrays_off_the_visited_pairs(changes):
     load_model(resaved(m))
     with pytest.raises(DomainError, match="a tabular model needs"):
         load_model(resaved(m, **changes))
+
+
+def with_meta(arrays, **fields):
+    """The saved meta array of arrays with fields replaced."""
+    meta = {**json.loads(bytes(arrays["meta"]).decode()), **fields}
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+# each a malformed file that used to load, or fail later inside numpy or
+# with a bare KeyError or TypeError
+NEURAL_DEFECTS = {
+    "t_w1-cut": (lambda a: {**a, "t_w1": a["t_w1"][:, :10]}, "t_w1 must be"),
+    "c_b2-missing": (lambda a: {k: v for k, v in a.items() if k != "c_b2"}, "no 'c_b2'"),
+    "t_head-regression": (
+        lambda a: {**a, "t_head": np.frombuffer(b"regression", dtype=np.uint8)}, "t_head must"),
+    "c_head-categorical": (
+        lambda a: {**a, "c_head": np.frombuffer(b"categorical", dtype=np.uint8)}, "c_head must"),
+    "t_b0-nan": (lambda a: {**a, "t_b0": np.full_like(a["t_b0"], np.nan)}, "t_b0 must be"),
+    "c_w2-int": (lambda a: {**a, "c_w2": a["c_w2"].astype(int)}, "c_w2 must be"),
+    "mc_samples-10.5": (
+        lambda a: {**a, "meta": with_meta(a, mc_samples=10.5)}, "mc_samples must be an int"),
+    "s_max-true": (lambda a: {**a, "meta": with_meta(a, s_max=True)}, "s_max must be an int"),
+    "variant-missing": (
+        lambda a: {**a, "meta": with_meta(a, variant=None)}, "unknown model variant"),
+    "visited-missing": (lambda a: {k: v for k, v in a.items() if k != "visited"}, "no 'visited'"),
+}
+
+
+@pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
+@pytest.mark.parametrize("defect", NEURAL_DEFECTS)
+def test_load_rejects_a_malformed_neural_model(variant, defect):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(51))
+    observe_table(m, 5, 3, 2)
+    arrays = dict(np.load(round_trip_file(m)))
+    load_model(as_file(arrays))
+    change, message = NEURAL_DEFECTS[defect]
+    with pytest.raises(DomainError, match=message):
+        load_model(as_file(change(arrays)))
+
+
+@pytest.mark.parametrize("drop", ["cost_sums", "cost_counts", "demand_counts", "meta"])
+def test_load_rejects_a_tabular_model_missing_an_array(drop):
+    m = EnvModel(SPACES)
+    observe_table(m, 5, 3, 2)
+    arrays = dict(np.load(round_trip_file(m)))
+    with pytest.raises(DomainError, match=f"no '{drop}'"):
+        load_model(as_file({k: v for k, v in arrays.items() if k != drop}))
 
 
 def test_mc_samples_below_one_rejected():

@@ -126,13 +126,15 @@ class TestMcPredict:
     def test_no_dropout_mean_is_forward(self):
         net = make_net([3, 4, 2])
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(nn.mc_predict(net, x, samples=10), nn.forward(net, x))
+        u = nn.mc_uniforms(net, 10, None)
+        assert u.shape == (10, 0)
+        assert np.array_equal(nn.mc_predict(net, x, u), nn.forward(net, x))
 
     def test_seeded_reproducibility(self):
         net = make_net([3, 8, 2], dropout=0.5)
         x = np.array([0.1, 0.2, 0.3])
-        a = nn.mc_predict(net, x, samples=10, rng=np.random.default_rng(5))
-        b = nn.mc_predict(net, x, samples=10, rng=np.random.default_rng(5))
+        a = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5)))
+        b = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5)))
         assert np.array_equal(a, b)
 
 
@@ -161,7 +163,7 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
             x = x[None, :]
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean = mc_predict_reference(net, x, samples, ref_rng)
-        pred = nn.mc_predict(net, x, samples=samples, rng=rng)
+        pred = nn.mc_predict(net, x, nn.mc_uniforms(net, samples, rng))
         assert pred.shape == mean.shape
         assert np.array_equal(pred, mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -290,6 +292,16 @@ def test_copied_env_model_trains_like_the_original(variant):
         assert np.array_equal(getattr(m, adam).v, getattr(c, adam).v)
 
 
+def trained_model_and_inputs(variant, rows, transition_loss):
+    """A model trained on 20 random days, and the encoded inputs of `rows` random pairs."""
+    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant=variant,
+                          rng=np.random.default_rng(rows), transition_loss=transition_loss)
+    days = np.random.default_rng(rows + 1).integers(0, [1331, 11, 11], size=(20 + rows, 3))
+    for s, a, d in days[:20].tolist():
+        envmodel.model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+    return m, np.array([m._encode(s, a) for s, a, _ in days[20:].tolist()])
+
+
 @pytest.mark.parametrize("rows", [1, 2, 37, 170])
 @pytest.mark.parametrize("net_name,transition_loss", [
     ("transition_net", "categorical"),
@@ -299,24 +311,61 @@ def test_copied_env_model_trains_like_the_original(variant):
 def test_stacked_forward_matches_one_row_forwards(rows, net_name, transition_loss):
     # a det-net plans from a (rows, 1, 4) stack; each row must get the bits
     # of its own one-row forward, which a (rows, 4) matrix product does not
-    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant="det-net",
-                          rng=np.random.default_rng(rows), transition_loss=transition_loss)
-    days = np.random.default_rng(rows + 1).integers(0, [1331, 11, 11], size=(20 + rows, 3))
-    for s, a, d in days[:20].tolist():
-        envmodel.model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+    m, X = trained_model_and_inputs("det-net", rows, transition_loss)
     net = getattr(m, net_name)
-    X = np.array([m._encode(s, a) for s, a, _ in days[20:].tolist()])
     stacked = nn.forward(net, X[:, None, :])
     assert stacked.shape == (rows, 1, net.sizes[-1])
     for x, out in zip(X, stacked):
         assert out[0].tobytes() == nn.forward(net, x).tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 37, 170])
+@pytest.mark.parametrize("samples", [1, 10])
+@pytest.mark.parametrize("net_name,transition_loss", [
+    ("transition_net", "categorical"),
+    ("transition_net", "mse"),
+    ("cost_net", "categorical"),
+])
+def test_stacked_mc_predict_matches_one_row_reads(rows, samples, net_name, transition_loss):
+    # an MC-dropout burst reads a (rows, 1, 4) stack on (rows, samples, width)
+    # uniforms; each row must get the bits of its own one-row read, which a
+    # (rows * samples, width) matrix product does not give
+    m, X = trained_model_and_inputs("mc-dropout", rows, transition_loss)
+    net = getattr(m, net_name)
+    U = np.random.default_rng(rows + 2).random((rows, samples, nn.mask_width(net)))
+    stacked = nn.mc_predict(net, X[:, None, :], U)
+    assert stacked.shape == (rows, 1, net.sizes[-1])
+    for x, u, out in zip(X, U, stacked):
+        assert out[0].tobytes() == nn.mc_predict(net, x, u).tobytes()
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_mc_predict_rejects_multi_row_input(dropout):
     net = make_net([3, 4, 2], dropout=dropout)
+    u = nn.mc_uniforms(net, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        nn.mc_predict(net, np.ones((2, 3)), rng=np.random.default_rng(0))
+        nn.mc_predict(net, np.ones((2, 3)), u)
+
+
+@pytest.mark.parametrize("x_shape, u_shape", [
+    ((3,), (2, 10, 4)),  # one row with a stack of uniforms
+    ((2, 1, 3), (10, 4)),  # a stack with one row's uniforms
+    ((2, 1, 3), (3, 10, 4)),  # one row of uniforms too many
+    ((2, 1, 3), (2, 0, 4)),  # no samples
+    ((2, 1, 3), (2, 10, 5)),  # wider than the hidden layer
+])
+def test_mc_predict_rejects_uniforms_off_the_input(x_shape, u_shape):
+    net = make_net([3, 4, 2], dropout=0.5)
+    with pytest.raises(ValueError, match="uniforms"):
+        nn.mc_predict(net, np.ones(x_shape), np.zeros(u_shape))
+
+
+def test_mc_uniforms_checks_samples_and_generator():
+    net = make_net([3, 4, 2], dropout=0.5)
+    with pytest.raises(ValueError, match="samples"):
+        nn.mc_uniforms(net, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="needs an rng"):
+        nn.mc_uniforms(net, 10, None)
 
 
 def test_constructor_validation():
