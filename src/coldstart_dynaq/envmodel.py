@@ -14,10 +14,11 @@ next states and costs come from the env's day tables, so recovering a
 demand scans one table row and a simulated next state is one lookup.
 
 Planning runs in bursts: plan(m, n, rng) returns the n transitions that
-n sample_visited and simulate calls would, from the same draws. A det-net
-burst predicts all its uncached pairs with one stacked forward per net,
-and an MC-dropout burst reads its pairs, up to eight at a time, with one
-stacked MC-dropout pass per net.
+n sample_visited and simulate calls would, from the same draws. Both nets
+read through one stacked MC-dropout pass per net: a det-net burst reads
+its distinct pairs at once (its masks have width 0, so the pass is the
+deterministic forward), and an MC-dropout burst reads its pairs up to
+eight at a time.
 """
 
 import json
@@ -52,6 +53,8 @@ def check_options(spaces: ModelSpaces, variant: str, transition_loss: str) -> No
     recover_demand tells shortage demands apart by their shortage cost
     alone, so with cs within _COST_TOL of 0 it would map every shortage to
     the smallest such demand and bias what every algorithm's model learns.
+    A net's input divides each state component by s_max and the order by
+    a_max, so a neural model needs both at least 1.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown model variant {variant!r}, choose from {VARIANTS}")
@@ -62,6 +65,11 @@ def check_options(spaces: ModelSpaces, variant: str, transition_loss: str) -> No
     if not spaces.cost_params.cs > _COST_TOL:
         raise DomainError(
             f"a learned model needs shortage cost cs > {_COST_TOL}, got {spaces.cost_params.cs}"
+        )
+    if variant != "tabular" and not (spaces.s_max >= 1 and spaces.a_max >= 1):
+        raise DomainError(
+            f"a {variant} model needs s_max >= 1 and a_max >= 1, "
+            f"got s_max {spaces.s_max} and a_max {spaces.a_max}"
         )
 
 
@@ -107,11 +115,6 @@ class EnvModel:
             )
             self.transition_adam = nn.AdamState(self.transition_net)
             self.cost_adam = nn.AdamState(self.cost_net)
-        if variant == "det-net":
-            # pair -> (pmf, its cdf, cost); a det-net forward pass is
-            # deterministic, and the weights change only in model_update,
-            # which clears this
-            self.predictions: dict[tuple[int, int], tuple[np.ndarray, list[float], float]] = {}
 
     def _encode(self, s: int, a: int) -> np.ndarray:
         sp = self.spaces
@@ -185,70 +188,29 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
-        if m.variant == "det-net":
-            m.predictions.clear()
         x = m._encode(s, a)
         nn.train_step(m.transition_net, m.transition_adam, x[None, :], np.array([d]), rng=m.rng)
         nn.train_step(m.cost_net, m.cost_adam, x[None, :], np.array([[cost]]), rng=m.rng)
 
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
-    # never m.rng: a read drawing from the training stream would change what is learned
+    # never m.rng: a read drawing from the training stream would change what
+    # is learned; a det-net read draws nothing
     return nn.mc_predict(net, x, nn.mc_uniforms(net, m.mc_samples, rng))
 
 
 def _mc_row(m: EnvModel) -> int:
-    """Uniforms one MC-dropout simulate draws: both nets' masks and the demand's."""
+    """Uniforms one neural simulate draws: both nets' masks and the demand's."""
     return m.mc_samples * (nn.mask_width(m.transition_net) + nn.mask_width(m.cost_net)) + 1
-
-
-def _mc_outcomes(m: EnvModel, pairs: list, u: np.ndarray) -> list[tuple[int, int, int, float]]:
-    """(s, a, next state index, cost) of each visited pair, from its row of u.
-
-    Row i holds what one simulate of pair i draws, in order: the transition
-    net's (samples, width) uniforms, the demand's, then the cost net's.
-    Each net makes one MC-dropout pass over the (pairs, 1, 4) stack, which
-    gives each row the bits of its own one-row read.
-    """
-    rows, samples = len(pairs), m.mc_samples
-    t_width, c_width = nn.mask_width(m.transition_net), nn.mask_width(m.cost_net)
-    split = samples * t_width
-    x = np.array([m._encode(s, a) for s, a in pairs])[:, None, :]
-    pmfs = nn.mc_predict(m.transition_net, x, u[:, :split].reshape(rows, samples, t_width))[:, 0]
-    pmfs /= pmfs.sum(axis=-1, keepdims=True)
-    c_u = u[:, split + 1:].reshape(rows, samples, c_width)
-    costs = nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist()
-    return _outcomes(m, zip(pairs, u[:, split].tolist()), zip(pmfs, cdf_of(pmfs), costs))
-
-
-def _det_predict(m: EnvModel, pairs) -> dict:
-    """Cache the det-net's (pmf, cdf, cost) of every pair not cached yet; returns the cache.
-
-    One forward pass per net takes the missing pairs as a (P, 1, 4) stack:
-    one vector-matrix product per row, bit for bit a one-row forward. The
-    weights change only in model_update, which clears the cache.
-    """
-    todo = [pair for pair in dict.fromkeys(pairs) if pair not in m.predictions]
-    if not todo:
-        return m.predictions
-    x = np.array([m._encode(s, a) for s, a in todo])[:, None, :]
-    pmfs = nn.forward(m.transition_net, x)[:, 0]
-    pmfs /= pmfs.sum(axis=-1, keepdims=True)
-    pmfs.flags.writeable = False
-    costs = nn.forward(m.cost_net, x)[:, 0, 0].tolist()
-    m.predictions.update(zip(todo, zip(pmfs, cdf_of(pmfs), costs)))
-    return m.predictions
 
 
 def transition_pmf(
     m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Estimated demand-class distribution for a visited pair (read-only for det-net)."""
+    """Estimated demand-class distribution for a visited pair."""
     _slot(m, s, a)
     if m.variant == "tabular":
         return m.demand_counts / m.demand_counts.sum()
-    if m.variant == "det-net":
-        return _det_predict(m, [(s, a)])[s, a][0]
     pmf = _mc_mean(m, m.transition_net, m._encode(s, a), rng)
     return pmf / pmf.sum()
 
@@ -257,27 +219,44 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
     i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
-    if m.variant == "det-net":
-        return _det_predict(m, [(s, a)])[s, a][2]
     return float(_mc_mean(m, m.cost_net, m._encode(s, a), rng)[0])
 
 
-def _outcomes(m: EnvModel, draws, preds=None) -> list[tuple[int, int, int, float]]:
-    """(s, a, next state index, cost) of each drawn ((s, a), demand uniform u).
+def _tabular_outcomes(m: EnvModel, draws) -> list[tuple[int, int, int, float]]:
+    """(s, a, next state index, cost) of each drawn visited ((s, a), demand uniform)."""
+    nxt, cdf, slots = m.tables.next, m.demand_cdf, m.visited
+    sums, counts = m.cost_sums, m.cost_counts
+    return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), sums[i] / counts[i])
+            for (s, a), u in draws for i in (slots[s, a],)]
 
-    The pairs are visited. A neural model reads each draw's (pmf, cdf,
-    cost) from preds, by default a det-net's cached predictions.
+
+def _neural_outcomes(m: EnvModel, pairs, u: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """(s, a, next state index, cost) of each visited pair, from its row of u.
+
+    Row i holds what one simulate of pair i draws, in order: the transition
+    net's (samples, width) uniforms, the demand's, then the cost net's.
+    Each net makes one MC-dropout pass over the (reads, 1, 4) stack, which
+    gives each row the bits of its own one-row read. A det-net's masks have
+    width 0, so its row is the demand's uniform alone, and it reads each
+    distinct pair once.
     """
+    samples = m.mc_samples
+    t_width, c_width = nn.mask_width(m.transition_net), nn.mask_width(m.cost_net)
+    split = samples * t_width
+    reads = list(dict.fromkeys(pairs)) if m.variant == "det-net" else pairs
+    rows = len(reads)
+    x = np.array([m._encode(s, a) for s, a in reads])[:, None, :]
+    # a det-net's mask columns are empty in every row, so any rows serve
+    t_u = u[:rows, :split].reshape(rows, samples, t_width)
+    pmfs = nn.mc_predict(m.transition_net, x, t_u)[:, 0]
+    pmfs /= pmfs.sum(axis=-1, keepdims=True)
+    c_u = u[:rows, split + 1:].reshape(rows, samples, c_width)
+    preds = zip(cdf_of(pmfs), nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist())
+    if reads is not pairs:
+        preds = map(dict(zip(reads, preds)).__getitem__, pairs)
     nxt = m.tables.next
-    if m.variant == "tabular":
-        cdf, sums, counts, slots = m.demand_cdf, m.cost_sums, m.cost_counts, m.visited
-        return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), sums[i] / counts[i])
-                for (s, a), u in draws for i in (slots[s, a],)]
-    if preds is None:
-        pairs = [pair for pair, _ in draws]
-        preds = map(_det_predict(m, pairs).__getitem__, pairs)
-    return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), cost)
-            for ((s, a), u), (_, cdf, cost) in zip(draws, preds)]
+    return [(s, a, int(nxt[s, a, bisect_right(cdf, d)]), cost)
+            for (s, a), d, (cdf, cost) in zip(pairs, u[:, split].tolist(), preds)]
 
 
 def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -287,9 +266,9 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     then the cost net's masks.
     """
     _slot(m, s, a)
-    if m.variant == "mc-dropout":
-        return _mc_outcomes(m, [(s, a)], rng.random((1, _mc_row(m))))[0][2:]
-    return _outcomes(m, [((s, a), rng.random())])[0][2:]
+    if m.variant == "tabular":
+        return _tabular_outcomes(m, [((s, a), rng.random())])[0][2:]
+    return _neural_outcomes(m, [(s, a)], rng.random((1, _mc_row(m))))[0][2:]
 
 
 def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, int, float]]:
@@ -299,7 +278,7 @@ def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, 
     No draw depends on a prediction, and the weights do not change within a
     burst, so every pair and uniform comes first: each pair, then its demand
     uniform, or for MC-dropout its row of simulate's uniforms. Then a det-net
-    predicts the uncached pairs with one stacked pass per net, and an
+    reads the burst's distinct pairs with one stacked pass per net, and an
     MC-dropout model reads the pairs, _MC_CHUNK at a time, the same way.
     """
     if not n:
@@ -316,9 +295,13 @@ def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, 
             for row in rows:
                 pairs.append(sample_visited(m, rng))
                 rng.random(out=row)
-            burst += _mc_outcomes(m, pairs, rows)
+            burst += _neural_outcomes(m, pairs, rows)
         return burst
-    return _outcomes(m, [(sample_visited(m, rng), rng.random()) for _ in range(n)])
+    draws = [(sample_visited(m, rng), rng.random()) for _ in range(n)]
+    if m.variant == "tabular":
+        return _tabular_outcomes(m, draws)
+    pairs, us = zip(*draws)
+    return _neural_outcomes(m, pairs, np.array(us)[:, None])
 
 
 def transition_prob(

@@ -13,9 +13,10 @@ This copies numpy's own arithmetic for PCG64:
   next_uint32: the low half of a fresh word is used and the high half is
   cached for the next 32-bit draw. n == 1 draws nothing.
 random_raw and next_double never touch the cached half. The hot-loop
-functions that take an rng (qcore.select_action, envmodel.sample_visited
-and simulate, demand.sample) call only these two, so they take a stream
-in place of a Generator.
+functions that take an rng (qcore.select_action, demand.sample,
+envmodel.sample_visited, and envmodel.plan on a tabular or det-net
+model, where every planning draw is taken) call only these two, so they
+take a stream in place of a Generator.
 """
 
 import numpy as np

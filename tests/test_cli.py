@@ -107,6 +107,7 @@ class TestArgumentHandling:
         {"out_dir": 5},
         {"cost_params": [1e308, 0.3, 0, 1]},
         {"cost_params": [0.7, 0.3, 0, 1e200]},
+        {"a_max": 0, "model_variant": "det-net"},  # a net's input divides by a_max
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",

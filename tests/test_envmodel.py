@@ -263,13 +263,20 @@ def mc_read_reference(m, net, x, rng):
 
 
 def simulate_reference(m, s, a, rng):
-    """simulate as it was before bursts: an MC-dropout model reads pair by pair."""
-    if m.variant != "mc-dropout":
+    """simulate as it was before bursts: a neural model reads pair by pair.
+
+    A det-net reads each net with a one-row forward and draws nothing.
+    """
+    if m.variant == "tabular":
         return simulate(m, s, a, rng)
     x = m._encode(s, a)
-    pmf = mc_read_reference(m, m.transition_net, x, rng)
+
+    def read(net):
+        return nn.forward(net, x) if m.variant == "det-net" else mc_read_reference(m, net, x, rng)
+
+    pmf = read(m.transition_net)
     d = bisect_right(cdf_of(pmf / pmf.sum()), rng.random())
-    return int(m.tables.next[s, a, d]), float(mc_read_reference(m, m.cost_net, x, rng)[0])
+    return int(m.tables.next[s, a, d]), float(read(m.cost_net)[0])
 
 
 def plan_reference(m, n, rng):
@@ -301,9 +308,7 @@ def test_plan_draws_as_the_per_pair_loop(variant, transition_loss):
     seeds = np.random.SeedSequence(42).spawn(30)
     for (s, a, d), seed, n in zip(days[30:], seeds, [1, 2, 7, 100, 0, 250] * 5):
         observe_table(m, s, a, d)
-        if variant == "det-net":
-            assert m.predictions == {}
-        # a loaded copy has the same weights and counts, and an empty cache
+        # a loaded copy has the same weights and counts
         ref = round_trip(m)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got_stream, want_stream = planning_stream(m, got_rng), planning_stream(m, want_rng)
@@ -597,7 +602,7 @@ class TestDetNetCache:
         s, a = self.PAIRS[0]
         observe_table(m, s, a, 7)
         after = self.predictions(m)
-        # a fresh model with the same weights has an empty cache
+        # a fresh model with the same weights reads the same
         self.assert_same(after, self.predictions(round_trip(m)))
         assert not np.array_equal(after[0][0], before[0][0])
         assert after[0][1] != before[0][1]
@@ -606,9 +611,37 @@ class TestDetNetCache:
         m = self.trained(21)
         before = self.predictions(m)
         c = m.copy()
-        assert c.predictions is not m.predictions
         s, a = self.PAIRS[1]
         observe_table(c, s, a, 9)
         self.assert_same(self.predictions(m), before)
         self.assert_same(self.predictions(c), self.predictions(round_trip(c)))
         assert not np.array_equal(self.predictions(c)[0][0], before[0][0])
+
+    def test_reads_draw_nothing(self):
+        m = self.trained(22)
+        rng = np.random.default_rng(23)
+        state = rng.bit_generator.state
+        for s, a in self.PAIRS:
+            transition_pmf(m, s, a, rng)
+            estimate_cost(m, s, a, rng)
+        assert rng.bit_generator.state == state
+
+    def test_planned_costs_are_one_pair_reads(self):
+        # the burst reads its distinct pairs in one stacked pass per net
+        m = self.trained(24)
+        burst = plan(m, 50, np.random.default_rng(25))
+        assert {(s, a) for s, a, _, _ in burst} == set(self.PAIRS)
+        for s, a, _, cost in burst:
+            assert cost == estimate_cost(m, s, a)
+
+
+@pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
+@pytest.mark.parametrize("s_max, a_max", [(0, 0), (1, 0), (10, 0)])
+def test_neural_model_needs_s_max_and_a_max_of_one(variant, s_max, a_max):
+    # the net's input divides state components by s_max and the order by a_max
+    spaces = ModelSpaces(CostParams(), s_max=s_max, a_max=a_max)
+    with pytest.raises(DomainError, match="s_max >= 1 and a_max >= 1"):
+        EnvModel(spaces, variant=variant, rng=np.random.default_rng(0))
+    m = EnvModel(spaces)
+    observe_table(m, 0, 0, 3)
+    assert simulate(m, 0, 0, np.random.default_rng(1))[0] == int(m.tables.next[0, 0, 3])
