@@ -1,0 +1,131 @@
+"""Check that the tests see each kept mutant of a last-bit path.
+
+A mutant is a file, an exact old -> new text in it, and the test ids that
+must fail with the change made. The record digests miss changes like
+these, which move only the last bits of a result, so each one names the
+oracle test that sees it.
+
+For each mutant the script copies src/ and tests/ into a temporary
+directory, replaces the old text (which must occur exactly once) and runs
+the mutant's tests there with pytest. It first runs every listed test on an
+unchanged copy, since a test that fails anyway shows nothing. It exits
+non-zero if a listed test passes under its mutant, fails on the unchanged
+copy, or is not found.
+
+    python scripts/mutants.py                     # every mutant
+    python scripts/mutants.py skip-pmf-normalise  # the named ones
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NN = "src/coldstart_dynaq/nn.py"
+ENVMODEL = "src/coldstart_dynaq/envmodel.py"
+
+# name: (file, old text, new text, test ids that must fail)
+MUTANTS = {
+    # each later MC-dropout layer as one 2-D (rows * samples, width) @ W product
+    "mc-predict-2d-product": (
+        NN,
+        "z = (a.reshape(rows * samples, 1, width) @ w)",
+        "z = (a.reshape(rows * samples, width) @ w)",
+        ["tests/test_nn.py::test_stacked_mc_predict_matches_one_row_reads"],
+    ),
+    # a det-net burst read as one 2-D (pairs, 4) @ W product per layer
+    "det-net-2d-product": (
+        NN,
+        "        return forward(net, X)\n",
+        "        return forward(net, X[:, 0])[:, None] if stacked else forward(net, X)\n",
+        [
+            "tests/test_envmodel.py::test_plan_draws_as_the_per_pair_loop[det-net]",
+            "tests/test_envmodel.py::TestDetNetReads::test_planned_costs_are_one_pair_reads",
+        ],
+    ),
+    # Adam's step as (lr * m) / (1 - beta1**t) instead of lr * (m / (1 - beta1**t))
+    "adam-step-order": (
+        NN,
+        "np.multiply(self.learning_rate, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)",
+        "np.divide(np.multiply(self.learning_rate, m, out=step), 1 - ADAM_BETA1**t, out=step)",
+        ["tests/test_nn.py::test_train_step_matches_per_array_reference"],
+    ),
+    # planning draws from the softmax output without normalising it
+    "skip-pmf-normalise": (
+        ENVMODEL,
+        "    pmfs /= pmfs.sum(axis=-1, keepdims=True)\n",
+        "",
+        [
+            "tests/test_envmodel.py::test_planned_demand_is_drawn_from_the_normalised_pmf[det-net]",
+            "tests/test_envmodel.py::test_planned_demand_is_drawn_from_the_normalised_pmf[mc-dropout]",
+        ],
+    ),
+}
+
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def run_tests(tree: Path, ids: list[str]) -> tuple[dict[str, str], str]:
+    """Each id's outcome (PASSED, FAILED or ERROR) in tree, and pytest's output."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *ids],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return dict((m[2], m[1]) for m in _OUTCOME.finditer(proc.stdout)), proc.stdout
+
+
+def cases(outcomes: dict[str, str], test_id: str) -> list[str]:
+    """The outcomes of test_id: its own, or those of all its parametrised cases."""
+    return [o for k, o in outcomes.items() if k == test_id or k.startswith(test_id + "[")]
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - MUTANTS.keys()
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}; choose from {sorted(MUTANTS)}")
+        return 2
+    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        ids = sorted({i for *_, tests in chosen.values() for i in tests})
+        outcomes, out = run_tests(clean, ids)
+        for i in ids:
+            got = cases(outcomes, i)
+            if not got or any(o != "PASSED" for o in got):
+                bad.append(f"{i} does not pass on the unchanged tree")
+        if bad:
+            print(out)
+        for name, (file, old, new, tests) in chosen.items():
+            tree = Path(tmp) / name
+            copy_tree(tree)
+            path = tree / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                bad.append(f"{name}: the old text occurs {text.count(old)} times in {file}, not once")
+                continue
+            path.write_text(text.replace(old, new))
+            outcomes, _ = run_tests(tree, tests)
+            # a parametrised test fails when one of its cases does
+            missed = [i for i in tests if "FAILED" not in cases(outcomes, i)]
+            print(f"{name}: {len(tests) - len(missed)} of {len(tests)} tests fail")
+            bad += [f"{name}: {i} does not fail" for i in missed]
+    for line in bad:
+        print(f"error: {line}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

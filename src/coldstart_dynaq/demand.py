@@ -143,12 +143,15 @@ def load_transactions(path, product_name: str) -> DemandSeries:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DomainError(f"{path}: need columns {sorted(required)}")
         for rownum, row in enumerate(reader, start=2):
+            # a short row holds None in its missing fields, and a quantity
+            # of inf or 1e400 has no int
             try:
                 day = dt.date.fromisoformat(row["date"].strip())
                 qty = int(float(row["quantity"]))
-            except (ValueError, AttributeError) as exc:
+                product = row["product"].strip()
+            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                 raise DomainError(f"{path}: unparseable row {rownum}: {exc}") from exc
-            if row["product"].strip() != product_name:
+            if product != product_name:
                 continue
             totals[day] = totals.get(day, 0) + qty
     if not totals:

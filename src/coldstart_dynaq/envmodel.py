@@ -18,7 +18,10 @@ n sample_visited and simulate calls would, from the same draws. Both nets
 read through one stacked MC-dropout pass per net: a det-net burst reads
 its distinct pairs at once (its masks have width 0, so the pass is the
 deterministic forward), and an MC-dropout burst reads its pairs up to
-eight at a time.
+eight at a time. Every MC-dropout read averages MC_SAMPLES dropout passes.
+
+save_model writes a model's visit memory and learned numbers to an .npz
+file for inspection with numpy.load; nothing in the package reads it back.
 """
 
 import json
@@ -28,13 +31,15 @@ import numpy as np
 
 from . import nn
 from .demand import cdf_of
-from .env import CostParams, DomainError, ModelSpaces, day_tables, num_states
+from .env import DomainError, ModelSpaces, day_tables, num_states
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
 TRANSITION_LOSSES = ("categorical", "mse")
 
 _HIDDEN = (128, 64)
 _COST_TOL = 1e-9
+# dropout passes averaged per MC-dropout read
+MC_SAMPLES = 10
 # rows of uniforms an MC-dropout burst holds at once
 _MC_CHUNK = 8
 
@@ -79,19 +84,15 @@ class EnvModel:
         spaces: ModelSpaces,
         variant: str = "tabular",
         rng: np.random.Generator | None = None,
-        mc_samples: int = 10,
         transition_loss: str = "categorical",
     ):
         check_options(spaces, variant, transition_loss)
-        if mc_samples < 1:
-            raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
         # an unseeded generator would give the nets unreproducible weights
         if variant != "tabular" and rng is None:
             raise DomainError(f"a {variant} model needs a seeded generator, got rng=None")
         self.spaces = spaces
         self.tables = day_tables(spaces)
         self.variant = variant
-        self.mc_samples = mc_samples
         self.rng = rng
         # distinct observed (state index, order) pairs in first-seen order,
         # and each pair's position in that list
@@ -196,12 +197,12 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
     # never m.rng: a read drawing from the training stream would change what
     # is learned; a det-net read draws nothing
-    return nn.mc_predict(net, x, nn.mc_uniforms(net, m.mc_samples, rng))
+    return nn.mc_predict(net, x, nn.mc_uniforms(net, MC_SAMPLES, rng))
 
 
 def _mc_row(m: EnvModel) -> int:
     """Uniforms one neural simulate draws: both nets' masks and the demand's."""
-    return m.mc_samples * (nn.mask_width(m.transition_net) + nn.mask_width(m.cost_net)) + 1
+    return MC_SAMPLES * (nn.mask_width(m.transition_net) + nn.mask_width(m.cost_net)) + 1
 
 
 def transition_pmf(
@@ -234,23 +235,22 @@ def _neural_outcomes(m: EnvModel, pairs, u: np.ndarray) -> list[tuple[int, int, 
     """(s, a, next state index, cost) of each visited pair, from its row of u.
 
     Row i holds what one simulate of pair i draws, in order: the transition
-    net's (samples, width) uniforms, the demand's, then the cost net's.
+    net's (MC_SAMPLES, width) uniforms, the demand's, then the cost net's.
     Each net makes one MC-dropout pass over the (reads, 1, 4) stack, which
     gives each row the bits of its own one-row read. A det-net's masks have
     width 0, so its row is the demand's uniform alone, and it reads each
     distinct pair once.
     """
-    samples = m.mc_samples
     t_width, c_width = nn.mask_width(m.transition_net), nn.mask_width(m.cost_net)
-    split = samples * t_width
+    split = MC_SAMPLES * t_width
     reads = list(dict.fromkeys(pairs)) if m.variant == "det-net" else pairs
     rows = len(reads)
     x = np.array([m._encode(s, a) for s, a in reads])[:, None, :]
     # a det-net's mask columns are empty in every row, so any rows serve
-    t_u = u[:rows, :split].reshape(rows, samples, t_width)
+    t_u = u[:rows, :split].reshape(rows, MC_SAMPLES, t_width)
     pmfs = nn.mc_predict(m.transition_net, x, t_u)[:, 0]
     pmfs /= pmfs.sum(axis=-1, keepdims=True)
-    c_u = u[:rows, split + 1:].reshape(rows, samples, c_width)
+    c_u = u[:rows, split + 1:].reshape(rows, MC_SAMPLES, c_width)
     preds = zip(cdf_of(pmfs), nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist())
     if reads is not pairs:
         preds = map(dict(zip(reads, preds)).__getitem__, pairs)
@@ -327,9 +327,10 @@ def sample_visited(m: EnvModel, rng: np.random.Generator) -> tuple[int, int]:
 
 
 def save_model(m: EnvModel, path) -> None:
+    """Dump m to an .npz: meta (JSON bytes), visited, and the tabular counts or net weights."""
     meta = {
         "variant": m.variant,
-        "mc_samples": m.mc_samples,
+        "mc_samples": MC_SAMPLES,
         "s_max": m.spaces.s_max,
         "a_max": m.spaces.a_max,
         "d_max": m.spaces.d_max,
@@ -353,88 +354,3 @@ def save_model(m: EnvModel, path) -> None:
                 arrays[f"{prefix}_w{i}"] = w
                 arrays[f"{prefix}_b{i}"] = b
     np.savez(path, **arrays)
-
-
-_META_INTS = ("s_max", "a_max", "d_max", "mc_samples")
-_HEADS = {"t": ("categorical", "categorical_mse"), "c": ("regression",)}
-
-
-def _array(data, key: str) -> np.ndarray:
-    if key not in data.files:
-        raise DomainError(f"the model file has no {key!r} array")
-    return data[key]
-
-
-def _parameter(data, key: str, like: np.ndarray) -> np.ndarray:
-    """The saved weight or bias `key`, checked against the array it replaces."""
-    value = _array(data, key)
-    if value.shape != like.shape or value.dtype != like.dtype or not np.isfinite(value).all():
-        raise DomainError(
-            f"{key} must be a finite {like.dtype} array of shape {like.shape}, "
-            f"got {value.dtype} {value.shape}"
-        )
-    return value
-
-
-def load_model(path) -> EnvModel:
-    """Read a model save_model wrote; a malformed file is one DomainError."""
-    data = np.load(path)
-    meta = json.loads(bytes(_array(data, "meta")).decode())
-    if not isinstance(meta, dict) or not {"variant", "cost_params", *_META_INTS} <= meta.keys():
-        raise DomainError(f"model meta needs variant, cost_params and {', '.join(_META_INTS)}")
-    for key in _META_INTS:
-        # a bool is an int to Python, and 10.5 samples would fail only at the first read
-        if type(meta[key]) is not int:
-            raise DomainError(f"model meta {key} must be an int, got {meta[key]!r}")
-    if not (isinstance(meta["cost_params"], list) and len(meta["cost_params"]) == 4):
-        raise DomainError(f"model meta cost_params must be 4 numbers, got {meta['cost_params']!r}")
-    spaces = ModelSpaces(
-        cost_params=CostParams(*meta["cost_params"]),
-        s_max=meta["s_max"],
-        a_max=meta["a_max"],
-        d_max=meta["d_max"],
-    )
-    check_options(spaces, meta["variant"], "categorical")
-    transition_loss = "categorical"
-    if meta["variant"] != "tabular":
-        heads = {p: bytes(_array(data, f"{p}_head")).decode(errors="replace") for p in _HEADS}
-        for p, allowed in _HEADS.items():
-            if heads[p] not in allowed:
-                raise DomainError(f"{p}_head must be one of {allowed}, got {heads[p]!r}")
-        transition_loss = "categorical" if heads["t"] == "categorical" else "mse"
-    m = EnvModel(
-        spaces,
-        variant=meta["variant"],
-        mc_samples=meta["mc_samples"],
-        transition_loss=transition_loss,
-        rng=np.random.default_rng(0),
-    )
-    visited = _array(data, "visited")
-    if visited.ndim != 2 or visited.shape[1] != 2:
-        raise DomainError(f"visited must have shape (pairs, 2), got {visited.shape}")
-    m.pairs = [(int(s), int(a)) for s, a in visited]
-    for s, a in m.pairs:
-        _check_pair(spaces, s, a)
-    m.visited = {pair: i for i, pair in enumerate(m.pairs)}
-    if len(m.visited) != len(m.pairs):
-        raise DomainError("visited lists a pair twice")
-    if m.variant == "tabular":
-        sums, counts = _array(data, "cost_sums"), _array(data, "cost_counts")
-        demand_counts = _array(data, "demand_counts")
-        if not (len(sums) == len(counts) == len(m.pairs)
-                and all(n >= 1 for n in counts.tolist())
-                and demand_counts.shape == (spaces.d_max + 1,)):
-            raise DomainError(
-                f"a tabular model needs cost_sums and cost_counts (each >= 1) for each of its "
-                f"{len(m.pairs)} visited pairs and {spaces.d_max + 1} demand_counts"
-            )
-        m.demand_counts = demand_counts
-        if m.pairs:
-            m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())
-        m.cost_sums = sums.tolist()
-        m.cost_counts = counts.tolist()
-    else:
-        for prefix, net in (("t", m.transition_net), ("c", m.cost_net)):
-            net.weights = [_parameter(data, f"{prefix}_w{i}", w) for i, w in enumerate(net.weights)]
-            net.biases = [_parameter(data, f"{prefix}_b{i}", b) for i, b in enumerate(net.biases)]
-    return m

@@ -34,6 +34,7 @@ from .qcore import QTable
 from .schedule import constant
 
 _HIDDEN = (128, 64)
+_BATCH_SIZE = 32
 
 
 @dataclass
@@ -64,10 +65,8 @@ def train_forecaster(
     rng: np.random.Generator,
     d_max: int = D_MAX_DEFAULT,
     dropout: float = 0.5,
-    batch_size: int = 32,
-    learning_rate: float = 0.001,
 ) -> Forecaster:
-    """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE."""
+    """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE in shuffled minibatches."""
     if len(series) <= window + 1:
         raise DomainError(
             f"series of length {len(series)} too short for window {window}"
@@ -79,12 +78,12 @@ def train_forecaster(
     net = nn.Network(
         [feature_dim(window), *_HIDDEN, 1], dropout=dropout, head="regression", rng=rng
     )
-    adam = nn.AdamState(net, learning_rate=learning_rate)
+    adam = nn.AdamState(net)
     n = len(X)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, _BATCH_SIZE):
+            idx = order[start:start + _BATCH_SIZE]
             nn.train_step(net, adam, X[idx], y[idx], rng=rng)
     return Forecaster(net=net, window=window, history=series, d_max=d_max)
 

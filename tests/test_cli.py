@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coldstart_dynaq import bench
@@ -189,7 +190,11 @@ class TestArtifactCommands:
         ])
         assert code == 0
         assert (out / "qtable.json").exists()
-        assert (out / "model.npz").exists()
+        # a dump for inspection: nothing in the package reads it back
+        with np.load(out / "model.npz") as dump:
+            assert {"meta", "visited"} <= set(dump.files)
+            assert json.loads(bytes(dump["meta"]))["variant"] == "tabular"
+            assert dump["visited"].ndim == 2 and dump["visited"].shape[1] == 2
         episodes = (out / "convergence_episodes.csv").read_text().splitlines()
         assert episodes[0] == "episode,mean_daily_cost"
         assert len(episodes) == 1 + TINY["train_episodes"]
@@ -291,6 +296,19 @@ class TestArtifactCommands:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cost parameters must be <= 1e+06")
+
+    def test_unparseable_transactions_file_is_one_error_line(self, tmp_path, capsys):
+        # int(float("inf")) raises OverflowError, which main() does not catch
+        data = tmp_path / "tx.csv"
+        data.write_text("date,product,quantity\n2021-01-01,Boule 200g,inf\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(path), "--out", str(tmp_path / "fc")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "row 2" in err[0]
 
     def test_forecast_writes_series(self, tiny_config, tmp_path):
         out = tmp_path / "fc"

@@ -150,6 +150,18 @@ class TestLoadTransactions:
         with pytest.raises(DomainError, match="row 3"):
             load_transactions(f, "Boule 200g")
 
+    @pytest.mark.parametrize("text", [
+        "date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,Boule 200g,inf\n",
+        "date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,Boule 200g,1e400\n",
+        "date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,Boule 200g\n",
+        "date,quantity,product\n2021-01-01,3,Boule 200g\n2021-01-02,4\n",
+    ], ids=["inf", "1e400", "no-quantity", "short-row-product-last"])
+    def test_malformed_row_reports_number(self, tmp_path, text):
+        f = tmp_path / "tx.csv"
+        f.write_text(text)
+        with pytest.raises(DomainError, match="row 3"):
+            load_transactions(f, "Boule 200g")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_transactions(tmp_path / "nope.csv", "Boule 200g")
