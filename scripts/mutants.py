@@ -2,8 +2,8 @@
 
 A mutant is a file, an exact old -> new text in it, and the test ids that
 must fail with the change made. The record digests miss changes like
-these, which move only the last bits of a result, so each one names the
-oracle test that sees it.
+these, which move only the last bits of a result or act only on rare
+inputs, so each one names the oracle test that sees it.
 
 For each mutant the script copies src/ and tests/ into a temporary
 directory, replaces the old text (which must occur exactly once) and runs
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NN = "src/coldstart_dynaq/nn.py"
 ENVMODEL = "src/coldstart_dynaq/envmodel.py"
+WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -64,6 +65,21 @@ MUTANTS = {
             "tests/test_envmodel.py::test_planned_demand_is_drawn_from_the_normalised_pmf[det-net]",
             "tests/test_envmodel.py::test_planned_demand_is_drawn_from_the_normalised_pmf[mc-dropout]",
         ],
+    ),
+    # a planning burst takes each pair index from the first 32-bit half,
+    # without Lemire's rejection
+    "burst-no-rejection": (
+        WORDSTREAM,
+        "                if m & _LOW >= floor:\n                    break\n",
+        "                break\n",
+        ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
+    ),
+    # recovery takes the first demand reaching the next state and ignores the cost
+    "recover-ignores-cost": (
+        ENVMODEL,
+        "    if row.count(s_next) > 1:\n",
+        "    if False:\n",
+        ["tests/test_envmodel.py::TestRecoverDemand::test_every_transition_of_the_default_spaces"],
     ),
 }
 

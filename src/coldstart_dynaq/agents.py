@@ -20,10 +20,12 @@ stay plain Generators.
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
 each real step a Learner plans one burst, envmodel.plan, which draws
-the whole burst before it reads the model, and runs q_update over its
-simulated transitions in draw order. While a
-Learner learns, its Q-table is Python list rows, not q.values; learner.q
-is current once train or forecast.build_warm_start returns.
+the whole burst before it reads the model (a tabular or det-net burst in
+one WordStream.burst pass), and runs q_update over its simulated
+transitions in draw order. While a Learner learns, its Q-table is Python
+list rows, not q.values, and a tabular model's per-step work is Python
+over the next-state rows it keeps per visited pair; learner.q is current
+once train or forecast.build_warm_start returns.
 """
 
 import time

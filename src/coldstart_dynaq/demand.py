@@ -133,8 +133,10 @@ def load_transactions(path, product_name: str) -> DemandSeries:
     """Aggregate a comma-separated transactions file into a daily demand series.
 
     Expects a header with date, product and quantity columns (ISO-8601
-    dates).  Rows are filtered to `product_name`, summed per day, and
-    missing days inside the observed span are zero-filled.
+    dates), and a quantity in every row that is a non-negative whole
+    number ("3" or "3.0"); any other row is one DomainError naming it.
+    Rows are filtered to `product_name`, summed per day, and missing days
+    inside the observed span are zero-filled.
     """
     totals: dict[dt.date, int] = {}
     with open(path, newline="") as fh:
@@ -143,17 +145,23 @@ def load_transactions(path, product_name: str) -> DemandSeries:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DomainError(f"{path}: need columns {sorted(required)}")
         for rownum, row in enumerate(reader, start=2):
-            # a short row holds None in its missing fields, and a quantity
-            # of inf or 1e400 has no int
+            # a short row holds None in its missing fields
             try:
                 day = dt.date.fromisoformat(row["date"].strip())
-                qty = int(float(row["quantity"]))
+                qty = float(row["quantity"])
                 product = row["product"].strip()
-            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+            except (ValueError, TypeError, AttributeError) as exc:
                 raise DomainError(f"{path}: unparseable row {rownum}: {exc}") from exc
+            # a fraction would be truncated and a negative row netted into
+            # its day's total; inf, nan and 1e400 are not whole either
+            if not (qty >= 0 and qty.is_integer()):
+                raise DomainError(
+                    f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
+                    "is not a non-negative whole number"
+                )
             if product != product_name:
                 continue
-            totals[day] = totals.get(day, 0) + qty
+            totals[day] = totals.get(day, 0) + int(qty)
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
     first, last = min(totals), max(totals)

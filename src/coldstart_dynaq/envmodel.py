@@ -10,13 +10,17 @@ simulated from.
 
 The model runs on the integer core: every function takes and returns
 states as indices (env.state_index) and actions as order quantities, and
-next states and costs come from the env's day tables, so recovering a
-demand scans one table row and a simulated next state is one lookup.
+next states and costs come from the env's day tables. The first time
+model_update sees a pair it cuts the pair's next-state row from the
+tables as a Python list; recovering a demand then scans that row, and a
+simulated next state is one list lookup.
 
 Planning runs in bursts: plan(m, n, rng) returns the n transitions that
-n sample_visited and simulate calls would, from the same draws. Both nets
-read through one stacked MC-dropout pass per net: a det-net burst reads
-its distinct pairs at once (its masks have width 0, so the pass is the
+n sample_visited and simulate calls would, from the same draws. A tabular
+or det-net burst takes all its draws in one WordStream.burst pass, and a
+tabular burst is then a Python loop over the cached rows. Both nets read
+through one stacked MC-dropout pass per net: a det-net burst reads its
+distinct pairs at once (its masks have width 0, so the pass is the
 deterministic forward), and an MC-dropout burst reads its pairs up to
 eight at a time. Every MC-dropout read averages MC_SAMPLES dropout passes.
 
@@ -26,12 +30,14 @@ file for inspection with numpy.load; nothing in the package reads it back.
 
 import json
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
 from . import nn
 from .demand import cdf_of
-from .env import DomainError, ModelSpaces, day_tables, num_states
+from .env import DayTables, DomainError, ModelSpaces, day_tables, num_states
+from .wordstream import WordStream
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
 TRANSITION_LOSSES = ("categorical", "mse")
@@ -98,6 +104,8 @@ class EnvModel:
         # and each pair's position in that list
         self.pairs: list[tuple[int, int]] = []
         self.visited: dict[tuple[int, int], int] = {}
+        # per pair, by position: its next-state row of the day tables by demand
+        self.next_rows: list[list[int]] = []
         if variant == "tabular":
             self.demand_counts = np.zeros(spaces.d_max + 1)
             self.demand_cdf: list[float] = []
@@ -127,8 +135,10 @@ class EnvModel:
     def copy(self) -> "EnvModel":
         import copy as _copy
 
-        # the day tables are shared and read-only
-        return _copy.deepcopy(self, {id(self.tables): self.tables})
+        # the day tables and the next-state rows cut from them are shared and read-only
+        memo = {id(row): row for row in self.next_rows}
+        memo[id(self.tables)] = self.tables
+        return _copy.deepcopy(self, memo)
 
 
 def _slot(m: EnvModel, s: int, a: int) -> int:
@@ -156,14 +166,27 @@ def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float
     """
     _check_pair(spaces, s, a)
     tables = day_tables(spaces)
-    matches = np.flatnonzero(tables.next[s, a] == s_next)
-    if not len(matches):
+    return _demand_of(tables, s, a, tables.next[s, a].tolist(), s_next, cost)
+
+
+def _demand_of(tables: DayTables, s: int, a: int, row: list, s_next: int, cost: float) -> int:
+    """recover_demand's rule on the pair's next-state row.
+
+    The first demand reaching s_next whose cost is within _COST_TOL of cost,
+    else the first reaching s_next. The costs are read only on a tie.
+    """
+    try:
+        first = row.index(s_next)
+    except ValueError:
         raise InconsistentTransitionError(
-            f"no demand in [0, {spaces.d_max}] yields state {s_next} from state {s}, order {a}"
-        )
-    # argmax picks the first cost match, and index 0 when none matches
-    close = np.abs(tables.cost[s, a, matches] - cost) <= _COST_TOL
-    return int(matches[close.argmax()])
+            f"no demand in [0, {len(row) - 1}] yields state {s_next} from state {s}, order {a}"
+        ) from None
+    if row.count(s_next) > 1:
+        costs = tables.cost[s, a]
+        for d in range(first, len(row)):
+            if row[d] == s_next and abs(costs[d] - cost) <= _COST_TOL:
+                return d
+    return first
 
 
 def demand_to_next_state(spaces: ModelSpaces, s: int, a: int, d: int) -> int:
@@ -174,18 +197,34 @@ def demand_to_next_state(spaces: ModelSpaces, s: int, a: int, d: int) -> int:
 
 
 def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
-    """Fold one real transition into the model and the visit memory."""
-    d = recover_demand(m.spaces, s, a, s_next, cost)
-    if (s, a) not in m.visited:
-        m.visited[s, a] = len(m.pairs)
+    """Fold one real transition into the model and the visit memory.
+
+    The demand is recovered from the pair's cached next-state row; only a
+    pair seen for the first time is checked and cut from the day tables.
+    """
+    i = m.visited.get((s, a))
+    if i is None:
+        _check_pair(m.spaces, s, a)
+        row = m.tables.next[s, a].tolist()
+    else:
+        row = m.next_rows[i]
+    # recovered before a new pair is kept: an inconsistent transition
+    # leaves the visit memory as it was
+    d = _demand_of(m.tables, s, a, row, s_next, cost)
+    if i is None:
+        i = m.visited[s, a] = len(m.pairs)
         m.pairs.append((s, a))
+        m.next_rows.append(row)
         if m.variant == "tabular":
             m.cost_sums.append(0.0)
             m.cost_counts.append(0)
     if m.variant == "tabular":
-        i = m.visited[s, a]
         m.demand_counts[d] += 1
-        m.demand_cdf = cdf_of(m.demand_counts / m.demand_counts.sum())
+        # cdf_of's sums, in Python: whole counts have an exact total, and
+        # accumulate adds in cumsum's order
+        counts = m.demand_counts.tolist()
+        total = sum(counts)
+        m.demand_cdf = [*accumulate(c / total for c in counts[:-1]), 1.0]
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
@@ -223,16 +262,8 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
     return float(_mc_mean(m, m.cost_net, m._encode(s, a), rng)[0])
 
 
-def _tabular_outcomes(m: EnvModel, draws) -> list[tuple[int, int, int, float]]:
-    """(s, a, next state index, cost) of each drawn visited ((s, a), demand uniform)."""
-    nxt, cdf, slots = m.tables.next, m.demand_cdf, m.visited
-    sums, counts = m.cost_sums, m.cost_counts
-    return [(s, a, int(nxt[s, a, bisect_right(cdf, u)]), sums[i] / counts[i])
-            for (s, a), u in draws for i in (slots[s, a],)]
-
-
-def _neural_outcomes(m: EnvModel, pairs, u: np.ndarray) -> list[tuple[int, int, int, float]]:
-    """(s, a, next state index, cost) of each visited pair, from its row of u.
+def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """(s, a, next state index, cost) of each visited pair, by position, from its row of u.
 
     Row i holds what one simulate of pair i draws, in order: the transition
     net's (MC_SAMPLES, width) uniforms, the demand's, then the cost net's.
@@ -243,20 +274,20 @@ def _neural_outcomes(m: EnvModel, pairs, u: np.ndarray) -> list[tuple[int, int, 
     """
     t_width, c_width = nn.mask_width(m.transition_net), nn.mask_width(m.cost_net)
     split = MC_SAMPLES * t_width
-    reads = list(dict.fromkeys(pairs)) if m.variant == "det-net" else pairs
+    reads = list(dict.fromkeys(slots)) if m.variant == "det-net" else slots
     rows = len(reads)
-    x = np.array([m._encode(s, a) for s, a in reads])[:, None, :]
+    pairs, next_rows = m.pairs, m.next_rows
+    x = np.array([m._encode(*pairs[i]) for i in reads])[:, None, :]
     # a det-net's mask columns are empty in every row, so any rows serve
     t_u = u[:rows, :split].reshape(rows, MC_SAMPLES, t_width)
     pmfs = nn.mc_predict(m.transition_net, x, t_u)[:, 0]
     pmfs /= pmfs.sum(axis=-1, keepdims=True)
     c_u = u[:rows, split + 1:].reshape(rows, MC_SAMPLES, c_width)
     preds = zip(cdf_of(pmfs), nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist())
-    if reads is not pairs:
-        preds = map(dict(zip(reads, preds)).__getitem__, pairs)
-    nxt = m.tables.next
-    return [(s, a, int(nxt[s, a, bisect_right(cdf, d)]), cost)
-            for (s, a), d, (cdf, cost) in zip(pairs, u[:, split].tolist(), preds)]
+    if reads is not slots:
+        preds = map(dict(zip(reads, preds)).__getitem__, slots)
+    return [(*pairs[i], next_rows[i][bisect_right(cdf, d)], cost)
+            for i, d, (cdf, cost) in zip(slots, u[:, split].tolist(), preds)]
 
 
 def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -265,24 +296,32 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     Draw order: the transition net's dropout masks, the demand's uniform,
     then the cost net's masks.
     """
-    _slot(m, s, a)
+    i = _slot(m, s, a)
     if m.variant == "tabular":
-        return _tabular_outcomes(m, [((s, a), rng.random())])[0][2:]
-    return _neural_outcomes(m, [(s, a)], rng.random((1, _mc_row(m))))[0][2:]
+        s_next = m.next_rows[i][bisect_right(m.demand_cdf, rng.random())]
+        return s_next, m.cost_sums[i] / m.cost_counts[i]
+    return _neural_outcomes(m, [i], rng.random((1, _mc_row(m))))[0][2:]
 
 
-def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, int, float]]:
+def plan(m: EnvModel, n: int,
+         rng: np.random.Generator | WordStream) -> list[tuple[int, int, int, float]]:
     """One planning burst: n simulated transitions (s, a, s_next, cost) in draw order.
 
     It draws what n sample_visited + simulate calls would, in their order.
     No draw depends on a prediction, and the weights do not change within a
     burst, so every pair and uniform comes first: each pair, then its demand
-    uniform, or for MC-dropout its row of simulate's uniforms. Then a det-net
-    reads the burst's distinct pairs with one stacked pass per net, and an
-    MC-dropout model reads the pairs, _MC_CHUNK at a time, the same way.
+    uniform, or for MC-dropout its row of simulate's uniforms. A tabular or
+    det-net burst takes its (pair, uniform) draws in one WordStream.burst
+    pass; a plain Generator is wrapped in a stream for the call. A tabular
+    model then reads each next state from the pair's cached row, with no
+    numpy call per step. A det-net reads the burst's distinct pairs with
+    one stacked pass per net, and an MC-dropout model, on a plain Generator,
+    reads the pairs _MC_CHUNK at a time the same way.
     """
     if not n:
         return []
+    if not m.pairs:
+        raise UnvisitedPairError("model has no observed pairs yet")
     if m.variant == "mc-dropout":
         # no draw waits on a read, so a long burst may draw and read in
         # chunks: a whole 20-step burst's uniforms are 600 kB, and holding
@@ -291,17 +330,27 @@ def plan(m: EnvModel, n: int, rng: np.random.Generator) -> list[tuple[int, int, 
         burst = []
         for start in range(0, n, _MC_CHUNK):
             rows = u[:min(_MC_CHUNK, n - start)]
-            pairs = []
+            slots = []
             for row in rows:
-                pairs.append(sample_visited(m, rng))
+                slots.append(int(rng.integers(len(m.pairs))))
                 rng.random(out=row)
-            burst += _neural_outcomes(m, pairs, rows)
+            burst += _neural_outcomes(m, slots, rows)
         return burst
-    draws = [(sample_visited(m, rng), rng.random()) for _ in range(n)]
+    if isinstance(rng, WordStream):
+        draws = rng.burst(len(m.pairs), n)
+    else:
+        with WordStream(rng) as stream:
+            draws = stream.burst(len(m.pairs), n)
     if m.variant == "tabular":
-        return _tabular_outcomes(m, draws)
-    pairs, us = zip(*draws)
-    return _neural_outcomes(m, pairs, np.array(us)[:, None])
+        pairs, next_rows, cdf = m.pairs, m.next_rows, m.demand_cdf
+        sums, counts = m.cost_sums, m.cost_counts
+        burst = []
+        for i, u in draws:
+            s, a = pairs[i]
+            burst.append((s, a, next_rows[i][bisect_right(cdf, u)], sums[i] / counts[i]))
+        return burst
+    slots, us = zip(*draws)
+    return _neural_outcomes(m, slots, np.array(us)[:, None])
 
 
 def transition_prob(

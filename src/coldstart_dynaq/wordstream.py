@@ -13,10 +13,11 @@ This copies numpy's own arithmetic for PCG64:
   next_uint32: the low half of a fresh word is used and the high half is
   cached for the next 32-bit draw. n == 1 draws nothing.
 random_raw and next_double never touch the cached half. The hot-loop
-functions that take an rng (qcore.select_action, demand.sample,
-envmodel.sample_visited, and envmodel.plan on a tabular or det-net
-model, where every planning draw is taken) call only these two, so they
-take a stream in place of a Generator.
+functions that take an rng (qcore.select_action and demand.sample) call
+only these two, so they take a stream in place of a Generator.
+burst(k, n) returns a planning burst's n (integers(k), random()) draws
+in one pass with the same arithmetic inline; envmodel.plan takes every
+tabular and det-net planning draw from it.
 """
 
 import numpy as np
@@ -89,6 +90,38 @@ class WordStream:
             # settles almost every draw
             if m & _LOW >= n or m & _LOW >= (_HALF - n) % n:
                 return m >> 32
+
+    def burst(self, k: int, n: int) -> list[tuple[int, float]]:
+        """n (integers(k), random()) draws, as n pairs of those calls would take them.
+
+        The same arithmetic as integers and random, inline: a planning burst
+        takes its draws in one pass with no method call per draw.
+        """
+        if not 1 <= k <= _HALF:
+            raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {k}")
+        if k == 1:
+            return [(0, self.random()) for _ in range(n)]
+        words, refill = self._words, self._refill
+        pop = words.pop
+        cached, half = self._cached, self._half
+        # a low half at or above this settles Lemire's draw (see integers)
+        floor = (_HALF - k) % k
+        out = []
+        for _ in range(n):
+            while True:
+                if cached:
+                    cached = False
+                    m = half * k
+                else:
+                    w = pop() if words else refill()
+                    cached, half = True, w >> 32
+                    m = (w & _LOW) * k
+                if m & _LOW >= floor:
+                    break
+            w = pop() if words else refill()
+            out.append((m >> 32, (w >> 11) * 2**-53))
+        self._cached, self._half = cached, half
+        return out
 
     def close(self) -> None:
         """Move the generator back over the unused words and hand back the cached half."""

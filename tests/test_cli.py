@@ -298,9 +298,22 @@ class TestArtifactCommands:
         assert len(err) == 1 and err[0].startswith("error: cost parameters must be <= 1e+06")
 
     def test_unparseable_transactions_file_is_one_error_line(self, tmp_path, capsys):
-        # int(float("inf")) raises OverflowError, which main() does not catch
+        # int(float("inf")) raised OverflowError, which main() does not catch
         data = tmp_path / "tx.csv"
         data.write_text("date,product,quantity\n2021-01-01,Boule 200g,inf\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(path), "--out", str(tmp_path / "fc")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "row 2" in err[0]
+
+    def test_fractional_quantity_is_one_error_line(self, tmp_path, capsys):
+        # a quantity of 2.7 was truncated to 2 without a word
+        data = tmp_path / "tx.csv"
+        data.write_text("date,product,quantity\n2021-01-01,Boule 200g,2.7\n")
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
         capsys.readouterr()

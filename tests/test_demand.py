@@ -162,6 +162,20 @@ class TestLoadTransactions:
         with pytest.raises(DomainError, match="row 3"):
             load_transactions(f, "Boule 200g")
 
+    @pytest.mark.parametrize("quantity", ["2.7", "-1"])
+    def test_quantity_not_a_whole_count_is_refused(self, tmp_path, quantity):
+        # a fraction was truncated and a negative row netted into its day's total
+        f = tmp_path / "tx.csv"
+        self._write(f, ["2021-01-01,Boule 200g,3", f"2021-01-02,Boule 200g,{quantity}",
+                        "2021-01-02,Boule 200g,3"])
+        with pytest.raises(DomainError, match=f"row 3: quantity '{quantity}' is not a non-negative"):
+            load_transactions(f, "Boule 200g")
+
+    def test_whole_quantity_with_a_decimal_point(self, tmp_path):
+        f = tmp_path / "tx.csv"
+        self._write(f, ["2021-01-01,Boule 200g,3.0", "2021-01-01,Boule 200g,0"])
+        assert list(load_transactions(f, "Boule 200g").quantities) == [3]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_transactions(tmp_path / "nope.csv", "Boule 200g")

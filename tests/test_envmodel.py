@@ -14,6 +14,7 @@ from coldstart_dynaq.env import (
     CostParams,
     DomainError,
     InventoryState,
+    day_tables,
     enumerate_states,
     num_states,
     state_index,
@@ -61,6 +62,21 @@ def observe_table(m, s, a, d):
     model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
 
 
+def recover_reference(tables, shift=0.0):
+    """recover_demand's rule for every (s, a, d) at once, as numpy scans of the day tables.
+
+    Entry [s, a, d] is the demand recovered from the transition of demand
+    d with its cost plus shift: the first demand e reaching the same next
+    state with a cost within 1e-9, else the first demand reaching it.
+    """
+    nxt, cost = tables.next, tables.cost
+    # [s, a, d, e]: demand e reaches demand d's next state
+    same = nxt[..., :, None] == nxt[..., None, :]
+    close = same & (np.abs(cost[..., None, :] - (cost[..., :, None] + shift)) <= 1e-9)
+    # argmax picks the first True along e
+    return np.where(close.any(axis=-1), close.argmax(axis=-1), same.argmax(axis=-1))
+
+
 class TestRecoverDemand:
     def test_round_trip_all_demands(self):
         for s in enumerate_states(s_max=2):
@@ -95,9 +111,17 @@ class TestRecoverDemand:
         assert recover(spaces, s, a, out, out.cost + 1e-3) == same_state[0]
 
     def test_inconsistent_transition(self):
+        s, s_next = state_index(InventoryState(0, 0, 0)), state_index(InventoryState(5, 5, 5))
         with pytest.raises(InconsistentTransitionError):
-            recover_demand(SPACES, state_index(InventoryState(0, 0, 0)), 0,
-                           state_index(InventoryState(5, 5, 5)), 0.0)
+            recover_demand(SPACES, s, 0, s_next, 0.0)
+        # neither a new pair nor a seen one keeps anything of it
+        m = EnvModel(SPACES)
+        for seen in (False, True):
+            with pytest.raises(InconsistentTransitionError):
+                model_update(m, s, 0, s_next, 0.0)
+            assert len(m.pairs) == len(m.next_rows) == int(seen)
+            assert m.demand_counts.sum() == int(seen)
+            observe_table(m, s, 0, 3)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("order", [-1, 11])
@@ -124,6 +148,28 @@ class TestRecoverDemand:
         with pytest.raises(DomainError):
             model_update(m, state, A, s_next, cost)
         assert m.pairs == pairs
+
+    def test_every_transition_of_the_default_spaces(self):
+        # every (s, a, d), each pair first seen at a different demand, both
+        # through recover_demand and through a tabular model's cached rows
+        tables = day_tables(SPACES)
+        # a cost no demand has falls back to the first demand reaching s_next
+        # (every cost here is a multiple of 0.1)
+        wants, offs = recover_reference(tables).tolist(), recover_reference(tables, 1e-3).tolist()
+        nexts, costs = tables.next.tolist(), tables.cost.tolist()
+        m = EnvModel(SPACES)
+        counts = [0] * (SPACES.d_max + 1)
+        for s in range(num_states(SPACES.s_max)):
+            for a in range(SPACES.a_max + 1):
+                for k in range(SPACES.d_max + 1):
+                    d = (s + a + k) % (SPACES.d_max + 1)
+                    s_next, cost, want = nexts[s][a][d], costs[s][a][d], wants[s][a][d]
+                    assert recover_demand(SPACES, s, a, s_next, cost) == want
+                    assert recover_demand(SPACES, s, a, s_next, cost + 1e-3) == offs[s][a][d]
+                    model_update(m, s, a, s_next, cost)
+                    counts[want] += 1
+                    assert m.demand_counts[want] == counts[want]
+        assert m.demand_counts.tolist() == counts
 
     def test_demand_to_next_state(self):
         for d in range(11):
@@ -259,6 +305,7 @@ def rebuilt(m, transition_loss="categorical"):
     r = EnvModel(m.spaces, variant=m.variant, rng=np.random.default_rng(0),
                  transition_loss=transition_loss)
     r.pairs, r.visited = list(m.pairs), dict(m.visited)
+    r.next_rows = [r.tables.next[s, a].tolist() for s, a in m.pairs]
     if m.variant == "tabular":
         r.demand_counts, r.demand_cdf = m.demand_counts.copy(), list(m.demand_cdf)
         r.cost_sums, r.cost_counts = list(m.cost_sums), list(m.cost_counts)
@@ -329,6 +376,10 @@ def test_plan_draws_as_the_per_pair_loop(variant, transition_loss):
         if variant != "mc-dropout":
             got_stream.close()
             want_stream.close()
+            # plan wraps a plain Generator for the call and leaves it where numpy would
+            plain = np.random.default_rng(seed)
+            assert plan(m, n, plain) == want
+            assert plain.bit_generator.state == want_rng.bit_generator.state
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -357,7 +408,7 @@ def test_planned_demand_is_drawn_from_the_normalised_pmf(variant):
     assert len(found) >= 3
     for s, a, d, want in found:
         u[0, envmodel.MC_SAMPLES * width] = d
-        assert envmodel._neural_outcomes(m, [(s, a)], u)[0][2] == want
+        assert envmodel._neural_outcomes(m, [m.visited[s, a]], u)[0][2] == want
 
 
 def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
@@ -374,15 +425,22 @@ def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
     assert rng.bit_generator.state != plan_state
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_empty_burst_on_an_empty_model(variant):
+@pytest.mark.parametrize("variant, wrapped", [
+    ("tabular", False), ("det-net", False), ("mc-dropout", False),
+    ("tabular", True), ("det-net", True),
+], ids=["tabular", "det-net", "mc-dropout", "tabular-word-stream", "det-net-word-stream"])
+def test_empty_burst_on_an_empty_model(variant, wrapped):
+    # no pair to draw is the model's error, not the stream's for integers(0)
     m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(43))
     rng = np.random.default_rng(44)
     state = rng.bit_generator.state
-    assert plan(m, 0, rng) == []
-    assert rng.bit_generator.state == state
+    draws = WordStream(rng) if wrapped else rng
+    assert plan(m, 0, draws) == []
     with pytest.raises(UnvisitedPairError):
-        plan(m, 1, rng)
+        plan(m, 1, draws)
+    if wrapped:
+        draws.close()
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])

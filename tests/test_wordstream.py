@@ -36,6 +36,23 @@ def test_stream_matches_numpy_draw_for_draw():
         assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
+# 2**31 + 1 rejects about half of all low halves; a 300-step burst takes
+# about 450 words, so it crosses a 256-word refill
+@pytest.mark.parametrize("k", [1, 2, 3, 246, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("cached", [False, True])
+def test_burst_matches_interleaved_draws(k, cached):
+    ref, wrapped = np.random.default_rng(21), np.random.default_rng(21)
+    if cached:
+        assert wrapped.integers(11) == ref.integers(11)
+    with WordStream(wrapped) as stream:
+        for n in (0, 1, 7, 300, 100):
+            want = [(int(ref.integers(k)), ref.random()) for _ in range(n)]
+            assert stream.burst(k, n) == want
+            # a scalar draw between bursts, from where the burst left off
+            assert stream.integers(5) == ref.integers(5)
+    assert wrapped.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("cached", [False, True])
 def test_close_without_draws_keeps_the_state(cached):
     rng = np.random.default_rng(3)
@@ -56,3 +73,5 @@ def test_refuses_a_generator_other_than_pcg64(bit_generator):
 def test_integers_outside_the_32_bit_range(n):
     with pytest.raises(DomainError):
         WordStream(np.random.default_rng(0)).integers(n)
+    with pytest.raises(DomainError):
+        WordStream(np.random.default_rng(0)).burst(n, 3)
