@@ -6,7 +6,9 @@ exploration and planning constant, and adjusted Dyna-Q decays both with a
 search-then-convergence schedule of the global environment-step counter.
 bench names the algorithms and builds their schedules. An optional warm
 start, a Learner pre-trained on forecasted demand, replaces the zero
-Q-table and empty model with copies of its own.
+Q-table and empty model with copies of its own. Only a learner that reads
+its model fits it: Q-learning without a probe leaves its model as it was
+built, or as the warm start's copy.
 
 Randomness is split into three independent streams (environment demand,
 exploration, planning), one for network dropout and one for the probe's
@@ -125,7 +127,8 @@ class Learner:
     the learner's own step counter t. probe, given as state indices (s, a,
     s_next) and a generator, logs the model's transition probability for
     it after every step (None while unvisited); an MC-dropout model's read
-    draws from that generator alone.
+    draws from that generator alone. learn fits the model on each real
+    step only when the learner reads it, by planning or by the probe.
 
     act and learn work on rows, q.values as Python list rows, which are
     cheaper to index and update one entry at a time than a numpy array,
@@ -146,6 +149,8 @@ class Learner:
         self.plan_rng = (plan_rng if plan_rng is None or model.variant == "mc-dropout"
                          else WordStream(plan_rng))
         self.probe = probe
+        # STC schedules never increase, so step 0 plans the most
+        self.fits_model = probe is not None or stc_steps(planning, 0) > 0
         self.probe_trace = []
         self.episode_metrics: list[RunMetrics] = []
         self.planning_steps = 0
@@ -163,7 +168,8 @@ class Learner:
         rows, model = self.rows, self.model
         alpha, gamma = self.q.alpha, self.q.gamma
         q_update(rows, s, a, cost, s_next, alpha, gamma)
-        model_update(model, s, a, s_next, cost)
+        if self.fits_model:
+            model_update(model, s, a, s_next, cost)
         for ps, pa, sim_next, sim_cost in plan(model, self.n_plan, self.plan_rng):
             q_update(rows, ps, pa, sim_cost, sim_next, alpha, gamma)
         self.planning_steps += self.n_plan

@@ -45,10 +45,12 @@ SCENARIO_CONFIGS = (
     ("q-learning", False),
 )
 
-# Spec fields that must be at least 1: each counts workers, runs or days, and a
-# mean over zero runs or days is 0/0.
+# Spec fields that must be at least 1: each counts workers, runs, days or epochs.
+# A mean over zero runs or days is 0/0, and zero epochs would report transfer
+# results from an untrained forecaster or an empty warm start.
 _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
-           "test_repetitions", "offline_horizon", "window")
+           "test_repetitions", "offline_horizon", "window", "forecaster_epochs",
+           "warm_epochs")
 
 # More worker processes than this is a config error, not a machine size.
 MAX_WORKERS = 64

@@ -29,7 +29,7 @@ from .env import (
     num_states,
     state_index,
 )
-from .envmodel import EnvModel
+from .envmodel import EnvModel, model_update
 from .qcore import QTable
 from .schedule import constant
 
@@ -146,9 +146,11 @@ def build_warm_start(
 ) -> Learner:
     """Q-learning over the offline series, replayed cyclically for `epochs`.
 
-    Every offline transition also feeds the environment model, so both the
-    returned learner's Q-table and its model reflect only demand values
-    present in the offline series.
+    The learner plans nothing and has no probe, so it leaves its model
+    alone; the replay fits it right after each learn step, for the
+    transfer configurations that read it. Both the returned learner's
+    Q-table and its model reflect only demand values present in the
+    offline series.
     """
     if len(offline) == 0:
         raise DomainError("offline series is empty")
@@ -161,9 +163,14 @@ def build_warm_start(
         spaces, variant=model_variant, rng=model_rng, transition_loss=transition_loss
     )
     learner = Learner(q, model, constant(epsilon), constant(0.0), explore_rng)
+
+    def replay(s: int, a: int, s_next: int, cost: float) -> None:
+        learner.learn(s, a, s_next, cost)
+        model_update(model, s, a, s_next, cost)
+
     s0 = state_index(initial_state, spaces.s_max)
     for _ in range(epochs):
         demands = iter(offline.quantities.tolist())
-        rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, learner.learn)
+        rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, replay)
     learner.finish()
     return learner

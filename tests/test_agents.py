@@ -181,6 +181,34 @@ def test_probe_does_not_change_training(variant):
     ]
 
 
+def built_model(config, variant):
+    """The model train builds for config, before any step: from spawn child 3, model_rng."""
+    model_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(5)[3])
+    return EnvModel(SPACES, variant=variant, rng=model_rng)
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
+def test_q_learning_without_a_probe_leaves_its_model_as_built(variant):
+    # nothing reads a model that plans nothing and is not probed, so nothing fits it
+    config = q_learning_config(model_variant=variant, episodes=2, seed=6)
+    learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0)
+    assert isinstance(learner.model, EnvModel)
+    assert learner.model.visited == {} and learner.model.pairs == []
+    if variant == "tabular":
+        assert not learner.model.demand_counts.any() and learner.model.cost_counts == []
+    assert learned_state(learner.model) == learned_state(built_model(config, variant))
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
+def test_probed_q_learning_still_fits_its_model(variant):
+    config = q_learning_config(model_variant=variant, episodes=2, seed=6)
+    probe = (bench.PROBE_STATE, bench.PROBE_ACTION, bench.PROBE_NEXT)
+    learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0, probe_pair=probe)
+    assert len(learner.probe_trace) == 60
+    assert len(learner.model.visited) > 0
+    assert learned_state(learner.model) != learned_state(built_model(config, variant))
+
+
 class TestEvaluate:
     def test_zero_demand_zero_cost(self):
         dist = point_mass(0)

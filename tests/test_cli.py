@@ -85,6 +85,8 @@ class TestArgumentHandling:
         {"test_days": 0},
         {"test_repetitions": 0},
         {"offline_horizon": 0},
+        {"forecaster_epochs": 0},
+        {"warm_epochs": -2},
         {"sigma2": "5"},
         {"mu": True},
         {"sigma2": float("nan")},

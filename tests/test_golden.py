@@ -97,47 +97,47 @@ GOLDEN_MORE = {
     ("table1", "tabular"): {
         "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
         "summary": "e66571d984a488f5264c2c8a43a3e592b52d50ea75b86aafa9a9d87c4d466c60",
-        "learned": "4ce5dccbcc8696b3f6cd8d1ff2a7f4305845078c8aeae638683145bac4322cb4",
+        "learned": "f3694b3e528d2ae406ae127c9dafc04d9dc6411e86e79c802a7fa17062f6c4cc",
     },
     ("table1", "det-net"): {
         "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
         "summary": "aadf5c3833083cd2f9882a1fdc182cd4eb544f974f6763498d757fbfcf77cd2e",
-        "learned": "5b03b5072c12beb1ec91816abe2a4221f25ad0ee878fe503d9994c25d6214cce",
+        "learned": "065da2145702d12a4923de02db0fa6d86b4203ffc45b4aade8aca58d871bf621",
     },
     ("table1", "mc-dropout"): {
         "report": "25165865ab176bd2e5b391e7520f527185e58c4011145291c53c3dc08b9755fd",
         "summary": "6203f1e9efb70e10d33806ea2ceac2adac218502fa80207ab0cc2a7d9b963a80",
-        "learned": "27ac4a37b8fcb22a3f7e29d0975957a2fd9e73f2709ef442f2ffdb142c053e1e",
+        "learned": "34d0190acaf56aebf0bb2f0bcc659c33f76874cfd6882b5da9718205ec15f50e",
     },
     ("scenario1", "tabular"): {
         "report": "9733829ba575964eb7af3fdd11971b0b259e8f181087b4827ca038d20783ce2f",
         "summary": "745ec2917820066e09e2ca91f580cc2a013a870373eff4e4895b172a5a7075d8",
-        "learned": "ddba33fd9ef8a1eb30125138d651da1df5b5c5002c4505588395f6ad587581fc",
+        "learned": "5cdc9bd1a18848f6897245db23af6a93955fb6763849733d3c6b69063bfe12db",
     },
     ("scenario1", "det-net"): {
         "report": "fc47a153c74b7aa9ffdf3d4b44674805c46bc1c3671d7b71a0acd2570cece1e4",
         "summary": "820f932d23a4fc2d10296284bc9cae03b456846122f15499e23f7fe47c000abb",
-        "learned": "5a6fec5b3a5891dc59a2998f98c46c5de5b2e58f32f40fac3473affe016b3f53",
+        "learned": "1aba936c4b58ce40826136c5df66a28b2e457a1a22779eb7c50fb8c4eba98984",
     },
     ("scenario1", "mc-dropout"): {
         "report": "81cb9378e10119a3d3a886d97acd204dd06bfdcc09dd847e5178b43fb415bb90",
         "summary": "5fd060fbf5c3d719f6bc7cfd69498837772f1f1431f34e779457920eb8050fea",
-        "learned": "10b5ce0f5943bc895b7934545088547a412f9b59db11e9193b0b97eddf14b488",
+        "learned": "9889438819d8de25e4e01ad921ae8344a67697cd263c9c4edf9ce0a3769a3502",
     },
     ("scenario2", "tabular"): {
         "report": "cea5374a2c4bdb769fa2eab88ffdf3d7ca2d04bcec10f1fb3aef2128f70f48b2",
         "summary": "7349e9e7530fd2fa965d33d85d932a638e3241de4e7d702ece1a33b3a5703301",
-        "learned": "cfe573bfad14f940036e4031c6a207e6c55801fe965fb863e8b4bc54a4e860b2",
+        "learned": "df916e9003853f34efda04880af2a1512b8f0825aa4bd4e9180a80b59932fc33",
     },
     ("scenario2", "det-net"): {
         "report": "9aaa4eb5ae529f75ce4d4c33387a8b2d5f700642a53c47b19b6a92f221f3a512",
         "summary": "4a60d5a4e330847d6d6fdf622e1f3e4b888c004096a9cc3e5677d7f3559fd363",
-        "learned": "d1bf28dc45a29641d532ec9fea05b546cfb893a41ae937b13e4e5ec8461f6472",
+        "learned": "5c66c2a56651fbcccdc5e6d7d08b005f771493d9e61d6344f818502975b05d6a",
     },
     ("scenario2", "mc-dropout"): {
         "report": "9f8c74e5e88a8053fa1bfc2a1d5d144cfb1b003d30830c98603234d8dc701e90",
         "summary": "cdb1a92de0299060958a79995a0b7e45d636920ed2519998c85f4a158d839e95",
-        "learned": "ba5ee6c174e25fe8121f5ec5934ed083409b596a36443bb40adc5bc185126f62",
+        "learned": "bf019709a9c31da4c3f6af8a1b6f42445974a3d6ba9886efe8e33abe96a83083",
     },
     ("fig3", "tabular"): {
         "report": "d29a63417ba6a98571653cb43abebc334c1d4f5e63ec3e33154aab09390c5d97",

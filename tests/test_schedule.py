@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coldstart_dynaq.schedule import StcSchedule, constant, stc_steps, stc_value
 
@@ -51,3 +53,17 @@ def test_invalid_schedules_rejected():
         StcSchedule(0.1, 0.4, 100.0)
     with pytest.raises(ValueError):
         StcSchedule(0.4, 0.1, 0.0)
+
+
+@st.composite
+def valid_schedules(draw):
+    floor = draw(st.floats(0.0, 1e6))
+    initial = draw(st.floats(floor, 1e6))
+    smoothing = draw(st.floats(0.0, 1e9, exclude_min=True))
+    return StcSchedule(initial, floor, smoothing)
+
+
+@given(valid_schedules(), st.integers(0, 10**9))
+def test_steps_never_exceed_step_zero(sched, t):
+    # a learner that plans nothing at step 0 never plans, so it need not fit a model
+    assert stc_steps(sched, t) <= stc_steps(sched, 0)
