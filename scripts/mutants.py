@@ -74,6 +74,15 @@ MUTANTS = {
         "                break\n",
         ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
     ),
+    # borrow() lends the generator without rewinding the stream's unused
+    # words; an MC-dropout learner's stream never buffers any, so the record
+    # digests cannot see this
+    "borrow-no-rewind": (
+        WORDSTREAM,
+        "        self.close()\n        try:\n",
+        "        try:\n",
+        ["tests/test_wordstream.py::test_borrow_lends_the_generator_where_the_stream_left_it"],
+    ),
     # recovery takes the first demand reaching the next state and ignores the cost
     "recover-ignores-cost": (
         ENVMODEL,

@@ -14,20 +14,21 @@ Randomness is split into three independent streams (environment demand,
 exploration, planning), one for network dropout and one for the probe's
 MC-dropout reads, so planning depth never perturbs the real demand
 sequence and probing never perturbs training. A WordStream, bit-exact
-with numpy, serves the scalar-draw streams: training demand, exploration
-(the warm start's too), the tabular and det-net planning streams and
-evaluate's demand. The dropout, probe and MC-dropout planning streams
-stay plain Generators.
+with numpy, serves training demand, exploration (the warm start's too),
+planning and evaluate's demand; each is opened and closed by the with
+block of the function that made its generator. A planning burst on an
+MC-dropout model makes its array draws on the generator its stream lends
+it. The dropout and probe streams stay plain Generators.
 
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
 each real step a Learner plans one burst, envmodel.plan, which draws
-the whole burst before it reads the model (a tabular or det-net burst in
-one WordStream.burst pass), and runs q_update over its simulated
-transitions in draw order. While a Learner learns, its Q-table is Python
-list rows, not q.values, and a tabular model's per-step work is Python
-over the next-state rows it keeps per visited pair; learner.q is current
-once train or forecast.build_warm_start returns.
+the whole burst before it reads the model, and runs q_update over its
+simulated transitions in draw order. While a Learner learns, its
+Q-table is Python list rows, not q.values, and a tabular model's
+per-step work is Python over the next-state rows it keeps per visited
+pair; learner.q is current once train or forecast.build_warm_start
+returns.
 """
 
 import time
@@ -131,23 +132,20 @@ class Learner:
     step only when the learner reads it, by planning or by the probe.
 
     act and learn work on rows, q.values as Python list rows, which are
-    cheaper to index and update one entry at a time than a numpy array,
-    and draw from WordStreams over the exploration and planning generators.
-    finish() writes the rows back into q.values, drops them and closes the
-    streams.
+    cheaper to index and update one entry at a time than a numpy array.
+    They draw from the exploration and planning WordStreams they are
+    given; whoever opened those closes them. A learner that plans nothing
+    needs no planning stream. finish() writes the rows back into q.values
+    and drops them.
     """
 
     def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
-                 planning: StcSchedule, explore_rng, plan_rng=None, probe=None):
+                 planning: StcSchedule, explore_rng: WordStream,
+                 plan_rng: WordStream | None = None, probe=None):
         self.q, self.model = q, model
         self.rows = q.values.tolist()
         self.epsilon, self.planning = epsilon, planning
-        self.explore_rng = WordStream(explore_rng)
-        # an MC-dropout burst draws a 3841-word row of uniforms per step;
-        # serving array draws from a stream cut scenario2-mc-dropout
-        # q_updates_per_s by about 22 % (measured on per-pair planning)
-        self.plan_rng = (plan_rng if plan_rng is None or model.variant == "mc-dropout"
-                         else WordStream(plan_rng))
+        self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.probe = probe
         # STC schedules never increase, so step 0 plans the most
         self.fits_model = probe is not None or stc_steps(planning, 0) > 0
@@ -180,12 +178,9 @@ class Learner:
                 self.probe_trace.append(None)
 
     def finish(self) -> None:
-        """Write the learned rows back into q.values, drop them and close the streams."""
+        """Write the learned rows back into q.values and drop them."""
         self.q.values[:] = self.rows
         self.rows = None
-        for stream in (self.explore_rng, self.plan_rng):
-            if isinstance(stream, WordStream):
-                stream.close()
 
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
@@ -234,10 +229,11 @@ def train(
         ps, pa, p_next = probe_pair
         probe = (state_index(ps, spaces.s_max), pa.order_qty, state_index(p_next, spaces.s_max),
                  probe_rng)
-    learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
-                      explore_rng, plan_rng, probe)
     s0 = state_index(initial_state, spaces.s_max)
-    with WordStream(env_rng) as demand_rng:
+    with (WordStream(env_rng) as demand_rng, WordStream(explore_rng) as explore,
+          WordStream(plan_rng) as planning):
+        learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
+                          explore, planning, probe)
         learner.episode_metrics = [
             rollout(tables, s0, config.horizon, learner.act,
                     lambda: sample(true_demand, demand_rng), learner.learn)

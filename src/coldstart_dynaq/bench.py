@@ -147,6 +147,9 @@ class ExperimentSpec:
         low = {name: getattr(self, name) for name in _COUNTS if getattr(self, name) < 1}
         if low:
             raise DomainError(f"need {', '.join(f'{n} >= 1' for n in _COUNTS)}, got {low}")
+        # SeedSequence would refuse it only inside a worker, without the field's name
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers > MAX_WORKERS:
             raise DomainError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
         low = {name: getattr(self, name) for name in _MOMENTS if getattr(self, name) <= 0}

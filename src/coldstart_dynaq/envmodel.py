@@ -15,14 +15,16 @@ model_update sees a pair it cuts the pair's next-state row from the
 tables as a Python list; recovering a demand then scans that row, and a
 simulated next state is one list lookup.
 
-Planning runs in bursts: plan(m, n, rng) returns the n transitions that
-n sample_visited and simulate calls would, from the same draws. A tabular
-or det-net burst takes all its draws in one WordStream.burst pass, and a
-tabular burst is then a Python loop over the cached rows. Both nets read
-through one stacked MC-dropout pass per net: a det-net burst reads its
-distinct pairs at once (its masks have width 0, so the pass is the
-deterministic forward), and an MC-dropout burst reads its pairs up to
-eight at a time. Every MC-dropout read averages MC_SAMPLES dropout passes.
+Planning runs in bursts: plan(m, n, stream) returns the n transitions
+that n sample_visited and simulate calls would, from the same draws of
+one WordStream. A tabular or det-net burst takes all its draws in one
+WordStream.burst pass, and a tabular burst is then a Python loop over the
+cached rows; an MC-dropout burst makes numpy's array draws on the
+generator the stream lends it. Both nets read through one stacked
+MC-dropout pass per net: a det-net burst reads its distinct pairs at once
+(its masks have width 0, so the pass is the deterministic forward), and
+an MC-dropout burst reads its pairs up to eight at a time. Every
+MC-dropout read averages MC_SAMPLES dropout passes.
 
 save_model writes a model's visit memory and learned numbers to an .npz
 file for inspection with numpy.load; nothing in the package reads it back.
@@ -303,20 +305,19 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     return _neural_outcomes(m, [i], rng.random((1, _mc_row(m))))[0][2:]
 
 
-def plan(m: EnvModel, n: int,
-         rng: np.random.Generator | WordStream) -> list[tuple[int, int, int, float]]:
+def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, float]]:
     """One planning burst: n simulated transitions (s, a, s_next, cost) in draw order.
 
     It draws what n sample_visited + simulate calls would, in their order.
     No draw depends on a prediction, and the weights do not change within a
     burst, so every pair and uniform comes first: each pair, then its demand
     uniform, or for MC-dropout its row of simulate's uniforms. A tabular or
-    det-net burst takes its (pair, uniform) draws in one WordStream.burst
-    pass; a plain Generator is wrapped in a stream for the call. A tabular
-    model then reads each next state from the pair's cached row, with no
-    numpy call per step. A det-net reads the burst's distinct pairs with
-    one stacked pass per net, and an MC-dropout model, on a plain Generator,
-    reads the pairs _MC_CHUNK at a time the same way.
+    det-net burst takes its (pair, uniform) draws in one stream.burst pass.
+    A tabular model then reads each next state from the pair's cached row,
+    with no numpy call per step. A det-net reads the burst's distinct pairs
+    with one stacked pass per net. An MC-dropout burst draws on the
+    generator stream.borrow() lends it and reads the pairs _MC_CHUNK at a
+    time the same way.
     """
     if not n:
         return []
@@ -328,19 +329,16 @@ def plan(m: EnvModel, n: int,
         # them at once raised scenario2-mc-dropout peak_rss_mb by about 1 MB
         u = np.empty((min(n, _MC_CHUNK), _mc_row(m)))
         burst = []
-        for start in range(0, n, _MC_CHUNK):
-            rows = u[:min(_MC_CHUNK, n - start)]
-            slots = []
-            for row in rows:
-                slots.append(int(rng.integers(len(m.pairs))))
-                rng.random(out=row)
-            burst += _neural_outcomes(m, slots, rows)
+        with stream.borrow() as rng:
+            for start in range(0, n, _MC_CHUNK):
+                rows = u[:min(_MC_CHUNK, n - start)]
+                slots = []
+                for row in rows:
+                    slots.append(int(rng.integers(len(m.pairs))))
+                    rng.random(out=row)
+                burst += _neural_outcomes(m, slots, rows)
         return burst
-    if isinstance(rng, WordStream):
-        draws = rng.burst(len(m.pairs), n)
-    else:
-        with WordStream(rng) as stream:
-            draws = stream.burst(len(m.pairs), n)
+    draws = stream.burst(len(m.pairs), n)
     if m.variant == "tabular":
         pairs, next_rows, cdf = m.pairs, m.next_rows, m.demand_cdf
         sums, counts = m.cost_sums, m.cost_counts

@@ -32,6 +32,7 @@ from .env import (
 from .envmodel import EnvModel, model_update
 from .qcore import QTable
 from .schedule import constant
+from .wordstream import WordStream
 
 _HIDDEN = (128, 64)
 _BATCH_SIZE = 32
@@ -146,11 +147,11 @@ def build_warm_start(
 ) -> Learner:
     """Q-learning over the offline series, replayed cyclically for `epochs`.
 
-    The learner plans nothing and has no probe, so it leaves its model
-    alone; the replay fits it right after each learn step, for the
-    transfer configurations that read it. Both the returned learner's
-    Q-table and its model reflect only demand values present in the
-    offline series.
+    The learner plans nothing and has no probe, so it needs no planning
+    stream and leaves its model alone; the replay fits it right after each
+    learn step, for the transfer configurations that read it. Both the
+    returned learner's Q-table and its model reflect only demand values
+    present in the offline series.
     """
     if len(offline) == 0:
         raise DomainError("offline series is empty")
@@ -162,15 +163,16 @@ def build_warm_start(
     model = EnvModel(
         spaces, variant=model_variant, rng=model_rng, transition_loss=transition_loss
     )
-    learner = Learner(q, model, constant(epsilon), constant(0.0), explore_rng)
-
-    def replay(s: int, a: int, s_next: int, cost: float) -> None:
-        learner.learn(s, a, s_next, cost)
-        model_update(model, s, a, s_next, cost)
-
     s0 = state_index(initial_state, spaces.s_max)
-    for _ in range(epochs):
-        demands = iter(offline.quantities.tolist())
-        rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, replay)
+    with WordStream(explore_rng) as explore:
+        learner = Learner(q, model, constant(epsilon), constant(0.0), explore)
+
+        def replay(s: int, a: int, s_next: int, cost: float) -> None:
+            learner.learn(s, a, s_next, cost)
+            model_update(model, s, a, s_next, cost)
+
+        for _ in range(epochs):
+            demands = iter(offline.quantities.tolist())
+            rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, replay)
     learner.finish()
     return learner

@@ -5,6 +5,7 @@ y = t^2 / (smoothing + t): flat early (search), then roughly ~1/t decay
 (convergence) until the floor binds.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +16,12 @@ class StcSchedule:
     smoothing: float
 
     def __post_init__(self):
+        # nan passes every comparison below: a nan floor acts as 0 (max(x, nan)
+        # is x), an infinite smoothing holds the value, and a nan or infinite
+        # initial would fail only later, in stc_steps' round()
+        for name in ("initial", "floor", "smoothing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.initial < self.floor:
             raise ValueError(f"initial {self.initial} below floor {self.floor}")
         if self.floor < 0.0:

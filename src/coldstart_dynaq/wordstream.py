@@ -17,8 +17,12 @@ functions that take an rng (qcore.select_action and demand.sample) call
 only these two, so they take a stream in place of a Generator.
 burst(k, n) returns a planning burst's n (integers(k), random()) draws
 in one pass with the same arithmetic inline; envmodel.plan takes every
-tabular and det-net planning draw from it.
+tabular and det-net planning draw from it. borrow() lends the generator
+itself for numpy's array draws, such as an MC-dropout burst's rows of
+uniforms, and the stream resumes where those draws left it.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,8 +36,9 @@ _LOW = _HALF - 1
 class WordStream:
     """random() and integers(n) of one PCG64 Generator, served from its words.
 
-    Draw from the generator directly only after close() (or the end of a
-    with block), and wrap it again before drawing from a stream.
+    Draw from the generator directly only inside a borrow() block or after
+    close() (or the end of a with block), and wrap it again before drawing
+    from a stream.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -43,8 +48,7 @@ class WordStream:
                 f"a word stream copies PCG64's draws, got a {type(bit_generator).__name__} generator"
             )
         self.rng = rng
-        state = bit_generator.state
-        self._cached, self._half = bool(state["has_uint32"]), state["uinteger"]
+        self._read_half()
         # the unused words of the current block, the next one last
         self._words = []
         self._pop = self._words.pop
@@ -54,6 +58,10 @@ class WordStream:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _read_half(self) -> None:
+        state = self.rng.bit_generator.state
+        self._cached, self._half = bool(state["has_uint32"]), state["uinteger"]
 
     def _refill(self) -> int:
         words = self.rng.bit_generator.random_raw(_BLOCK).tolist()
@@ -133,3 +141,12 @@ class WordStream:
         state = bit_generator.state
         state["has_uint32"], state["uinteger"] = int(self._cached), self._half
         bit_generator.state = state
+
+    @contextmanager
+    def borrow(self):
+        """Close the stream, yield the Generator, and take its cached half back after the block."""
+        self.close()
+        try:
+            yield self.rng
+        finally:
+            self._read_half()

@@ -111,6 +111,7 @@ class TestArgumentHandling:
         {"cost_params": [1e308, 0.3, 0, 1]},
         {"cost_params": [0.7, 0.3, 0, 1e200]},
         {"a_max": 0, "model_variant": "det-net"},  # a net's input divides by a_max
+        {"master_seed": -1, "repetitions": 2},  # SeedSequence refuses it in a worker
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",

@@ -349,11 +349,6 @@ def plan_reference(m, n, rng):
     return burst
 
 
-def planning_stream(m, rng):
-    """What a Learner plans from: a word stream, a plain Generator for MC-dropout."""
-    return rng if m.variant == "mc-dropout" else WordStream(rng)
-
-
 @pytest.mark.parametrize("variant, transition_loss", [
     ("tabular", "categorical"),
     ("det-net", "categorical"),
@@ -371,15 +366,10 @@ def test_plan_draws_as_the_per_pair_loop(variant, transition_loss):
         observe_table(m, s, a, d)
         ref = rebuilt(m, transition_loss)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got_stream, want_stream = planning_stream(m, got_rng), planning_stream(m, want_rng)
-        got, want = plan(m, n, got_stream), plan_reference(ref, n, want_stream)
-        if variant != "mc-dropout":
-            got_stream.close()
-            want_stream.close()
-            # plan wraps a plain Generator for the call and leaves it where numpy would
-            plain = np.random.default_rng(seed)
-            assert plan(m, n, plain) == want
-            assert plain.bit_generator.state == want_rng.bit_generator.state
+        with WordStream(got_rng) as stream:
+            got = plan(m, n, stream)
+        # numpy's own per-pair draws: the stream must leave the generator where they do
+        want = plan_reference(ref, n, want_rng)
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -420,7 +410,8 @@ def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
     state = m.rng.bit_generator.state
     rng = np.random.default_rng(47)
     plan_state = rng.bit_generator.state
-    assert len(plan(m, 20, rng)) == 20
+    with WordStream(rng) as stream:
+        assert len(plan(m, 20, stream)) == 20
     assert m.rng.bit_generator.state == state
     assert rng.bit_generator.state != plan_state
 
@@ -640,7 +631,8 @@ class TestDetNetReads:
     def test_planned_costs_are_one_pair_reads(self):
         # the burst reads its distinct pairs in one stacked pass per net
         m = self.trained(24)
-        burst = plan(m, 50, np.random.default_rng(25))
+        with WordStream(np.random.default_rng(25)) as stream:
+            burst = plan(m, 50, stream)
         assert {(s, a) for s, a, _, _ in burst} == set(self.PAIRS)
         for s, a, _, cost in burst:
             assert cost == estimate_cost(m, s, a)

@@ -53,6 +53,16 @@ def test_invalid_schedules_rejected():
         StcSchedule(0.1, 0.4, 100.0)
     with pytest.raises(ValueError):
         StcSchedule(0.4, 0.1, 0.0)
+    nan, inf = float("nan"), float("inf")
+    for initial, floor, smoothing in [
+        (1.0, nan, 1.0),  # max(x, nan) is x: a floor of 0
+        (1.0, 0.0, inf),  # constant at initial
+        (nan, 0.0, 1.0),
+        (inf, 0.0, 1.0),
+        (1.0, 0.0, nan),
+    ]:
+        with pytest.raises(ValueError, match="must be finite"):
+            StcSchedule(initial, floor, smoothing)
 
 
 @st.composite

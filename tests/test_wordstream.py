@@ -53,6 +53,30 @@ def test_burst_matches_interleaved_draws(k, cached):
     assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
+# one integers(7) leaves the stream a cached half at the borrow, two use it up
+@pytest.mark.parametrize("cached", [False, True])
+def test_borrow_lends_the_generator_where_the_stream_left_it(cached):
+    ref, wrapped = np.random.default_rng(31), np.random.default_rng(31)
+    want_row, got_row = np.empty(5), np.empty(5)
+    with WordStream(wrapped) as stream:
+        # the first draw buffers a block of words the borrow must rewind
+        assert stream.random() == ref.random()
+        for _ in range(1 if cached else 2):
+            assert stream.integers(7) == ref.integers(7)
+        with stream.borrow() as rng:
+            assert rng is wrapped
+            assert rng.integers(300) == ref.integers(300)
+            assert rng.random(3).tolist() == ref.random(3).tolist()
+            rng.random(out=got_row)
+            ref.random(out=want_row)
+            assert got_row.tolist() == want_row.tolist()
+        # the borrowed integers(300) left a cached half when it took a fresh word
+        assert stream.integers(7) == ref.integers(7)
+        assert stream.random() == ref.random()
+        assert stream.burst(11, 4) == [(int(ref.integers(11)), ref.random()) for _ in range(4)]
+    assert wrapped.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("cached", [False, True])
 def test_close_without_draws_keeps_the_state(cached):
     rng = np.random.default_rng(3)
