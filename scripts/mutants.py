@@ -56,6 +56,17 @@ MUTANTS = {
         "np.divide(np.multiply(self.learning_rate, m, out=step), 1 - ADAM_BETA1**t, out=step)",
         ["tests/test_nn.py::test_train_step_matches_per_array_reference"],
     ),
+    # a copied or pickled net copies each parameter view on its own,
+    # detached from its copied flat vector, which training then updates
+    "net-copy-detached-views": (
+        NN,
+        "    def __reduce__(self):\n",
+        "    def _reduce_unused(self):\n",
+        [
+            "tests/test_nn.py::test_restored_net_keeps_its_parameters_on_its_flat_vector",
+            "tests/test_nn.py::test_copied_env_model_trains_like_the_original",
+        ],
+    ),
     # planning draws from the softmax output without normalising it
     "skip-pmf-normalise": (
         ENVMODEL,

@@ -21,6 +21,8 @@ D_MAX_DEFAULT = 10
 BINNINGS = ("center", "floor")
 
 _PMF_TOL = 1e-9
+# a day's total must fit the int64 quantities of a DemandSeries
+_MAX_DAY_TOTAL = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,8 @@ def load_transactions(path, product_name: str) -> DemandSeries:
 
     Expects a header with date, product and quantity columns (ISO-8601
     dates), and a quantity in every row that is a non-negative whole
-    number ("3" or "3.0"); any other row is one DomainError naming it.
+    number ("3" or "3.0"); any other row, or a row that takes its day's
+    total past the int64 range, is one DomainError naming it.
     Rows are filtered to `product_name`, summed per day, and missing days
     inside the observed span are zero-filled.
     """
@@ -161,7 +164,13 @@ def load_transactions(path, product_name: str) -> DemandSeries:
                 )
             if product != product_name:
                 continue
-            totals[day] = totals.get(day, 0) + int(qty)
+            total = totals.get(day, 0) + int(qty)
+            if total > _MAX_DAY_TOTAL:
+                raise DomainError(
+                    f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
+                    f"takes the total of {day} past {_MAX_DAY_TOTAL}"
+                )
+            totals[day] = total
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
     first, last = min(totals), max(totals)

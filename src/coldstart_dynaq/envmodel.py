@@ -12,8 +12,10 @@ The model runs on the integer core: every function takes and returns
 states as indices (env.state_index) and actions as order quantities, and
 next states and costs come from the env's day tables. The first time
 model_update sees a pair it cuts the pair's next-state row from the
-tables as a Python list; recovering a demand then scans that row, and a
-simulated next state is one list lookup.
+tables as a Python list, and a neural model encodes the pair's net input
+once, also as a list; recovering a demand then scans that row, a
+simulated next state is one list lookup, and a net's input rows are
+built from the encoded lists.
 
 Planning runs in bursts: plan(m, n, stream) returns the n transitions
 that n sample_visited and simulate calls would, from the same draws of
@@ -108,6 +110,8 @@ class EnvModel:
         self.visited: dict[tuple[int, int], int] = {}
         # per pair, by position: its next-state row of the day tables by demand
         self.next_rows: list[list[int]] = []
+        # per pair, by position, for a neural variant: its net input (_encode) as a list
+        self.inputs: list[list[float]] = []
         if variant == "tabular":
             self.demand_counts = np.zeros(spaces.d_max + 1)
             self.demand_cdf: list[float] = []
@@ -137,8 +141,9 @@ class EnvModel:
     def copy(self) -> "EnvModel":
         import copy as _copy
 
-        # the day tables and the next-state rows cut from them are shared and read-only
-        memo = {id(row): row for row in self.next_rows}
+        # the day tables, the next-state rows cut from them and the encoded
+        # inputs are shared and read-only
+        memo = {id(row): row for row in (*self.next_rows, *self.inputs)}
         memo[id(self.tables)] = self.tables
         return _copy.deepcopy(self, memo)
 
@@ -220,6 +225,8 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         if m.variant == "tabular":
             m.cost_sums.append(0.0)
             m.cost_counts.append(0)
+        else:
+            m.inputs.append(m._encode(s, a).tolist())
     if m.variant == "tabular":
         m.demand_counts[d] += 1
         # cdf_of's sums, in Python: whole counts have an exact total, and
@@ -230,9 +237,9 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
-        x = m._encode(s, a)
-        nn.train_step(m.transition_net, m.transition_adam, x[None, :], np.array([d]), rng=m.rng)
-        nn.train_step(m.cost_net, m.cost_adam, x[None, :], np.array([[cost]]), rng=m.rng)
+        x = np.array([m.inputs[i]])
+        nn.train_step(m.transition_net, m.transition_adam, x, np.array([d]), rng=m.rng)
+        nn.train_step(m.cost_net, m.cost_adam, x, np.array([[cost]]), rng=m.rng)
 
 
 def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
@@ -250,10 +257,10 @@ def transition_pmf(
     m: EnvModel, s: int, a: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Estimated demand-class distribution for a visited pair."""
-    _slot(m, s, a)
+    i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.demand_counts / m.demand_counts.sum()
-    pmf = _mc_mean(m, m.transition_net, m._encode(s, a), rng)
+    pmf = _mc_mean(m, m.transition_net, np.array(m.inputs[i]), rng)
     return pmf / pmf.sum()
 
 
@@ -261,7 +268,7 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
     i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
-    return float(_mc_mean(m, m.cost_net, m._encode(s, a), rng)[0])
+    return float(_mc_mean(m, m.cost_net, np.array(m.inputs[i]), rng)[0])
 
 
 def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, int, float]]:
@@ -279,7 +286,7 @@ def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, 
     reads = list(dict.fromkeys(slots)) if m.variant == "det-net" else slots
     rows = len(reads)
     pairs, next_rows = m.pairs, m.next_rows
-    x = np.array([m._encode(*pairs[i]) for i in reads])[:, None, :]
+    x = np.array([m.inputs[i] for i in reads])[:, None, :]
     # a det-net's mask columns are empty in every row, so any rows serve
     t_u = u[:rows, :split].reshape(rows, MC_SAMPLES, t_width)
     pmfs = nn.mc_predict(m.transition_net, x, t_u)[:, 0]

@@ -5,6 +5,13 @@ regression (MSE) or categorical (softmax) head, Adam, and Monte-Carlo
 dropout prediction (the mean over stochastic forward passes). Shared by
 the environment model and the demand forecaster.
 
+A network keeps its parameters in one flat vector, `flat`: the weight
+matrices, then the bias vectors, with `weights` and `biases` reshaped
+views of it in `parameters()` order. Its gradient vector `grad` has the
+same layout; a backward pass writes each gradient into its view, and
+Adam updates `flat` with one subtraction. A copy or an unpickled net
+rebuilds its views on its own copied vector (`Network.__reduce__`).
+
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
 
@@ -46,38 +53,61 @@ class Network:
             raise ValueError(f"dropout must be in [0,1), got {dropout}")
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
+        draws = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            draws.append(rng.uniform(-limit, limit, fan_in * fan_out))
+        self._attach(sizes, dropout, head, np.concatenate([*draws, np.zeros(sum(sizes[1:]))]))
+
+    def _attach(self, sizes: list[int], dropout: float, head: str, flat: np.ndarray) -> None:
         self.sizes = list(sizes)
         self.dropout = dropout
         self.head = head
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, (fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self.flat = flat
+        self.weights, self.biases = _views(self.sizes, flat)
+        self.grad = np.zeros_like(flat)
+        self.grad_weights, self.grad_biases = _views(self.sizes, self.grad)
+
+    def __reduce__(self):
+        # deepcopy and pickle would copy each view on its own, detached
+        # from the copied flat vector; rebuilding the views keeps them on it
+        return _restore, (self.sizes, self.dropout, self.head, self.flat)
 
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
 
-class AdamState:
-    """Adam (Kingma & Ba 2015) with m and v flat over net.parameters().
+def _restore(sizes: list[int], dropout: float, head: str, flat: np.ndarray) -> Network:
+    net = Network.__new__(Network)
+    net._attach(sizes, dropout, head, flat)
+    return net
 
-    spans[i] is parameter i's slice. apply runs each elementwise step once
-    over the whole vector in reused buffers, matching per-array bit for bit.
+
+def _views(sizes: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """flat cut into the weight matrices, then the bias vectors, of a net of these sizes."""
+    shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    views = [flat[a:b].reshape(shape) for a, b, shape in zip([0, *ends], ends, shapes)]
+    return views[:len(sizes) - 1], views[len(sizes) - 1:]
+
+
+class AdamState:
+    """Adam (Kingma & Ba 2015) with m and v flat over net.flat.
+
+    apply runs each elementwise step once over the whole vector in reused
+    buffers and subtracts the step from net.flat once, matching a per-array
+    update bit for bit.
     """
 
     def __init__(self, net: Network, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
         self.step_count = 0
-        ends = list(accumulate(p.size for p in net.parameters()))
-        self.spans = list(zip([0, *ends[:-1]], ends))
-        self.m, self.v, *self._scratch = (np.zeros(ends[-1]) for _ in range(5))
+        self.m, self.v, *self._scratch = (np.zeros(net.flat.size) for _ in range(4))
 
-    def apply(self, net: Network, grads: list[np.ndarray]) -> None:
+    def apply(self, net: Network, g: np.ndarray) -> None:
+        """One Adam step along the flat gradient g, laid out as net.flat."""
         t = self.step_count = self.step_count + 1
-        m, v, (g, tmp, step) = self.m, self.v, self._scratch
-        np.concatenate(grads, axis=None, out=g)
+        m, v, (tmp, step) = self.m, self.v, self._scratch
         m *= ADAM_BETA1
         m += np.multiply(1 - ADAM_BETA1, g, out=tmp)
         v *= ADAM_BETA2
@@ -85,8 +115,7 @@ class AdamState:
         np.multiply(self.learning_rate, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)
         np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=tmp), out=tmp), ADAM_EPS, out=tmp)
         step /= tmp
-        for p, (start, end) in zip(net.parameters(), self.spans):
-            p -= step[start:end].reshape(p.shape)
+        net.flat -= step
 
 
 def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.ndarray] | None:
@@ -95,7 +124,8 @@ def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.nd
         return None
     keep = 1.0 - net.dropout
     starts = list(accumulate(net.sizes[1:-1], initial=0))
-    flat = (rng.random(batch * starts[-1]) < keep) / keep
+    # 0 or fl(1 / keep), as (u < keep) / keep gives
+    flat = (rng.random(batch * starts[-1]) < keep) * (1.0 / keep)
     return [flat[batch * a:batch * b].reshape(batch, b - a) for a, b in zip(starts, starts[1:])]
 
 
@@ -157,16 +187,20 @@ def _one_hot(Y: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch loss of the outputs against Y, and its gradient at the last pre-activation."""
+    """Batch loss of the outputs against Y, and its gradient at the last pre-activation.
+
+    Each mean is the sum and division np.mean makes, without its Python-level wrapper.
+    """
     if net.head == "regression":
         diff = out - np.asarray(Y, dtype=float).reshape(out.shape)
-        return float(np.mean(diff**2)), 2.0 * diff / out.size
+        return float((diff**2).sum() / out.size), 2.0 * diff / out.size
     onehot = _one_hot(Y, net.sizes[-1])
     if net.head == "categorical":
-        loss = float(-np.mean(np.sum(onehot * np.log(out + 1e-12), axis=1)))
+        loss = float(-(np.sum(onehot * np.log(out + 1e-12), axis=1).sum() / out.shape[0]))
         return loss, (out - onehot) / out.shape[0]
-    loss = float(np.mean((out - onehot) ** 2))
-    dout = 2.0 * (out - onehot) / out.size
+    diff = out - onehot
+    dout = 2.0 * diff / out.size
+    loss = float((diff**2).sum() / out.size)
     return loss, out * (dout - np.sum(dout * out, axis=1, keepdims=True))
 
 
@@ -178,20 +212,22 @@ def batch_loss(net: Network, X: np.ndarray, Y: np.ndarray, masks=None) -> float:
 
 
 def _loss_and_grads(net: Network, X: np.ndarray, Y: np.ndarray, masks):
+    """The batch loss, and its gradient written into net.grad.
+
+    The gradient comes back as net.grad's views in parameters() order, so
+    it changes with the next call.
+    """
     acts, pres, out = _forward_cached(net, X, masks)
     loss, dz = _loss(net, out, Y)
-
-    w_grads = [None] * len(net.weights)
-    b_grads = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        w_grads[i] = acts[i].T @ dz
-        b_grads[i] = dz.sum(axis=0)
+        np.matmul(acts[i].T, dz, out=net.grad_weights[i])
+        dz.sum(axis=0, out=net.grad_biases[i])
         if i > 0:
-            da = dz @ net.weights[i].T
+            dz = dz @ net.weights[i].T
             if masks is not None:
-                da = da * masks[i - 1]
-            dz = da * (pres[i - 1] > 0.0)
-    return loss, w_grads + b_grads
+                dz *= masks[i - 1]
+            dz *= pres[i - 1] > 0.0
+    return loss, net.grad_weights + net.grad_biases
 
 
 def train_step(
@@ -210,12 +246,12 @@ def train_step(
         masks = draw_masks(net, X.shape[0], rng)
     # an overflow shows as a non-finite loss, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = _loss_and_grads(net, X, Y, masks)
+        loss, _ = _loss_and_grads(net, X, Y, masks)
     if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} (batch {X.shape}, head {net.head})"
         )
-    adam.apply(net, grads)
+    adam.apply(net, net.grad)
     return loss
 
 

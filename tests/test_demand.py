@@ -171,6 +171,17 @@ class TestLoadTransactions:
         with pytest.raises(DomainError, match=f"row 3: quantity '{quantity}' is not a non-negative"):
             load_transactions(f, "Boule 200g")
 
+    @pytest.mark.parametrize("rows", [
+        ["2021-01-01,Boule 200g,3", "2021-01-02,Boule 200g,1e300"],
+        ["2021-01-02,Boule 200g,5e18", "2021-01-02,Boule 200g,5e18"],
+    ], ids=["huge-row", "huge-day-total"])
+    def test_quantity_past_int64_is_refused(self, tmp_path, rows):
+        # a finite whole quantity that int64 cannot hold was an OverflowError
+        f = tmp_path / "tx.csv"
+        self._write(f, rows)
+        with pytest.raises(DomainError, match="row 3: quantity .* past 9223372036854775807"):
+            load_transactions(f, "Boule 200g")
+
     def test_whole_quantity_with_a_decimal_point(self, tmp_path):
         f = tmp_path / "tx.csv"
         self._write(f, ["2021-01-01,Boule 200g,3.0", "2021-01-01,Boule 200g,0"])

@@ -310,9 +310,9 @@ def rebuilt(m, transition_loss="categorical"):
         r.demand_counts, r.demand_cdf = m.demand_counts.copy(), list(m.demand_cdf)
         r.cost_sums, r.cost_counts = list(m.cost_sums), list(m.cost_counts)
     else:
+        r.inputs = [list(x) for x in m.inputs]
         for new, old in ((r.transition_net, m.transition_net), (r.cost_net, m.cost_net)):
-            new.weights = [w.copy() for w in old.weights]
-            new.biases = [b.copy() for b in old.biases]
+            new.flat[:] = old.flat
     return r
 
 

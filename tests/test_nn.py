@@ -1,6 +1,7 @@
 import copy
 import datetime as dt
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestGradients:
         net = make_net([2, 3, 1])
         adam = nn.AdamState(net)
         before = [p.copy() for p in net.parameters()]
-        adam.apply(net, [np.zeros_like(p) for p in net.parameters()])
+        adam.apply(net, np.zeros_like(net.flat))
         for b, p in zip(before, net.parameters()):
             assert np.array_equal(b, p)
 
@@ -260,13 +261,40 @@ def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
             ref_net, ref_adam, X, Y, ref_rng
         )
     assert adam.step_count == ref_adam.step_count == 200
-    for (start, end), p, ref_p, m, v in zip(
-        adam.spans, net.parameters(), ref_net.parameters(), ref_adam.m, ref_adam.v
+    # m and v are laid out as the parameters in net.flat
+    adam_m, adam_v = (sum(nn._views(net.sizes, x), []) for x in (adam.m, adam.v))
+    for p, ref_p, m, ref_m, v, ref_v in zip(
+        net.parameters(), ref_net.parameters(), adam_m, ref_adam.m, adam_v, ref_adam.v
     ):
         assert np.array_equal(p, ref_p)
-        assert np.array_equal(adam.m[start:end].reshape(p.shape), m)
-        assert np.array_equal(adam.v[start:end].reshape(p.shape), v)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(v, ref_v)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("restore", [
+    copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net)),
+], ids=["deepcopy", "pickle"])
+def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
+    net = make_net([4, 16, 8, 3], head="categorical", dropout=0.5, seed=4)
+    twin = restore(net)
+    assert twin.flat is not net.flat and np.array_equal(twin.flat, net.flat)
+    adam, twin_adam = nn.AdamState(net), nn.AdamState(twin)
+    rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
+    data = np.random.default_rng(6)
+    start = twin.flat.copy()
+    for _ in range(20):
+        X, Y = training_batch(data, net.sizes, net.head, 8)
+        loss = nn.train_step(net, adam, X, Y, rng=rng)
+        assert nn.train_step(twin, twin_adam, X, Y, rng=twin_rng) == loss
+    assert np.array_equal(twin.flat, net.flat) and not np.array_equal(twin.flat, start)
+    # the parameters and their gradients read the restored vectors, in parameters() order
+    assert np.array_equal(np.concatenate(twin.parameters(), axis=None), twin.flat)
+    _, grads = nn._loss_and_grads(twin, X, Y, None)
+    assert np.array_equal(np.concatenate(grads, axis=None), twin.grad)
+    twin.flat[:] = 7.0
+    assert all(np.all(p == 7.0) for p in twin.parameters())
+    assert all(np.all(p != 7.0) for p in net.parameters())
 
 
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
