@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 NN = "src/coldstart_dynaq/nn.py"
 ENVMODEL = "src/coldstart_dynaq/envmodel.py"
 WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
+QCORE = "src/coldstart_dynaq/qcore.py"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -84,6 +85,24 @@ MUTANTS = {
         "                if m & _LOW >= floor:\n                    break\n",
         "                break\n",
         ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
+    ),
+    # a long burst's numpy block keeps every pair index without Lemire's
+    # rejection, where the scalar loop would draw again
+    "vector-burst-no-rejection": (
+        WORDSTREAM,
+        "        if ((m & _LOW_U64) < floor).any():\n",
+        "        if False:\n",
+        ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
+    ),
+    # q_update keeps a row's cached minimum when the entry holding it rises
+    "row-min-no-recompute": (
+        QCORE,
+        "    elif old == low < new:\n        mins[s] = min(row)\n",
+        "",
+        [
+            "tests/test_qcore.py::test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does",
+            "tests/test_qcore.py::test_rows_match_the_numpy_reference_bit_for_bit",
+        ],
     ),
     # borrow() lends the generator without rewinding the stream's unused
     # words; an MC-dropout learner's stream never buffers any, so the record

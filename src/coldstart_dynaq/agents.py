@@ -25,10 +25,10 @@ day loop, rollout(), on state indices and the env's day tables. After
 each real step a Learner plans one burst, envmodel.plan, which draws
 the whole burst before it reads the model, and runs q_update over its
 simulated transitions in draw order. While a Learner learns, its
-Q-table is Python list rows, not q.values, and a tabular model's
-per-step work is Python over the next-state rows it keeps per visited
-pair; learner.q is current once train or forecast.build_warm_start
-returns.
+Q-table is Python list rows with each row's minimum beside them, not
+q.values, and a tabular model's per-step work is Python over the
+next-state rows it keeps per visited pair; learner.q is current once
+train or forecast.build_warm_start returns.
 """
 
 import time
@@ -132,7 +132,8 @@ class Learner:
     step only when the learner reads it, by planning or by the probe.
 
     act and learn work on rows, q.values as Python list rows, which are
-    cheaper to index and update one entry at a time than a numpy array.
+    cheaper to index and update one entry at a time than a numpy array,
+    and learn keeps mins, each row's minimum, for q_update.
     They draw from the exploration and planning WordStreams they are
     given; whoever opened those closes them. A learner that plans nothing
     needs no planning stream. finish() writes the rows back into q.values
@@ -144,6 +145,7 @@ class Learner:
                  plan_rng: WordStream | None = None, probe=None):
         self.q, self.model = q, model
         self.rows = q.values.tolist()
+        self.mins = [min(row) for row in self.rows]
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.probe = probe
@@ -163,13 +165,13 @@ class Learner:
         return select_action(self.rows[s], eps, self.explore_rng)
 
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
-        rows, model = self.rows, self.model
+        rows, mins, model = self.rows, self.mins, self.model
         alpha, gamma = self.q.alpha, self.q.gamma
-        q_update(rows, s, a, cost, s_next, alpha, gamma)
+        q_update(rows, mins, s, a, cost, s_next, alpha, gamma)
         if self.fits_model:
             model_update(model, s, a, s_next, cost)
         for ps, pa, sim_next, sim_cost in plan(model, self.n_plan, self.plan_rng):
-            q_update(rows, ps, pa, sim_cost, sim_next, alpha, gamma)
+            q_update(rows, mins, ps, pa, sim_cost, sim_next, alpha, gamma)
         self.planning_steps += self.n_plan
         if self.probe is not None:
             try:
@@ -178,9 +180,9 @@ class Learner:
                 self.probe_trace.append(None)
 
     def finish(self) -> None:
-        """Write the learned rows back into q.values and drop them."""
+        """Write the learned rows back into q.values and drop them and their minima."""
         self.q.values[:] = self.rows
-        self.rows = None
+        self.rows = self.mins = None
 
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:

@@ -7,10 +7,11 @@ the environment model and the demand forecaster.
 
 A network keeps its parameters in one flat vector, `flat`: the weight
 matrices, then the bias vectors, with `weights` and `biases` reshaped
-views of it in `parameters()` order. Its gradient vector `grad` has the
-same layout; a backward pass writes each gradient into its view, and
-Adam updates `flat` with one subtraction. A copy or an unpickled net
-rebuilds its views on its own copied vector (`Network.__reduce__`).
+views of it in `parameters()` order. The net's `AdamState` keeps the
+gradient vector `grad` in the same layout, so a net holds no gradient
+once its optimiser is gone; a backward pass writes each gradient into
+its view, and Adam updates `flat` with one subtraction. A copy or an
+unpickled net or optimiser rebuilds its views on its own copied vector.
 
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
@@ -65,8 +66,6 @@ class Network:
         self.head = head
         self.flat = flat
         self.weights, self.biases = _views(self.sizes, flat)
-        self.grad = np.zeros_like(flat)
-        self.grad_weights, self.grad_biases = _views(self.sizes, self.grad)
 
     def __reduce__(self):
         # deepcopy and pickle would copy each view on its own, detached
@@ -94,15 +93,31 @@ def _views(sizes: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[n
 class AdamState:
     """Adam (Kingma & Ba 2015) with m and v flat over net.flat.
 
-    apply runs each elementwise step once over the whole vector in reused
-    buffers and subtracts the step from net.flat once, matching a per-array
-    update bit for bit.
+    It also holds the net's gradient: grad, laid out as net.flat, with
+    grads its views in parameters() order, which train_step's backward
+    pass writes. apply runs each elementwise step once over the whole
+    vector in reused buffers and subtracts the step from net.flat once,
+    matching a per-array update bit for bit.
     """
 
     def __init__(self, net: Network, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m, self.v, *self._scratch = (np.zeros(net.flat.size) for _ in range(4))
+        self._sizes = list(net.sizes)
+        self.m, self.v, self.grad, *self._scratch = (np.zeros(net.flat.size) for _ in range(5))
+        self._attach_grads()
+
+    def _attach_grads(self) -> None:
+        self.grads = sum(_views(self._sizes, self.grad), [])
+
+    def __getstate__(self) -> dict:
+        # deepcopy and pickle would copy each gradient view on its own,
+        # detached from the copied grad; __setstate__ rebuilds them on it
+        return {k: v for k, v in self.__dict__.items() if k != "grads"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._attach_grads()
 
     def apply(self, net: Network, g: np.ndarray) -> None:
         """One Adam step along the flat gradient g, laid out as net.flat."""
@@ -211,23 +226,24 @@ def batch_loss(net: Network, X: np.ndarray, Y: np.ndarray, masks=None) -> float:
     return _loss(net, out, Y)[0]
 
 
-def _loss_and_grads(net: Network, X: np.ndarray, Y: np.ndarray, masks):
-    """The batch loss, and its gradient written into net.grad.
+def _loss_and_grads(net: Network, X: np.ndarray, Y: np.ndarray, masks, grads: list):
+    """The batch loss, and its gradient written into grads.
 
-    The gradient comes back as net.grad's views in parameters() order, so
-    it changes with the next call.
+    grads holds one buffer per parameter, in parameters() order, such as
+    AdamState.grads; it comes back as the gradient.
     """
     acts, pres, out = _forward_cached(net, X, masks)
     loss, dz = _loss(net, out, Y)
-    for i in range(len(net.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, dz, out=net.grad_weights[i])
-        dz.sum(axis=0, out=net.grad_biases[i])
+    layers = len(net.weights)
+    for i in range(layers - 1, -1, -1):
+        np.matmul(acts[i].T, dz, out=grads[i])
+        dz.sum(axis=0, out=grads[layers + i])
         if i > 0:
             dz = dz @ net.weights[i].T
             if masks is not None:
                 dz *= masks[i - 1]
             dz *= pres[i - 1] > 0.0
-    return loss, net.grad_weights + net.grad_biases
+    return loss, grads
 
 
 def train_step(
@@ -246,12 +262,12 @@ def train_step(
         masks = draw_masks(net, X.shape[0], rng)
     # an overflow shows as a non-finite loss, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, _ = _loss_and_grads(net, X, Y, masks)
+        loss, _ = _loss_and_grads(net, X, Y, masks, adam.grads)
     if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} (batch {X.shape}, head {net.head})"
         )
-    adam.apply(net, net.grad)
+    adam.apply(net, adam.grad)
     return loss
 
 

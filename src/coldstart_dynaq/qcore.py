@@ -7,8 +7,11 @@ A QTable holds its values as a numpy array. While a Learner learns, it
 keeps them as Python list rows instead, which q_update and select_action
 work on: per-call numpy overhead on an 11-element row costs more than the
 arithmetic, and Python floats are IEEE doubles, so the same operations in
-the same order give the same bits. The Learner writes the rows back into
-QTable.values when it is done.
+the same order give the same bits. Beside the rows it keeps mins, each
+row's minimum, which q_update reads for its target and keeps current, so
+an update scans a row only when it raises that row's minimum. min is
+exact, so the target's bits are those of min(rows[s_next]). The Learner
+writes the rows back into QTable.values when it is done.
 """
 
 import json
@@ -45,19 +48,27 @@ class QTable:
         return out
 
 
-def q_update(rows: list, s: int, a: int, cost: float, s_next: int,
+def q_update(rows: list, mins: list, s: int, a: int, cost: float, s_next: int,
              alpha: float, gamma: float) -> float:
     """One Q-learning step toward cost + gamma * min_a' Q(s', a').
 
-    rows is the Q-table as Python list rows (QTable.values.tolist()); only
-    rows[s][a] changes. Returns the updated entry.
+    rows is the Q-table as Python list rows (QTable.values.tolist()) and
+    mins[i] is min(rows[i]). rows[s][a] and mins[s] change: mins[s] takes
+    the new entry if it is lower, and is recomputed only when the entry
+    that rose was the minimum. Returns the updated entry.
     """
     if not math.isfinite(cost):
         raise ValueError(f"cost must be finite, got {cost}")
-    target = cost + gamma * min(rows[s_next])
+    target = cost + gamma * mins[s_next]
     row = rows[s]
-    row[a] += alpha * (target - row[a])
-    return row[a]
+    old = row[a]
+    new = row[a] = old + alpha * (target - old)
+    low = mins[s]
+    if new < low:
+        mins[s] = new
+    elif old == low < new:
+        mins[s] = min(row)
+    return new
 
 
 def select_action(row: list, epsilon: float, rng: np.random.Generator) -> int:

@@ -57,11 +57,12 @@ class TestCriterion1:
 
         q = QTable(3, 2, alpha=0.9, gamma=gamma)
         rows = q.values.tolist()
+        mins = [min(row) for row in rows]
         for _ in range(2000):
             for s in range(3):
                 for a in (0, 1):
                     cost, nxt = transition(s, a)
-                    q_update(rows, s, a, cost, nxt, q.alpha, q.gamma)
+                    q_update(rows, mins, s, a, cost, nxt, q.alpha, q.gamma)
         q.values[:] = rows
         gap = float(np.max(np.abs(q.values.min(axis=1) - v)))
         elapsed = time.perf_counter() - start
@@ -109,7 +110,7 @@ class TestCriterion4:
             net = nn.Network([4, 6, 5, 3], dropout=0.0, head=head, rng=rng)
             X = rng.normal(size=(7, 4))
             Y = rng.normal(size=(7, 3)) if head == "regression" else rng.integers(0, 3, size=7)
-            _, grads = nn._loss_and_grads(net, X, Y, None)
+            _, grads = nn._loss_and_grads(net, X, Y, None, nn.AdamState(net).grads)
             h = 1e-4
             for p, g in zip(net.parameters(), grads):
                 flat = p.reshape(-1)

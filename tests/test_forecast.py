@@ -33,6 +33,16 @@ def mean_prediction(f, series, day):
 
 
 class TestTrainForecaster:
+    def test_fitted_forecaster_holds_no_gradient(self):
+        # the gradient lives with the fit's optimiser and goes with it: every
+        # array the returned net holds is its parameter vector or a view of it
+        f = train_forecaster(constant_series(4, 40), window=7, epochs=1,
+                             rng=np.random.default_rng(0))
+        held = [x for v in vars(f.net).values() for x in (v if isinstance(v, list) else [v])]
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert len(arrays) == 1 + 2 * (len(f.net.sizes) - 1)
+        assert all(np.shares_memory(x, f.net.flat) for x in arrays)
+
     def test_fits_constant_series(self):
         series = constant_series(4, 120)
         f = train_forecaster(series, window=7, epochs=600, rng=np.random.default_rng(0))

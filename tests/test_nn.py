@@ -15,6 +15,11 @@ def make_net(sizes, head="regression", dropout=0.0, seed=0):
     return nn.Network(sizes, dropout=dropout, head=head, rng=np.random.default_rng(seed))
 
 
+def grad_buffers(net):
+    """One fresh buffer per parameter, in parameters() order, for _loss_and_grads to fill."""
+    return [np.empty_like(p) for p in net.parameters()]
+
+
 class TestForward:
     def test_zero_weights_zero_output(self):
         net = make_net([3, 4, 2])
@@ -78,7 +83,7 @@ class TestGradients:
             Y = rng.normal(size=(7, 3))
         else:
             Y = rng.integers(0, 3, size=7)
-        _, grads = nn._loss_and_grads(net, X, Y, None)
+        _, grads = nn._loss_and_grads(net, X, Y, None, grad_buffers(net))
         params = net.parameters()
         h = 1e-4
         for p, g in zip(params, grads):
@@ -101,7 +106,7 @@ class TestGradients:
         masks = nn.draw_masks(net, 5, rng)
         X = rng.normal(size=(5, 3))
         Y = rng.normal(size=(5, 2))
-        _, grads = nn._loss_and_grads(net, X, Y, masks)
+        _, grads = nn._loss_and_grads(net, X, Y, masks, grad_buffers(net))
         p = net.weights[0]
         g = grads[0]
         h = 1e-4
@@ -220,7 +225,8 @@ def draw_masks_reference(net, batch, rng):
 
 
 def train_step_reference(net, adam, X, Y, rng):
-    loss, grads = nn._loss_and_grads(net, X, Y, draw_masks_reference(net, len(X), rng))
+    masks = draw_masks_reference(net, len(X), rng)
+    loss, grads = nn._loss_and_grads(net, X, Y, masks, grad_buffers(net))
     adam.apply(net, grads)
     return loss
 
@@ -273,13 +279,14 @@ def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
 
 
 @pytest.mark.parametrize("restore", [
-    copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net)),
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
 ], ids=["deepcopy", "pickle"])
 def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
     net = make_net([4, 16, 8, 3], head="categorical", dropout=0.5, seed=4)
-    twin = restore(net)
+    adam = nn.AdamState(net)
+    twin, twin_adam = restore((net, adam))
     assert twin.flat is not net.flat and np.array_equal(twin.flat, net.flat)
-    adam, twin_adam = nn.AdamState(net), nn.AdamState(twin)
+    assert twin_adam.grad is not adam.grad
     rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
     data = np.random.default_rng(6)
     start = twin.flat.copy()
@@ -290,8 +297,8 @@ def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
     assert np.array_equal(twin.flat, net.flat) and not np.array_equal(twin.flat, start)
     # the parameters and their gradients read the restored vectors, in parameters() order
     assert np.array_equal(np.concatenate(twin.parameters(), axis=None), twin.flat)
-    _, grads = nn._loss_and_grads(twin, X, Y, None)
-    assert np.array_equal(np.concatenate(grads, axis=None), twin.grad)
+    _, grads = nn._loss_and_grads(twin, X, Y, None, twin_adam.grads)
+    assert np.array_equal(np.concatenate(grads, axis=None), twin_adam.grad)
     twin.flat[:] = 7.0
     assert all(np.all(p == 7.0) for p in twin.parameters())
     assert all(np.all(p != 7.0) for p in net.parameters())

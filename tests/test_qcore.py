@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from coldstart_dynaq import agents
@@ -23,27 +25,33 @@ def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
     return QTable(n_states, n_actions, alpha, gamma)
 
 
+def rows_and_mins(q):
+    """q's values as the Python list rows q_update works on, and each row's minimum."""
+    rows = q.values.tolist()
+    return rows, [min(row) for row in rows]
+
+
 class TestQUpdate:
     def test_single_step_from_zero(self):
         q = make_q()
-        assert q_update(q.values.tolist(), 0, 1, 2.0, 2, q.alpha, q.gamma) == pytest.approx(0.6)
+        assert q_update(*rows_and_mins(q), 0, 1, 2.0, 2, q.alpha, q.gamma) == pytest.approx(0.6)
 
     def test_zero_cost_fixed_point(self):
         q = make_q()
-        assert q_update(q.values.tolist(), 0, 0, 0.0, 1, q.alpha, q.gamma) == 0.0
+        assert q_update(*rows_and_mins(q), 0, 0, 0.0, 1, q.alpha, q.gamma) == 0.0
 
     def test_hand_evaluation(self):
         q = make_q()
         q.values[0, 0] = 1.0
         q.values[1, :] = 1.0
-        assert q_update(q.values.tolist(), 0, 0, 0.1, 1, q.alpha, q.gamma) == pytest.approx(1.0)
+        assert q_update(*rows_and_mins(q), 0, 0, 0.1, 1, q.alpha, q.gamma) == pytest.approx(1.0)
 
     def test_only_target_entry_changes(self):
         q = make_q()
         q.values[:] = np.arange(9).reshape(3, 3).astype(float)
         before = q.values.copy()
-        rows = q.values.tolist()
-        q_update(rows, 1, 2, 3.0, 0, q.alpha, q.gamma)
+        rows, mins = rows_and_mins(q)
+        q_update(rows, mins, 1, 2, 3.0, 0, q.alpha, q.gamma)
         q.values[:] = rows
         mask = np.ones_like(before, dtype=bool)
         mask[1, 2] = False
@@ -52,7 +60,7 @@ class TestQUpdate:
     def test_non_finite_cost(self):
         q = make_q()
         with pytest.raises(ValueError):
-            q_update(q.values.tolist(), 0, 0, float("nan"), 1, q.alpha, q.gamma)
+            q_update(*rows_and_mins(q), 0, 0, float("nan"), 1, q.alpha, q.gamma)
 
 
 class TestSelectAction:
@@ -113,12 +121,12 @@ class TestGreedyPolicy:
         oracle = np.argmin(costs + gamma * v[nxt], axis=1)
 
         q = QTable(2, 2, 0.5, gamma)
-        rows = q.values.tolist()
+        rows, mins = rows_and_mins(q)
         rng = np.random.default_rng(4)
         s = 0
         for _ in range(20000):
             a = select_action(rows[s], 0.3, rng)
-            q_update(rows, s, a, costs[s, a], nxt[s, a], q.alpha, q.gamma)
+            q_update(rows, mins, s, a, costs[s, a], nxt[s, a], q.alpha, q.gamma)
             s = nxt[s, a]
         q.values[:] = rows
         assert np.array_equal(greedy_policy(q), oracle)
@@ -141,10 +149,11 @@ def numpy_select_action(q, s, epsilon, rng):
 
 def test_rows_match_the_numpy_reference_bit_for_bit():
     # 12 states keep s == s_next common; rows reset to a constant keep
-    # greedy ties common; epsilon is 0, 1 or uniform in between
+    # greedy ties common, and raise their tied minimum entry by entry;
+    # epsilon is 0, 1 or uniform in between
     n_states, n_actions, steps = 12, 11, 100_000
     q = QTable(n_states, n_actions, 0.3, 0.9)
-    rows = q.values.tolist()
+    rows, mins = rows_and_mins(q)
     ref_rng, row_rng = np.random.default_rng(7), np.random.default_rng(7)
     plan = np.random.default_rng(8)
     states = plan.integers(n_states, size=steps)
@@ -158,17 +167,51 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
         if i % 25 == 0:
             q.values[s] = i % 50 / 10
             rows[s] = [i % 50 / 10] * n_actions
+            mins[s] = i % 50 / 10
         ties += eps == 0.0 and rows[s].count(min(rows[s])) > 1
         a = numpy_select_action(q, s, eps, ref_rng)
         ref_actions.append(a)
         numpy_q_update(q, s, a, cost, s_next)
         a = select_action(rows[s], eps, row_rng)
         row_actions.append(a)
-        q_update(rows, s, a, cost, s_next, q.alpha, q.gamma)
+        q_update(rows, mins, s, a, cost, s_next, q.alpha, q.gamma)
     assert ties > steps // 20
     assert row_actions == ref_actions
     assert np.array(rows).tobytes() == q.values.tobytes()
+    assert np.array(mins).tobytes() == q.values.min(axis=1).tobytes()
     assert row_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# a row of distinct entries, so that an update can raise its unique minimum;
+# a row of ties; and rows holding -0.0 and 0.0
+ROW_STARTS = st.sampled_from([
+    [3.0, 1.0, 2.0, 5.0],
+    [1.0, 1.0, 1.0, 1.0],
+    [0.0, -0.0, 0.0, 2.0],
+    [-0.0, 0.0, -0.0, -0.0],
+    [0.5, 4.0, 0.5, 0.25],
+])
+# a cost of 0 with a low target lowers an entry, a large one raises it;
+# the harness's costs are never negative
+UPDATES = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.0, 50.0]),
+              st.integers(0, 2)),
+    min_size=1, max_size=60,
+)
+
+
+@given(st.lists(ROW_STARTS, min_size=3, max_size=3), UPDATES, st.sampled_from([0.3, 0.9]))
+def test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does(starts, updates, alpha):
+    rows = [row[:] for row in starts]
+    mins = [min(row) for row in rows]
+    ref = [row[:] for row in starts]
+    for s, a, cost, s_next in updates:
+        got = q_update(rows, mins, s, a, cost, s_next, alpha, 0.9)
+        # the update as it reads with every target's minimum taken by a scan
+        ref[s][a] += alpha * (cost + 0.9 * min(ref[s_next]) - ref[s][a])
+        assert got == rows[s][a]
+        assert all(low == min(row) for low, row in zip(mins, rows))
+        assert np.array(rows).tobytes() == np.array(ref).tobytes()
 
 
 SPACES = ModelSpaces(cost_params=CostParams())

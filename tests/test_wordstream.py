@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq.env import DomainError
-from coldstart_dynaq.wordstream import WordStream
+from coldstart_dynaq.wordstream import _VECTOR_MIN, WordStream
 
 # n == 1 draws nothing, 2**32 takes a 32-bit half as it is, and 2**31 + 5
 # rejects about half of its draws
@@ -36,16 +36,21 @@ def test_stream_matches_numpy_draw_for_draw():
         assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
-# 2**31 + 1 rejects about half of all low halves; a 300-step burst takes
-# about 450 words, so it crosses a 256-word refill
-@pytest.mark.parametrize("k", [1, 2, 3, 246, 2**31 + 1, 2**32])
+# A burst of _VECTOR_MIN pairs or more is computed with numpy over one
+# block of words: the lengths around that switch take their block from the
+# buffered words, and a 300-step burst takes about 450 words, so its block
+# is the buffer's rest followed by fresh words. 3 * 2**30 rejects a quarter
+# of all low halves and 2**31 + 1 about half, so nearly every block of
+# theirs holds a rejection and goes back to the scalar loop; 246 and
+# 2**32 - 5 almost never reject, and 2**32 never does.
+@pytest.mark.parametrize("k", [1, 2, 3, 246, 2**32 - 5, 2**32, 3 * 2**30, 2**31 + 1])
 @pytest.mark.parametrize("cached", [False, True])
 def test_burst_matches_interleaved_draws(k, cached):
     ref, wrapped = np.random.default_rng(21), np.random.default_rng(21)
     if cached:
         assert wrapped.integers(11) == ref.integers(11)
     with WordStream(wrapped) as stream:
-        for n in (0, 1, 7, 300, 100):
+        for n in (0, 1, 7, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 300, 100):
             want = [(int(ref.integers(k)), ref.random()) for _ in range(n)]
             assert stream.burst(k, n) == want
             # a scalar draw between bursts, from where the burst left off
