@@ -53,8 +53,8 @@ MUTANTS = {
     # Adam's step as (lr * m) / (1 - beta1**t) instead of lr * (m / (1 - beta1**t))
     "adam-step-order": (
         NN,
-        "np.multiply(self.learning_rate, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)",
-        "np.divide(np.multiply(self.learning_rate, m, out=step), 1 - ADAM_BETA1**t, out=step)",
+        "np.multiply(ADAM_LR, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)",
+        "np.divide(np.multiply(ADAM_LR, m, out=step), 1 - ADAM_BETA1**t, out=step)",
         ["tests/test_nn.py::test_train_step_matches_per_array_reference"],
     ),
     # a copied or pickled net copies each parameter view on its own,

@@ -66,7 +66,6 @@ class AgentConfig:
     epsilon_schedule: StcSchedule = field(default_factory=lambda: constant(0.4))
     planning_schedule: StcSchedule = field(default_factory=lambda: constant(0.0))
     model_variant: str = "tabular"
-    transition_loss: str = "categorical"
     warm_start: "Learner | None" = None
     horizon: int = 100
     episodes: int = 100
@@ -219,12 +218,7 @@ def train(
         model.rng = model_rng
     else:
         q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
-        model = EnvModel(
-            spaces,
-            variant=config.model_variant,
-            rng=model_rng,
-            transition_loss=config.transition_loss,
-        )
+        model = EnvModel(spaces, variant=config.model_variant, rng=model_rng)
     tables = _tables(spaces, q, true_demand)
     probe = None
     if probe_pair is not None:

@@ -116,7 +116,6 @@ class ExperimentSpec:
     initial_state: InventoryState = field(default_factory=lambda: InventoryState(0, 0, 5))
 
     model_variant: str = "tabular"
-    transition_loss: str = "categorical"
     algorithms: tuple = ("adjusted-dyna-q", "dyna-q", "q-learning")
     repetitions: int = 20
     train_episodes: int = 100
@@ -167,16 +166,17 @@ class ExperimentSpec:
             raise DomainError(
                 f"initial_state must be 3 integers in [0, {self.s_max}], got {self.initial_state}"
             )
+        # a repeated name would train its configuration twice into one report row
         if not isinstance(self.algorithms, (list, tuple)) or not self.algorithms or not all(
             a in ALGORITHMS for a in self.algorithms
-        ):
+        ) or len(set(self.algorithms)) < len(self.algorithms):
             raise DomainError(
                 f"algorithms must be a non-empty subset of {ALGORITHMS}, got {self.algorithms!r}"
             )
         self.algorithms = tuple(self.algorithms)
         if self.binning not in BINNINGS:
             raise DomainError(f"unknown binning {self.binning!r}, choose from {BINNINGS}")
-        check_options(self.spaces(), self.model_variant, self.transition_loss)
+        check_options(self.spaces(), self.model_variant)
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -264,7 +264,6 @@ def make_warm_start(
         epochs=spec.warm_epochs,
         epsilon=spec.warm_epsilon,
         model_variant=spec.model_variant,
-        transition_loss=spec.transition_loss,
         initial_state=spec.initial_state,
         seed=seed_int(spec.master_seed, 90004, rep),
     )
@@ -310,7 +309,7 @@ def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, 
         agents = []
         for key in runs:
             config = AgentConfig(
-                params.alpha, params.gamma, eps, plan, spec.model_variant, spec.transition_loss,
+                params.alpha, params.gamma, eps, plan, spec.model_variant,
                 warm if transfer else None, spec.horizon, spec.train_episodes,
                 seed_int(spec.master_seed, rep, j, *key),
             )
@@ -472,6 +471,14 @@ def _fig3_record(spec, rep, j, algorithm, transfer, agents) -> dict:
 def run_fig3(spec: ExperimentSpec) -> dict:
     """Per-iteration model estimates of the monitored transition, plus the
     true probability line from the discretized-Gamma pmf."""
+    # checked before the forecaster fit: a probe outside the bounds would
+    # fail in a worker, or never be visited and trace nothing but None
+    need = {"s_max": max(astuple(PROBE_STATE) + astuple(PROBE_NEXT)),
+            "a_max": PROBE_ACTION.order_qty, "d_max": PROBE_DEMAND_CLASS}
+    got = {name: getattr(spec, name) for name in need}
+    if any(got[name] < bound for name, bound in need.items()):
+        bounds = ", ".join(f"{name} >= {bound}" for name, bound in need.items())
+        raise DomainError(f"fig3's probe transition needs {bounds}, got {got}")
     spec = replace(spec, train_episodes=1, horizon=30)
     records = _map_reps(
         spec, _fig3_record, SCENARIO2_PARAMS, SCENARIO_CONFIGS,

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import bench
 from .demand import save_series
+from .env import DomainError
 from .envmodel import VARIANTS, save_model
 from .qcore import load_qtable, save_qtable
 
@@ -44,7 +45,7 @@ def _spec_from_args(args) -> bench.ExperimentSpec:
             raise SystemExit(f"config {path} must be a JSON object")
         unknown = set(values) - _SPEC_FIELDS
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise DomainError(f"unknown config keys: {sorted(unknown)}")
     values.update(
         (name, value) for name, value in vars(args).items()
         if name in _SPEC_FIELDS and value is not None

@@ -5,8 +5,10 @@ demand), transitions are modeled over the 11 demand classes rather than
 over raw next states: the model recovers the demand implied by each
 observed transition and estimates its distribution. Three variants share
 one interface: counting (tabular), a deterministic network, and an
-MC-dropout network. Only (s, a) pairs seen in the real environment may be
-simulated from.
+MC-dropout network. A neural model has two nets: a transition net with a
+categorical head over the demand classes, fitted by cross-entropy, and a
+cost net with a regression head. Only (s, a) pairs seen in the real
+environment may be simulated from.
 
 The model runs on the integer core: every function takes and returns
 states as indices (env.state_index) and actions as order quantities, and
@@ -44,7 +46,6 @@ from .env import DayTables, DomainError, ModelSpaces, day_tables, num_states
 from .wordstream import WordStream
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
-TRANSITION_LOSSES = ("categorical", "mse")
 
 _HIDDEN = (128, 64)
 _COST_TOL = 1e-9
@@ -62,7 +63,7 @@ class InconsistentTransitionError(ValueError):
     """No demand in [0, d_max] explains the observed transition."""
 
 
-def check_options(spaces: ModelSpaces, variant: str, transition_loss: str) -> None:
+def check_options(spaces: ModelSpaces, variant: str) -> None:
     """Reject with one DomainError a model that EnvModel cannot build or learn.
 
     recover_demand tells shortage demands apart by their shortage cost
@@ -73,10 +74,6 @@ def check_options(spaces: ModelSpaces, variant: str, transition_loss: str) -> No
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown model variant {variant!r}, choose from {VARIANTS}")
-    if transition_loss not in TRANSITION_LOSSES:
-        raise DomainError(
-            f"unknown transition_loss {transition_loss!r}, choose from {TRANSITION_LOSSES}"
-        )
     if not spaces.cost_params.cs > _COST_TOL:
         raise DomainError(
             f"a learned model needs shortage cost cs > {_COST_TOL}, got {spaces.cost_params.cs}"
@@ -94,9 +91,8 @@ class EnvModel:
         spaces: ModelSpaces,
         variant: str = "tabular",
         rng: np.random.Generator | None = None,
-        transition_loss: str = "categorical",
     ):
-        check_options(spaces, variant, transition_loss)
+        check_options(spaces, variant)
         # an unseeded generator would give the nets unreproducible weights
         if variant != "tabular" and rng is None:
             raise DomainError(f"a {variant} model needs a seeded generator, got rng=None")
@@ -120,10 +116,9 @@ class EnvModel:
             self.cost_counts: list[int] = []
         else:
             dropout = 0.5 if variant == "mc-dropout" else 0.0
-            head = "categorical" if transition_loss == "categorical" else "categorical_mse"
             sizes = [4, *_HIDDEN]
             self.transition_net = nn.Network(
-                [*sizes, spaces.d_max + 1], dropout=dropout, head=head, rng=self.rng
+                [*sizes, spaces.d_max + 1], dropout=dropout, head="categorical", rng=self.rng
             )
             self.cost_net = nn.Network(
                 [*sizes, 1], dropout=dropout, head="regression", rng=self.rng

@@ -36,14 +36,16 @@ from .wordstream import WordStream
 
 _HIDDEN = (128, 64)
 _BATCH_SIZE = 32
+_DROPOUT = 0.5
 
 
 @dataclass
 class Forecaster:
     """MC-dropout network over lag/calendar features, scalar demand output.
 
-    Inputs and the target are scaled by d_max internally; predictions are
-    clamped to [0, d_max] and rounded half-up when generating demand.
+    It is fitted and read at dropout _DROPOUT. Inputs and the target are
+    scaled by d_max internally; predictions are clamped to [0, d_max] and
+    rounded half-up when generating demand.
     """
 
     net: nn.Network
@@ -65,7 +67,6 @@ def train_forecaster(
     *,
     rng: np.random.Generator,
     d_max: int = D_MAX_DEFAULT,
-    dropout: float = 0.5,
 ) -> Forecaster:
     """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE in shuffled minibatches."""
     if len(series) <= window + 1:
@@ -77,7 +78,7 @@ def train_forecaster(
     y = series.quantities[window:].astype(float)[:, None] / d_max
 
     net = nn.Network(
-        [feature_dim(window), *_HIDDEN, 1], dropout=dropout, head="regression", rng=rng
+        [feature_dim(window), *_HIDDEN, 1], dropout=_DROPOUT, head="regression", rng=rng
     )
     adam = nn.AdamState(net)
     n = len(X)
@@ -93,12 +94,12 @@ def predict_next(
     f: Forecaster,
     series: DemandSeries,
     day_index: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> int:
     """One demand prediction, clamped to [0, d_max] and rounded half-up.
 
-    With dropout on, it is a single dropout-sampled forward pass, which
-    preserves day-to-day variability in generated series.
+    It is a single dropout-sampled forward pass, its masks drawn from rng,
+    which preserves day-to-day variability in generated series.
     """
     x = _design_row(f.window, f.d_max, series, day_index)
     raw = float(nn.mc_predict(f.net, x, nn.mc_uniforms(f.net, 1, rng))[0])
@@ -110,7 +111,7 @@ def generate_offline(
     f: Forecaster,
     start_date: dt.date,
     h: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DemandSeries:
     """Autoregressive rollout of h forecasted days from the training history.
 
@@ -141,7 +142,6 @@ def build_warm_start(
     epochs: int = 50,
     epsilon: float = 0.2,
     model_variant: str = "tabular",
-    transition_loss: str = "categorical",
     initial_state: InventoryState = InventoryState(0, 0, 5),
     seed: int = 0,
 ) -> Learner:
@@ -160,9 +160,7 @@ def build_warm_start(
     ss = np.random.SeedSequence(seed)
     explore_rng, model_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), alpha, gamma)
-    model = EnvModel(
-        spaces, variant=model_variant, rng=model_rng, transition_loss=transition_loss
-    )
+    model = EnvModel(spaces, variant=model_variant, rng=model_rng)
     s0 = state_index(initial_state, spaces.s_max)
     with WordStream(explore_rng) as explore:
         learner = Learner(q, model, constant(epsilon), constant(0.0), explore)

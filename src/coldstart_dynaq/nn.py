@@ -1,9 +1,10 @@
 """Small feed-forward network stack in plain numpy.
 
 Dense layers with ReLU, inverted dropout after each hidden layer, a
-regression (MSE) or categorical (softmax) head, Adam, and Monte-Carlo
-dropout prediction (the mean over stochastic forward passes). Shared by
-the environment model and the demand forecaster.
+regression (MSE) or categorical (softmax, cross-entropy) head, Adam at
+the step size ADAM_LR, and Monte-Carlo dropout prediction (the mean over
+stochastic forward passes). Shared by the environment model and the
+demand forecaster.
 
 A network keeps its parameters in one flat vector, `flat`: the weight
 matrices, then the bias vectors, with `weights` and `biases` reshaped
@@ -32,8 +33,10 @@ from itertools import accumulate
 
 import numpy as np
 
-HEADS = ("regression", "categorical", "categorical_mse")
+HEADS = ("regression", "categorical")
 
+# Adam's defaults (Kingma & Ba 2015)
+ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -100,8 +103,7 @@ class AdamState:
     matching a per-array update bit for bit.
     """
 
-    def __init__(self, net: Network, learning_rate: float = 0.001):
-        self.learning_rate = learning_rate
+    def __init__(self, net: Network):
         self.step_count = 0
         self._sizes = list(net.sizes)
         self.m, self.v, self.grad, *self._scratch = (np.zeros(net.flat.size) for _ in range(5))
@@ -127,7 +129,7 @@ class AdamState:
         m += np.multiply(1 - ADAM_BETA1, g, out=tmp)
         v *= ADAM_BETA2
         v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=tmp), g, out=tmp)
-        np.multiply(self.learning_rate, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)
+        np.multiply(ADAM_LR, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)
         np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=tmp), out=tmp), ADAM_EPS, out=tmp)
         step /= tmp
         net.flat -= step
@@ -166,7 +168,7 @@ def _forward_cached(net: Network, X: np.ndarray, masks):
         else:
             a = z
         acts.append(a)
-    out = _softmax(a) if net.head in ("categorical", "categorical_mse") else a
+    out = _softmax(a) if net.head == "categorical" else a
     return acts, pres, out
 
 
@@ -192,31 +194,20 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _one_hot(Y: np.ndarray, num_classes: int) -> np.ndarray:
-    Y = np.asarray(Y)
-    if Y.ndim == 2:
-        return Y.astype(float)
-    onehot = np.zeros((len(Y), num_classes))
-    onehot[np.arange(len(Y)), Y.astype(int)] = 1.0
-    return onehot
-
-
 def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch loss of the outputs against Y, and its gradient at the last pre-activation.
 
-    Each mean is the sum and division np.mean makes, without its Python-level wrapper.
+    A regression head takes Y as targets of the outputs' shape, a
+    categorical head as one class index per row. Each mean is the sum and
+    division np.mean makes, without its Python-level wrapper.
     """
     if net.head == "regression":
         diff = out - np.asarray(Y, dtype=float).reshape(out.shape)
         return float((diff**2).sum() / out.size), 2.0 * diff / out.size
-    onehot = _one_hot(Y, net.sizes[-1])
-    if net.head == "categorical":
-        loss = float(-(np.sum(onehot * np.log(out + 1e-12), axis=1).sum() / out.shape[0]))
-        return loss, (out - onehot) / out.shape[0]
-    diff = out - onehot
-    dout = 2.0 * diff / out.size
-    loss = float((diff**2).sum() / out.size)
-    return loss, out * (dout - np.sum(dout * out, axis=1, keepdims=True))
+    onehot = np.zeros(out.shape)
+    onehot[np.arange(len(out)), np.asarray(Y).astype(int)] = 1.0
+    loss = float(-(np.sum(onehot * np.log(out + 1e-12), axis=1).sum() / out.shape[0]))
+    return loss, (out - onehot) / out.shape[0]
 
 
 def batch_loss(net: Network, X: np.ndarray, Y: np.ndarray, masks=None) -> float:
@@ -341,7 +332,7 @@ def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         col += width
     # with no hidden layer every sample is the same pass
     draws = z if len(net.sizes) > 2 else np.broadcast_to(z, (rows, samples, net.sizes[-1]))
-    if net.head in ("categorical", "categorical_mse"):
+    if net.head == "categorical":
         draws = _softmax(draws)
     # the sum and division np.mean makes, without its Python-level wrapper
     mean = draws.sum(axis=1) / samples

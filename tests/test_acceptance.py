@@ -105,7 +105,7 @@ class TestCriterion4:
     def test_gradient_finite_difference(self):
         start = time.perf_counter()
         ok = True
-        for head in ("regression", "categorical", "categorical_mse"):
+        for head in ("regression", "categorical"):
             rng = np.random.default_rng(11)
             net = nn.Network([4, 6, 5, 3], dropout=0.0, head=head, rng=rng)
             X = rng.normal(size=(7, 4))

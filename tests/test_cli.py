@@ -43,11 +43,13 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main(["fig3", "--config", str(tmp_path / "absent.json")])
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"not_a_field": 1}))
-        with pytest.raises(SystemExit):
-            main(["fig3", "--config", str(path)])
+        assert main(["fig3", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config keys: ['not_a_field']"
+        ]
 
     def test_malformed_config_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -74,7 +76,7 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("override", [
         {"model_variant": "oracle"},
-        {"transition_loss": "banana", "model_variant": "det-net"},
+        {"transition_loss": "categorical"},  # not a spec field
         {"algorithms": []},
         {"algorithms": ["dyna-q", "sarsa"]},
         {"binning": "ceil"},
@@ -112,6 +114,7 @@ class TestArgumentHandling:
         {"cost_params": [0.7, 0.3, 0, 1e200]},
         {"a_max": 0, "model_variant": "det-net"},  # a net's input divides by a_max
         {"master_seed": -1, "repetitions": 2},  # SeedSequence refuses it in a worker
+        {"algorithms": ["dyna-q", "dyna-q"], "repetitions": 1},  # one report row of two configs
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(bench, "ProcessPoolExecutor",
@@ -121,6 +124,27 @@ class TestArgumentHandling:
         assert main(["table1", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("override", [
+        {"d_max": 1},
+        {"a_max": 1},
+        {"s_max": 2, "a_max": 2, "initial_state": [0, 0, 2]},
+    ])
+    def test_fig3_bounds_without_its_probe_fail_before_work(
+        self, tmp_path, capsys, monkeypatch, override
+    ):
+        # the probe (0,0,3) --order 2, demand 2--> (0,1,2) must fit the bounds
+        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a worker pool started"))
+        monkeypatch.setattr(bench, "fit_forecaster",
+                            lambda spec: pytest.fail("the forecaster was fitted"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, "repetitions": 2, "workers": 2, **override}))
+        assert main(["fig3", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: fig3's probe transition needs s_max >= 3, a_max >= 2, d_max >= 2"
+        )
 
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):

@@ -300,10 +300,9 @@ class TestSampleVisited:
             sample_visited(m, np.random.default_rng(0))
 
 
-def rebuilt(m, transition_loss="categorical"):
+def rebuilt(m):
     """A new EnvModel holding copies of m's visited pairs and learned numbers, and nothing else."""
-    r = EnvModel(m.spaces, variant=m.variant, rng=np.random.default_rng(0),
-                 transition_loss=transition_loss)
+    r = EnvModel(m.spaces, variant=m.variant, rng=np.random.default_rng(0))
     r.pairs, r.visited = list(m.pairs), dict(m.visited)
     r.next_rows = [r.tables.next[s, a].tolist() for s, a in m.pairs]
     if m.variant == "tabular":
@@ -349,22 +348,16 @@ def plan_reference(m, n, rng):
     return burst
 
 
-@pytest.mark.parametrize("variant, transition_loss", [
-    ("tabular", "categorical"),
-    ("det-net", "categorical"),
-    ("mc-dropout", "categorical"),
-    ("mc-dropout", "mse"),
-], ids=["tabular", "det-net", "mc-dropout", "mc-dropout-mse"])
-def test_plan_draws_as_the_per_pair_loop(variant, transition_loss):
-    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40),
-                 transition_loss=transition_loss)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_plan_draws_as_the_per_pair_loop(variant):
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40))
     days = np.random.default_rng(41).integers(0, [1331, 11, 11], size=(60, 3)).tolist()
     for s, a, d in days[:30]:
         observe_table(m, s, a, d)
     seeds = np.random.SeedSequence(42).spawn(30)
     for (s, a, d), seed, n in zip(days[30:], seeds, [1, 2, 7, 100, 0, 250] * 5):
         observe_table(m, s, a, d)
-        ref = rebuilt(m, transition_loss)
+        ref = rebuilt(m)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with WordStream(got_rng) as stream:
             got = plan(m, n, stream)
@@ -527,15 +520,13 @@ def test_save_load_round_trip(tmp_path, variant):
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(VARIANTS),
-    st.sampled_from(["categorical", "mse"]),
     st.lists(st.tuples(st.integers(0, 1330), st.integers(0, 10), st.integers(0, 10)),
              min_size=1, max_size=5),
     st.integers(0, 2**32 - 1),
 )
-def test_save_load_round_trip_property(variant, transition_loss, days, seed):
+def test_save_load_round_trip_property(variant, days, seed):
     # np.load gives back every learned number of the model, byte for byte
-    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(seed),
-                 transition_loss=transition_loss)
+    m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(seed))
     for s, a, d in days:
         observe_table(m, s, a, d)
     arrays = dump(m)
@@ -559,12 +550,6 @@ def test_neural_model_without_generator_rejected(variant):
     with pytest.raises(DomainError, match="seeded generator"):
         EnvModel(SPACES, variant=variant)
     assert EnvModel(SPACES).rng is None
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_unknown_transition_loss_rejected(variant):
-    with pytest.raises(DomainError, match="transition_loss"):
-        EnvModel(SPACES, variant=variant, transition_loss="banana")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
