@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 NN = "src/coldstart_dynaq/nn.py"
+FORECAST = "src/coldstart_dynaq/forecast.py"
 ENVMODEL = "src/coldstart_dynaq/envmodel.py"
 WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
 QCORE = "src/coldstart_dynaq/qcore.py"
@@ -50,12 +51,47 @@ MUTANTS = {
             "tests/test_envmodel.py::TestDetNetReads::test_planned_costs_are_one_pair_reads",
         ],
     ),
-    # Adam's step as (lr * m) / (1 - beta1**t) instead of lr * (m / (1 - beta1**t))
+    # Adam's step as lr * (m_hat / denominator) instead of (lr * m_hat) / denominator
     "adam-step-order": (
         NN,
-        "np.multiply(ADAM_LR, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)",
-        "np.divide(np.multiply(ADAM_LR, m, out=step), 1 - ADAM_BETA1**t, out=step)",
+        "        step = np.multiply(ADAM_LR, m_hat, out=scratch[0])\n"
+        "        np.sqrt(v_hat, out=v_hat)\n"
+        "        v_hat += ADAM_EPS\n"
+        "        step /= v_hat\n",
+        "        step = np.divide(m_hat, np.sqrt(v_hat, out=v_hat) + ADAM_EPS, out=scratch[0])\n"
+        "        step *= ADAM_LR\n",
         ["tests/test_nn.py::test_train_step_matches_per_array_reference"],
+    ),
+    # Adam stops dividing m by 1 - beta1**t one step early, at t = 355,
+    # where that correction is still one ulp below 1
+    "adam-skip-divide-early": (
+        NN,
+        "        if c1 == 1.0:\n",
+        "        if t >= 355:\n",
+        [
+            "tests/test_nn.py::test_train_step_matches_reference_once_the_first_correction_is_one",
+            "tests/test_forecast.py::TestTrainForecaster::test_fit_matches_the_per_batch_reference",
+        ],
+    ),
+    # each epoch's mask uniforms are drawn before its permutation, as one
+    # block drawn ahead of the epoch would take them
+    "masks-before-permutation": (
+        FORECAST,
+        "        order = rng.permutation(n)\n"
+        "        # one gather per epoch; each batch is a slice of it\n"
+        "        X_epoch, y_epoch = X[order], y[order]\n"
+        "        for start in range(0, n, _BATCH_SIZE):\n"
+        "            end = start + _BATCH_SIZE\n"
+        "            nn.train_step(net, adam, X_epoch[start:end], y_epoch[start:end], rng=rng)\n",
+        "        masks_rng = np.random.Generator(np.random.PCG64())\n"
+        "        masks_rng.bit_generator.state = rng.bit_generator.state\n"
+        "        rng.random(n * nn.mask_width(net))\n"
+        "        order = rng.permutation(n)\n"
+        "        X_epoch, y_epoch = X[order], y[order]\n"
+        "        for start in range(0, n, _BATCH_SIZE):\n"
+        "            end = start + _BATCH_SIZE\n"
+        "            nn.train_step(net, adam, X_epoch[start:end], y_epoch[start:end], rng=masks_rng)\n",
+        ["tests/test_forecast.py::TestTrainForecaster::test_fit_matches_the_per_batch_reference"],
     ),
     # a copied or pickled net copies each parameter view on its own,
     # detached from its copied flat vector, which training then updates

@@ -35,14 +35,13 @@ def _spec_from_args(args) -> bench.ExperimentSpec:
     values = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise SystemExit(f"config file not found: {path}")
+        # a missing file raises an OSError that names it, which main reports
         try:
             values = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"unreadable config {path}: {exc}")
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise DomainError(f"unreadable config {path}: {exc}") from exc
         if not isinstance(values, dict):
-            raise SystemExit(f"config {path} must be a JSON object")
+            raise DomainError(f"config {path} must be a JSON object")
         unknown = set(values) - _SPEC_FIELDS
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")

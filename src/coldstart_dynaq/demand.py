@@ -120,12 +120,6 @@ def discretized_gamma(
     return DemandDistribution(pmf=pmf)
 
 
-def point_mass(value: int, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
-    pmf = np.zeros(d_max + 1)
-    pmf[value] = 1.0
-    return DemandDistribution(pmf=pmf)
-
-
 def sample(dist: DemandDistribution, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of a single integer demand."""
     return bisect_right(dist.cdf, rng.random())

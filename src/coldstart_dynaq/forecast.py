@@ -84,9 +84,11 @@ def train_forecaster(
     n = len(X)
     for _ in range(epochs):
         order = rng.permutation(n)
+        # one gather per epoch; each batch is a slice of it
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, _BATCH_SIZE):
-            idx = order[start:start + _BATCH_SIZE]
-            nn.train_step(net, adam, X[idx], y[idx], rng=rng)
+            end = start + _BATCH_SIZE
+            nn.train_step(net, adam, X_epoch[start:end], y_epoch[start:end], rng=rng)
     return Forecaster(net=net, window=window, history=series, d_max=d_max)
 
 

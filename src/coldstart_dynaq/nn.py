@@ -8,18 +8,31 @@ demand forecaster.
 
 A network keeps its parameters in one flat vector, `flat`: the weight
 matrices, then the bias vectors, with `weights` and `biases` reshaped
-views of it in `parameters()` order. The net's `AdamState` keeps the
-gradient vector `grad` in the same layout, so a net holds no gradient
-once its optimiser is gone; a backward pass writes each gradient into
-its view, and Adam updates `flat` with one subtraction. A copy or an
-unpickled net or optimiser rebuilds its views on its own copied vector.
+views of it in `parameters()` order. The net's `AdamState` holds what
+training needs beside it, so a net holds none of it once its optimiser
+is gone:
+
+- the gradient vector `grad`, in the layout of `flat`, which a backward
+  pass writes through its views; Adam updates `flat` with one
+  subtraction;
+- Adam's m and v as the two rows of one (2, N) array, updated together.
+  Once 1 - ADAM_BETA1**t is exactly 1.0 (t >= 356) the divide of m by it
+  is skipped, since x / 1.0 == x for every double;
+- per batch size, the buffers `train_step` writes into: each layer's
+  pre-activation and each hidden layer's activation, which the backward
+  pass overwrites with its ReLU gate and gradient, and the dropout
+  uniforms, which become the masks. Every step at that size reuses them.
+
+A copy or an unpickled net or optimiser rebuilds its views on its own
+copied vector, and an optimiser its buffers afresh.
 
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
 
 - a training pass (`train_step`) draws one (batch, width) block per
-  hidden layer, first layer first, all taken in that order from one
-  rng.random(batch * sum of hidden widths) call;
+  hidden layer, first layer first, all taken in that order by one
+  rng.random(out=) call that fills its reused buffer of batch * (sum of
+  hidden widths) doubles; the masks are then written over them;
 - an MC-dropout read draws one (samples, sum of hidden widths) block,
   rng.random((samples, width)) (`mc_uniforms`), and splits the columns
   per layer. Row i holds sample i's uniforms, first layer first, which is
@@ -40,6 +53,9 @@ ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the betas and their complements as (2, 1) columns, one row per moment
+_BETAS = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+_ONE_MINUS_BETAS = 1 - _BETAS
 
 
 class Network:
@@ -94,56 +110,93 @@ def _views(sizes: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[n
 
 
 class AdamState:
-    """Adam (Kingma & Ba 2015) with m and v flat over net.flat.
+    """Adam (Kingma & Ba 2015) over net.flat, and the net's training state.
 
-    It also holds the net's gradient: grad, laid out as net.flat, with
-    grads its views in parameters() order, which train_step's backward
-    pass writes. apply runs each elementwise step once over the whole
-    vector in reused buffers and subtracts the step from net.flat once,
-    matching a per-array update bit for bit.
+    m and v are the rows of `moments`; grad is the gradient, with grads
+    its views in parameters() order; `_step_buffers` maps a batch size to
+    its step buffers. apply matches a per-array update bit for bit.
     """
 
     def __init__(self, net: Network):
         self.step_count = 0
         self._sizes = list(net.sizes)
-        self.m, self.v, self.grad, *self._scratch = (np.zeros(net.flat.size) for _ in range(5))
-        self._attach_grads()
+        self.moments = np.zeros((2, net.flat.size))
+        self.grad = np.zeros(net.flat.size)
+        self._scratch = np.empty((2, net.flat.size))
+        self._attach()
 
-    def _attach_grads(self) -> None:
+    def _attach(self) -> None:
         self.grads = sum(_views(self._sizes, self.grad), [])
+        self._step_buffers = {}
 
     def __getstate__(self) -> dict:
         # deepcopy and pickle would copy each gradient view on its own,
-        # detached from the copied grad; __setstate__ rebuilds them on it
-        return {k: v for k, v in self.__dict__.items() if k != "grads"}
+        # detached from the copied grad; __setstate__ rebuilds them on it,
+        # and the step buffers afresh
+        return {k: v for k, v in self.__dict__.items() if k not in ("grads", "_step_buffers")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._attach_grads()
+        self._attach()
+
+    def buffers(self, net: Network, batch: int) -> "_Buffers":
+        """The step buffers for this batch size, built on first use."""
+        buf = self._step_buffers.get(batch)
+        if buf is None:
+            buf = self._step_buffers[batch] = _Buffers(net, batch)
+        return buf
 
     def apply(self, net: Network, g: np.ndarray) -> None:
         """One Adam step along the flat gradient g, laid out as net.flat."""
         t = self.step_count = self.step_count + 1
-        m, v, (tmp, step) = self.m, self.v, self._scratch
-        m *= ADAM_BETA1
-        m += np.multiply(1 - ADAM_BETA1, g, out=tmp)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=tmp), g, out=tmp)
-        np.multiply(ADAM_LR, np.divide(m, 1 - ADAM_BETA1**t, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=tmp), out=tmp), ADAM_EPS, out=tmp)
-        step /= tmp
+        moments, scratch = self.moments, self._scratch
+        moments *= _BETAS
+        np.multiply(_ONE_MINUS_BETAS, g, out=scratch)
+        scratch[1] *= g
+        moments += scratch
+        c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
+        m_hat, v_hat = scratch
+        if c1 == 1.0:
+            # from t = 356 on, 1 - beta1**t rounds to exactly 1.0, and
+            # m / 1.0 == m for every double
+            m_hat = moments[0]
+        else:
+            np.divide(moments[0], c1, out=m_hat)
+        np.divide(moments[1], c2, out=v_hat)
+        step = np.multiply(ADAM_LR, m_hat, out=scratch[0])
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        step /= v_hat
         net.flat -= step
 
 
-def draw_masks(net: Network, batch: int, rng: np.random.Generator) -> list[np.ndarray] | None:
-    """Inverted-dropout masks, one per hidden layer; None when dropout is off."""
-    if net.dropout == 0.0:
-        return None
-    keep = 1.0 - net.dropout
-    starts = list(accumulate(net.sizes[1:-1], initial=0))
-    # 0 or fl(1 / keep), as (u < keep) / keep gives
-    flat = (rng.random(batch * starts[-1]) < keep) * (1.0 / keep)
-    return [flat[batch * a:batch * b].reshape(batch, b - a) for a, b in zip(starts, starts[1:])]
+class _Buffers:
+    """The buffers of a training step at one batch size, reused by every such step.
+
+    pres holds each layer's pre-activation and acts each hidden layer's
+    masked activation. Without dropout uniforms is None; with it, masks are
+    views of it, one (batch, width) block per hidden layer, first layer first.
+    """
+
+    def __init__(self, net: Network, batch: int):
+        hidden = net.sizes[1:-1]
+        self.pres = [np.empty((batch, n)) for n in net.sizes[1:]]
+        self.acts = [np.empty((batch, n)) for n in hidden]
+        self.keep = 1.0 - net.dropout
+        self.uniforms = self.masks = None
+        if net.dropout > 0.0:
+            starts = list(accumulate(hidden, initial=0))
+            self.uniforms = np.empty(batch * starts[-1])
+            self.masks = [self.uniforms[batch * a:batch * b].reshape(batch, b - a)
+                          for a, b in zip(starts, starts[1:])]
+
+    def draw_masks(self, rng: np.random.Generator) -> list[np.ndarray]:
+        """Inverted-dropout masks from fresh uniforms, written over them."""
+        u = rng.random(out=self.uniforms)
+        # 0 or fl(1 / keep), as (u < keep) / keep gives
+        np.less(u, self.keep, out=u)
+        u *= 1.0 / self.keep
+        return self.masks
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -152,24 +205,22 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_cached(net: Network, X: np.ndarray, masks):
-    """Activations of every layer; masks apply after each hidden ReLU."""
-    acts = [X]
-    pres = []
+def _forward(net: Network, X: np.ndarray, masks=None, buf: _Buffers | None = None) -> np.ndarray:
+    """The net's output on X; masks apply after each hidden ReLU.
+
+    With buf, each layer's pre-activation and hidden activation are written
+    into its buffers, where the backward pass reads them.
+    """
     a = X
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        pres.append(z)
+        z = np.matmul(a, w, out=None if buf is None else buf.pres[i])
+        z += b
         if i < last:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=None if buf is None else buf.acts[i])
             if masks is not None:
-                a = a * masks[i]
-        else:
-            a = z
-        acts.append(a)
-    out = _softmax(a) if net.head == "categorical" else a
-    return acts, pres, out
+                a *= masks[i]
+    return _softmax(z) if net.head == "categorical" else z
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -190,50 +241,49 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     X, single = _as_batch(x)
     if X.shape[-1] != net.sizes[0]:
         raise ValueError(f"input dim {X.shape[-1]} != network input {net.sizes[0]}")
-    _, _, out = _forward_cached(net, X, None)
+    out = _forward(net, X)
     return out[0] if single else out
 
 
 def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch loss of the outputs against Y, and its gradient at the last pre-activation.
 
-    A regression head takes Y as targets of the outputs' shape, a
-    categorical head as one class index per row. Each mean is the sum and
-    division np.mean makes, without its Python-level wrapper.
+    A regression head takes Y as targets of the outputs' shape and writes
+    the gradient over out; a categorical head takes one class index per
+    row. Each mean is the sum and division np.mean makes, without its
+    Python-level wrapper.
     """
     if net.head == "regression":
-        diff = out - np.asarray(Y, dtype=float).reshape(out.shape)
-        return float((diff**2).sum() / out.size), 2.0 * diff / out.size
+        diff = np.subtract(out, np.asarray(Y, dtype=float).reshape(out.shape), out=out)
+        loss = float((diff**2).sum() / out.size)
+        diff *= 2.0
+        diff /= out.size
+        return loss, diff
     onehot = np.zeros(out.shape)
     onehot[np.arange(len(out)), np.asarray(Y).astype(int)] = 1.0
     loss = float(-(np.sum(onehot * np.log(out + 1e-12), axis=1).sum() / out.shape[0]))
     return loss, (out - onehot) / out.shape[0]
 
 
-def batch_loss(net: Network, X: np.ndarray, Y: np.ndarray, masks=None) -> float:
-    """Loss of the current parameters on a batch, with fixed dropout masks."""
-    X, _ = _as_batch(X)
-    _, _, out = _forward_cached(net, X, masks)
-    return _loss(net, out, Y)[0]
+def _loss_and_grads(net: Network, adam: AdamState, X: np.ndarray, Y: np.ndarray, masks):
+    """The batch loss, and its gradient written into adam.grads, which come back.
 
-
-def _loss_and_grads(net: Network, X: np.ndarray, Y: np.ndarray, masks, grads: list):
-    """The batch loss, and its gradient written into grads.
-
-    grads holds one buffer per parameter, in parameters() order, such as
-    AdamState.grads; it comes back as the gradient.
+    The step runs in adam's buffers for the batch size of X.
     """
-    acts, pres, out = _forward_cached(net, X, masks)
-    loss, dz = _loss(net, out, Y)
-    layers = len(net.weights)
+    buf = adam.buffers(net, len(X))
+    loss, dz = _loss(net, _forward(net, X, masks, buf), Y)
+    grads, layers = adam.grads, len(net.weights)
     for i in range(layers - 1, -1, -1):
-        np.matmul(acts[i].T, dz, out=grads[i])
-        dz.sum(axis=0, out=grads[layers + i])
+        np.matmul((buf.acts[i - 1] if i > 0 else X).T, dz, out=grads[i])
+        # the sum dz.sum(axis=0) makes, without its Python-level wrapper
+        np.add.reduce(dz, axis=0, out=grads[layers + i])
         if i > 0:
-            dz = dz @ net.weights[i].T
+            # the layer below's gradient and ReLU gate go over its activation
+            # and pre-activation, which nothing reads again
+            dz = np.matmul(dz, net.weights[i].T, out=buf.acts[i - 1])
             if masks is not None:
                 dz *= masks[i - 1]
-            dz *= pres[i - 1] > 0.0
+            dz *= np.greater(buf.pres[i - 1], 0.0, out=buf.pres[i - 1])
     return loss, grads
 
 
@@ -250,10 +300,10 @@ def train_step(
     if net.dropout > 0.0:
         if rng is None:
             raise ValueError("train_step with dropout needs an rng")
-        masks = draw_masks(net, X.shape[0], rng)
+        masks = adam.buffers(net, len(X)).draw_masks(rng)
     # an overflow shows as a non-finite loss, reported once below
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, _ = _loss_and_grads(net, X, Y, masks, adam.grads)
+        loss, _ = _loss_and_grads(net, adam, X, Y, masks)
     if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} (batch {X.shape}, head {net.head})"
@@ -288,7 +338,7 @@ def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     mask_width) uniforms from mc_uniforms; or a (rows, 1, n) stack with u a
     (rows, samples, mask_width) stack. The mean has the shape forward(net,
     x) returns. Sample i keeps a hidden unit when its uniform is below
-    1 - dropout and scales it by 1 / (1 - dropout), the masks of draw_masks.
+    1 - dropout and scales it by 1 / (1 - dropout), as a training pass masks.
     Each row's mean equals, bit for bit, that of `samples` single-row
     passes masked in that order; samples=1 is one dropout-sampled pass.
 

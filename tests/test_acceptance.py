@@ -26,6 +26,7 @@ from coldstart_dynaq.env import (
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces, model_update, transition_pmf
 from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, stc_value
+from helpers import batch_loss
 
 
 def _verdict(number: int, label: str, passed: bool) -> None:
@@ -110,16 +111,16 @@ class TestCriterion4:
             net = nn.Network([4, 6, 5, 3], dropout=0.0, head=head, rng=rng)
             X = rng.normal(size=(7, 4))
             Y = rng.normal(size=(7, 3)) if head == "regression" else rng.integers(0, 3, size=7)
-            _, grads = nn._loss_and_grads(net, X, Y, None, nn.AdamState(net).grads)
+            _, grads = nn._loss_and_grads(net, nn.AdamState(net), X, Y, None)
             h = 1e-4
             for p, g in zip(net.parameters(), grads):
                 flat = p.reshape(-1)
                 for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    up = nn.batch_loss(net, X, Y)
+                    up = batch_loss(net, X, Y)
                     flat[idx] = orig - h
-                    down = nn.batch_loss(net, X, Y)
+                    down = batch_loss(net, X, Y)
                     flat[idx] = orig
                     numeric = (up - down) / (2 * h)
                     analytic = g.reshape(-1)[idx]

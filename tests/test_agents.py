@@ -6,11 +6,12 @@ import pytest
 
 from coldstart_dynaq import bench
 from coldstart_dynaq.agents import AgentConfig, evaluate, train
-from coldstart_dynaq.demand import discretized_gamma, point_mass, synthesize_history
+from coldstart_dynaq.demand import discretized_gamma, synthesize_history
 from coldstart_dynaq.env import COST_MAX, CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.schedule import StcSchedule, constant
+from helpers import point_mass
 
 SPACES = ModelSpaces(cost_params=CostParams())
 S0 = InventoryState(0, 0, 5)

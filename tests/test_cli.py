@@ -39,9 +39,11 @@ class TestArgumentHandling:
             main([])
         assert exc.value.code != 0
 
-    def test_missing_config_file(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["fig3", "--config", str(tmp_path / "absent.json")])
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["fig3", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -51,11 +53,20 @@ class TestArgumentHandling:
             "error: unknown config keys: ['not_a_field']"
         ]
 
-    def test_malformed_config_json(self, tmp_path):
+    def test_malformed_config_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(SystemExit):
-            main(["fig3", "--config", str(path)])
+        assert main(["fig3", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unreadable config {path}: ")
+
+    def test_config_not_a_json_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["fig3", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {path} must be a JSON object"
+        ]
 
     @pytest.mark.parametrize("override", [{"repetitions": 0}, {"workers": 0}])
     def test_repetitions_and_workers_below_one(self, tmp_path, capsys, override):

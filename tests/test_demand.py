@@ -16,12 +16,12 @@ from coldstart_dynaq.demand import (
     extract_features,
     feature_dim,
     load_transactions,
-    point_mass,
     sample,
     save_series,
     synthesize_history,
 )
 from coldstart_dynaq.env import DomainError
+from helpers import point_mass
 
 
 class TestDiscretizedGamma:

@@ -38,6 +38,7 @@ from coldstart_dynaq.envmodel import (
     transition_prob,
 )
 from coldstart_dynaq.wordstream import WordStream
+from helpers import draw_masks_reference, forward_reference
 
 SPACES = ModelSpaces(cost_params=CostParams())
 PAIR_S = InventoryState(0, 0, 3)
@@ -317,7 +318,7 @@ def rebuilt(m):
 
 def mc_read_reference(m, net, x, rng):
     """An MC-dropout read as a loop of single-row training passes, one per sample."""
-    passes = [nn._forward_cached(net, x[None, :], nn.draw_masks(net, 1, rng))[2][0]
+    passes = [forward_reference(net, x[None, :], draw_masks_reference(net, 1, rng))[2][0]
               for _ in range(envmodel.MC_SAMPLES)]
     return np.stack(passes).mean(axis=0)
 

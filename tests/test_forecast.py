@@ -3,10 +3,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from coldstart_dynaq import nn
+from coldstart_dynaq import forecast, nn
 from coldstart_dynaq.demand import (
+    D_MAX_DEFAULT,
     discretized_gamma,
-    point_mass,
+    feature_dim,
     synthesize_history,
 )
 from coldstart_dynaq.env import CostParams, DomainError, InventoryState, state_index
@@ -17,6 +18,7 @@ from coldstart_dynaq.forecast import (
     generate_offline,
     train_forecaster,
 )
+from helpers import AdamReference, point_mass, train_step_reference
 
 SPACES = ModelSpaces(cost_params=CostParams())
 START = dt.date(2021, 1, 1)
@@ -32,7 +34,37 @@ def mean_prediction(f, series, day):
     return min(max(raw, 0.0), float(f.d_max))
 
 
+def train_forecaster_reference(series, window, epochs, rng, d_max=D_MAX_DEFAULT):
+    """The fit as a per-batch loop of reference steps, each batch gathered by its indices.
+
+    Returns the net and the number of steps taken.
+    """
+    X = np.stack([_design_row(window, d_max, series, day) for day in range(window, len(series))])
+    y = series.quantities[window:].astype(float)[:, None] / d_max
+    net = nn.Network([feature_dim(window), *forecast._HIDDEN, 1], dropout=forecast._DROPOUT,
+                     head="regression", rng=rng)
+    adam = AdamReference(net)
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), forecast._BATCH_SIZE):
+            idx = order[start:start + forecast._BATCH_SIZE]
+            train_step_reference(net, adam, X[idx], y[idx], rng)
+    return net, adam.step_count
+
+
 class TestTrainForecaster:
+    def test_fit_matches_the_per_batch_reference(self):
+        # 45 rows, so each epoch is a batch of 32 and one of 13; 200 epochs
+        # make 400 steps, past step 356, where Adam stops dividing m
+        series = synthesize_history(discretized_gamma(5.0, 3.0, 10), 52, START,
+                                    np.random.default_rng(14))
+        rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+        f = train_forecaster(series, window=7, epochs=200, rng=rng)
+        ref_net, steps = train_forecaster_reference(series, 7, 200, ref_rng)
+        assert steps == 400
+        assert f.net.flat.tobytes() == ref_net.flat.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_fitted_forecaster_holds_no_gradient(self):
         # the gradient lives with the fit's optimiser and goes with it: every
         # array the returned net holds is its parameter vector or a view of it

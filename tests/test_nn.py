@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq import envmodel, forecast, nn
-from coldstart_dynaq.demand import point_mass, synthesize_history
+from coldstart_dynaq.demand import synthesize_history
 from coldstart_dynaq.env import CostParams, ModelSpaces
+from helpers import (
+    AdamReference,
+    batch_loss,
+    draw_masks_reference,
+    forward_reference,
+    point_mass,
+    train_step_reference,
+)
 
 
 def make_net(sizes, head="regression", dropout=0.0, seed=0):
     return nn.Network(sizes, dropout=dropout, head=head, rng=np.random.default_rng(seed))
-
-
-def grad_buffers(net):
-    """One fresh buffer per parameter, in parameters() order, for _loss_and_grads to fill."""
-    return [np.empty_like(p) for p in net.parameters()]
 
 
 class TestForward:
@@ -83,7 +86,7 @@ class TestGradients:
             Y = rng.normal(size=(7, 3))
         else:
             Y = rng.integers(0, 3, size=7)
-        _, grads = nn._loss_and_grads(net, X, Y, None, grad_buffers(net))
+        _, grads = nn._loss_and_grads(net, nn.AdamState(net), X, Y, None)
         params = net.parameters()
         h = 1e-4
         for p, g in zip(params, grads):
@@ -91,9 +94,9 @@ class TestGradients:
             for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = nn.batch_loss(net, X, Y)
+                up = batch_loss(net, X, Y)
                 flat[idx] = orig - h
-                down = nn.batch_loss(net, X, Y)
+                down = batch_loss(net, X, Y)
                 flat[idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = g.reshape(-1)[idx]
@@ -103,18 +106,18 @@ class TestGradients:
     def test_gradient_with_fixed_dropout_masks(self):
         rng = np.random.default_rng(3)
         net = make_net([3, 8, 4, 2], dropout=0.5, seed=3)
-        masks = nn.draw_masks(net, 5, rng)
+        masks = draw_masks_reference(net, 5, rng)
         X = rng.normal(size=(5, 3))
         Y = rng.normal(size=(5, 2))
-        _, grads = nn._loss_and_grads(net, X, Y, masks, grad_buffers(net))
+        _, grads = nn._loss_and_grads(net, nn.AdamState(net), X, Y, masks)
         p = net.weights[0]
         g = grads[0]
         h = 1e-4
         orig = p[0, 0]
         p[0, 0] = orig + h
-        up = nn.batch_loss(net, X, Y, masks)
+        up = batch_loss(net, X, Y, masks)
         p[0, 0] = orig - h
-        down = nn.batch_loss(net, X, Y, masks)
+        down = batch_loss(net, X, Y, masks)
         p[0, 0] = orig
         numeric = (up - down) / (2 * h)
         assert abs(numeric - g[0, 0]) / max(abs(numeric), 1e-8) < 1e-3
@@ -146,7 +149,7 @@ class TestMcPredict:
 
 def dropout_pass_reference(net, x, rng):
     """One single-row training pass: fresh dropout masks, then the layers."""
-    _, _, out = nn._forward_cached(net, np.atleast_2d(x), nn.draw_masks(net, 1, rng))
+    _, _, out = forward_reference(net, np.atleast_2d(x), draw_masks_reference(net, 1, rng))
     return out if np.ndim(x) == 2 else out[0]
 
 
@@ -194,42 +197,6 @@ def test_predict_next_is_one_dropout_pass(dropout):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-class AdamReference:
-    """The per-array Adam update the flat AdamState replaced."""
-
-    def __init__(self, net):
-        self.step_count = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
-
-    def apply(self, net, grads):
-        self.step_count += 1
-        t = self.step_count
-        for p, g, m, v in zip(net.parameters(), grads, self.m, self.v):
-            m *= nn.ADAM_BETA1
-            m += (1 - nn.ADAM_BETA1) * g
-            v *= nn.ADAM_BETA2
-            v += (1 - nn.ADAM_BETA2) * g * g
-            m_hat = m / (1 - nn.ADAM_BETA1**t)
-            v_hat = v / (1 - nn.ADAM_BETA2**t)
-            p -= nn.ADAM_LR * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
-
-
-def draw_masks_reference(net, batch, rng):
-    """The per-layer mask draws the one-draw draw_masks replaced."""
-    if net.dropout == 0.0:
-        return None
-    keep = 1.0 - net.dropout
-    return [(rng.random((batch, size)) < keep) / keep for size in net.sizes[1:-1]]
-
-
-def train_step_reference(net, adam, X, Y, rng):
-    masks = draw_masks_reference(net, len(X), rng)
-    loss, grads = nn._loss_and_grads(net, X, Y, masks, grad_buffers(net))
-    adam.apply(net, grads)
-    return loss
-
-
 def training_batch(data, sizes, head, batch):
     X = data.uniform(0.0, 1.0, (batch, sizes[0]))
     if head == "regression":
@@ -247,25 +214,20 @@ TRAIN_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "sizes, head", TRAIN_CASES, ids=[f"{'-'.join(map(str, s))}-{h}" for s, h in TRAIN_CASES]
-)
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("batch", [1, 13, 32])
-def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
+def train_against_reference(sizes, head, dropout, batch, steps):
     net = make_net(sizes, head=head, dropout=dropout, seed=batch)
     ref_net = copy.deepcopy(net)
     adam, ref_adam = nn.AdamState(net), AdamReference(ref_net)
     rng, ref_rng = np.random.default_rng(batch), np.random.default_rng(batch)
     data = np.random.default_rng(100 + batch)
-    for _ in range(200):
+    for _ in range(steps):
         X, Y = training_batch(data, sizes, head, batch)
         assert nn.train_step(net, adam, X, Y, rng=rng) == train_step_reference(
             ref_net, ref_adam, X, Y, ref_rng
         )
-    assert adam.step_count == ref_adam.step_count == 200
+    assert adam.step_count == ref_adam.step_count == steps
     # m and v are laid out as the parameters in net.flat
-    adam_m, adam_v = (sum(nn._views(net.sizes, x), []) for x in (adam.m, adam.v))
+    adam_m, adam_v = (sum(nn._views(net.sizes, x), []) for x in adam.moments)
     for p, ref_p, m, ref_m, v, ref_v in zip(
         net.parameters(), ref_net.parameters(), adam_m, ref_adam.m, adam_v, ref_adam.v
     ):
@@ -273,6 +235,24 @@ def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
         assert np.array_equal(m, ref_m)
         assert np.array_equal(v, ref_v)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "sizes, head", TRAIN_CASES, ids=[f"{'-'.join(map(str, s))}-{h}" for s, h in TRAIN_CASES]
+)
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("batch", [1, 13, 32])
+def test_train_step_matches_per_array_reference(sizes, head, dropout, batch):
+    train_against_reference(sizes, head, dropout, batch, steps=200)
+
+
+@pytest.mark.parametrize("sizes, head, batch", [
+    ([21, 128, 64, 1], "regression", 13), ([4, 128, 64, 11], "categorical", 1),
+], ids=["forecaster", "transition_net"])
+def test_train_step_matches_reference_once_the_first_correction_is_one(sizes, head, batch):
+    # from step 356 on 1 - beta1**t == 1.0 and Adam skips m's divide by it
+    assert 1 - nn.ADAM_BETA1**355 != 1.0 == 1 - nn.ADAM_BETA1**356
+    train_against_reference(sizes, head, 0.5, batch, steps=400)
 
 
 @pytest.mark.parametrize("restore", [
@@ -294,7 +274,7 @@ def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
     assert np.array_equal(twin.flat, net.flat) and not np.array_equal(twin.flat, start)
     # the parameters and their gradients read the restored vectors, in parameters() order
     assert np.array_equal(np.concatenate(twin.parameters(), axis=None), twin.flat)
-    _, grads = nn._loss_and_grads(twin, X, Y, None, twin_adam.grads)
+    _, grads = nn._loss_and_grads(twin, twin_adam, X, Y, None)
     assert np.array_equal(np.concatenate(grads, axis=None), twin_adam.grad)
     twin.flat[:] = 7.0
     assert all(np.all(p == 7.0) for p in twin.parameters())
@@ -320,8 +300,7 @@ def test_copied_env_model_trains_like_the_original(variant):
         for p, q in zip(getattr(m, net).parameters(), getattr(c, net).parameters()):
             assert p is not q and np.array_equal(p, q)
     for adam in ("transition_adam", "cost_adam"):
-        assert np.array_equal(getattr(m, adam).m, getattr(c, adam).m)
-        assert np.array_equal(getattr(m, adam).v, getattr(c, adam).v)
+        assert np.array_equal(getattr(m, adam).moments, getattr(c, adam).moments)
 
 
 def trained_model_and_inputs(variant, rows):
