@@ -140,6 +140,18 @@ MUTANTS = {
             "tests/test_qcore.py::test_rows_match_the_numpy_reference_bit_for_bit",
         ],
     ),
+    # a copied Q-table hands out the same row lists, so a transfer
+    # configuration trains the warm start's own rows and the next
+    # configuration of the replication starts from them
+    "qtable-copy-shares-rows": (
+        QCORE,
+        "        out.rows = [row[:] for row in self.rows]\n",
+        "        out.rows = list(self.rows)\n",
+        [
+            "tests/test_qcore.py::test_learner_q_is_current_after_every_step",
+            "tests/test_golden.py::test_records_match_golden_digest[scenario2-tabular]",
+        ],
+    ),
     # borrow() lends the generator without rewinding the stream's unused
     # words; an MC-dropout learner's stream never buffers any, so the record
     # digests cannot see this

@@ -24,11 +24,10 @@ Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
 each real step a Learner plans one burst, envmodel.plan, which draws
 the whole burst before it reads the model, and runs q_update over its
-simulated transitions in draw order. While a Learner learns, its
-Q-table is Python list rows with each row's minimum beside them, not
-q.values, and a tabular model's per-step work is Python over the
-next-state rows it keeps per visited pair; learner.q is current once
-train or forecast.build_warm_start returns.
+simulated transitions in draw order. A Learner updates its Q-table's
+list rows in place, with each row's minimum beside them, so learner.q is
+current after every step, and a tabular model's per-step work is Python
+over the next-state rows it keeps per visited pair.
 """
 
 import time
@@ -130,21 +129,17 @@ class Learner:
     draws from that generator alone. learn fits the model on each real
     step only when the learner reads it, by planning or by the probe.
 
-    act and learn work on rows, q.values as Python list rows, which are
-    cheaper to index and update one entry at a time than a numpy array,
-    and learn keeps mins, each row's minimum, for q_update.
-    They draw from the exploration and planning WordStreams they are
-    given; whoever opened those closes them. A learner that plans nothing
-    needs no planning stream. finish() writes the rows back into q.values
-    and drops them.
+    act and learn work on q.rows in place, and learn keeps mins, each
+    row's minimum, for q_update. They draw from the exploration and
+    planning WordStreams they are given; whoever opened those closes them.
+    A learner that plans nothing needs no planning stream.
     """
 
     def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
                  planning: StcSchedule, explore_rng: WordStream,
                  plan_rng: WordStream | None = None, probe=None):
         self.q, self.model = q, model
-        self.rows = q.values.tolist()
-        self.mins = [min(row) for row in self.rows]
+        self.mins = [min(row) for row in q.rows]
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.probe = probe
@@ -161,10 +156,10 @@ class Learner:
         # the planning depth of the learn() call that follows
         self.n_plan = stc_steps(self.planning, self.t)
         self.t += 1
-        return select_action(self.rows[s], eps, self.explore_rng)
+        return select_action(self.q.rows[s], eps, self.explore_rng)
 
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
-        rows, mins, model = self.rows, self.mins, self.model
+        rows, mins, model = self.q.rows, self.mins, self.model
         alpha, gamma = self.q.alpha, self.q.gamma
         q_update(rows, mins, s, a, cost, s_next, alpha, gamma)
         if self.fits_model:
@@ -178,17 +173,12 @@ class Learner:
             except UnvisitedPairError:
                 self.probe_trace.append(None)
 
-    def finish(self) -> None:
-        """Write the learned rows back into q.values and drop them and their minima."""
-        self.q.values[:] = self.rows
-        self.rows = self.mins = None
-
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
     """The day tables of spaces, once q and dist are checked to fit them."""
     tables = day_tables(spaces)
-    if q.values.shape != tables.stock.shape:
-        raise DomainError(f"Q-table shape {q.values.shape} != (states, orders) {tables.stock.shape}")
+    if q.shape != tables.stock.shape:
+        raise DomainError(f"Q-table shape {q.shape} != (states, orders) {tables.stock.shape}")
     if dist.d_max > spaces.d_max:
         raise DomainError(f"demand reaches {dist.d_max} > d_max {spaces.d_max}")
     return tables
@@ -235,7 +225,6 @@ def train(
                     lambda: sample(true_demand, demand_rng), learner.learn)
             for _ in range(config.episodes)
         ]
-    learner.finish()
     return learner
 
 

@@ -109,7 +109,8 @@ class EnvModel:
         # per pair, by position, for a neural variant: its net input (_encode) as a list
         self.inputs: list[list[float]] = []
         if variant == "tabular":
-            self.demand_counts = np.zeros(spaces.d_max + 1)
+            # floats, so save_model writes a float64 array
+            self.demand_counts = [0.0] * (spaces.d_max + 1)
             self.demand_cdf: list[float] = []
             # per pair, by position in self.pairs
             self.cost_sums: list[float] = []
@@ -226,9 +227,8 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         m.demand_counts[d] += 1
         # cdf_of's sums, in Python: whole counts have an exact total, and
         # accumulate adds in cumsum's order
-        counts = m.demand_counts.tolist()
-        total = sum(counts)
-        m.demand_cdf = [*accumulate(c / total for c in counts[:-1]), 1.0]
+        total = sum(m.demand_counts)
+        m.demand_cdf = [*accumulate(c / total for c in m.demand_counts[:-1]), 1.0]
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
     else:
@@ -254,8 +254,9 @@ def transition_pmf(
     """Estimated demand-class distribution for a visited pair."""
     i = _slot(m, s, a)
     if m.variant == "tabular":
-        return m.demand_counts / m.demand_counts.sum()
-    pmf = _mc_mean(m, m.transition_net, np.array(m.inputs[i]), rng)
+        pmf = np.array(m.demand_counts)
+    else:
+        pmf = _mc_mean(m, m.transition_net, np.array(m.inputs[i]), rng)
     return pmf / pmf.sum()
 
 
@@ -393,7 +394,7 @@ def save_model(m: EnvModel, path) -> None:
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     arrays["visited"] = np.array(m.pairs, dtype=int).reshape(len(m.pairs), 2)
     if m.variant == "tabular":
-        arrays["demand_counts"] = m.demand_counts
+        arrays["demand_counts"] = np.array(m.demand_counts)
         arrays["cost_sums"] = np.array(m.cost_sums)
         arrays["cost_counts"] = np.array(m.cost_counts, dtype=int)
     else:

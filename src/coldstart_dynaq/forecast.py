@@ -174,5 +174,4 @@ def build_warm_start(
         for _ in range(epochs):
             demands = iter(offline.quantities.tolist())
             rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, replay)
-    learner.finish()
     return learner

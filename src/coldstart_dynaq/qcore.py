@@ -3,15 +3,15 @@
 All Q operations work on dense state/action indices; the env module owns
 the bijection between states and indices.
 
-A QTable holds its values as a numpy array. While a Learner learns, it
-keeps them as Python list rows instead, which q_update and select_action
-work on: per-call numpy overhead on an 11-element row costs more than the
-arithmetic, and Python floats are IEEE doubles, so the same operations in
-the same order give the same bits. Beside the rows it keeps mins, each
-row's minimum, which q_update reads for its target and keeps current, so
-an update scans a row only when it raises that row's minimum. min is
-exact, so the target's bits are those of min(rows[s_next]). The Learner
-writes the rows back into QTable.values when it is done.
+A QTable holds its values as Python list rows, which q_update and
+select_action work on in place: per-call numpy overhead on an 11-element
+row costs more than the arithmetic, and Python floats are IEEE doubles,
+so the same operations in the same order give the same bits. A Learner
+keeps mins beside the rows, each row's minimum, which q_update reads for
+its target and keeps current, so an update scans a row only when it
+raises that row's minimum. min is exact, so the target's bits are those
+of min(rows[s_next]). QTable.values is a read-only array built from the
+rows on each read.
 """
 
 import json
@@ -23,7 +23,7 @@ from .env import DomainError, is_finite_real
 
 
 class QTable:
-    """Dense [num_states x num_actions] table of estimated discounted cost."""
+    """Dense [num_states x num_actions] table of estimated discounted cost, as list rows."""
 
     def __init__(self, num_states: int, num_actions: int, alpha: float, gamma: float):
         if not (0.0 < alpha < 1.0):
@@ -32,19 +32,24 @@ class QTable:
             raise ValueError(f"gamma must be in (0,1), got {gamma}")
         self.alpha = alpha
         self.gamma = gamma
-        self.values = np.zeros((num_states, num_actions))
+        # every entry of a fresh table is the one float 0.0
+        self.rows = [[0.0] * num_actions for _ in range(num_states)]
 
     @property
-    def num_states(self) -> int:
-        return self.values.shape[0]
+    def shape(self) -> tuple[int, int]:
+        """(num_states, num_actions)."""
+        return len(self.rows), len(self.rows[0])
 
     @property
-    def num_actions(self) -> int:
-        return self.values.shape[1]
+    def values(self) -> np.ndarray:
+        """The rows as a new read-only [num_states x num_actions] array."""
+        out = np.array(self.rows)
+        out.flags.writeable = False
+        return out
 
     def copy(self) -> "QTable":
-        out = QTable(self.num_states, self.num_actions, self.alpha, self.gamma)
-        out.values = self.values.copy()
+        out = QTable(*self.shape, self.alpha, self.gamma)
+        out.rows = [row[:] for row in self.rows]
         return out
 
 
@@ -52,10 +57,10 @@ def q_update(rows: list, mins: list, s: int, a: int, cost: float, s_next: int,
              alpha: float, gamma: float) -> float:
     """One Q-learning step toward cost + gamma * min_a' Q(s', a').
 
-    rows is the Q-table as Python list rows (QTable.values.tolist()) and
-    mins[i] is min(rows[i]). rows[s][a] and mins[s] change: mins[s] takes
-    the new entry if it is lower, and is recomputed only when the entry
-    that rose was the minimum. Returns the updated entry.
+    rows is QTable.rows and mins[i] is min(rows[i]). rows[s][a] and
+    mins[s] change: mins[s] takes the new entry if it is lower, and is
+    recomputed only when the entry that rose was the minimum. Returns the
+    updated entry.
     """
     if not math.isfinite(cost):
         raise ValueError(f"cost must be finite, got {cost}")
@@ -93,10 +98,10 @@ def greedy_policy(q: QTable) -> np.ndarray:
 
 def save_qtable(q: QTable, path) -> None:
     payload = {
-        "shape": list(q.values.shape),
+        "shape": list(q.shape),
         "alpha": q.alpha,
         "gamma": q.gamma,
-        "values": q.values.ravel().tolist(),
+        "values": [v for row in q.rows for v in row],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -126,5 +131,7 @@ def load_qtable(path) -> QTable:
     _check_payload(path, payload)
     n_s, n_a = payload["shape"]
     q = QTable(n_s, n_a, payload["alpha"], payload["gamma"])
-    q.values = np.array(payload["values"], dtype=float).reshape(n_s, n_a)
+    # a whole number in the file is a JSON integer; the rows hold floats
+    values = [float(v) for v in payload["values"]]
+    q.rows = [values[i:i + n_a] for i in range(0, n_s * n_a, n_a)]
     return q

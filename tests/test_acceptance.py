@@ -57,14 +57,13 @@ class TestCriterion1:
             v = new
 
         q = QTable(3, 2, alpha=0.9, gamma=gamma)
-        rows = q.values.tolist()
+        rows = q.rows
         mins = [min(row) for row in rows]
         for _ in range(2000):
             for s in range(3):
                 for a in (0, 1):
                     cost, nxt = transition(s, a)
                     q_update(rows, mins, s, a, cost, nxt, q.alpha, q.gamma)
-        q.values[:] = rows
         gap = float(np.max(np.abs(q.values.min(axis=1) - v)))
         elapsed = time.perf_counter() - start
         _verdict(1, "Q-learning matches value iteration", gap < 1e-4 and elapsed < 1.0)

@@ -141,7 +141,7 @@ class TestTrain:
         cold = train(adjusted_config(seed=9), dist, SPACES, S0)
         offline = synthesize_history(point_mass(4), 5, dt.date(2021, 1, 1), np.random.default_rng(0))
         warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
-        warm.q.values[:] = 0.0
+        warm.q.rows = [[0.0] * len(row) for row in warm.q.rows]
         warm.model = EnvModel(SPACES)
         warmed = train(adjusted_config(seed=9, warm_start=warm), dist, SPACES, S0)
         assert np.array_equal(cold.q.values, warmed.q.values)
@@ -153,7 +153,7 @@ class TestTrain:
 def learned_state(model) -> list[bytes]:
     """What a model has learned: tabular counts and cost sums, or net parameters."""
     if model.variant == "tabular":
-        return [model.demand_counts.tobytes(), repr(model.cost_sums).encode()]
+        return [np.array(model.demand_counts).tobytes(), repr(model.cost_sums).encode()]
     return [p.tobytes() for net in (model.transition_net, model.cost_net)
             for p in net.parameters()]
 
@@ -196,7 +196,7 @@ def test_q_learning_without_a_probe_leaves_its_model_as_built(variant):
     assert isinstance(learner.model, EnvModel)
     assert learner.model.visited == {} and learner.model.pairs == []
     if variant == "tabular":
-        assert not learner.model.demand_counts.any() and learner.model.cost_counts == []
+        assert not any(learner.model.demand_counts) and learner.model.cost_counts == []
     assert learned_state(learner.model) == learned_state(built_model(config, variant))
 
 

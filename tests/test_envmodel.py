@@ -121,7 +121,7 @@ class TestRecoverDemand:
             with pytest.raises(InconsistentTransitionError):
                 model_update(m, s, 0, s_next, 0.0)
             assert len(m.pairs) == len(m.next_rows) == int(seen)
-            assert m.demand_counts.sum() == int(seen)
+            assert sum(m.demand_counts) == int(seen)
             observe_table(m, s, 0, 3)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -170,7 +170,7 @@ class TestRecoverDemand:
                     model_update(m, s, a, s_next, cost)
                     counts[want] += 1
                     assert m.demand_counts[want] == counts[want]
-        assert m.demand_counts.tolist() == counts
+        assert m.demand_counts == counts
 
     def test_demand_to_next_state(self):
         for d in range(11):
@@ -185,14 +185,14 @@ class TestTabularUpdate:
     def test_single_observation_point_mass(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        pmf = m.demand_counts / m.demand_counts.sum()
+        pmf = np.array(m.demand_counts) / sum(m.demand_counts)
         assert pmf[2] == 1.0
 
     def test_empirical_frequencies(self):
         m = EnvModel(SPACES)
         for d in (2, 2, 3):
             observe(m, PAIR_S, PAIR_A, d)
-        pmf = m.demand_counts / m.demand_counts.sum()
+        pmf = np.array(m.demand_counts) / sum(m.demand_counts)
         assert pmf[2] == pytest.approx(2 / 3)
         assert pmf[3] == pytest.approx(1 / 3)
 
@@ -202,7 +202,7 @@ class TestTabularUpdate:
         m = EnvModel(SPACES)
         for _ in range(10**4):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
-        pmf = m.demand_counts / m.demand_counts.sum()
+        pmf = np.array(m.demand_counts) / sum(m.demand_counts)
         assert 0.5 * np.abs(pmf - dist.pmf).sum() < 0.03
 
 
@@ -307,7 +307,7 @@ def rebuilt(m):
     r.pairs, r.visited = list(m.pairs), dict(m.visited)
     r.next_rows = [r.tables.next[s, a].tolist() for s, a in m.pairs]
     if m.variant == "tabular":
-        r.demand_counts, r.demand_cdf = m.demand_counts.copy(), list(m.demand_cdf)
+        r.demand_counts, r.demand_cdf = list(m.demand_counts), list(m.demand_cdf)
         r.cost_sums, r.cost_counts = list(m.cost_sums), list(m.cost_counts)
     else:
         r.inputs = [list(x) for x in m.inputs]
@@ -534,7 +534,7 @@ def test_save_load_round_trip_property(variant, days, seed):
     assert json.loads(bytes(arrays["meta"]).decode())["variant"] == variant
     assert [tuple(pair) for pair in arrays["visited"].tolist()] == m.pairs
     if variant == "tabular":
-        assert same_bytes(arrays["demand_counts"], m.demand_counts)
+        assert same_bytes(arrays["demand_counts"], np.array(m.demand_counts))
         assert same_bytes(arrays["cost_sums"], np.array(m.cost_sums))
         assert same_bytes(arrays["cost_counts"], np.array(m.cost_counts))
         return

@@ -158,7 +158,7 @@ class TestBuildWarmStart:
         warm = build_warm_start(offline, SPACES, epochs=5, seed=3)
         assert np.all(np.isfinite(warm.q.values))
         visited_states = {k[0] for k in warm.model.visited}
-        untouched = [i for i in range(warm.q.num_states) if i not in visited_states]
+        untouched = [i for i in range(warm.q.shape[0]) if i not in visited_states]
         assert np.all(warm.q.values[untouched] == 0.0)
 
     def test_empty_series_rejected(self):

@@ -47,6 +47,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coldstart_dynaq import bench, cli
@@ -197,7 +198,7 @@ FORECAST_GOLDEN = "4a8261ce8e206ab8b44ca935da0ff0ba9d616f7a753a684f70cd87f2ebf9d
 def _hash_learned(h, q, model) -> None:
     h.update(q.values.tobytes())
     if model.variant == "tabular":
-        h.update(model.demand_counts.tobytes())
+        h.update(np.array(model.demand_counts).tobytes())
         h.update(repr(model.cost_sums).encode())
     else:
         for net in (model.transition_net, model.cost_net):

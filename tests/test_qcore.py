@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -7,8 +8,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from coldstart_dynaq import agents
-from coldstart_dynaq.demand import discretized_gamma, synthesize_history
-from coldstart_dynaq.env import CostParams, DomainError, InventoryState, ModelSpaces
+from coldstart_dynaq.demand import discretized_gamma, sample, synthesize_history
+from coldstart_dynaq.env import (
+    CostParams,
+    DomainError,
+    InventoryState,
+    ModelSpaces,
+    day_tables,
+    num_actions,
+    num_states,
+    state_index,
+)
+from coldstart_dynaq.envmodel import EnvModel
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import (
     QTable,
@@ -18,7 +29,8 @@ from coldstart_dynaq.qcore import (
     save_qtable,
     select_action,
 )
-from coldstart_dynaq.schedule import StcSchedule
+from coldstart_dynaq.schedule import StcSchedule, constant
+from coldstart_dynaq.wordstream import WordStream
 
 
 def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
@@ -26,9 +38,8 @@ def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
 
 
 def rows_and_mins(q):
-    """q's values as the Python list rows q_update works on, and each row's minimum."""
-    rows = q.values.tolist()
-    return rows, [min(row) for row in rows]
+    """q's own list rows, which q_update updates in place, and each row's minimum."""
+    return q.rows, [min(row) for row in q.rows]
 
 
 class TestQUpdate:
@@ -42,17 +53,16 @@ class TestQUpdate:
 
     def test_hand_evaluation(self):
         q = make_q()
-        q.values[0, 0] = 1.0
-        q.values[1, :] = 1.0
+        q.rows[0][0] = 1.0
+        q.rows[1] = [1.0] * 3
         assert q_update(*rows_and_mins(q), 0, 0, 0.1, 1, q.alpha, q.gamma) == pytest.approx(1.0)
 
     def test_only_target_entry_changes(self):
         q = make_q()
-        q.values[:] = np.arange(9).reshape(3, 3).astype(float)
-        before = q.values.copy()
+        q.rows = np.arange(9).reshape(3, 3).astype(float).tolist()
+        before = q.values
         rows, mins = rows_and_mins(q)
         q_update(rows, mins, 1, 2, 3.0, 0, q.alpha, q.gamma)
-        q.values[:] = rows
         mask = np.ones_like(before, dtype=bool)
         mask[1, 2] = False
         assert np.array_equal(q.values[mask], before[mask])
@@ -101,7 +111,7 @@ class TestSelectAction:
 class TestGreedyPolicy:
     def test_single_state(self):
         q = make_q(1, 2)
-        q.values[0] = [2.0, 1.0]
+        q.rows[0] = [2.0, 1.0]
         assert greedy_policy(q)[0] == 1
 
     def test_all_equal_picks_lowest_index(self):
@@ -128,21 +138,20 @@ class TestGreedyPolicy:
             a = select_action(rows[s], 0.3, rng)
             q_update(rows, mins, s, a, costs[s, a], nxt[s, a], q.alpha, q.gamma)
             s = nxt[s, a]
-        q.values[:] = rows
         assert np.array_equal(greedy_policy(q), oracle)
 
 
-def numpy_q_update(q, s, a, cost, s_next):
-    """Reference for q_update: the same step in numpy on QTable.values."""
-    target = cost + q.gamma * q.values[s_next].min()
-    q.values[s, a] += q.alpha * (target - q.values[s, a])
+def numpy_q_update(values, s, a, cost, s_next, alpha, gamma):
+    """Reference for q_update: the same step in numpy on a [states x actions] array."""
+    target = cost + gamma * values[s_next].min()
+    values[s, a] += alpha * (target - values[s, a])
 
 
-def numpy_select_action(q, s, epsilon, rng):
-    """Reference for select_action: the same choice in numpy on QTable.values."""
+def numpy_select_action(values, s, epsilon, rng):
+    """Reference for select_action: the same choice in numpy on a [states x actions] array."""
     if rng.random() < epsilon:
-        return int(rng.integers(q.num_actions))
-    row = q.values[s]
+        return int(rng.integers(values.shape[1]))
+    row = values[s]
     best = np.flatnonzero(row == row.min())
     return int(best[rng.integers(len(best))])
 
@@ -154,6 +163,7 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
     n_states, n_actions, steps = 12, 11, 100_000
     q = QTable(n_states, n_actions, 0.3, 0.9)
     rows, mins = rows_and_mins(q)
+    ref = np.zeros((n_states, n_actions))
     ref_rng, row_rng = np.random.default_rng(7), np.random.default_rng(7)
     plan = np.random.default_rng(8)
     states = plan.integers(n_states, size=steps)
@@ -165,20 +175,20 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
         zip(states.tolist(), nexts.tolist(), costs.tolist(), epsilons.tolist())
     ):
         if i % 25 == 0:
-            q.values[s] = i % 50 / 10
+            ref[s] = i % 50 / 10
             rows[s] = [i % 50 / 10] * n_actions
             mins[s] = i % 50 / 10
         ties += eps == 0.0 and rows[s].count(min(rows[s])) > 1
-        a = numpy_select_action(q, s, eps, ref_rng)
+        a = numpy_select_action(ref, s, eps, ref_rng)
         ref_actions.append(a)
-        numpy_q_update(q, s, a, cost, s_next)
+        numpy_q_update(ref, s, a, cost, s_next, q.alpha, q.gamma)
         a = select_action(rows[s], eps, row_rng)
         row_actions.append(a)
         q_update(rows, mins, s, a, cost, s_next, q.alpha, q.gamma)
     assert ties > steps // 20
     assert row_actions == ref_actions
-    assert np.array(rows).tobytes() == q.values.tobytes()
-    assert np.array(mins).tobytes() == q.values.min(axis=1).tobytes()
+    assert np.array(rows).tobytes() == ref.tobytes()
+    assert np.array(mins).tobytes() == ref.min(axis=1).tobytes()
     assert row_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -235,24 +245,74 @@ def _warm_start():
 
 @pytest.mark.parametrize("learn", [_train, _warm_start])
 def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn):
-    learned = []
-    finish = agents.Learner.finish
+    # every update lands in the table's own rows, so a finished learner
+    # holds no second copy and its q is the table it learned
+    updated, update = [], agents.q_update
 
-    def keeping_finish(learner):
-        learned.append([row[:] for row in learner.rows])
-        finish(learner)
+    def keeping_update(rows, *args):
+        updated.append(rows)
+        return update(rows, *args)
 
-    monkeypatch.setattr(agents.Learner, "finish", keeping_finish)
+    monkeypatch.setattr(agents, "q_update", keeping_update)
     learner = learn()
-    assert len(learned) == 1
-    assert learner.rows is None
+    assert updated and all(rows is learner.q.rows for rows in updated)
+    assert not hasattr(learner, "rows") and not hasattr(learner, "finish")
     assert learner.q.values.any()
-    assert learner.q.values.tobytes() == np.array(learned[0]).tobytes()
+    assert learner.q.values.tobytes() == np.array(learner.q.rows).tobytes()
+
+
+def test_learner_q_is_current_after_every_step(monkeypatch):
+    # each step's real update, then its planned burst, as plan returned it
+    bursts, plan = [], agents.plan
+
+    def keeping_plan(*args):
+        bursts.append(plan(*args))
+        return bursts[-1]
+
+    monkeypatch.setattr(agents, "plan", keeping_plan)
+    q = QTable(num_states(SPACES.s_max), num_actions(SPACES.a_max), 0.3, 0.9)
+    ref = np.zeros(q.shape)
+    demand_rng = np.random.default_rng(3)
+    steps = 0
+    with (WordStream(np.random.default_rng(1)) as explore,
+          WordStream(np.random.default_rng(2)) as planning):
+        learner = agents.Learner(q, EnvModel(SPACES), constant(0.4), constant(5.0),
+                                 explore, planning)
+
+        def learn(s, a, s_next, cost):
+            nonlocal steps
+            learner.learn(s, a, s_next, cost)
+            numpy_q_update(ref, s, a, cost, s_next, q.alpha, q.gamma)
+            for ps, pa, sim_next, sim_cost in bursts.pop():
+                numpy_q_update(ref, ps, pa, sim_cost, sim_next, q.alpha, q.gamma)
+            assert np.array(learner.q.rows).tobytes() == ref.tobytes()
+            steps += 1
+
+        agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5)), 20,
+                       learner.act, lambda: sample(DEMAND, demand_rng), learn)
+    assert steps == 20 and learner.planning_steps == 100 and ref.any()
+    monkeypatch.undo()
+    # a transfer configuration learns on a copy of the warm start's rows
+    warm = _warm_start()
+    before = [row[:] for row in warm.q.rows]
+    assert any(any(row) for row in before)
+    config = agents.AgentConfig(planning_schedule=StcSchedule(10.0, 2.0, 500.0), warm_start=warm,
+                                horizon=30, episodes=1)
+    trained = agents.train(config, DEMAND, SPACES, InventoryState(0, 0, 5))
+    assert trained.q.rows != before
+    assert warm.q.rows == before
+
+
+def test_values_is_read_only():
+    # a write into the array built from the rows would be lost
+    q = make_q()
+    with pytest.raises(ValueError):
+        q.values[0, 0] = 1.0
 
 
 def test_serialization_round_trip(tmp_path):
     q = make_q(4, 3)
-    q.values[:] = np.random.default_rng(5).normal(size=(4, 3))
+    q.rows = np.random.default_rng(5).normal(size=(4, 3)).tolist()
     path = tmp_path / "q.json"
     save_qtable(q, path)
     loaded = load_qtable(path)
@@ -260,11 +320,26 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.values, q.values)
 
 
+def test_load_builds_float_rows(tmp_path):
+    # a whole-number entry is a JSON integer in the file, and a float in the rows
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(
+        {"shape": [2, 3], "alpha": 0.3, "gamma": 0.9, "values": [0, 1, 2.5, -3, 4, 0.25]}))
+    q = load_qtable(path)
+    assert q.rows == [[0.0, 1.0, 2.5], [-3.0, 4.0, 0.25]]
+    assert all(type(v) is float for row in q.rows for v in row)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_qtable(q, first)
+    save_qtable(load_qtable(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert '"values": [0.0, 1.0, 2.5, -3.0, 4.0, 0.25]' in first.read_text()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_load_refuses_non_finite_values(tmp_path, bad):
     # argmin would pick a NaN entry's action, so such a table must not load
     q = make_q(4, 3)
-    q.values[2, 1] = bad
+    q.rows[2][1] = bad
     path = tmp_path / "q.json"
     save_qtable(q, path)
     with pytest.raises(DomainError):
