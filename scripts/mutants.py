@@ -133,7 +133,7 @@ MUTANTS = {
     # q_update keeps a row's cached minimum when the entry holding it rises
     "row-min-no-recompute": (
         QCORE,
-        "    elif old == low < new:\n        mins[s] = min(row)\n",
+        "        elif old == low < new:\n            mins[s] = min(row)\n",
         "",
         [
             "tests/test_qcore.py::test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does",
@@ -160,6 +160,20 @@ MUTANTS = {
         "        self.close()\n        try:\n",
         "        try:\n",
         ["tests/test_wordstream.py::test_borrow_lends_the_generator_where_the_stream_left_it"],
+    ),
+    # a tabular pair's mean cost is set on its first visit and never again;
+    # the small golden runs seldom revisit a pair, so most digests miss it
+    "tabular-cost-mean-stale": (
+        ENVMODEL,
+        "        m.cost_means[i] = m.cost_sums[i] / m.cost_counts[i]\n",
+        "        if m.cost_counts[i] == 1:\n"
+        "            m.cost_means[i] = m.cost_sums[i] / m.cost_counts[i]\n",
+        [
+            "tests/test_envmodel.py::TestTabularUpdate::"
+            "test_cost_means_are_the_quotients_after_every_update",
+            "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
+            "[scenario2-tabular-learned]",
+        ],
     ),
     # recovery takes the first demand reaching the next state and ignores the cost
     "recover-ignores-cost": (

@@ -23,8 +23,9 @@ it. The dropout and probe streams stay plain Generators.
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
 each real step a Learner plans one burst, envmodel.plan, which draws
-the whole burst before it reads the model, and runs q_update over its
-simulated transitions in draw order. A Learner updates its Q-table's
+the whole burst before it reads the model, and hands its simulated
+transitions to one q_update call, which applies them in draw order; the
+real step is a q_update call of its own. A Learner updates its Q-table's
 list rows in place, with each row's minimum beside them, so learner.q is
 current after every step, and a tabular model's per-step work is Python
 over the next-state rows it keeps per visited pair.
@@ -161,11 +162,11 @@ class Learner:
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
         rows, mins, model = self.q.rows, self.mins, self.model
         alpha, gamma = self.q.alpha, self.q.gamma
-        q_update(rows, mins, s, a, cost, s_next, alpha, gamma)
+        # the real step first: a non-finite cost raises before the model sees it
+        q_update(rows, mins, ((s, a, s_next, cost),), alpha, gamma)
         if self.fits_model:
             model_update(model, s, a, s_next, cost)
-        for ps, pa, sim_next, sim_cost in plan(model, self.n_plan, self.plan_rng):
-            q_update(rows, mins, ps, pa, sim_cost, sim_next, alpha, gamma)
+        q_update(rows, mins, plan(model, self.n_plan, self.plan_rng), alpha, gamma)
         self.planning_steps += self.n_plan
         if self.probe is not None:
             try:

@@ -23,12 +23,14 @@ Planning runs in bursts: plan(m, n, stream) returns the n transitions
 that n sample_visited and simulate calls would, from the same draws of
 one WordStream. A tabular or det-net burst takes all its draws in one
 WordStream.burst pass, and a tabular burst is then a Python loop over the
-cached rows; an MC-dropout burst makes numpy's array draws on the
-generator the stream lends it. Both nets read through one stacked
-MC-dropout pass per net: a det-net burst reads its distinct pairs at once
-(its masks have width 0, so the pass is the deterministic forward), and
-an MC-dropout burst reads its pairs up to eight at a time. Every
-MC-dropout read averages MC_SAMPLES dropout passes.
+cached rows and cost_means, each pair's mean cost, which model_update
+keeps (and save_model leaves out) so that no draw divides; an MC-dropout
+burst makes numpy's array draws on the generator the stream lends it.
+Both nets read through one stacked MC-dropout pass per net: a det-net
+burst reads its distinct pairs at once (its masks have width 0, so the
+pass is the deterministic forward), and an MC-dropout burst reads its
+pairs up to eight at a time. Every MC-dropout read averages MC_SAMPLES
+dropout passes.
 
 save_model writes a model's visit memory and learned numbers to an .npz
 file for inspection with numpy.load; nothing in the package reads it back.
@@ -115,6 +117,8 @@ class EnvModel:
             # per pair, by position in self.pairs
             self.cost_sums: list[float] = []
             self.cost_counts: list[int] = []
+            # cost_sums[i] / cost_counts[i], kept by model_update; not saved
+            self.cost_means: list[float] = []
         else:
             dropout = 0.5 if variant == "mc-dropout" else 0.0
             sizes = [4, *_HIDDEN]
@@ -221,6 +225,7 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         if m.variant == "tabular":
             m.cost_sums.append(0.0)
             m.cost_counts.append(0)
+            m.cost_means.append(0.0)
         else:
             m.inputs.append(m._encode(s, a).tolist())
     if m.variant == "tabular":
@@ -231,6 +236,7 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         m.demand_cdf = [*accumulate(c / total for c in m.demand_counts[:-1]), 1.0]
         m.cost_sums[i] += cost
         m.cost_counts[i] += 1
+        m.cost_means[i] = m.cost_sums[i] / m.cost_counts[i]
     else:
         x = np.array([m.inputs[i]])
         nn.train_step(m.transition_net, m.transition_adam, x, np.array([d]), rng=m.rng)
@@ -343,12 +349,11 @@ def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, f
         return burst
     draws = stream.burst(len(m.pairs), n)
     if m.variant == "tabular":
-        pairs, next_rows, cdf = m.pairs, m.next_rows, m.demand_cdf
-        sums, counts = m.cost_sums, m.cost_counts
+        pairs, next_rows, cdf, means = m.pairs, m.next_rows, m.demand_cdf, m.cost_means
         burst = []
         for i, u in draws:
             s, a = pairs[i]
-            burst.append((s, a, next_rows[i][bisect_right(cdf, u)], sums[i] / counts[i]))
+            burst.append((s, a, next_rows[i][bisect_right(cdf, u)], means[i]))
         return burst
     slots, us = zip(*draws)
     return _neural_outcomes(m, slots, np.array(us)[:, None])

@@ -6,16 +6,18 @@ the bijection between states and indices.
 A QTable holds its values as Python list rows, which q_update and
 select_action work on in place: per-call numpy overhead on an 11-element
 row costs more than the arithmetic, and Python floats are IEEE doubles,
-so the same operations in the same order give the same bits. A Learner
-keeps mins beside the rows, each row's minimum, which q_update reads for
-its target and keeps current, so an update scans a row only when it
-raises that row's minimum. min is exact, so the target's bits are those
-of min(rows[s_next]). QTable.values is a read-only array built from the
-rows on each read.
+so the same operations in the same order give the same bits. q_update
+applies a sequence of transitions in one loop, so a planning burst costs
+one call. A Learner keeps mins beside the rows, each row's minimum,
+which q_update reads for its target and keeps current, so an update
+scans a row only when it raises that row's minimum. min is exact, so the
+target's bits are those of min(rows[s_next]). QTable.values is a
+read-only array built from the rows on each read.
 """
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -43,7 +45,9 @@ class QTable:
     @property
     def values(self) -> np.ndarray:
         """The rows as a new read-only [num_states x num_actions] array."""
-        out = np.array(self.rows)
+        n_states, n_actions = self.shape
+        out = np.fromiter(chain.from_iterable(self.rows), float, n_states * n_actions)
+        out = out.reshape(n_states, n_actions)
         out.flags.writeable = False
         return out
 
@@ -53,27 +57,29 @@ class QTable:
         return out
 
 
-def q_update(rows: list, mins: list, s: int, a: int, cost: float, s_next: int,
-             alpha: float, gamma: float) -> float:
-    """One Q-learning step toward cost + gamma * min_a' Q(s', a').
+def q_update(rows: list, mins: list, transitions, alpha: float, gamma: float) -> None:
+    """Q-learning steps toward cost + gamma * min_a' Q(s', a'), one per transition, in order.
 
-    rows is QTable.rows and mins[i] is min(rows[i]). rows[s][a] and
-    mins[s] change: mins[s] takes the new entry if it is lower, and is
-    recomputed only when the entry that rose was the minimum. Returns the
-    updated entry.
+    transitions holds (s, a, s_next, cost) tuples, as envmodel.plan returns
+    them. rows is QTable.rows and mins[i] is min(rows[i]). Each step changes
+    rows[s][a] and mins[s]: mins[s] takes the new entry if it is lower, and
+    is recomputed only when the entry that rose was the minimum. A
+    non-finite cost raises ValueError with its entry unchanged and every
+    earlier transition applied.
     """
-    if not math.isfinite(cost):
-        raise ValueError(f"cost must be finite, got {cost}")
-    target = cost + gamma * mins[s_next]
-    row = rows[s]
-    old = row[a]
-    new = row[a] = old + alpha * (target - old)
-    low = mins[s]
-    if new < low:
-        mins[s] = new
-    elif old == low < new:
-        mins[s] = min(row)
-    return new
+    isfinite = math.isfinite
+    for s, a, s_next, cost in transitions:
+        if not isfinite(cost):
+            raise ValueError(f"cost must be finite, got {cost}")
+        target = cost + gamma * mins[s_next]
+        row = rows[s]
+        old = row[a]
+        new = row[a] = old + alpha * (target - old)
+        low = mins[s]
+        if new < low:
+            mins[s] = new
+        elif old == low < new:
+            mins[s] = min(row)
 
 
 def select_action(row: list, epsilon: float, rng: np.random.Generator) -> int:

@@ -63,7 +63,7 @@ class TestCriterion1:
             for s in range(3):
                 for a in (0, 1):
                     cost, nxt = transition(s, a)
-                    q_update(rows, mins, s, a, cost, nxt, q.alpha, q.gamma)
+                    q_update(rows, mins, [(s, a, nxt, cost)], q.alpha, q.gamma)
         gap = float(np.max(np.abs(q.values.min(axis=1) - v)))
         elapsed = time.perf_counter() - start
         _verdict(1, "Q-learning matches value iteration", gap < 1e-4 and elapsed < 1.0)

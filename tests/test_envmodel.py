@@ -205,6 +205,28 @@ class TestTabularUpdate:
         pmf = np.array(m.demand_counts) / sum(m.demand_counts)
         assert 0.5 * np.abs(pmf - dist.pmf).sum() < 0.03
 
+    def test_cost_means_are_the_quotients_after_every_update(self):
+        # 3 states x 11 orders over 300 days: most pairs are seen many times,
+        # and a mean refreshed on a pair's first visit alone goes stale
+        m = EnvModel(SPACES)
+        days = np.random.default_rng(30).integers(0, [3, 11, 11], size=(300, 3)).tolist()
+        for s, a, d in days:
+            observe_table(m, s, a, d)
+            quotients = [total / count for total, count in zip(m.cost_sums, m.cost_counts)]
+            assert np.array(m.cost_means).tobytes() == np.array(quotients).tobytes()
+        assert len(m.cost_means) == len(m.pairs) and max(m.cost_counts) > 5
+
+    def test_copy_keeps_its_own_cost_means(self):
+        m = EnvModel(SPACES)
+        for d in (2, 7):
+            observe_table(m, 40, 3, d)
+        before = list(m.cost_means)
+        c = m.copy()
+        assert c.cost_means == before and c.cost_means is not m.cost_means
+        c.cost_means[0] = 99.0
+        observe_table(c, 40, 3, 9)
+        assert m.cost_means == before
+
 
 class TestSimulate:
     def test_deterministic_composition(self):
@@ -309,6 +331,7 @@ def rebuilt(m):
     if m.variant == "tabular":
         r.demand_counts, r.demand_cdf = list(m.demand_counts), list(m.demand_cdf)
         r.cost_sums, r.cost_counts = list(m.cost_sums), list(m.cost_counts)
+        r.cost_means = list(m.cost_means)
     else:
         r.inputs = [list(x) for x in m.inputs]
         for new, old in ((r.transition_net, m.transition_net), (r.cost_net, m.cost_net)):

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -45,24 +46,27 @@ def rows_and_mins(q):
 class TestQUpdate:
     def test_single_step_from_zero(self):
         q = make_q()
-        assert q_update(*rows_and_mins(q), 0, 1, 2.0, 2, q.alpha, q.gamma) == pytest.approx(0.6)
+        q_update(*rows_and_mins(q), [(0, 1, 2, 2.0)], q.alpha, q.gamma)
+        assert q.rows[0][1] == pytest.approx(0.6)
 
     def test_zero_cost_fixed_point(self):
         q = make_q()
-        assert q_update(*rows_and_mins(q), 0, 0, 0.0, 1, q.alpha, q.gamma) == 0.0
+        q_update(*rows_and_mins(q), [(0, 0, 1, 0.0)], q.alpha, q.gamma)
+        assert q.rows[0][0] == 0.0
 
     def test_hand_evaluation(self):
         q = make_q()
         q.rows[0][0] = 1.0
         q.rows[1] = [1.0] * 3
-        assert q_update(*rows_and_mins(q), 0, 0, 0.1, 1, q.alpha, q.gamma) == pytest.approx(1.0)
+        q_update(*rows_and_mins(q), [(0, 0, 1, 0.1)], q.alpha, q.gamma)
+        assert q.rows[0][0] == pytest.approx(1.0)
 
     def test_only_target_entry_changes(self):
         q = make_q()
         q.rows = np.arange(9).reshape(3, 3).astype(float).tolist()
         before = q.values
         rows, mins = rows_and_mins(q)
-        q_update(rows, mins, 1, 2, 3.0, 0, q.alpha, q.gamma)
+        q_update(rows, mins, [(1, 2, 0, 3.0)], q.alpha, q.gamma)
         mask = np.ones_like(before, dtype=bool)
         mask[1, 2] = False
         assert np.array_equal(q.values[mask], before[mask])
@@ -70,7 +74,19 @@ class TestQUpdate:
     def test_non_finite_cost(self):
         q = make_q()
         with pytest.raises(ValueError):
-            q_update(*rows_and_mins(q), 0, 0, float("nan"), 1, q.alpha, q.gamma)
+            q_update(*rows_and_mins(q), [(0, 0, 1, float("nan"))], q.alpha, q.gamma)
+        # within a burst: the transitions before the bad one have landed,
+        # and its own entry and the ones after it are unchanged
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            q = make_q()
+            rows, mins = rows_and_mins(q)
+            with pytest.raises(ValueError):
+                q_update(rows, mins, [(0, 1, 2, 2.0), (1, 0, 0, 1.0), (2, 2, 1, bad),
+                                      (2, 0, 1, 4.0)], q.alpha, q.gamma)
+            assert rows[0][1] == pytest.approx(0.6)
+            assert rows[1][0] == pytest.approx(0.3)
+            assert rows[2] == [0.0, 0.0, 0.0]
+            assert mins == [min(row) for row in rows]
 
 
 class TestSelectAction:
@@ -136,7 +152,7 @@ class TestGreedyPolicy:
         s = 0
         for _ in range(20000):
             a = select_action(rows[s], 0.3, rng)
-            q_update(rows, mins, s, a, costs[s, a], nxt[s, a], q.alpha, q.gamma)
+            q_update(rows, mins, [(s, a, nxt[s, a], costs[s, a])], q.alpha, q.gamma)
             s = nxt[s, a]
         assert np.array_equal(greedy_policy(q), oracle)
 
@@ -184,7 +200,7 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
         numpy_q_update(ref, s, a, cost, s_next, q.alpha, q.gamma)
         a = select_action(rows[s], eps, row_rng)
         row_actions.append(a)
-        q_update(rows, mins, s, a, cost, s_next, q.alpha, q.gamma)
+        q_update(rows, mins, [(s, a, s_next, cost)], q.alpha, q.gamma)
     assert ties > steps // 20
     assert row_actions == ref_actions
     assert np.array(rows).tobytes() == ref.tobytes()
@@ -204,22 +220,28 @@ ROW_STARTS = st.sampled_from([
 # a cost of 0 with a low target lowers an entry, a large one raises it;
 # the harness's costs are never negative
 UPDATES = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.0, 50.0]),
-              st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2),
+              st.sampled_from([0.0, 0.1, 1.0, 50.0])),
     min_size=1, max_size=60,
 )
+# how many updates each q_update call applies; the rest go in one last burst
+BURST_LENGTHS = st.lists(st.integers(0, 8), max_size=20)
 
 
-@given(st.lists(ROW_STARTS, min_size=3, max_size=3), UPDATES, st.sampled_from([0.3, 0.9]))
-def test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does(starts, updates, alpha):
+@given(st.lists(ROW_STARTS, min_size=3, max_size=3), UPDATES, BURST_LENGTHS,
+       st.sampled_from([0.3, 0.9]))
+def test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does(starts, updates, lengths,
+                                                                       alpha):
     rows = [row[:] for row in starts]
     mins = [min(row) for row in rows]
     ref = [row[:] for row in starts]
-    for s, a, cost, s_next in updates:
-        got = q_update(rows, mins, s, a, cost, s_next, alpha, 0.9)
-        # the update as it reads with every target's minimum taken by a scan
-        ref[s][a] += alpha * (cost + 0.9 * min(ref[s_next]) - ref[s][a])
-        assert got == rows[s][a]
+    cuts = [0, *accumulate(lengths)]
+    for start, end in zip(cuts, [*cuts[1:], len(updates)]):
+        burst = updates[start:end]
+        q_update(rows, mins, burst, alpha, 0.9)
+        for s, a, s_next, cost in burst:
+            # the update as it reads with every target's minimum taken by a scan
+            ref[s][a] += alpha * (cost + 0.9 * min(ref[s_next]) - ref[s][a])
         assert all(low == min(row) for low, row in zip(mins, rows))
         assert np.array(rows).tobytes() == np.array(ref).tobytes()
 
