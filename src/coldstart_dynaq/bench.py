@@ -55,6 +55,14 @@ _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
 # More worker processes than this is a config error, not a machine size.
 MAX_WORKERS = 64
 
+# Size caps, checked before any work starts. Day-table entries are
+# (s_max+1)^3 states x (a_max+1) orders x (d_max+1) demands, at most 12
+# bytes each, so the cap is at most 240 MB (the default spec has 161,051).
+# Simulated days are table1's: repetitions x algorithms x (train_episodes
+# x horizon + test_days x test_repetitions) (the default spec has 606,000).
+MAX_DAY_TABLE_ENTRIES = 2 * 10**7
+MAX_SIMULATED_DAYS = 10**10
+
 # Spec fields that are a Gamma distribution's mean or variance.
 _MOMENTS = ("mu", "sigma2", "source_mean", "source_var")
 
@@ -177,6 +185,21 @@ class ExperimentSpec:
         if self.binning not in BINNINGS:
             raise DomainError(f"unknown binning {self.binning!r}, choose from {BINNINGS}")
         check_options(self.spaces(), self.model_variant)
+        entries = (self.s_max + 1) ** 3 * (self.a_max + 1) * (self.d_max + 1)
+        if entries > MAX_DAY_TABLE_ENTRIES:
+            raise DomainError(
+                f"s_max, a_max and d_max give {entries} day-table entries, "
+                f"more than MAX_DAY_TABLE_ENTRIES = {MAX_DAY_TABLE_ENTRIES}"
+            )
+        days = self.repetitions * len(self.algorithms) * (
+            self.train_episodes * self.horizon + self.test_days * self.test_repetitions
+        )
+        if days > MAX_SIMULATED_DAYS:
+            raise DomainError(
+                "repetitions, algorithms, train_episodes, horizon, test_days and "
+                f"test_repetitions give {days} simulated days, "
+                f"more than MAX_SIMULATED_DAYS = {MAX_SIMULATED_DAYS}"
+            )
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(

@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 from .env import DomainError
+from .incgamma import gammainc
 
 D_MAX_DEFAULT = 10
 BINNINGS = ("center", "floor")
@@ -115,7 +115,7 @@ def discretized_gamma(
     else:
         edges = np.concatenate([np.arange(d_max + 1), [np.inf]])
     # the regularized lower incomplete gamma function is the Gamma CDF
-    pmf = np.diff(gammainc(shape, edges / scale))
+    pmf = np.diff([gammainc(float(shape), x) for x in (edges / scale).tolist()])
     pmf = pmf / pmf.sum()
     return DemandDistribution(pmf=pmf)
 

@@ -1,9 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldstart_dynaq import bench
 from coldstart_dynaq.cli import main
@@ -156,6 +166,32 @@ class TestArgumentHandling:
         assert len(err) == 1 and err[0].startswith(
             "error: fig3's probe transition needs s_max >= 3, a_max >= 2, d_max >= 2"
         )
+
+    @pytest.mark.parametrize("override, cap", [
+        ({"s_max": 2**31}, "MAX_DAY_TABLE_ENTRIES"),
+        ({"d_max": 2**31}, "MAX_DAY_TABLE_ENTRIES"),
+        ({"s_max": 100, "a_max": 100}, "MAX_DAY_TABLE_ENTRIES"),
+        ({"repetitions": 2**40}, "MAX_SIMULATED_DAYS"),
+        ({"horizon": 2**62}, "MAX_SIMULATED_DAYS"),
+        ({"train_episodes": 2**63}, "MAX_SIMULATED_DAYS"),
+    ])
+    def test_sizes_past_their_caps_fail_before_workers(
+        self, tmp_path, capsys, monkeypatch, override, cap
+    ):
+        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a worker pool started"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**TINY, "workers": 2, **override}))
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{cap} = " in err[0]
+
+    def test_out_of_memory_is_one_error_line(self, tiny_config, capsys, monkeypatch):
+        def exhaust(spec):
+            raise MemoryError
+        monkeypatch.setattr(bench, "run_table1", exhaust)
+        assert main(["table1", "--config", tiny_config]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
     def test_invalid_model_choice(self):
         with pytest.raises(SystemExit):
@@ -376,3 +412,60 @@ class TestArtifactCommands:
         assert main(["forecast", "--config", tiny_config, "--out", str(out)]) == 0
         lines = (out / "offline_demand.csv").read_text().splitlines()
         assert len(lines) == 1 + TINY["offline_horizon"]
+
+
+# what a hand-edited config might hold in the wrong place
+ODD_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, True, False, None, "x", [1, 2], [0, 0, 1, 1],
+    -1, -(2**40), 2**40, 2**63,
+])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.dictionaries(
+    st.sampled_from(sorted(f.name for f in dataclasses.fields(bench.ExperimentSpec))),
+    ODD_VALUES, min_size=1, max_size=3,
+))
+def test_any_config_runs_or_is_one_error_line(override):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    # an out_dir or dataset_path of "x" is read or written in a temporary directory
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps({**TINY, "workers": 1, **override}))
+            # outside pytest a warning prints to stderr: count it as a line
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["table1", "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (
+        code, lines
+    )
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test dependency: the experiments import and run without it."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    script = f"""
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any import of scipy fails
+from coldstart_dynaq import cli
+for command in ("table1", "scenario2", "fig3"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", {str(config)!r}, "--workers", "1"])
+    assert code == 0, (command, code)
+loaded = [m for m, module in sys.modules.items() if m.startswith("scipy") and module is not None]
+assert loaded == [], loaded
+"""
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
