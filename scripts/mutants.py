@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NN = "src/coldstart_dynaq/nn.py"
 FORECAST = "src/coldstart_dynaq/forecast.py"
+BENCH = "src/coldstart_dynaq/bench.py"
 ENVMODEL = "src/coldstart_dynaq/envmodel.py"
 WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
 QCORE = "src/coldstart_dynaq/qcore.py"
@@ -182,6 +183,26 @@ MUTANTS = {
         "    if row.count(s_next) > 1:\n",
         "    if False:\n",
         ["tests/test_envmodel.py::TestRecoverDemand::test_every_transition_of_the_default_spaces"],
+    ),
+    # fig3's probe reads an MC-dropout model on a copy of the model's own
+    # stream 3 instead of stream 4; tabular and det-net reads draw nothing
+    "probe-on-model-stream": (
+        BENCH,
+        "derived_rng(seed, 4)",
+        "derived_rng(seed, 3)",
+        ["tests/test_golden.py::test_records_match_golden_digest[fig3-mc-dropout]"],
+    ),
+    # the warm start plans nothing and so, unless told to, never fits the
+    # model it hands to the transfer configurations
+    "warm-start-unfitted": (
+        FORECAST,
+        "        learner.fits_model = True\n",
+        "",
+        [
+            "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
+            f"[scenario2-{variant}-learned]"
+            for variant in ("tabular", "det-net", "mc-dropout")
+        ],
     ),
     # the Gamma CDF's continued fraction stops at twice Cephes' tolerance
     "igamc-cf-loose-stop": (

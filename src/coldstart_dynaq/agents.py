@@ -6,19 +6,19 @@ exploration and planning constant, and adjusted Dyna-Q decays both with a
 search-then-convergence schedule of the global environment-step counter.
 bench names the algorithms and builds their schedules. An optional warm
 start, a Learner pre-trained on forecasted demand, replaces the zero
-Q-table and empty model with copies of its own. Only a learner that reads
-its model fits it: Q-learning without a probe leaves its model as it was
+Q-table and empty model with copies of its own. Only a learner whose model
+is read fits it: Q-learning without an observer leaves its model as it was
 built, or as the warm start's copy.
 
-Randomness is split into three independent streams (environment demand,
-exploration, planning), one for network dropout and one for the probe's
-MC-dropout reads, so planning depth never perturbs the real demand
-sequence and probing never perturbs training. A WordStream, bit-exact
-with numpy, serves training demand, exploration (the warm start's too),
-planning and evaluate's demand; each is opened and closed by the with
-block of the function that made its generator. A planning burst on an
-MC-dropout model makes its array draws on the generator its stream lends
-it. The dropout and probe streams stay plain Generators.
+Randomness is split into four independent streams (environment demand,
+exploration, planning and network dropout), so planning depth never
+perturbs the real demand sequence. A WordStream, bit-exact with numpy,
+serves training demand, exploration (the warm start's too), planning and
+evaluate's demand; each is opened and closed by the with block of the
+function that made its generator. A planning burst on an MC-dropout model
+makes its array draws on the generator its stream lends it. The dropout
+stream stays a plain Generator, and an observer that draws keeps a
+generator of its own.
 
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), on state indices and the env's day tables. After
@@ -47,13 +47,7 @@ from .env import (
     num_states,
     state_index,
 )
-from .envmodel import (
-    EnvModel,
-    UnvisitedPairError,
-    model_update,
-    plan,
-    transition_prob,
-)
+from .envmodel import EnvModel, model_update, plan
 from .qcore import QTable, greedy_policy, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 from .wordstream import WordStream
@@ -122,13 +116,13 @@ class Learner:
     """Epsilon-greedy Q-learning with Dyna planning, as rollout's act/learn.
 
     A learner is the trained agent and, built over offline demand, the warm
-    start: its Q-table q, its model, its planning_steps and probe_trace,
-    and the episode_metrics train records. The schedules are functions of
-    the learner's own step counter t. probe, given as state indices (s, a,
-    s_next) and a generator, logs the model's transition probability for
-    it after every step (None while unvisited); an MC-dropout model's read
-    draws from that generator alone. learn fits the model on each real
-    step only when the learner reads it, by planning or by the probe.
+    start: its Q-table q, its model, its planning_steps and the
+    episode_metrics train records. The schedules are functions of the
+    learner's own step counter t. observer(learner, s, a, s_next, cost),
+    when given, is called last in every learn step, with q, mins and the
+    model already updated for it. learn fits the model on each real step
+    only when fits_model is set: when the learner plans or has an
+    observer, or when its owner sets it.
 
     act and learn work on q.rows in place, and learn keeps mins, each
     row's minimum, for q_update. They draw from the exploration and
@@ -138,15 +132,14 @@ class Learner:
 
     def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
                  planning: StcSchedule, explore_rng: WordStream,
-                 plan_rng: WordStream | None = None, probe=None):
+                 plan_rng: WordStream | None = None, observer=None):
         self.q, self.model = q, model
         self.mins = [min(row) for row in q.rows]
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
-        self.probe = probe
+        self.observer = observer
         # STC schedules never increase, so step 0 plans the most
-        self.fits_model = probe is not None or stc_steps(planning, 0) > 0
-        self.probe_trace = []
+        self.fits_model = observer is not None or stc_steps(planning, 0) > 0
         self.episode_metrics: list[RunMetrics] = []
         self.planning_steps = 0
         self.n_plan = 0
@@ -168,11 +161,8 @@ class Learner:
             model_update(model, s, a, s_next, cost)
         q_update(rows, mins, plan(model, self.n_plan, self.plan_rng), alpha, gamma)
         self.planning_steps += self.n_plan
-        if self.probe is not None:
-            try:
-                self.probe_trace.append(transition_prob(model, *self.probe))
-            except UnvisitedPairError:
-                self.probe_trace.append(None)
+        if self.observer is not None:
+            self.observer(self, s, a, s_next, cost)
 
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
@@ -190,17 +180,16 @@ def train(
     true_demand: DemandDistribution,
     spaces: ModelSpaces,
     initial_state: InventoryState,
-    probe_pair: tuple | None = None,
+    observer=None,
 ) -> Learner:
     """Run the configured training loop against the true demand process.
 
-    probe_pair, when given as (state, action, next_state), logs the model's
-    transition-probability estimate for that pair after every environment
-    step (None while the pair is still unvisited). Returns the learner.
+    observer, when given, is the learner's: it is called after every
+    environment step (see Learner). Returns the learner.
     """
     ss = np.random.SeedSequence(config.seed)
-    env_rng, explore_rng, plan_rng, model_rng, probe_rng = (
-        np.random.default_rng(child) for child in ss.spawn(5)
+    env_rng, explore_rng, plan_rng, model_rng = (
+        np.random.default_rng(child) for child in ss.spawn(4)
     )
     if config.warm_start is not None:
         q = config.warm_start.q.copy()
@@ -211,16 +200,11 @@ def train(
         q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
         model = EnvModel(spaces, variant=config.model_variant, rng=model_rng)
     tables = _tables(spaces, q, true_demand)
-    probe = None
-    if probe_pair is not None:
-        ps, pa, p_next = probe_pair
-        probe = (state_index(ps, spaces.s_max), pa.order_qty, state_index(p_next, spaces.s_max),
-                 probe_rng)
     s0 = state_index(initial_state, spaces.s_max)
     with (WordStream(env_rng) as demand_rng, WordStream(explore_rng) as explore,
           WordStream(plan_rng) as planning):
         learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
-                          explore, planning, probe)
+                          explore, planning, observer)
         learner.episode_metrics = [
             rollout(tables, s0, config.horizon, learner.act,
                     lambda: sample(true_demand, demand_rng), learner.learn)

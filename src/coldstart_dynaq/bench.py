@@ -21,15 +21,14 @@ import numpy as np
 
 from .agents import AgentConfig, Learner, RunMetrics, evaluate, train
 from .demand import (
-    BINNINGS,
     DemandDistribution,
     DemandSeries,
     discretized_gamma,
     load_transactions,
     synthesize_history,
 )
-from .env import Action, CostParams, DomainError, InventoryState, is_finite_real
-from .envmodel import ModelSpaces, check_options
+from .env import Action, CostParams, DomainError, InventoryState, is_finite_real, state_index
+from .envmodel import ModelSpaces, UnvisitedPairError, check_options, transition_prob
 from .forecast import Forecaster, build_warm_start, generate_offline, train_forecaster
 from .qcore import QTable
 from .schedule import StcSchedule, constant, stc_steps
@@ -117,7 +116,6 @@ class ExperimentSpec:
     mu: float = 5.0
     sigma2: float = 5.0
     d_max: int = 10
-    binning: str = "center"
     cost_params: CostParams = field(default_factory=CostParams)
     s_max: int = 10
     a_max: int = 10
@@ -182,8 +180,6 @@ class ExperimentSpec:
                 f"algorithms must be a non-empty subset of {ALGORITHMS}, got {self.algorithms!r}"
             )
         self.algorithms = tuple(self.algorithms)
-        if self.binning not in BINNINGS:
-            raise DomainError(f"unknown binning {self.binning!r}, choose from {BINNINGS}")
         check_options(self.spaces(), self.model_variant)
         entries = (self.s_max + 1) ** 3 * (self.a_max + 1) * (self.d_max + 1)
         if entries > MAX_DAY_TABLE_ENTRIES:
@@ -200,6 +196,10 @@ class ExperimentSpec:
                 f"test_repetitions give {days} simulated days, "
                 f"more than MAX_SIMULATED_DAYS = {MAX_SIMULATED_DAYS}"
             )
+        # moments whose Gamma has no finite, positive shape and scale
+        self.true_demand()
+        if self.dataset_path is None:
+            discretized_gamma(self.source_mean, self.source_var, self.d_max)
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -210,7 +210,7 @@ class ExperimentSpec:
         )
 
     def true_demand(self) -> DemandDistribution:
-        return discretized_gamma(self.mu, self.sigma2, self.d_max, binning=self.binning)
+        return discretized_gamma(self.mu, self.sigma2, self.d_max)
 
 
 def _from_list(cls, value, name: str):
@@ -251,7 +251,7 @@ def source_series(spec: ExperimentSpec):
     a dataset path is configured, synthetic draws otherwise."""
     if spec.dataset_path is not None:
         return load_transactions(spec.dataset_path, spec.product_name)
-    dist = discretized_gamma(spec.source_mean, spec.source_var, spec.d_max, binning=spec.binning)
+    dist = discretized_gamma(spec.source_mean, spec.source_var, spec.d_max)
     rng = derived_rng(spec.master_seed, 90001)
     return synthesize_history(dist, spec.source_days, dt.date(2021, 1, 1), rng)
 
@@ -316,13 +316,15 @@ def _test(spec: ExperimentSpec, q: QTable, rng: np.random.Generator) -> list[Run
 
 
 def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, rep: int, *,
-                 runs=((),), forecaster: Forecaster | None = None, probe=None) -> list[dict]:
+                 runs=((),), forecaster: Forecaster | None = None,
+                 probe: bool = False) -> list[dict]:
     """Train every (algorithm, transfer) configuration of replication rep.
 
     Configuration j trains one agent per key in runs, seeded by (rep, j,
-    *key), each with probe_pair=probe. With a forecaster, one warm start
-    per replication seeds every transfer configuration. record(spec, rep,
-    j, algorithm, transfer, agents) turns configuration j into its record.
+    *key), each observed by a _Probe of its own when probe is set. With a
+    forecaster, one warm start per replication seeds every transfer
+    configuration. record(spec, rep, j, algorithm, transfer, agents) turns
+    configuration j into its record.
     """
     demand_dist, spaces = spec.true_demand(), spec.spaces()
     warm = None if forecaster is None else make_warm_start(spec, forecaster, params, rep)
@@ -336,7 +338,8 @@ def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, 
                 warm if transfer else None, spec.horizon, spec.train_episodes,
                 seed_int(spec.master_seed, rep, j, *key),
             )
-            agents.append(train(config, demand_dist, spaces, spec.initial_state, probe_pair=probe))
+            observer = _Probe(spaces, config.seed) if probe else None
+            agents.append(train(config, demand_dist, spaces, spec.initial_state, observer=observer))
         records.append(record(spec, rep, j, algorithm, transfer, agents))
     return records
 
@@ -481,13 +484,32 @@ def run_scenario2(spec: ExperimentSpec) -> dict:
 # ----------------------------------------------------------------- fig 3
 
 
+class _Probe:
+    """Fig3's observer: the model's probability of the monitored transition
+    after every real step (None while its pair is unvisited). An MC-dropout
+    read draws from stream 4 of the agent's seed, which train leaves unused,
+    so probing never changes what is learned."""
+
+    def __init__(self, spaces: ModelSpaces, seed: int):
+        self.pair = (state_index(PROBE_STATE, spaces.s_max), PROBE_ACTION.order_qty,
+                     state_index(PROBE_NEXT, spaces.s_max))
+        self.rng = derived_rng(seed, 4)
+        self.trace = []
+
+    def __call__(self, learner: Learner, s: int, a: int, s_next: int, cost: float) -> None:
+        try:
+            self.trace.append(transition_prob(learner.model, *self.pair, self.rng))
+        except UnvisitedPairError:
+            self.trace.append(None)
+
+
 def _fig3_record(spec, rep, j, algorithm, transfer, agents) -> dict:
     return {
         "experiment": "fig3",
         "replication": rep,
         "algorithm": algorithm,
         "transfer": transfer,
-        "trace": [None if p is None else round(p, 12) for p in agents[0].probe_trace],
+        "trace": [None if p is None else round(p, 12) for p in agents[0].observer.trace],
     }
 
 
@@ -505,7 +527,7 @@ def run_fig3(spec: ExperimentSpec) -> dict:
     spec = replace(spec, train_episodes=1, horizon=30)
     records = _map_reps(
         spec, _fig3_record, SCENARIO2_PARAMS, SCENARIO_CONFIGS,
-        forecaster=fit_forecaster(spec), probe=(PROBE_STATE, PROBE_ACTION, PROBE_NEXT),
+        forecaster=fit_forecaster(spec), probe=True,
     )
     true_value = float(spec.true_demand().pmf[PROBE_DEMAND_CLASS])
     report = {

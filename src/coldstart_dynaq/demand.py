@@ -18,7 +18,6 @@ from .env import DomainError
 from .incgamma import gammainc
 
 D_MAX_DEFAULT = 10
-BINNINGS = ("center", "floor")
 
 _PMF_TOL = 1e-9
 # a day's total must fit the int64 quantities of a DemandSeries
@@ -92,30 +91,26 @@ def feature_dim(window: int) -> int:
     return window + 1 + 13
 
 
-def discretized_gamma(
-    mean: float,
-    variance: float,
-    d_max: int = D_MAX_DEFAULT,
-    binning: str = "center",
-) -> DemandDistribution:
+def discretized_gamma(mean: float, variance: float, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
     """Moment-matched Gamma density binned to an integer pmf on [0, d_max].
 
-    shape k = mean^2/variance, scale = variance/mean.  "center" binning
-    integrates over [i-0.5, i+0.5); "floor" over [i, i+1).  The right tail
-    folds into pmf[d_max].
+    shape k = mean^2/variance, scale = variance/mean.  pmf[i] integrates
+    over [i-0.5, i+0.5), pmf[0] over [0, 0.5), and the right tail folds
+    into pmf[d_max].  Moments whose shape or scale is not finite and > 0
+    are one DomainError.
     """
-    if mean <= 0 or variance <= 0:
+    mean, variance = float(mean), float(variance)
+    if not (mean > 0 and variance > 0):
         raise DomainError("mean and variance must be > 0")
-    if binning not in BINNINGS:
-        raise DomainError(f"unknown binning rule {binning!r}")
     shape = mean * mean / variance
     scale = variance / mean
-    if binning == "center":
-        edges = np.concatenate([[0.0], np.arange(d_max) + 0.5, [np.inf]])
-    else:
-        edges = np.concatenate([np.arange(d_max + 1), [np.inf]])
-    # the regularized lower incomplete gamma function is the Gamma CDF
-    pmf = np.diff([gammainc(float(shape), x) for x in (edges / scale).tolist()])
+    if not (0 < shape < math.inf and 0 < scale < math.inf):
+        raise DomainError(f"mean {mean} and variance {variance} give a Gamma shape {shape} "
+                          f"and scale {scale}; both must be finite and > 0")
+    edges = [0.0, *(i + 0.5 for i in range(d_max)), math.inf]
+    # the regularized lower incomplete gamma function is the Gamma CDF; an
+    # edge past the float range divides to inf without a numpy warning
+    pmf = np.diff([gammainc(shape, x / scale) for x in edges])
     pmf = pmf / pmf.sum()
     return DemandDistribution(pmf=pmf)
 

@@ -29,7 +29,7 @@ from .env import (
     num_states,
     state_index,
 )
-from .envmodel import EnvModel, model_update
+from .envmodel import EnvModel
 from .qcore import QTable
 from .schedule import constant
 from .wordstream import WordStream
@@ -117,23 +117,22 @@ def generate_offline(
 ) -> DemandSeries:
     """Autoregressive rollout of h forecasted days from the training history.
 
-    Each generated day is appended to the working history so later days
-    condition on earlier forecasts. start_date labels the emitted series;
-    feature calendars follow the history's own dates.
+    Each generated day is filled into one working series, the history and
+    h more dated days, so later days condition on earlier forecasts.
+    start_date labels the emitted series; feature calendars follow the
+    history's own dates.
     """
     if h < 1:
         raise DomainError(f"horizon must be >= 1, got {h}")
-    working_dates = list(f.history.dates)
-    working_q = list(f.history.quantities)
-    generated = []
-    for _ in range(h):
-        working = DemandSeries(dates=tuple(working_dates), quantities=np.array(working_q))
-        d = predict_next(f, working, len(working), rng=rng)
-        generated.append(d)
-        working_dates.append(working_dates[-1] + dt.timedelta(days=1))
-        working_q.append(d)
+    n, last = len(f.history), f.history.dates[-1]
+    working = DemandSeries(
+        dates=f.history.dates + tuple(last + dt.timedelta(days=i) for i in range(1, h + 1)),
+        quantities=np.concatenate([f.history.quantities, np.zeros(h, dtype=int)]),
+    )
+    for day in range(n, n + h):
+        working.quantities[day] = predict_next(f, working, day, rng=rng)
     dates = [start_date + dt.timedelta(days=i) for i in range(h)]
-    return DemandSeries(dates=tuple(dates), quantities=np.array(generated))
+    return DemandSeries(dates=tuple(dates), quantities=working.quantities[n:].copy())
 
 
 def build_warm_start(
@@ -147,13 +146,12 @@ def build_warm_start(
     initial_state: InventoryState = InventoryState(0, 0, 5),
     seed: int = 0,
 ) -> Learner:
-    """Q-learning over the offline series, replayed cyclically for `epochs`.
+    """Q-learning over the offline series, run `epochs` times from initial_state.
 
-    The learner plans nothing and has no probe, so it needs no planning
-    stream and leaves its model alone; the replay fits it right after each
-    learn step, for the transfer configurations that read it. Both the
-    returned learner's Q-table and its model reflect only demand values
-    present in the offline series.
+    The learner plans nothing, so it needs no planning stream; it fits its
+    model in every learn step all the same, for the transfer configurations
+    that read it. Both the returned learner's Q-table and its model reflect
+    only demand values present in the offline series.
     """
     if len(offline) == 0:
         raise DomainError("offline series is empty")
@@ -166,12 +164,9 @@ def build_warm_start(
     s0 = state_index(initial_state, spaces.s_max)
     with WordStream(explore_rng) as explore:
         learner = Learner(q, model, constant(epsilon), constant(0.0), explore)
-
-        def replay(s: int, a: int, s_next: int, cost: float) -> None:
-            learner.learn(s, a, s_next, cost)
-            model_update(model, s, a, s_next, cost)
-
+        learner.fits_model = True
         for _ in range(epochs):
             demands = iter(offline.quantities.tolist())
-            rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__, replay)
+            rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__,
+                    learner.learn)
     return learner

@@ -10,6 +10,7 @@ from coldstart_dynaq.demand import discretized_gamma, synthesize_history
 from coldstart_dynaq.env import COST_MAX, CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
+from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
 from helpers import point_mass
 
@@ -161,7 +162,7 @@ def learned_state(model) -> list[bytes]:
 @pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
 def test_probe_does_not_change_training(variant):
     # a random-order warm start from the probed state visits the probed pair,
-    # so the probe reads the model from the first day on
+    # so fig3's probe, an observer, reads the model from the first day on
     s0 = bench.PROBE_STATE
     offline = synthesize_history(point_mass(2), 3, dt.date(2021, 1, 1), np.random.default_rng(0))
     warm = build_warm_start(offline, SPACES, epochs=30, epsilon=1.0, model_variant=variant,
@@ -170,11 +171,11 @@ def test_probe_does_not_change_training(variant):
     config = adjusted_config(epsilon_schedule=eps, planning_schedule=plan, model_variant=variant,
                              warm_start=warm, horizon=10, episodes=1, seed=2)
     dist = discretized_gamma(5.0, 5.0, 10)
-    probe = (bench.PROBE_STATE, bench.PROBE_ACTION, bench.PROBE_NEXT)
-    probed = train(config, dist, SPACES, s0, probe_pair=probe)
+    probe = bench._Probe(SPACES, config.seed)
+    probed = train(config, dist, SPACES, s0, observer=probe)
     plain = train(config, dist, SPACES, s0)
-    assert None not in probed.probe_trace
-    assert plain.probe_trace == []
+    assert len(probe.trace) == 10 and None not in probe.trace
+    assert probed.observer is probe and plain.observer is None
     assert probed.q.values.tobytes() == plain.q.values.tobytes()
     assert learned_state(probed.model) == learned_state(plain.model)
     assert [m.daily_costs for m in probed.episode_metrics] == [
@@ -184,13 +185,13 @@ def test_probe_does_not_change_training(variant):
 
 def built_model(config, variant):
     """The model train builds for config, before any step: from spawn child 3, model_rng."""
-    model_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(5)[3])
+    model_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
     return EnvModel(SPACES, variant=variant, rng=model_rng)
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
-def test_q_learning_without_a_probe_leaves_its_model_as_built(variant):
-    # nothing reads a model that plans nothing and is not probed, so nothing fits it
+def test_q_learning_without_an_observer_leaves_its_model_as_built(variant):
+    # nothing reads a model that plans nothing and has no observer, so nothing fits it
     config = q_learning_config(model_variant=variant, episodes=2, seed=6)
     learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0)
     assert isinstance(learner.model, EnvModel)
@@ -203,11 +204,32 @@ def test_q_learning_without_a_probe_leaves_its_model_as_built(variant):
 @pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
 def test_probed_q_learning_still_fits_its_model(variant):
     config = q_learning_config(model_variant=variant, episodes=2, seed=6)
-    probe = (bench.PROBE_STATE, bench.PROBE_ACTION, bench.PROBE_NEXT)
-    learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0, probe_pair=probe)
-    assert len(learner.probe_trace) == 60
+    probe = bench._Probe(SPACES, config.seed)
+    learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0, observer=probe)
+    assert len(probe.trace) == 60
     assert len(learner.model.visited) > 0
     assert learned_state(learner.model) != learned_state(built_model(config, variant))
+
+
+def test_observer_is_called_once_per_real_step_after_its_q_update():
+    seen = []
+
+    def observer(learner, s, a, s_next, cost):
+        seen.append((learner.t, (s, a, s_next, cost), [row[:] for row in learner.q.rows]))
+
+    config = q_learning_config(episodes=2)
+    learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0, observer=observer)
+    assert [t for t, _, _ in seen] == list(range(1, 61))
+    assert [step[3] for _, step, _ in seen] == [
+        c for m in learner.episode_metrics for c in m.daily_costs
+    ]
+    # each step's rows are the last step's with this step's update applied
+    q = QTable(*learner.q.shape, config.alpha, config.gamma)
+    mins = [min(row) for row in q.rows]
+    for _, step, rows in seen:
+        q_update(q.rows, mins, (step,), config.alpha, config.gamma)
+        assert rows == q.rows
+    assert q.rows == learner.q.rows
 
 
 class TestEvaluate:

@@ -100,7 +100,7 @@ class TestArgumentHandling:
         {"transition_loss": "categorical"},  # not a spec field
         {"algorithms": []},
         {"algorithms": ["dyna-q", "sarsa"]},
-        {"binning": "ceil"},
+        {"binning": "ceil"},  # not a spec field
         {"s_max": 5},  # below the default a_max of 10
         {"cost_params": [0.7, 0.3, 0.0, 0.0]},
         {"train_episodes": 0},
@@ -118,6 +118,8 @@ class TestArgumentHandling:
         {"sigma2": -1.0},
         {"source_mean": 0},
         {"source_var": -2.0},
+        {"mu": 1e300, "sigma2": 1e-300},  # a Gamma shape of inf
+        {"source_mean": 1e-300, "source_var": 1e300},  # a Gamma shape of 0
         {"warm_epsilon": 1.5},
         {"warm_epsilon": -0.1},
         {"window": 0},

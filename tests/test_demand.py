@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -34,10 +35,6 @@ class TestDiscretizedGamma:
         dist = discretized_gamma(5.0, 5.0, 10)
         assert 0.08 <= dist.pmf[2] <= 0.14
 
-    def test_floor_binning_alternative(self):
-        dist = discretized_gamma(5.0, 5.0, 10, binning="floor")
-        assert dist.pmf[2] == pytest.approx(0.132, abs=0.005)
-
     def test_normalized(self):
         for var in (1.0, 3.0, 5.0):
             dist = discretized_gamma(5.0, var, 10)
@@ -47,19 +44,15 @@ class TestDiscretizedGamma:
         for var in (1.0, 3.0, 5.0):
             assert abs(discretized_gamma(5.0, var, 10).mean() - 5.0) < 0.25
 
-    @pytest.mark.parametrize("binning", ["center", "floor"])
     @pytest.mark.parametrize("mean, variance", [
         (5.0, 1.0), (5.0, 3.0), (5.0, 5.0), (4.48, 5.0), (2.0, 8.0), (0.5, 0.1), (9.0, 20.0),
     ])
-    def test_matches_frozen_distribution(self, mean, variance, binning):
+    def test_matches_frozen_distribution(self, mean, variance):
         # the frozen scipy distribution the module-level cdf call replaced
         cdf = stats.gamma(a=mean * mean / variance, scale=variance / mean).cdf
-        if binning == "center":
-            edges = np.concatenate([[0.0], np.arange(10) + 0.5, [np.inf]])
-        else:
-            edges = np.concatenate([np.arange(11), [np.inf]])
+        edges = np.concatenate([[0.0], np.arange(10) + 0.5, [np.inf]])
         pmf = np.diff(cdf(edges))
-        assert np.array_equal(discretized_gamma(mean, variance, 10, binning).pmf, pmf / pmf.sum())
+        assert np.array_equal(discretized_gamma(mean, variance, 10).pmf, pmf / pmf.sum())
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -68,8 +61,25 @@ class TestDiscretizedGamma:
             discretized_gamma(5.0, float("nan"), 10)
         with pytest.raises(DomainError):
             discretized_gamma(5.0, -1.0, 10)
-        with pytest.raises(DomainError):
-            discretized_gamma(5.0, 1.0, 10, binning="round")
+
+    def test_moments_across_the_float_range_give_a_pmf_or_one_error(self):
+        # a Gamma shape or scale that is 0 or inf is refused before numpy
+        # sees it, so no moments warn on their way to a pmf or a DomainError
+        # (shape or scale out of range, or a pmf that is not one)
+        moments = np.geomspace(1e-310, 1.7e308, 12).tolist()
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mean in moments:
+                for variance in moments:
+                    try:
+                        dist = discretized_gamma(mean, variance, 10)
+                    except DomainError:
+                        outcomes.add("refused")
+                    else:
+                        assert np.isfinite(dist.pmf).all()
+                        outcomes.add("pmf")
+        assert outcomes == {"pmf", "refused"}
 
 
 class TestSample:

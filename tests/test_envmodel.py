@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart_dynaq import agents, envmodel, nn
+from coldstart_dynaq import agents, bench, envmodel, nn
 from coldstart_dynaq.demand import cdf_of, discretized_gamma, sample
 from coldstart_dynaq.env import (
     Action,
@@ -498,9 +498,10 @@ def test_mc_dropout_read_needs_its_own_generator():
 
 
 def test_agents_bind_the_envmodel_functions():
-    # the learner must call the public names, the ones a traced run wraps
-    for name in ("model_update", "plan", "transition_prob"):
+    # the learner and fig3's probe must call the public names, the ones a traced run wraps
+    for name in ("model_update", "plan"):
         assert getattr(agents, name) is getattr(envmodel, name)
+    assert bench.transition_prob is envmodel.transition_prob
 
 
 def dump(m):

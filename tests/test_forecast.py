@@ -123,6 +123,15 @@ class TestGenerateOffline:
         assert len(offline) == 10
         assert offline.quantities.dtype.kind == "i"
 
+    def test_leaves_the_history_unchanged(self):
+        # the forecast days are filled into a working copy, not the history
+        f = self._forecaster()
+        history = f.history
+        dates, quantities = history.dates, history.quantities.copy()
+        generate_offline(f, START, 6, rng=np.random.default_rng(6))
+        assert f.history is history and history.dates == dates
+        assert history.quantities.tobytes() == quantities.tobytes()
+
     def test_invalid_horizon(self):
         f = self._forecaster()
         with pytest.raises(DomainError):
