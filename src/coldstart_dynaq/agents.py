@@ -92,13 +92,17 @@ def rollout(tables: DayTables, s: int, days: int, act, demand, learn=None) -> Ru
     daily_costs = []
     shortage_days = 0
     holding = 0.0
+    # item() reads a Python number straight from the array, with no numpy scalar between
+    nxt, costs, stocks = tables.next.item, tables.cost.item, tables.stock.item
+    rows = len(tables.next)
     for _ in range(days):
         a = act(s)
         d = demand()
-        s_next, cost = int(tables.next[s, a, d]), float(tables.cost[s, a, d])
+        r = s % rows
+        s_next, cost = nxt(r, a, d), costs(r, a, d)
         if learn is not None:
             learn(s, a, s_next, cost)
-        stock = int(tables.stock[s, a])
+        stock = stocks(r, a)
         daily_costs.append(cost)
         shortage_days += d > stock
         holding += stock
@@ -167,12 +171,12 @@ class Learner:
 
 def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
     """The day tables of spaces, once q and dist are checked to fit them."""
-    tables = day_tables(spaces)
-    if q.shape != tables.stock.shape:
-        raise DomainError(f"Q-table shape {q.shape} != (states, orders) {tables.stock.shape}")
+    shape = (num_states(spaces.s_max), num_actions(spaces.a_max))
+    if q.shape != shape:
+        raise DomainError(f"Q-table shape {q.shape} != (states, orders) {shape}")
     if dist.d_max > spaces.d_max:
         raise DomainError(f"demand reaches {dist.d_max} > d_max {spaces.d_max}")
-    return tables
+    return day_tables(spaces)
 
 
 def train(

@@ -12,7 +12,6 @@ count, which is a deterministic function of the schedules.
 import csv
 import datetime as dt
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -54,9 +53,11 @@ _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
 # More worker processes than this is a config error, not a machine size.
 MAX_WORKERS = 64
 
-# Size caps, checked before any work starts. Day-table entries are
-# (s_max+1)^3 states x (a_max+1) orders x (d_max+1) demands, at most 12
-# bytes each, so the cap is at most 240 MB (the default spec has 161,051).
+# Size caps, checked before any work starts. Day-table entries are counted
+# as (s_max+1)^3 states x (a_max+1) orders x (d_max+1) demands (the default
+# spec has 161,051), which also bounds the (s_max+1)^3 x (a_max+1) Q-table.
+# The day tables keep only the (s_max+1)^2 rows of the live buckets, at
+# most 12 bytes an entry, so they stay (s_max+1) times below 240 MB.
 # Simulated days are table1's: repetitions x algorithms x (train_episodes
 # x horizon + test_days x test_repetitions) (the default spec has 606,000).
 MAX_DAY_TABLE_ENTRIES = 2 * 10**7
@@ -196,10 +197,16 @@ class ExperimentSpec:
                 f"test_repetitions give {days} simulated days, "
                 f"more than MAX_SIMULATED_DAYS = {MAX_SIMULATED_DAYS}"
             )
-        # moments whose Gamma has no finite, positive shape and scale
-        self.true_demand()
+        # moments that give no pmf, named by their fields
+        moments = [("mu", "sigma2")]
         if self.dataset_path is None:
-            discretized_gamma(self.source_mean, self.source_var, self.d_max)
+            moments.append(("source_mean", "source_var"))
+        for mean, var in moments:
+            try:
+                discretized_gamma(getattr(self, mean), getattr(self, var), self.d_max)
+            except DomainError as e:
+                raise DomainError(f"{mean} {getattr(self, mean)!r} and {var} "
+                                  f"{getattr(self, var)!r} give no demand pmf: {e}") from None
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -351,6 +358,9 @@ def _map_reps(spec: ExperimentSpec, record, params: ScheduleParams, configs, **k
     reps = range(spec.repetitions)
     workers = min(spec.workers, spec.repetitions)
     if workers > 1:
+        # imported only here: the pool loads multiprocessing, which one process never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(one_rep, reps))
     else:

@@ -10,7 +10,10 @@ The dataclass functions below are the readable reference for one day.
 Hot loops instead use the integer core: states as dense indices (see
 state_index) and the day dynamics tabulated once per ModelSpaces by
 day_tables, so one day is a lookup of next-state index and cost by
-(state index, order, demand).
+(table row, order, demand). The day ages the stock before it charges or
+serves anything, so the one-day bucket s1 is discarded unread and the
+tables keep one row per live pair (s2, s3): state index s reads row
+s % (s_max+1)**2.
 """
 
 import functools
@@ -35,8 +38,14 @@ class DomainError(ValueError):
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite int or float; a bool or a str is not a number here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite int or float; a bool, a str or an int past the
+    float range is not a number here."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -204,11 +213,15 @@ class ModelSpaces:
 
 @dataclass(frozen=True)
 class DayTables:
-    """One day's dynamics for every (state index s, order a, demand d).
+    """One day's dynamics for every (row r, order a, demand d).
 
-    next[s, a, d] is the next state's index and cost[s, a, d] the day's
-    cost, both equal to step(); stock[s, a] is the on-hand stock after
-    the order arrives, so demand d falls short exactly when d > stock.
+    State index s reads row r = s % len(next), its live buckets (s2, s3):
+    step() discards s1 before it charges or serves anything, so the day is
+    the same for every s1 and the tables hold (s_max+1)**2 rows, not
+    (s_max+1)**3. next[r, a, d] is the next state's full index and
+    cost[r, a, d] the day's cost, both equal to step(); stock[r, a] is the
+    on-hand stock after the order arrives, so demand d falls short exactly
+    when d > stock.
     """
 
     next: np.ndarray
@@ -218,20 +231,21 @@ class DayTables:
 
 @functools.lru_cache(maxsize=8)
 def day_tables(spaces: ModelSpaces) -> DayTables:
-    """Tabulate step() over all states, orders and demands (read-only, cached).
+    """Tabulate step() over all live pairs (s2, s3), orders and demands
+    (read-only, cached).
 
     Built one demand slice at a time to keep the transient memory small;
     the cost keeps period_cost's operation order so every entry is
     bit-identical to step().
     """
     p, n = spaces.cost_params, spaces.s_max + 1
-    s = np.arange(n**3)
-    # post-receive buckets (s2, s3, a) by (state, order)
-    x1, x2 = (s // n % n)[:, None], (s % n)[:, None]
+    r = np.arange(n**2)
+    # post-receive buckets (s2, s3, a) by (row, order)
+    x1, x2 = (r // n)[:, None], (r % n)[:, None]
     x3 = np.arange(spaces.a_max + 1)[None, :]
     stock = x1 + x2 + x3
     holding = p.b1 * x1 + p.b2 * x2 + p.b3 * x3
-    shape = (n**3, spaces.a_max + 1, spaces.d_max + 1)
+    shape = (n**2, spaces.a_max + 1, spaces.d_max + 1)
     nxt = np.empty(shape, dtype=np.min_scalar_type(n**3 - 1))
     cost = np.empty(shape)
     for d in range(spaces.d_max + 1):

@@ -12,12 +12,12 @@ environment may be simulated from.
 
 The model runs on the integer core: every function takes and returns
 states as indices (env.state_index) and actions as order quantities, and
-next states and costs come from the env's day tables. The first time
-model_update sees a pair it cuts the pair's next-state row from the
-tables as a Python list, and a neural model encodes the pair's net input
-once, also as a list; recovering a demand then scans that row, a
-simulated next state is one list lookup, and a net's input rows are
-built from the encoded lists.
+next states and costs come from the env's day tables, where state s
+reads row s % (s_max+1)**2. The first time model_update sees a pair it
+cuts the pair's next-state row from the tables as a Python list, and a
+neural model encodes the pair's net input once, also as a list;
+recovering a demand then scans that row, a simulated next state is one
+list lookup, and a net's input rows are built from the encoded lists.
 
 Planning runs in bursts: plan(m, n, stream) returns the n transitions
 that n sample_visited and simulate calls would, from the same draws of
@@ -173,7 +173,7 @@ def recover_demand(spaces: ModelSpaces, s: int, a: int, s_next: int, cost: float
     """
     _check_pair(spaces, s, a)
     tables = day_tables(spaces)
-    return _demand_of(tables, s, a, tables.next[s, a].tolist(), s_next, cost)
+    return _demand_of(tables, s, a, tables.next[s % len(tables.next), a].tolist(), s_next, cost)
 
 
 def _demand_of(tables: DayTables, s: int, a: int, row: list, s_next: int, cost: float) -> int:
@@ -189,7 +189,7 @@ def _demand_of(tables: DayTables, s: int, a: int, row: list, s_next: int, cost: 
             f"no demand in [0, {len(row) - 1}] yields state {s_next} from state {s}, order {a}"
         ) from None
     if row.count(s_next) > 1:
-        costs = tables.cost[s, a]
+        costs = tables.cost[s % len(tables.cost), a]
         for d in range(first, len(row)):
             if row[d] == s_next and abs(costs[d] - cost) <= _COST_TOL:
                 return d
@@ -200,7 +200,8 @@ def demand_to_next_state(spaces: ModelSpaces, s: int, a: int, d: int) -> int:
     if not (0 <= d <= spaces.d_max):
         raise DomainError(f"demand {d} outside [0, {spaces.d_max}]")
     _check_pair(spaces, s, a)
-    return int(day_tables(spaces).next[s, a, d])
+    nxt = day_tables(spaces).next
+    return int(nxt[s % len(nxt), a, d])
 
 
 def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
@@ -212,7 +213,7 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
     i = m.visited.get((s, a))
     if i is None:
         _check_pair(m.spaces, s, a)
-        row = m.tables.next[s, a].tolist()
+        row = m.tables.next[s % len(m.tables.next), a].tolist()
     else:
         row = m.next_rows[i]
     # recovered before a new pair is kept: an inconsistent transition
@@ -369,7 +370,8 @@ def transition_prob(
     pmf = transition_pmf(m, s, a, rng)
     total = 0.0
     # summed in demand order, one term at a time, as a float sum over d
-    for p in pmf[m.tables.next[s, a] == s_next].tolist():
+    nxt = m.tables.next
+    for p in pmf[nxt[s % len(nxt), a] == s_next].tolist():
         total += p
     return total
 

@@ -1,6 +1,7 @@
-"""Test-only helpers: a point-mass demand law, and reference versions of
-the nn training path (forward, loss, backward, mask draws and Adam) as
-plain per-array numpy, which the buffered nn code must match bit for bit."""
+"""Test-only helpers: a point-mass demand law, one day read from the day
+tables by state index, and reference versions of the nn training path
+(forward, loss, backward, mask draws and Adam) as plain per-array numpy,
+which the buffered nn code must match bit for bit."""
 
 import numpy as np
 
@@ -12,6 +13,13 @@ def point_mass(value: int, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
     pmf = np.zeros(d_max + 1)
     pmf[value] = 1.0
     return DemandDistribution(pmf=pmf)
+
+
+def day_of(tables, s: int, a: int, d: int) -> tuple[int, float]:
+    """State index s's next-state index and cost with order a and demand d,
+    read at s's table row s % (s_max+1)**2."""
+    r = s % len(tables.next)
+    return int(tables.next[r, a, d]), float(tables.cost[r, a, d])
 
 
 def draw_masks_reference(net, batch, rng):

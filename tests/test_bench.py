@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -206,7 +207,7 @@ class TestEmit:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
     def test_pool_never_larger_than_the_replications(self, pool_sizes):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -138,15 +139,33 @@ class TestArgumentHandling:
         {"a_max": 0, "model_variant": "det-net"},  # a net's input divides by a_max
         {"master_seed": -1, "repetitions": 2},  # SeedSequence refuses it in a worker
         {"algorithms": ["dyna-q", "dyna-q"], "repetitions": 1},  # one report row of two configs
+        # integers past the float range, which math.isfinite cannot take
+        {"mu": 10**400},
+        {"source_var": -(10**400)},
+        {"cost_params": [10**400, 0.3, 0, 1]},
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
-        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("a worker pool started"))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**TINY, "workers": 2, **override}))
         assert main(["table1", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("override, named", [
+        # a Gamma shape of 1.7e308, whose CDF is nan
+        ({"mu": 1.65e27, "sigma2": 1.6e-254}, "mu 1.65e+27 and sigma2 1.6e-254"),
+        ({"mu": 1e300, "sigma2": 1e-300}, "mu 1e+300 and sigma2 1e-300"),
+        ({"source_mean": 1.65e27, "source_var": 1.6e-254},
+         "source_mean 1.65e+27 and source_var 1.6e-254"),
+    ])
+    def test_moments_without_a_pmf_are_named(self, tmp_path, capsys, override, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TINY, **override}))
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named} give no demand pmf: ")
 
     @pytest.mark.parametrize("override", [
         {"d_max": 1},
@@ -157,7 +176,7 @@ class TestArgumentHandling:
         self, tmp_path, capsys, monkeypatch, override
     ):
         # the probe (0,0,3) --order 2, demand 2--> (0,1,2) must fit the bounds
-        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("a worker pool started"))
         monkeypatch.setattr(bench, "fit_forecaster",
                             lambda spec: pytest.fail("the forecaster was fitted"))
@@ -180,7 +199,7 @@ class TestArgumentHandling:
     def test_sizes_past_their_caps_fail_before_workers(
         self, tmp_path, capsys, monkeypatch, override, cap
     ):
-        monkeypatch.setattr(bench, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("a worker pool started"))
         path = tmp_path / "big.json"
         path.write_text(json.dumps({**TINY, "workers": 2, **override}))
@@ -338,9 +357,12 @@ class TestArtifactCommands:
         lambda p: {**p, "values": ["x", *p["values"][1:]]},
         lambda p: {**p, "values": [[v] for v in p["values"]]},
         lambda p: {k: v for k, v in p.items() if k != "gamma"},
+        lambda p: {**p, "alpha": 10**400},
+        lambda p: {**p, "values": [*p["values"][:-1], -(10**400)]},
     ], ids=["list", "alpha-str", "gamma-null", "alpha-range", "shape-float", "shape-str",
             "shape-bool", "shape-1d", "shape-zero", "shape-int", "values-short",
-            "values-str", "values-nested", "gamma-missing"])
+            "values-str", "values-nested", "gamma-missing", "alpha-huge-int",
+            "values-huge-int"])
     def test_evaluate_malformed_qtable(self, trained_qtable, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edit(json.loads(Path(trained_qtable).read_text()))))
@@ -419,7 +441,7 @@ class TestArtifactCommands:
 # what a hand-edited config might hold in the wrong place
 ODD_VALUES = st.sampled_from([
     math.nan, math.inf, -math.inf, True, False, None, "x", [1, 2], [0, 0, 1, 1],
-    -1, -(2**40), 2**40, 2**63,
+    -1, -(2**40), 2**40, 2**63, 10**400,
 ])
 
 
@@ -450,7 +472,8 @@ def test_any_config_runs_or_is_one_error_line(override):
 
 
 def test_runs_without_scipy(tmp_path):
-    """scipy is a test dependency: the experiments import and run without it."""
+    """scipy is a test dependency: the experiments import and run without it,
+    and a one-process run imports no process pool."""
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
     script = f"""
@@ -463,6 +486,9 @@ for command in ("table1", "scenario2", "fig3"):
     assert code == 0, (command, code)
 loaded = [m for m, module in sys.modules.items() if m.startswith("scipy") and module is not None]
 assert loaded == [], loaded
+# one process starts no pool, so nothing loads the pool's modules
+pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+assert pool == [], pool
 """
     src = str(Path(bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

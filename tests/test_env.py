@@ -181,9 +181,11 @@ def test_model_spaces_bounds_enforced(bounds):
     ModelSpaces(CostParams(0.9, 0.4, 0.2, 0.5), s_max=4, a_max=2, d_max=13),
 ])
 def test_day_tables_equal_step_everywhere(spaces):
-    """Exhaustive oracle: every (state, order, demand) entry equals step(),
-    the cost to the last bit."""
+    """Exhaustive oracle: every (state, order, demand) read at the state's
+    row s % (s_max+1)**2 equals step(), the cost to the last bit."""
     tables = day_tables(spaces)
+    n = spaces.s_max + 1
+    rows = np.arange(n**3) % n**2
     outs = [
         [
             [step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
@@ -192,10 +194,22 @@ def test_day_tables_equal_step_everywhere(spaces):
         ]
         for s in enumerate_states(spaces.s_max)
     ]
-    next_idx = [[[state_index(o.next_state, spaces.s_max) for o in row] for row in rows]
-                for rows in outs]
-    assert np.array_equal(tables.next, next_idx)
-    assert tables.cost.tolist() == [[[o.cost for o in row] for row in rows] for rows in outs]
-    short = tables.stock[:, :, None] < np.arange(spaces.d_max + 1)
-    assert short.tolist() == [[[o.shortage > 0 for o in row] for row in rows] for rows in outs]
+    next_idx = [[[state_index(o.next_state, spaces.s_max) for o in row] for row in day]
+                for day in outs]
+    assert np.array_equal(tables.next[rows], next_idx)
+    assert tables.cost[rows].tolist() == [[[o.cost for o in row] for row in day] for day in outs]
+    short = tables.stock[rows][:, :, None] < np.arange(spaces.d_max + 1)
+    assert short.tolist() == [[[o.shortage > 0 for o in row] for row in day] for day in outs]
     assert not (tables.next.flags.writeable or tables.cost.flags.writeable)
+
+
+@pytest.mark.parametrize("spaces", [
+    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3)),
+    ModelSpaces(CostParams(0.9, 0.4, 0.2, 0.5), s_max=4, a_max=2, d_max=13),
+])
+def test_day_tables_hold_one_row_per_live_pair(spaces):
+    # s1 is discarded before the day charges or serves anything
+    tables = day_tables(spaces)
+    n, orders, demands = spaces.s_max + 1, spaces.a_max + 1, spaces.d_max + 1
+    assert tables.next.shape == tables.cost.shape == (n**2, orders, demands)
+    assert tables.stock.shape == (n**2, orders)

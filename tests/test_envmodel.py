@@ -38,7 +38,7 @@ from coldstart_dynaq.envmodel import (
     transition_prob,
 )
 from coldstart_dynaq.wordstream import WordStream
-from helpers import draw_masks_reference, forward_reference
+from helpers import day_of, draw_masks_reference, forward_reference
 
 SPACES = ModelSpaces(cost_params=CostParams())
 PAIR_S = InventoryState(0, 0, 3)
@@ -60,18 +60,19 @@ def recover(spaces, s, a, out, cost):
 
 def observe_table(m, s, a, d):
     """Feed the model one real day of index pair (s, a) with demand d."""
-    model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+    model_update(m, s, a, *day_of(m.tables, s, a, d))
 
 
 def recover_reference(tables, shift=0.0):
-    """recover_demand's rule for every (s, a, d) at once, as numpy scans of the day tables.
+    """recover_demand's rule for every (row, a, d) at once, as numpy scans of the day tables.
 
-    Entry [s, a, d] is the demand recovered from the transition of demand
-    d with its cost plus shift: the first demand e reaching the same next
-    state with a cost within 1e-9, else the first demand reaching it.
+    Entry [r, a, d] is the demand recovered from the transition of demand
+    d with its cost plus shift, from any state of row r: the first demand
+    e reaching the same next state with a cost within 1e-9, else the
+    first demand reaching it.
     """
     nxt, cost = tables.next, tables.cost
-    # [s, a, d, e]: demand e reaches demand d's next state
+    # [r, a, d, e]: demand e reaches demand d's next state
     same = nxt[..., :, None] == nxt[..., None, :]
     close = same & (np.abs(cost[..., None, :] - (cost[..., :, None] + shift)) <= 1e-9)
     # argmax picks the first True along e
@@ -143,7 +144,7 @@ class TestRecoverDemand:
         observe(m, PAIR_S, PAIR_A, 2)
         pairs = list(m.pairs)
         # a next state and cost that state 1330 does reach with this order
-        s_next, cost = demand_to_next_state(SPACES, 1330, A, 0), float(m.tables.cost[1330, A, 0])
+        s_next, cost = day_of(m.tables, 1330, A, 0)
         with pytest.raises(DomainError):
             recover_demand(SPACES, state, A, s_next, cost)
         with pytest.raises(DomainError):
@@ -164,9 +165,10 @@ class TestRecoverDemand:
             for a in range(SPACES.a_max + 1):
                 for k in range(SPACES.d_max + 1):
                     d = (s + a + k) % (SPACES.d_max + 1)
-                    s_next, cost, want = nexts[s][a][d], costs[s][a][d], wants[s][a][d]
+                    r = s % len(nexts)
+                    s_next, cost, want = nexts[r][a][d], costs[r][a][d], wants[r][a][d]
                     assert recover_demand(SPACES, s, a, s_next, cost) == want
-                    assert recover_demand(SPACES, s, a, s_next, cost + 1e-3) == offs[s][a][d]
+                    assert recover_demand(SPACES, s, a, s_next, cost + 1e-3) == offs[r][a][d]
                     model_update(m, s, a, s_next, cost)
                     counts[want] += 1
                     assert m.demand_counts[want] == counts[want]
@@ -327,7 +329,7 @@ def rebuilt(m):
     """A new EnvModel holding copies of m's visited pairs and learned numbers, and nothing else."""
     r = EnvModel(m.spaces, variant=m.variant, rng=np.random.default_rng(0))
     r.pairs, r.visited = list(m.pairs), dict(m.visited)
-    r.next_rows = [r.tables.next[s, a].tolist() for s, a in m.pairs]
+    r.next_rows = [r.tables.next[s % len(r.tables.next), a].tolist() for s, a in m.pairs]
     if m.variant == "tabular":
         r.demand_counts, r.demand_cdf = list(m.demand_counts), list(m.demand_cdf)
         r.cost_sums, r.cost_counts = list(m.cost_sums), list(m.cost_counts)
@@ -360,7 +362,7 @@ def simulate_reference(m, s, a, rng):
 
     pmf = read(m.transition_net)
     d = bisect_right(cdf_of(pmf / pmf.sum()), rng.random())
-    return int(m.tables.next[s, a, d]), float(read(m.cost_net)[0])
+    return day_of(m.tables, s, a, d)[0], float(read(m.cost_net)[0])
 
 
 def plan_reference(m, n, rng):
@@ -405,7 +407,7 @@ def test_planned_demand_is_drawn_from_the_normalised_pmf(variant):
     for s, a in m.pairs:
         raw = nn.mc_predict(m.transition_net, m._encode(s, a)[None, None, :], t_u)[0, 0]
         normed, unnormed = cdf_of(raw / raw.sum()), cdf_of(raw)
-        nxt = m.tables.next[s, a]
+        nxt = m.tables.next[s % len(m.tables.next), a]
         for p, q in zip(normed[:-1], unnormed[:-1]):
             # the lower entry is <= this uniform and the higher one is not
             d = min(p, q)
@@ -657,4 +659,4 @@ def test_neural_model_needs_s_max_and_a_max_of_one(variant, s_max, a_max):
         EnvModel(spaces, variant=variant, rng=np.random.default_rng(0))
     m = EnvModel(spaces)
     observe_table(m, 0, 0, 3)
-    assert simulate(m, 0, 0, np.random.default_rng(1))[0] == int(m.tables.next[0, 0, 3])
+    assert simulate(m, 0, 0, np.random.default_rng(1))[0] == day_of(m.tables, 0, 0, 3)[0]

@@ -12,6 +12,7 @@ from coldstart_dynaq.env import CostParams, ModelSpaces
 from helpers import (
     AdamReference,
     batch_loss,
+    day_of,
     draw_masks_reference,
     forward_reference,
     point_mass,
@@ -288,9 +289,8 @@ def test_copied_env_model_trains_like_the_original(variant):
 
     def train(model, rng, days):
         model.rng = rng
-        next_state, cost = model.tables.next, model.tables.cost
         for s, a, d in days:
-            envmodel.model_update(model, s, a, int(next_state[s, a, d]), float(cost[s, a, d]))
+            envmodel.model_update(model, s, a, *day_of(model.tables, s, a, d))
 
     train(m, np.random.default_rng(2), days[:50])
     c = m.copy()
@@ -309,7 +309,7 @@ def trained_model_and_inputs(variant, rows):
                           rng=np.random.default_rng(rows))
     days = np.random.default_rng(rows + 1).integers(0, [1331, 11, 11], size=(20 + rows, 3))
     for s, a, d in days[:20].tolist():
-        envmodel.model_update(m, s, a, int(m.tables.next[s, a, d]), float(m.tables.cost[s, a, d]))
+        envmodel.model_update(m, s, a, *day_of(m.tables, s, a, d))
     return m, np.array([m._encode(s, a) for s, a, _ in days[20:].tolist()])
 
 
