@@ -22,11 +22,12 @@ from .agents import AgentConfig, Learner, RunMetrics, evaluate, train
 from .demand import (
     DemandDistribution,
     DemandSeries,
+    days_from,
     discretized_gamma,
     load_transactions,
     synthesize_history,
 )
-from .env import Action, CostParams, DomainError, InventoryState, is_finite_real, state_index
+from .env import CostParams, DomainError, InventoryState, is_finite_real, state_index
 from .envmodel import ModelSpaces, UnvisitedPairError, check_options, transition_prob
 from .forecast import Forecaster, build_warm_start, generate_offline, train_forecaster
 from .qcore import QTable
@@ -63,6 +64,9 @@ MAX_WORKERS = 64
 MAX_DAY_TABLE_ENTRIES = 2 * 10**7
 MAX_SIMULATED_DAYS = 10**10
 
+# The first day of the synthetic source history.
+HISTORY_START = dt.date(2021, 1, 1)
+
 # Spec fields that are a Gamma distribution's mean or variance.
 _MOMENTS = ("mu", "sigma2", "source_mean", "source_var")
 
@@ -85,7 +89,7 @@ _SCENARIO_STATS = ("avg_total_cost", "shortage_percentage", "avg_holding", "tota
 # Monitored transition for probability tracking: post-sale stock (0,0,3), order 2,
 # demand 2 lands in (0,1,2).
 PROBE_STATE = InventoryState(0, 0, 3)
-PROBE_ACTION = Action(2)
+PROBE_ORDER = 2
 PROBE_NEXT = InventoryState(0, 1, 2)
 PROBE_DEMAND_CLASS = 2
 
@@ -167,6 +171,12 @@ class ExperimentSpec:
             raise DomainError(
                 f"source_days must be > window + 1 = {self.window + 1}, got {self.source_days}"
             )
+        # the offline days follow the history, and every day needs a date
+        room = days_from(HISTORY_START)
+        if self.dataset_path is None and self.source_days + self.offline_horizon > room:
+            raise DomainError(f"source_days + offline_horizon must be <= {room}, the days from "
+                              f"{HISTORY_START} to {dt.date.max}, got {self.source_days} + "
+                              f"{self.offline_horizon}")
         self.cost_params = _from_list(CostParams, self.cost_params, "cost_params")
         self.initial_state = _from_list(InventoryState, self.initial_state, "initial_state")
         if not all(_is_int(v) and 0 <= v <= self.s_max for v in astuple(self.initial_state)):
@@ -260,12 +270,17 @@ def source_series(spec: ExperimentSpec):
         return load_transactions(spec.dataset_path, spec.product_name)
     dist = discretized_gamma(spec.source_mean, spec.source_var, spec.d_max)
     rng = derived_rng(spec.master_seed, 90001)
-    return synthesize_history(dist, spec.source_days, dt.date(2021, 1, 1), rng)
+    return synthesize_history(dist, spec.source_days, HISTORY_START, rng)
 
 
 def fit_forecaster(spec: ExperimentSpec) -> Forecaster:
+    history = source_series(spec)
+    # the spec checks a synthetic history's calendar; a loaded one is checked before the fit
+    if len(history) + spec.offline_horizon > days_from(history.start):
+        raise DomainError(f"offline_horizon {spec.offline_horizon} takes the {len(history)} days "
+                          f"of {spec.dataset_path} from {history.start} past {dt.date.max}")
     return train_forecaster(
-        source_series(spec),
+        history,
         window=spec.window,
         epochs=spec.forecaster_epochs,
         rng=derived_rng(spec.master_seed, 90002),
@@ -277,7 +292,7 @@ def offline_series(spec: ExperimentSpec, forecaster: Forecaster, rep: int) -> De
     """Replication rep's offline_horizon forecasted days, from the day after the history."""
     return generate_offline(
         forecaster,
-        start_date=forecaster.history.dates[-1] + dt.timedelta(days=1),
+        start_date=forecaster.history.date(len(forecaster.history)),
         h=spec.offline_horizon,
         rng=derived_rng(spec.master_seed, 90003, rep),
     )
@@ -501,7 +516,7 @@ class _Probe:
     so probing never changes what is learned."""
 
     def __init__(self, spaces: ModelSpaces, seed: int):
-        self.pair = (state_index(PROBE_STATE, spaces.s_max), PROBE_ACTION.order_qty,
+        self.pair = (state_index(PROBE_STATE, spaces.s_max), PROBE_ORDER,
                      state_index(PROBE_NEXT, spaces.s_max))
         self.rng = derived_rng(seed, 4)
         self.trace = []
@@ -529,7 +544,7 @@ def run_fig3(spec: ExperimentSpec) -> dict:
     # checked before the forecaster fit: a probe outside the bounds would
     # fail in a worker, or never be visited and trace nothing but None
     need = {"s_max": max(astuple(PROBE_STATE) + astuple(PROBE_NEXT)),
-            "a_max": PROBE_ACTION.order_qty, "d_max": PROBE_DEMAND_CLASS}
+            "a_max": PROBE_ORDER, "d_max": PROBE_DEMAND_CLASS}
     got = {name: getattr(spec, name) for name in need}
     if any(got[name] < bound for name, bound in need.items()):
         bounds = ", ".join(f"{name} >= {bound}" for name, bound in need.items())

@@ -17,8 +17,6 @@ import numpy as np
 from .env import DomainError
 from .incgamma import gammainc
 
-D_MAX_DEFAULT = 10
-
 _PMF_TOL = 1e-9
 # a day's total must fit the int64 quantities of a DemandSeries
 _MAX_DAY_TOTAL = int(np.iinfo(np.int64).max)
@@ -50,25 +48,31 @@ class DemandDistribution:
 
 @dataclass(frozen=True)
 class DemandSeries:
-    """Daily demand quantities on contiguous calendar dates."""
+    """Daily demand quantities on consecutive days: quantity i is the
+    demand of date(i), `start` plus i days. The last day must not pass
+    datetime.date.max."""
 
-    dates: tuple
+    start: dt.date
     quantities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
         q = np.asarray(self.quantities, dtype=int)
         object.__setattr__(self, "quantities", q)
-        if len(self.dates) != len(q):
-            raise DomainError("dates and quantities must have equal length")
         if np.any(q < 0):
             raise DomainError("quantities must be >= 0")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if (b - a).days != 1:
-                raise DomainError("dates must be contiguous daily")
+        if len(q) > days_from(self.start):
+            raise DomainError(f"{len(q)} days from {self.start} pass {dt.date.max}")
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.quantities)
+
+    def date(self, i: int) -> dt.date:
+        return self.start + dt.timedelta(days=i)
+
+
+def days_from(start: dt.date) -> int:
+    """The number of calendar days from start to datetime.date.max, both included."""
+    return (dt.date.max - start).days + 1
 
 
 def cdf_of(pmf: np.ndarray) -> list:
@@ -91,7 +95,7 @@ def feature_dim(window: int) -> int:
     return window + 1 + 13
 
 
-def discretized_gamma(mean: float, variance: float, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
+def discretized_gamma(mean: float, variance: float, d_max: int) -> DemandDistribution:
     """Moment-matched Gamma density binned to an integer pmf on [0, d_max].
 
     shape k = mean^2/variance, scale = variance/mean.  pmf[i] integrates
@@ -162,10 +166,11 @@ def load_transactions(path, product_name: str) -> DemandSeries:
             totals[day] = total
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
-    first, last = min(totals), max(totals)
-    dates = [first + dt.timedelta(days=i) for i in range((last - first).days + 1)]
-    quantities = np.array([totals.get(d, 0) for d in dates])
-    return DemandSeries(dates=tuple(dates), quantities=quantities)
+    first = min(totals)
+    quantities = np.zeros((max(totals) - first).days + 1, dtype=int)
+    for day, total in totals.items():
+        quantities[(day - first).days] = total
+    return DemandSeries(first, quantities)
 
 
 def save_series(series: DemandSeries, path, product_name: str):
@@ -173,8 +178,8 @@ def save_series(series: DemandSeries, path, product_name: str):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "product", "quantity"])
-        for day, qty in zip(series.dates, series.quantities):
-            writer.writerow([day.isoformat(), product_name, int(qty)])
+        for i, qty in enumerate(series.quantities):
+            writer.writerow([series.date(i).isoformat(), product_name, int(qty)])
 
 
 def extract_features(series: DemandSeries, day_index: int, window: int) -> np.ndarray:
@@ -193,7 +198,7 @@ def extract_features(series: DemandSeries, day_index: int, window: int) -> np.nd
         raise DomainError(f"day_index {day_index} outside series of length {len(series)}")
     lags = series.quantities[day_index - window:day_index][::-1].astype(float)
 
-    date = series.dates[day_index - 1]
+    date = series.date(day_index - 1)
     dow = np.zeros(7)
     dow[date.weekday()] = 1.0
     weekend = 1.0 if date.weekday() >= 5 else 0.0
@@ -222,6 +227,4 @@ def synthesize_history(
     rng: np.random.Generator,
 ) -> DemandSeries:
     """Stand-in for real transaction history: i.i.d. draws on daily dates."""
-    dates = [start_date + dt.timedelta(days=i) for i in range(days)]
-    quantities = np.array([sample(dist, rng) for _ in range(days)], dtype=int)
-    return DemandSeries(dates=tuple(dates), quantities=quantities)
+    return DemandSeries(start_date, [sample(dist, rng) for _ in range(days)])

@@ -7,6 +7,8 @@ lost and penalized. Holding cost is charged on the pre-sale inventory, not
 the end-of-day inventory.
 
 The dataclass functions below are the readable reference for one day.
+An order is a plain int there as everywhere, and every bound (s_max,
+a_max, d_max) is passed in: ExperimentSpec holds their only defaults.
 Hot loops instead use the integer core: states as dense indices (see
 state_index) and the day dynamics tabulated once per ModelSpaces by
 day_tables, so one day is a lookup of next-state index and cost by
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-S_MAX_DEFAULT = 10
-A_MAX_DEFAULT = 10
 # Upper bound on every cost parameter. A day then costs at most
 # COST_MAX * (3 * s_max + d_max) and a Q-value at most that over 1 - gamma
 # (>= 2**-53 for a float gamma < 1). For any state space whose day tables
@@ -58,13 +58,6 @@ class InventoryState:
 
     def total(self) -> int:
         return self.s1 + self.s2 + self.s3
-
-
-@dataclass(frozen=True)
-class Action:
-    """Order quantity placed at the end of the day, delivered next morning."""
-
-    order_qty: int
 
 
 @dataclass(frozen=True)
@@ -105,21 +98,16 @@ def _check_state(state: InventoryState, s_max: int) -> None:
             raise DomainError(f"state component {v} outside [0, {s_max}]")
 
 
-def age_and_receive(
-    state: InventoryState,
-    action: Action,
-    s_max: int = S_MAX_DEFAULT,
-    a_max: int = A_MAX_DEFAULT,
-) -> InventoryState:
-    """Shift every bucket down one day of shelf-life and receive the order.
+def age_and_receive(state: InventoryState, order: int, s_max: int, a_max: int) -> InventoryState:
+    """Shift every bucket down one day of shelf-life and receive yesterday's order.
 
     The previous one-day bucket is implicitly discarded; its cost was
     already charged through the b1 holding term.
     """
     _check_state(state, s_max)
-    if not (0 <= action.order_qty <= a_max):
-        raise DomainError(f"order {action.order_qty} outside [0, {a_max}]")
-    return InventoryState(state.s2, state.s3, action.order_qty)
+    if not (0 <= order <= a_max):
+        raise DomainError(f"order {order} outside [0, {a_max}]")
+    return InventoryState(state.s2, state.s3, order)
 
 
 def period_cost(state: InventoryState, demand: int, params: CostParams) -> float:
@@ -149,15 +137,10 @@ def consume_demand(state: InventoryState, demand: int) -> InventoryState:
 
 
 def step(
-    state: InventoryState,
-    action: Action,
-    demand: int,
-    params: CostParams,
-    s_max: int = S_MAX_DEFAULT,
-    a_max: int = A_MAX_DEFAULT,
+    state: InventoryState, order: int, demand: int, params: CostParams, s_max: int, a_max: int
 ) -> DayOutcome:
     """Run one full day: receive/age, charge cost, serve demand."""
-    aged = age_and_receive(state, action, s_max=s_max, a_max=a_max)
+    aged = age_and_receive(state, order, s_max, a_max)
     cost = period_cost(aged, demand, params)
     after_sales = consume_demand(aged, demand)
     served = min(demand, aged.total())
@@ -169,7 +152,7 @@ def step(
     )
 
 
-def enumerate_states(s_max: int = S_MAX_DEFAULT) -> list[InventoryState]:
+def enumerate_states(s_max: int) -> list[InventoryState]:
     """All states in the dense index order used by state_index."""
     n = s_max + 1
     return [
@@ -180,18 +163,18 @@ def enumerate_states(s_max: int = S_MAX_DEFAULT) -> list[InventoryState]:
     ]
 
 
-def state_index(state: InventoryState, s_max: int = S_MAX_DEFAULT) -> int:
+def state_index(state: InventoryState, s_max: int) -> int:
     """Dense index in [0, (s_max+1)^3), lexicographic in (s1, s2, s3)."""
     _check_state(state, s_max)
     n = s_max + 1
     return (state.s1 * n + state.s2) * n + state.s3
 
 
-def num_states(s_max: int = S_MAX_DEFAULT) -> int:
+def num_states(s_max: int) -> int:
     return (s_max + 1) ** 3
 
 
-def num_actions(a_max: int = A_MAX_DEFAULT) -> int:
+def num_actions(a_max: int) -> int:
     return a_max + 1
 
 
@@ -200,9 +183,9 @@ class ModelSpaces:
     """Cost parameters and the bounds of the state, order and demand ranges."""
 
     cost_params: CostParams
-    s_max: int = S_MAX_DEFAULT
-    a_max: int = A_MAX_DEFAULT
-    d_max: int = 10
+    s_max: int
+    a_max: int
+    d_max: int
 
     def __post_init__(self):
         # an order becomes the freshest bucket, so a_max > s_max would let

@@ -14,12 +14,7 @@ import numpy as np
 
 from . import nn
 from .agents import Learner, rollout
-from .demand import (
-    D_MAX_DEFAULT,
-    DemandSeries,
-    extract_features,
-    feature_dim,
-)
+from .demand import DemandSeries, extract_features, feature_dim
 from .env import (
     DomainError,
     InventoryState,
@@ -66,7 +61,7 @@ def train_forecaster(
     epochs: int = 200,
     *,
     rng: np.random.Generator,
-    d_max: int = D_MAX_DEFAULT,
+    d_max: int,
 ) -> Forecaster:
     """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE in shuffled minibatches."""
     if len(series) <= window + 1:
@@ -117,22 +112,21 @@ def generate_offline(
 ) -> DemandSeries:
     """Autoregressive rollout of h forecasted days from the training history.
 
-    Each generated day is filled into one working series, the history and
-    h more dated days, so later days condition on earlier forecasts.
-    start_date labels the emitted series; feature calendars follow the
-    history's own dates.
+    Each generated day is filled into one working series, the history's
+    start and its quantities with h zeros appended, so later days condition
+    on earlier forecasts. A working series whose last day would pass
+    datetime.date.max is one DomainError before any draw. start_date labels
+    the emitted series; feature calendars follow the history's own dates.
     """
     if h < 1:
         raise DomainError(f"horizon must be >= 1, got {h}")
-    n, last = len(f.history), f.history.dates[-1]
+    n = len(f.history)
     working = DemandSeries(
-        dates=f.history.dates + tuple(last + dt.timedelta(days=i) for i in range(1, h + 1)),
-        quantities=np.concatenate([f.history.quantities, np.zeros(h, dtype=int)]),
+        f.history.start, np.concatenate([f.history.quantities, np.zeros(h, dtype=int)])
     )
     for day in range(n, n + h):
         working.quantities[day] = predict_next(f, working, day, rng=rng)
-    dates = [start_date + dt.timedelta(days=i) for i in range(h)]
-    return DemandSeries(dates=tuple(dates), quantities=working.quantities[n:].copy())
+    return DemandSeries(start_date, working.quantities[n:].copy())
 
 
 def build_warm_start(

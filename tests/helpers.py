@@ -6,10 +6,10 @@ which the buffered nn code must match bit for bit."""
 import numpy as np
 
 from coldstart_dynaq import nn
-from coldstart_dynaq.demand import D_MAX_DEFAULT, DemandDistribution
+from coldstart_dynaq.demand import DemandDistribution
 
 
-def point_mass(value: int, d_max: int = D_MAX_DEFAULT) -> DemandDistribution:
+def point_mass(value: int, d_max: int) -> DemandDistribution:
     pmf = np.zeros(d_max + 1)
     pmf[value] = 1.0
     return DemandDistribution(pmf=pmf)

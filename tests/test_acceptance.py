@@ -17,13 +17,12 @@ from coldstart_dynaq import bench, nn
 from coldstart_dynaq.cli import main as cli_main
 from coldstart_dynaq.demand import discretized_gamma, sample
 from coldstart_dynaq.env import (
-    Action,
     InventoryState,
     consume_demand,
     enumerate_states,
     state_index,
 )
-from coldstart_dynaq.envmodel import EnvModel, ModelSpaces, model_update, transition_pmf
+from coldstart_dynaq.envmodel import EnvModel, model_update, transition_pmf
 from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, stc_value
 from helpers import batch_loss
@@ -133,18 +132,18 @@ class TestCriterion5:
     def test_tabular_model_tv_convergence(self):
         start = time.perf_counter()
         true = discretized_gamma(5.0, 5.0, 10)
-        spaces = ModelSpaces(cost_params=bench.ExperimentSpec().cost_params)
+        spaces = bench.ExperimentSpec().spaces()
         model = EnvModel(spaces, variant="tabular", rng=np.random.default_rng(0))
         rng = np.random.default_rng(42)
-        s, a = InventoryState(0, 0, 5), Action(3)
-        s_idx = state_index(s)
+        s, a = InventoryState(0, 0, 5), 3
+        s_idx = state_index(s, 10)
         from coldstart_dynaq.env import step
 
         for _ in range(10_000):
             d = sample(true, rng)
-            out = step(s, a, d, spaces.cost_params)
-            model_update(model, s_idx, a.order_qty, state_index(out.next_state), out.cost)
-        tv = 0.5 * float(np.abs(transition_pmf(model, s_idx, a.order_qty) - true.pmf).sum())
+            out = step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
+            model_update(model, s_idx, a, state_index(out.next_state, 10), out.cost)
+        tv = 0.5 * float(np.abs(transition_pmf(model, s_idx, a) - true.pmf).sum())
         elapsed = time.perf_counter() - start
         _verdict(5, "tabular model TV distance < 0.03", tv < 0.03 and elapsed < 5.0)
 

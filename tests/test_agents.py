@@ -14,7 +14,7 @@ from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
 from helpers import point_mass
 
-SPACES = ModelSpaces(cost_params=CostParams())
+SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 S0 = InventoryState(0, 0, 5)
 
 
@@ -75,9 +75,9 @@ class TestTrain:
         assert np.array_equal(ref.q.values, alt.q.values)
 
     def test_zero_demand_optimum_is_no_order(self):
-        dist = point_mass(0)
+        dist = point_mass(0, 10)
         agent = train(adjusted_config(episodes=30, seed=1), dist, SPACES, InventoryState(0, 0, 0))
-        empty = state_index(InventoryState(0, 0, 0))
+        empty = state_index(InventoryState(0, 0, 0), 10)
         assert int(np.argmin(agent.q.values[empty])) == 0
 
     def test_metrics_shape(self):
@@ -140,7 +140,8 @@ class TestTrain:
         # a warm start equal to the cold state reproduces cold trajectories
         dist = discretized_gamma(5.0, 5.0, 10)
         cold = train(adjusted_config(seed=9), dist, SPACES, S0)
-        offline = synthesize_history(point_mass(4), 5, dt.date(2021, 1, 1), np.random.default_rng(0))
+        offline = synthesize_history(point_mass(4, 10), 5, dt.date(2021, 1, 1),
+                                     np.random.default_rng(0))
         warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
         warm.q.rows = [[0.0] * len(row) for row in warm.q.rows]
         warm.model = EnvModel(SPACES)
@@ -164,7 +165,8 @@ def test_probe_does_not_change_training(variant):
     # a random-order warm start from the probed state visits the probed pair,
     # so fig3's probe, an observer, reads the model from the first day on
     s0 = bench.PROBE_STATE
-    offline = synthesize_history(point_mass(2), 3, dt.date(2021, 1, 1), np.random.default_rng(0))
+    offline = synthesize_history(point_mass(2, 10), 3, dt.date(2021, 1, 1),
+                                 np.random.default_rng(0))
     warm = build_warm_start(offline, SPACES, epochs=30, epsilon=1.0, model_variant=variant,
                             initial_state=s0, seed=1)
     eps, plan = bench.schedules(bench.SCENARIO2_PARAMS, "adjusted-dyna-q")
@@ -234,7 +236,7 @@ def test_observer_is_called_once_per_real_step_after_its_q_update():
 
 class TestEvaluate:
     def test_zero_demand_zero_cost(self):
-        dist = point_mass(0)
+        dist = point_mass(0, 10)
         agent = train(adjusted_config(episodes=20, seed=4), dist, SPACES, InventoryState(0, 0, 0))
         results = evaluate(agent.q, dist, SPACES, InventoryState(0, 0, 0), 30, 5,
                            np.random.default_rng(0))
@@ -264,7 +266,7 @@ class TestEvaluate:
 @pytest.mark.parametrize("variant", ["tabular", "det-net"])
 def test_costs_at_the_bound_train_finitely(variant):
     # one unit short costs COST_MAX: Q-values and the cost net's loss stay finite
-    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX))
+    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX), 10, 10, 10)
     config = q_learning_config(model_variant=variant, planning_schedule=constant(3.0),
                                horizon=20, episodes=1)
     with warnings.catch_warnings():

@@ -143,6 +143,9 @@ class TestArgumentHandling:
         {"mu": 10**400},
         {"source_var": -(10**400)},
         {"cost_params": [10**400, 0.3, 0, 1]},
+        # days past datetime.date.max from the synthetic history's first day
+        {"source_days": 3000000},
+        {"offline_horizon": 3000000, "forecaster_epochs": 1},
     ])
     def test_bad_spec_field_fails_before_workers(self, tmp_path, capsys, monkeypatch, override):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -420,6 +423,28 @@ class TestArtifactCommands:
         assert out == ""
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "row 2" in err[0]
+
+    @pytest.mark.parametrize("override, named", [
+        ({"source_days": 3000000}, "source_days + offline_horizon must be <= "),
+        ({"offline_horizon": 3000000, "forecaster_epochs": 1},
+         "source_days + offline_horizon must be <= "),
+        # nine loaded days ending 9999-12-29, then five forecast days
+        ({"dataset_path": "tx.csv"}, "offline_horizon 5 takes the 9 days of "),
+    ])
+    def test_days_past_the_last_date_fail_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                                         override, named):
+        # their dates overflowed in the history synthesis or, after the fit, in the rollout
+        monkeypatch.setattr(bench, "train_forecaster",
+                            lambda *a, **k: pytest.fail("the forecaster was fitted"))
+        rows = [f"9999-12-{day},Boule 200g,3" for day in range(21, 30)]
+        (tmp_path / "tx.csv").write_text("\n".join(["date,product,quantity", *rows]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({**TINY, **override}))
+        assert main(["forecast", "--config", "config.json", "--out", "fc"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}")
 
     def test_forecast_writes_series(self, tiny_config, tmp_path):
         out = tmp_path / "fc"

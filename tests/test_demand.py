@@ -85,7 +85,7 @@ class TestDiscretizedGamma:
 class TestSample:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        dist = point_mass(4)
+        dist = point_mass(4, 10)
         assert all(sample(dist, rng) == 4 for _ in range(50))
 
     def test_law_of_large_numbers(self):
@@ -208,14 +208,13 @@ class TestLoadTransactions:
         f = tmp_path / "synth.csv"
         save_series(series, f, "Boule 200g")
         loaded = load_transactions(f, "Boule 200g")
-        assert loaded.dates == series.dates
+        assert (loaded.start, len(loaded)) == (series.start, len(series))
         assert list(loaded.quantities) == list(series.quantities)
 
 
 class TestExtractFeatures:
     def _series(self, quantities, start=dt.date(2021, 3, 1)):
-        dates = [start + dt.timedelta(days=i) for i in range(len(quantities))]
-        return DemandSeries(dates=tuple(dates), quantities=np.array(quantities))
+        return DemandSeries(start, np.array(quantities))
 
     def test_constant_series_lags(self):
         series = self._series([5] * 10)
@@ -226,7 +225,7 @@ class TestExtractFeatures:
         # 2021-03-01 is a Monday; predicting day 4 uses day 3's calendar
         series = self._series([1, 2, 3, 4, 5, 6, 7, 8])
         v = extract_features(series, 8, window=7)[8:]
-        prev = series.dates[7]  # 2021-03-08, also a Monday
+        prev = series.date(7)  # 2021-03-08, also a Monday
         assert prev.weekday() == 0
         assert list(v[:7]) == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert v[7] == 0.0  # weekend flag
@@ -234,7 +233,7 @@ class TestExtractFeatures:
     def test_cyclic_encoding_values(self):
         series = self._series([1] * 20, start=dt.date(2021, 4, 1))  # 30-day month
         v = extract_features(series, 16, window=3)[4:]
-        date = series.dates[15]  # April 16
+        date = series.date(15)  # April 16
         angle = 2 * math.pi * date.day / 30
         assert v[9] == pytest.approx(math.sin(angle))
         assert v[10] == pytest.approx(math.cos(angle))
@@ -257,11 +256,13 @@ class TestExtractFeatures:
 
 class TestSynthesizeHistory:
     def test_empty(self):
-        series = synthesize_history(point_mass(4), 0, dt.date(2021, 1, 1), np.random.default_rng(0))
+        series = synthesize_history(point_mass(4, 10), 0, dt.date(2021, 1, 1),
+                                    np.random.default_rng(0))
         assert len(series) == 0
 
     def test_point_mass(self):
-        series = synthesize_history(point_mass(4), 7, dt.date(2021, 1, 1), np.random.default_rng(0))
+        series = synthesize_history(point_mass(4, 10), 7, dt.date(2021, 1, 1),
+                                    np.random.default_rng(0))
         assert list(series.quantities) == [4] * 7
 
     def test_empirical_pmf_converges(self):
@@ -286,6 +287,10 @@ def test_demand_distribution_must_be_finite(pmf):
 
 
 def test_demand_series_validation():
-    dates = (dt.date(2021, 1, 1), dt.date(2021, 1, 3))
-    with pytest.raises(DomainError):
-        DemandSeries(dates=dates, quantities=np.array([1, 2]))
+    with pytest.raises(DomainError, match="quantities must be >= 0"):
+        DemandSeries(dt.date(2021, 1, 1), np.array([1, -2]))
+    # the last of three days from the day before date.max would pass it
+    start = dt.date.max - dt.timedelta(days=1)
+    assert DemandSeries(start, [1, 2]).date(1) == dt.date.max
+    with pytest.raises(DomainError, match="3 days from 9999-12-30 pass 9999-12-31"):
+        DemandSeries(start, [1, 2, 3])

@@ -3,7 +3,6 @@ import pytest
 
 from coldstart_dynaq.env import (
     COST_MAX,
-    Action,
     CostParams,
     DomainError,
     InventoryState,
@@ -24,19 +23,19 @@ PARAMS = CostParams(0.7, 0.3, 0.0, 1.0)
 
 class TestAgeAndReceive:
     def test_shift_and_receive(self):
-        assert age_and_receive(InventoryState(0, 1, 4), Action(6)) == InventoryState(1, 4, 6)
+        assert age_and_receive(InventoryState(0, 1, 4), 6, 10, 10) == InventoryState(1, 4, 6)
 
     def test_empty_fixed_point(self):
-        assert age_and_receive(InventoryState(0, 0, 0), Action(0)) == InventoryState(0, 0, 0)
+        assert age_and_receive(InventoryState(0, 0, 0), 0, 10, 10) == InventoryState(0, 0, 0)
 
     def test_hand_trace(self):
-        assert age_and_receive(InventoryState(0, 0, 5), Action(3)) == InventoryState(0, 5, 3)
+        assert age_and_receive(InventoryState(0, 0, 5), 3, 10, 10) == InventoryState(0, 5, 3)
 
     def test_out_of_range_action(self):
         with pytest.raises(DomainError):
-            age_and_receive(InventoryState(0, 0, 0), Action(11))
+            age_and_receive(InventoryState(0, 0, 0), 11, 10, 10)
         with pytest.raises(DomainError):
-            age_and_receive(InventoryState(0, 0, 0), Action(-1))
+            age_and_receive(InventoryState(0, 0, 0), -1, 10, 10)
 
 
 class TestPeriodCost:
@@ -102,27 +101,27 @@ class TestConsumeDemand:
 
 class TestStep:
     def test_hand_trace_shortage(self):
-        out = step(InventoryState(0, 0, 5), Action(0), 7, PARAMS)
+        out = step(InventoryState(0, 0, 5), 0, 7, PARAMS, 10, 10)
         assert out.next_state == InventoryState(0, 0, 0)
         assert out.cost == pytest.approx(3.5)
         assert out.shortage == 2
         assert out.demand_served == 5
 
     def test_empty_identity(self):
-        out = step(InventoryState(0, 0, 0), Action(0), 0, PARAMS)
+        out = step(InventoryState(0, 0, 0), 0, 0, PARAMS, 10, 10)
         assert out.next_state == InventoryState(0, 0, 0)
         assert out.cost == 0.0
         assert out.shortage == 0
 
     def test_monitored_pair_transition(self):
-        out = step(InventoryState(0, 0, 3), Action(2), 2, PARAMS)
+        out = step(InventoryState(0, 0, 3), 2, 2, PARAMS, 10, 10)
         assert out.next_state == InventoryState(0, 1, 2)
         assert out.cost == pytest.approx(0.9)
         assert out.shortage == 0
 
     def test_deterministic(self):
-        a = step(InventoryState(1, 2, 3), Action(4), 5, PARAMS)
-        b = step(InventoryState(1, 2, 3), Action(4), 5, PARAMS)
+        a = step(InventoryState(1, 2, 3), 4, 5, PARAMS, 10, 10)
+        b = step(InventoryState(1, 2, 3), 4, 5, PARAMS, 10, 10)
         assert a == b
 
 
@@ -134,9 +133,9 @@ class TestEnumeration:
 
     def test_index_bijection(self):
         states = enumerate_states(s_max=10)
-        assert len({state_index(s) for s in states}) == num_states()
+        assert len({state_index(s, 10) for s in states}) == num_states(10)
         for i, s in enumerate(states):
-            assert state_index(s) == i
+            assert state_index(s, 10) == i
         # the dense order is lexicographic in (s1, s2, s3)
         assert [(s.s1, s.s2, s.s3) for s in states] == sorted((s.s1, s.s2, s.s3) for s in states)
 
@@ -164,7 +163,7 @@ def test_cost_params_above_the_bound(params):
 
 
 def test_cost_params_at_the_bound_give_finite_day_costs():
-    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX))
+    spaces = ModelSpaces(CostParams(COST_MAX, 0.3, 0.0, COST_MAX), 10, 10, 10)
     assert np.isfinite(day_tables(spaces).cost).all()
 
 
@@ -173,11 +172,11 @@ def test_cost_params_at_the_bound_give_finite_day_costs():
 ])
 def test_model_spaces_bounds_enforced(bounds):
     with pytest.raises(DomainError):
-        ModelSpaces(PARAMS, **bounds)
+        ModelSpaces(PARAMS, **(dict(s_max=10, a_max=10, d_max=10) | bounds))
 
 
 @pytest.mark.parametrize("spaces", [
-    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3)),
+    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3), s_max=10, a_max=10, d_max=10),
     ModelSpaces(CostParams(0.9, 0.4, 0.2, 0.5), s_max=4, a_max=2, d_max=13),
 ])
 def test_day_tables_equal_step_everywhere(spaces):
@@ -190,7 +189,7 @@ def test_day_tables_equal_step_everywhere(spaces):
         [
             [step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
              for d in range(spaces.d_max + 1)]
-            for a in map(Action, range(spaces.a_max + 1))
+            for a in range(spaces.a_max + 1)
         ]
         for s in enumerate_states(spaces.s_max)
     ]
@@ -204,7 +203,7 @@ def test_day_tables_equal_step_everywhere(spaces):
 
 
 @pytest.mark.parametrize("spaces", [
-    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3)),
+    ModelSpaces(CostParams(0.7, 0.3, 0.1, 1.3), s_max=10, a_max=10, d_max=10),
     ModelSpaces(CostParams(0.9, 0.4, 0.2, 0.5), s_max=4, a_max=2, d_max=13),
 ])
 def test_day_tables_hold_one_row_per_live_pair(spaces):

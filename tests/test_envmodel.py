@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from coldstart_dynaq import agents, bench, envmodel, nn
 from coldstart_dynaq.demand import cdf_of, discretized_gamma, sample
 from coldstart_dynaq.env import (
-    Action,
     CostParams,
     DomainError,
     InventoryState,
@@ -40,22 +39,22 @@ from coldstart_dynaq.envmodel import (
 from coldstart_dynaq.wordstream import WordStream
 from helpers import day_of, draw_masks_reference, forward_reference
 
-SPACES = ModelSpaces(cost_params=CostParams())
+SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 PAIR_S = InventoryState(0, 0, 3)
-PAIR_A = Action(2)
+PAIR_A = 2
 PAIR_NEXT = InventoryState(0, 1, 2)
 # the same pair as the model's (state index, order) and next state index
-S, A, NEXT = state_index(PAIR_S), PAIR_A.order_qty, state_index(PAIR_NEXT)
+S, A, NEXT = state_index(PAIR_S, 10), PAIR_A, state_index(PAIR_NEXT, 10)
 
 
 def observe(m, s, a, d):
-    out = step(s, a, d, SPACES.cost_params)
-    model_update(m, state_index(s), a.order_qty, state_index(out.next_state), out.cost)
+    out = step(s, a, d, SPACES.cost_params, 10, 10)
+    model_update(m, state_index(s, 10), a, state_index(out.next_state, 10), out.cost)
     return out
 
 
 def recover(spaces, s, a, out, cost):
-    return recover_demand(spaces, state_index(s), a.order_qty, state_index(out.next_state), cost)
+    return recover_demand(spaces, state_index(s, 10), a, state_index(out.next_state, 10), cost)
 
 
 def observe_table(m, s, a, d):
@@ -82,9 +81,9 @@ def recover_reference(tables, shift=0.0):
 class TestRecoverDemand:
     def test_round_trip_all_demands(self):
         for s in enumerate_states(s_max=2):
-            for a in (Action(0), Action(2), Action(5)):
+            for a in (0, 2, 5):
                 for d in range(11):
-                    out = step(s, a, d, SPACES.cost_params)
+                    out = step(s, a, d, SPACES.cost_params, 10, 10)
                     assert recover(SPACES, s, a, out, out.cost) == d
 
     @given(
@@ -95,15 +94,15 @@ class TestRecoverDemand:
         ]),
     )
     def test_inverts_step_where_identifiable(self, sa, d, params):
-        s, a = InventoryState(*sa[:3]), Action(sa[3])
-        outs = [step(s, a, e, params) for e in range(11)]
+        s, a = InventoryState(*sa[:3]), sa[3]
+        outs = [step(s, a, e, params, 10, 10) for e in range(11)]
         out = outs[d]
         # demands with the same next state and cost are indistinguishable
         twins = [
             e for e, o in enumerate(outs)
             if o.next_state == out.next_state and abs(o.cost - out.cost) <= 1e-9
         ]
-        spaces = ModelSpaces(params)
+        spaces = ModelSpaces(params, 10, 10, 10)
         assert recover(spaces, s, a, out, out.cost) == twins[0]
         if len(twins) == 1:
             assert twins[0] == d
@@ -113,7 +112,8 @@ class TestRecoverDemand:
         assert recover(spaces, s, a, out, out.cost + 1e-3) == same_state[0]
 
     def test_inconsistent_transition(self):
-        s, s_next = state_index(InventoryState(0, 0, 0)), state_index(InventoryState(5, 5, 5))
+        s = state_index(InventoryState(0, 0, 0), 10)
+        s_next = state_index(InventoryState(5, 5, 5), 10)
         with pytest.raises(InconsistentTransitionError):
             recover_demand(SPACES, s, 0, s_next, 0.0)
         # neither a new pair nor a seen one keeps anything of it
@@ -177,7 +177,7 @@ class TestRecoverDemand:
     def test_demand_to_next_state(self):
         for d in range(11):
             assert demand_to_next_state(SPACES, S, A, d) == state_index(
-                step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state)
+                step(PAIR_S, PAIR_A, d, SPACES.cost_params, 10, 10).next_state, 10)
         for s, a, d in ((S, A, -1), (S, A, 11), (S, -1, 2), (S, 11, 2), (-1, A, 2), (1331, A, 2)):
             with pytest.raises(DomainError):
                 demand_to_next_state(SPACES, s, a, d)
@@ -268,7 +268,8 @@ class TestSimulate:
         for _ in range(100):
             observe(m, PAIR_S, PAIR_A, sample(dist, rng))
         reachable = {
-            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state) for d in range(11)
+            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params, 10, 10).next_state, 10)
+            for d in range(11)
         }
         for _ in range(100):
             s_next, _ = simulate(m, S, A, rng)
@@ -284,7 +285,7 @@ class TestTransitionProb:
     def test_unreachable_next_state(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        assert transition_prob(m, S, A, state_index(InventoryState(9, 9, 9))) == 0.0
+        assert transition_prob(m, S, A, state_index(InventoryState(9, 9, 9), 10)) == 0.0
 
     def test_unvisited_error(self):
         m = EnvModel(SPACES)
@@ -313,7 +314,7 @@ class TestSampleVisited:
     def test_two_pairs_balanced(self):
         m = EnvModel(SPACES)
         observe(m, PAIR_S, PAIR_A, 2)
-        observe(m, InventoryState(1, 1, 1), Action(5), 0)
+        observe(m, InventoryState(1, 1, 1), 5, 0)
         rng = np.random.default_rng(1)
         draws = [sample_visited(m, rng)[1] for _ in range(10**4)]
         frac = draws.count(2) / len(draws)
@@ -474,7 +475,8 @@ class TestNetVariants:
         s_next, cost = simulate(m, S, A, np.random.default_rng(9))
         assert isinstance(cost, float)
         reachable = {
-            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params).next_state) for d in range(11)
+            state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params, 10, 10).next_state, 10)
+            for d in range(11)
         }
         assert s_next in reachable
 
@@ -584,9 +586,9 @@ def test_neural_model_without_generator_rejected(variant):
 def test_shortage_cost_near_zero_rejected(variant, cs):
     # every demand beyond the stock then reaches the same next state at
     # the same cost, and recover_demand would return the smallest of them
-    spaces = ModelSpaces(CostParams(0.7, 0.3, 0.0, cs))
-    stock = PAIR_S.s2 + PAIR_S.s3 + PAIR_A.order_qty  # on hand once the order arrives
-    outs = [step(PAIR_S, PAIR_A, d, spaces.cost_params) for d in range(stock, 11)]
+    spaces = ModelSpaces(CostParams(0.7, 0.3, 0.0, cs), 10, 10, 10)
+    stock = PAIR_S.s2 + PAIR_S.s3 + PAIR_A  # on hand once the order arrives
+    outs = [step(PAIR_S, PAIR_A, d, spaces.cost_params, 10, 10) for d in range(stock, 11)]
     assert all(o.next_state == outs[0].next_state for o in outs)
     assert all(abs(o.cost - outs[0].cost) <= 1e-9 for o in outs)
     with pytest.raises(DomainError, match="cs >"):
@@ -594,7 +596,7 @@ def test_shortage_cost_near_zero_rejected(variant, cs):
 
 
 class TestDetNetReads:
-    PAIRS = [(S, A), (state_index(InventoryState(2, 1, 0)), 4)]
+    PAIRS = [(S, A), (state_index(InventoryState(2, 1, 0), 10), 4)]
 
     def trained(self, seed):
         m = EnvModel(SPACES, variant="det-net", rng=np.random.default_rng(seed))
@@ -654,7 +656,7 @@ class TestDetNetReads:
 @pytest.mark.parametrize("s_max, a_max", [(0, 0), (1, 0), (10, 0)])
 def test_neural_model_needs_s_max_and_a_max_of_one(variant, s_max, a_max):
     # the net's input divides state components by s_max and the order by a_max
-    spaces = ModelSpaces(CostParams(), s_max=s_max, a_max=a_max)
+    spaces = ModelSpaces(CostParams(), s_max=s_max, a_max=a_max, d_max=10)
     with pytest.raises(DomainError, match="s_max >= 1 and a_max >= 1"):
         EnvModel(spaces, variant=variant, rng=np.random.default_rng(0))
     m = EnvModel(spaces)

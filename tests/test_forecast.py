@@ -1,15 +1,11 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coldstart_dynaq import forecast, nn
-from coldstart_dynaq.demand import (
-    D_MAX_DEFAULT,
-    discretized_gamma,
-    feature_dim,
-    synthesize_history,
-)
+from coldstart_dynaq.demand import DemandSeries, discretized_gamma, feature_dim, synthesize_history
 from coldstart_dynaq.env import CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import ModelSpaces
 from coldstart_dynaq.forecast import (
@@ -20,12 +16,12 @@ from coldstart_dynaq.forecast import (
 )
 from helpers import AdamReference, point_mass, train_step_reference
 
-SPACES = ModelSpaces(cost_params=CostParams())
+SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 START = dt.date(2021, 1, 1)
 
 
 def constant_series(value, days, rng_seed=0):
-    return synthesize_history(point_mass(value), days, START, np.random.default_rng(rng_seed))
+    return synthesize_history(point_mass(value, 10), days, START, np.random.default_rng(rng_seed))
 
 
 def mean_prediction(f, series, day):
@@ -34,7 +30,7 @@ def mean_prediction(f, series, day):
     return min(max(raw, 0.0), float(f.d_max))
 
 
-def train_forecaster_reference(series, window, epochs, rng, d_max=D_MAX_DEFAULT):
+def train_forecaster_reference(series, window, epochs, rng, d_max):
     """The fit as a per-batch loop of reference steps, each batch gathered by its indices.
 
     Returns the net and the number of steps taken.
@@ -59,8 +55,8 @@ class TestTrainForecaster:
         series = synthesize_history(discretized_gamma(5.0, 3.0, 10), 52, START,
                                     np.random.default_rng(14))
         rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
-        f = train_forecaster(series, window=7, epochs=200, rng=rng)
-        ref_net, steps = train_forecaster_reference(series, 7, 200, ref_rng)
+        f = train_forecaster(series, window=7, epochs=200, rng=rng, d_max=10)
+        ref_net, steps = train_forecaster_reference(series, 7, 200, ref_rng, 10)
         assert steps == 400
         assert f.net.flat.tobytes() == ref_net.flat.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -69,7 +65,7 @@ class TestTrainForecaster:
         # the gradient lives with the fit's optimiser and goes with it: every
         # array the returned net holds is its parameter vector or a view of it
         f = train_forecaster(constant_series(4, 40), window=7, epochs=1,
-                             rng=np.random.default_rng(0))
+                             rng=np.random.default_rng(0), d_max=10)
         held = [x for v in vars(f.net).values() for x in (v if isinstance(v, list) else [v])]
         arrays = [x for x in held if isinstance(x, np.ndarray)]
         assert len(arrays) == 1 + 2 * (len(f.net.sizes) - 1)
@@ -77,14 +73,16 @@ class TestTrainForecaster:
 
     def test_fits_constant_series(self):
         series = constant_series(4, 120)
-        f = train_forecaster(series, window=7, epochs=600, rng=np.random.default_rng(0))
+        f = train_forecaster(series, window=7, epochs=600, rng=np.random.default_rng(0),
+                             d_max=10)
         preds = [mean_prediction(f, series, day) for day in range(100, 115)]
         assert all(abs(p - 4) <= 0.5 for p in preds)
 
     def test_beats_trivial_error_bound(self):
         dist = discretized_gamma(5.0, 1.0, 10)
         series = synthesize_history(dist, 500, START, np.random.default_rng(1))
-        f = train_forecaster(series, window=7, epochs=100, rng=np.random.default_rng(2))
+        f = train_forecaster(series, window=7, epochs=100, rng=np.random.default_rng(2),
+                             d_max=10)
         holdout = range(400, 500)
         errors = [
             abs(mean_prediction(f, series, day) - series.quantities[day])
@@ -95,13 +93,15 @@ class TestTrainForecaster:
     def test_window_too_large(self):
         series = constant_series(4, 5)
         with pytest.raises(DomainError):
-            train_forecaster(series, window=7, epochs=1, rng=np.random.default_rng(0))
+            train_forecaster(series, window=7, epochs=1, rng=np.random.default_rng(0),
+                             d_max=10)
 
 
 class TestGenerateOffline:
     def _forecaster(self):
         series = constant_series(5, 80)
-        return train_forecaster(series, window=7, epochs=50, rng=np.random.default_rng(3))
+        return train_forecaster(series, window=7, epochs=50, rng=np.random.default_rng(3),
+                                d_max=10)
 
     def test_single_day_bounds(self):
         f = self._forecaster()
@@ -114,7 +114,7 @@ class TestGenerateOffline:
         f = self._forecaster()
         a = generate_offline(f, START, 5, rng=np.random.default_rng(5))
         b = generate_offline(f, START, 5, rng=np.random.default_rng(5))
-        assert a.dates == b.dates
+        assert (a.start, len(a)) == (b.start, len(b))
         assert list(a.quantities) == list(b.quantities)
 
     def test_default_horizon(self):
@@ -127,9 +127,9 @@ class TestGenerateOffline:
         # the forecast days are filled into a working copy, not the history
         f = self._forecaster()
         history = f.history
-        dates, quantities = history.dates, history.quantities.copy()
+        start, quantities = history.start, history.quantities.copy()
         generate_offline(f, START, 6, rng=np.random.default_rng(6))
-        assert f.history is history and history.dates == dates
+        assert f.history is history and history.start == start
         assert history.quantities.tobytes() == quantities.tobytes()
 
     def test_invalid_horizon(self):
@@ -137,17 +137,29 @@ class TestGenerateOffline:
         with pytest.raises(DomainError):
             generate_offline(f, START, 0, rng=np.random.default_rng(8))
 
+    def test_days_past_the_last_date_fail_before_any_draw(self):
+        # the history ends three days before date.max, so 10 more days pass it
+        f = self._forecaster()
+        n = len(f.history)
+        start = dt.date.max - dt.timedelta(days=n - 1 + 3)
+        f = replace(f, history=DemandSeries(start, f.history.quantities))
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match=f"{n + 10} days from {start} pass 9999-12-31"):
+            generate_offline(f, START, 10, rng=rng)
+        assert rng.bit_generator.state == state
+
 
 class TestBuildWarmStart:
     def test_zero_demand_learns_zero_ordering(self):
-        offline = synthesize_history(point_mass(0), 10, START, np.random.default_rng(9))
+        offline = synthesize_history(point_mass(0, 10), 10, START, np.random.default_rng(9))
         warm = build_warm_start(offline, SPACES, epochs=100, seed=0,
                                 initial_state=InventoryState(0, 0, 0))
-        empty = state_index(InventoryState(0, 0, 0))
+        empty = state_index(InventoryState(0, 0, 0), 10)
         assert int(np.argmin(warm.q.values[empty])) == 0
 
     def test_model_supported_on_offline_classes(self):
-        offline = synthesize_history(point_mass(4), 10, START, np.random.default_rng(10))
+        offline = synthesize_history(point_mass(4, 10), 10, START, np.random.default_rng(10))
         warm = build_warm_start(offline, SPACES, epochs=50, seed=1)
         assert len(warm.model.visited) > 0
         support = np.flatnonzero(warm.model.demand_counts)
@@ -163,7 +175,7 @@ class TestBuildWarmStart:
         assert list(a.model.visited) == list(b.model.visited)
 
     def test_q_zero_on_unvisited_pairs(self):
-        offline = synthesize_history(point_mass(4), 10, START, np.random.default_rng(12))
+        offline = synthesize_history(point_mass(4, 10), 10, START, np.random.default_rng(12))
         warm = build_warm_start(offline, SPACES, epochs=5, seed=3)
         assert np.all(np.isfinite(warm.q.values))
         visited_states = {k[0] for k in warm.model.visited}
@@ -171,6 +183,6 @@ class TestBuildWarmStart:
         assert np.all(warm.q.values[untouched] == 0.0)
 
     def test_empty_series_rejected(self):
-        empty = synthesize_history(point_mass(0), 0, START, np.random.default_rng(13))
+        empty = synthesize_history(point_mass(0, 10), 0, START, np.random.default_rng(13))
         with pytest.raises(DomainError):
             build_warm_start(empty, SPACES)

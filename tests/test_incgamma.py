@@ -121,4 +121,4 @@ def test_edge_prologue(a, x):
 def test_extreme_specs_are_refused(mean, variance):
     # a shape of 0 or inf is refused before any CDF is evaluated
     with pytest.raises(DomainError, match="both must be finite and > 0"):
-        discretized_gamma(mean, variance)
+        discretized_gamma(mean, variance, 10)

@@ -182,7 +182,8 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_predict_next_is_one_dropout_pass(dropout):
     # the forecaster's net; predict_next scales, clamps and rounds one pass
-    history = synthesize_history(point_mass(4), 30, dt.date(2021, 1, 1), np.random.default_rng(0))
+    history = synthesize_history(point_mass(4, 10), 30, dt.date(2021, 1, 1),
+                                 np.random.default_rng(0))
     for seed in range(3):
         # untrained, its scaled outputs fall both in [0, 10] and below 0
         net = make_net([21, 128, 64, 1], dropout=dropout, seed=seed)
@@ -284,7 +285,8 @@ def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
 
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
 def test_copied_env_model_trains_like_the_original(variant):
-    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant=variant, rng=np.random.default_rng(0))
+    m = envmodel.EnvModel(ModelSpaces(CostParams(), 10, 10, 10), variant=variant,
+                          rng=np.random.default_rng(0))
     days = np.random.default_rng(1).integers(0, [1331, 11, 11], size=(100, 3)).tolist()
 
     def train(model, rng, days):
@@ -305,7 +307,7 @@ def test_copied_env_model_trains_like_the_original(variant):
 
 def trained_model_and_inputs(variant, rows):
     """A model trained on 20 random days, and the encoded inputs of `rows` random pairs."""
-    m = envmodel.EnvModel(ModelSpaces(CostParams()), variant=variant,
+    m = envmodel.EnvModel(ModelSpaces(CostParams(), 10, 10, 10), variant=variant,
                           rng=np.random.default_rng(rows))
     days = np.random.default_rng(rows + 1).integers(0, [1331, 11, 11], size=(20 + rows, 3))
     for s, a, d in days[:20].tolist():

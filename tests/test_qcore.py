@@ -246,7 +246,7 @@ def test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does(starts, up
         assert np.array(rows).tobytes() == np.array(ref).tobytes()
 
 
-SPACES = ModelSpaces(cost_params=CostParams())
+SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 DEMAND = discretized_gamma(5.0, 5.0, 10)
 
 
@@ -310,7 +310,7 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
             assert np.array(learner.q.rows).tobytes() == ref.tobytes()
             steps += 1
 
-        agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5)), 20,
+        agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5), 10), 20,
                        learner.act, lambda: sample(DEMAND, demand_rng), learn)
     assert steps == 20 and learner.planning_steps == 100 and ref.any()
     monkeypatch.undo()
