@@ -33,6 +33,7 @@ ENVMODEL = "src/coldstart_dynaq/envmodel.py"
 WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
 QCORE = "src/coldstart_dynaq/qcore.py"
 INCGAMMA = "src/coldstart_dynaq/incgamma.py"
+AGENTS = "src/coldstart_dynaq/agents.py"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -202,6 +203,17 @@ MUTANTS = {
             "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
             f"[scenario2-{variant}-learned]"
             for variant in ("tabular", "det-net", "mc-dropout")
+        ],
+    ),
+    # an episode's total is the correctly rounded sum of its days, as
+    # Python 3.12's compensated sum() comes close to, not left-to-right addition
+    "episode-total-compensated": (
+        AGENTS,
+        "        total_cost=total,\n",
+        "        total_cost=__import__('math').fsum(daily_costs),\n",
+        [
+            "tests/test_agents.py::TestTrain::test_episode_total_adds_the_days_left_to_right",
+            "tests/test_golden.py::test_records_match_golden_digest[scenario1-tabular]",
         ],
     ),
     # the Gamma CDF's continued fraction stops at twice Cephes' tolerance

@@ -12,23 +12,25 @@ built, or as the warm start's copy.
 
 Randomness is split into four independent streams (environment demand,
 exploration, planning and network dropout), so planning depth never
-perturbs the real demand sequence. A WordStream, bit-exact with numpy,
-serves training demand, exploration (the warm start's too), planning and
-evaluate's demand; each is opened and closed by the with block of the
-function that made its generator. A planning burst on an MC-dropout model
-makes its array draws on the generator its stream lends it. The dropout
-stream stays a plain Generator, and an observer that draws keeps a
-generator of its own.
+perturbs the real demand sequence. No demand draw depends on a result,
+so an episode's or an evaluation run's demands are one demand.sample
+call made before it starts. A WordStream, bit-exact with numpy, serves
+exploration (the warm start's too) and planning; each is opened and
+closed by the with block of the function that made its generator. A
+planning burst on an MC-dropout model makes its array draws on the
+generator its stream lends it. The dropout stream stays a plain
+Generator, and an observer that draws keeps a generator of its own.
 
 Training, evaluation and the warm start's offline replay all run one
-day loop, rollout(), on state indices and the env's day tables. After
-each real step a Learner plans one burst, envmodel.plan, which draws
-the whole burst before it reads the model, and hands its simulated
-transitions to one q_update call, which applies them in draw order; the
-real step is a q_update call of its own. A Learner updates its Q-table's
-list rows in place, with each row's minimum beside them, so learner.q is
-current after every step, and a tabular model's per-step work is Python
-over the next-state rows it keeps per visited pair.
+day loop, rollout(), over a list of demands on state indices and the
+env's day tables. After each real step a Learner plans one burst,
+envmodel.plan, which draws the whole burst before it reads the model,
+and hands its simulated transitions to one q_update call, which applies
+them in draw order; the real step is a q_update call of its own. A
+Learner updates its Q-table's list rows in place, with each row's
+minimum beside them, so learner.q is current after every step, and a
+tabular model's per-step work is Python over the next-state rows it
+keeps per visited pair.
 """
 
 import time
@@ -82,36 +84,38 @@ class RunMetrics:
     wall_seconds: float = 0.0
 
 
-def rollout(tables: DayTables, s: int, days: int, act, demand, learn=None) -> RunMetrics:
-    """Run `days` real days from state index s.
+def rollout(tables: DayTables, s: int, demands: list, act, learn=None) -> RunMetrics:
+    """Run one real day per entry of demands from state index s.
 
-    Each day act(s) picks the order, demand() draws the day's demand and
-    learn(s, a, s_next, cost), when given, updates the agent.
+    Each day act(s) picks the order and learn(s, a, s_next, cost), when
+    given, updates the agent.
     """
     started = time.perf_counter()
     daily_costs = []
+    # added left to right: sum() of floats compensates from Python 3.12 on
+    total = 0.0
     shortage_days = 0
     holding = 0.0
     # item() reads a Python number straight from the array, with no numpy scalar between
     nxt, costs, stocks = tables.next.item, tables.cost.item, tables.stock.item
     rows = len(tables.next)
-    for _ in range(days):
+    for d in demands:
         a = act(s)
-        d = demand()
         r = s % rows
         s_next, cost = nxt(r, a, d), costs(r, a, d)
         if learn is not None:
             learn(s, a, s_next, cost)
         stock = stocks(r, a)
         daily_costs.append(cost)
+        total += cost
         shortage_days += d > stock
         holding += stock
         s = s_next
     return RunMetrics(
-        total_cost=float(sum(daily_costs)),
+        total_cost=total,
         daily_costs=daily_costs,
-        shortage_fraction=shortage_days / days,
-        avg_holding=holding / days,
+        shortage_fraction=shortage_days / len(demands),
+        avg_holding=holding / len(demands),
         wall_seconds=time.perf_counter() - started,
     )
 
@@ -189,29 +193,33 @@ def train(
     """Run the configured training loop against the true demand process.
 
     observer, when given, is the learner's: it is called after every
-    environment step (see Learner). Returns the learner.
+    environment step (see Learner). A warm start must have a model of
+    config.model_variant over spaces. Returns the learner.
     """
+    warm = config.warm_start
+    if warm is not None and (warm.model.variant, warm.model.spaces) != (config.model_variant, spaces):
+        raise DomainError(f"a warm start's {warm.model.variant} model over {warm.model.spaces} "
+                          f"cannot seed a {config.model_variant} model over {spaces}")
     ss = np.random.SeedSequence(config.seed)
     env_rng, explore_rng, plan_rng, model_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
-    if config.warm_start is not None:
-        q = config.warm_start.q.copy()
+    if warm is not None:
+        q = warm.q.copy()
         q.alpha, q.gamma = config.alpha, config.gamma
-        model = config.warm_start.model.copy()
+        model = warm.model.copy()
         model.rng = model_rng
     else:
         q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
         model = EnvModel(spaces, variant=config.model_variant, rng=model_rng)
     tables = _tables(spaces, q, true_demand)
     s0 = state_index(initial_state, spaces.s_max)
-    with (WordStream(env_rng) as demand_rng, WordStream(explore_rng) as explore,
-          WordStream(plan_rng) as planning):
+    with WordStream(explore_rng) as explore, WordStream(plan_rng) as planning:
         learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
                           explore, planning, observer)
         learner.episode_metrics = [
-            rollout(tables, s0, config.horizon, learner.act,
-                    lambda: sample(true_demand, demand_rng), learner.learn)
+            rollout(tables, s0, sample(true_demand, env_rng, config.horizon), learner.act,
+                    learner.learn)
             for _ in range(config.episodes)
         ]
     return learner
@@ -226,15 +234,11 @@ def evaluate(
     repetitions: int,
     rng: np.random.Generator,
 ) -> list[RunMetrics]:
-    """Run q's deterministic greedy policy against fresh demand draws.
-
-    rng must be a PCG64 Generator; it is left where numpy's own draws would leave it.
-    """
+    """Run q's deterministic greedy policy against fresh demand draws from rng."""
     tables = _tables(spaces, q, true_demand)
     policy = greedy_policy(q).tolist()
     s0 = state_index(initial_state, spaces.s_max)
-    with WordStream(rng) as demand_rng:
-        return [
-            rollout(tables, s0, days, policy.__getitem__, lambda: sample(true_demand, demand_rng))
-            for _ in range(repetitions)
-        ]
+    return [
+        rollout(tables, s0, sample(true_demand, rng, days), policy.__getitem__)
+        for _ in range(repetitions)
+    ]

@@ -291,10 +291,7 @@ def fit_forecaster(spec: ExperimentSpec) -> Forecaster:
 def offline_series(spec: ExperimentSpec, forecaster: Forecaster, rep: int) -> DemandSeries:
     """Replication rep's offline_horizon forecasted days, from the day after the history."""
     return generate_offline(
-        forecaster,
-        start_date=forecaster.history.date(len(forecaster.history)),
-        h=spec.offline_horizon,
-        rng=derived_rng(spec.master_seed, 90003, rep),
+        forecaster, h=spec.offline_horizon, rng=derived_rng(spec.master_seed, 90003, rep)
     )
 
 

@@ -3,7 +3,8 @@
 Integer daily demand on [0, d_max] from a moment-matched, discretized Gamma
 distribution; transaction-file ingestion; calendar/lag feature extraction
 for the demand forecaster; and a synthetic history generator that stands in
-for real transaction data.
+for real transaction data. sample() draws an episode's or a history's
+demands at once, so a day loop walks a list.
 """
 
 import csv
@@ -119,9 +120,10 @@ def discretized_gamma(mean: float, variance: float, d_max: int) -> DemandDistrib
     return DemandDistribution(pmf=pmf)
 
 
-def sample(dist: DemandDistribution, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of a single integer demand."""
-    return bisect_right(dist.cdf, rng.random())
+def sample(dist: DemandDistribution, rng: np.random.Generator, n: int) -> list[int]:
+    """n inverse-CDF draws of integer demand from one rng.random(n) call,
+    which takes the uniforms n rng.random() calls would and leaves rng where they do."""
+    return [bisect_right(dist.cdf, u) for u in rng.random(n).tolist()]
 
 
 def load_transactions(path, product_name: str) -> DemandSeries:
@@ -227,4 +229,4 @@ def synthesize_history(
     rng: np.random.Generator,
 ) -> DemandSeries:
     """Stand-in for real transaction history: i.i.d. draws on daily dates."""
-    return DemandSeries(start_date, [sample(dist, rng) for _ in range(days)])
+    return DemandSeries(start_date, sample(dist, rng, days))

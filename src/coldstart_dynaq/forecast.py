@@ -6,7 +6,6 @@ demand series for the new product, and that series seeds a warm-start
 Q-table and environment model for the training loops.
 """
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
@@ -104,19 +103,14 @@ def predict_next(
     return min(max(value, 0), f.d_max)
 
 
-def generate_offline(
-    f: Forecaster,
-    start_date: dt.date,
-    h: int,
-    rng: np.random.Generator,
-) -> DemandSeries:
-    """Autoregressive rollout of h forecasted days from the training history.
+def generate_offline(f: Forecaster, h: int, rng: np.random.Generator) -> DemandSeries:
+    """Autoregressive rollout of the h forecasted days after the training history.
 
     Each generated day is filled into one working series, the history's
     start and its quantities with h zeros appended, so later days condition
     on earlier forecasts. A working series whose last day would pass
-    datetime.date.max is one DomainError before any draw. start_date labels
-    the emitted series; feature calendars follow the history's own dates.
+    datetime.date.max is one DomainError before any draw. The emitted
+    series starts the day after the history.
     """
     if h < 1:
         raise DomainError(f"horizon must be >= 1, got {h}")
@@ -126,7 +120,7 @@ def generate_offline(
     )
     for day in range(n, n + h):
         working.quantities[day] = predict_next(f, working, day, rng=rng)
-    return DemandSeries(start_date, working.quantities[n:].copy())
+    return DemandSeries(working.date(n), working.quantities[n:].copy())
 
 
 def build_warm_start(
@@ -156,11 +150,10 @@ def build_warm_start(
     q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), alpha, gamma)
     model = EnvModel(spaces, variant=model_variant, rng=model_rng)
     s0 = state_index(initial_state, spaces.s_max)
+    tables, demands = day_tables(spaces), offline.quantities.tolist()
     with WordStream(explore_rng) as explore:
         learner = Learner(q, model, constant(epsilon), constant(0.0), explore)
         learner.fits_model = True
         for _ in range(epochs):
-            demands = iter(offline.quantities.tolist())
-            rollout(day_tables(spaces), s0, len(offline), learner.act, demands.__next__,
-                    learner.learn)
+            rollout(tables, s0, demands, learner.act, learner.learn)
     return learner

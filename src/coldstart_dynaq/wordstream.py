@@ -12,9 +12,10 @@ This copies numpy's own arithmetic for PCG64:
   integer generation in an interval"). Its 32-bit halves follow PCG64's
   next_uint32: the low half of a fresh word is used and the high half is
   cached for the next 32-bit draw. n == 1 draws nothing.
-random_raw and next_double never touch the cached half. The hot-loop
-functions that take an rng (qcore.select_action and demand.sample) call
-only these two, so they take a stream in place of a Generator.
+random_raw and next_double never touch the cached half. The one hot-loop
+function that takes an rng, qcore.select_action, calls only these two,
+so it takes a stream in place of a Generator; demand draws are one
+rng.random(n) call per episode and need no stream.
 burst(k, n) returns a planning burst's n (integers(k), random()) draws
 in one pass with the same arithmetic inline; envmodel.plan takes every
 tabular and det-net planning draw from it. A burst of _VECTOR_MIN pairs

@@ -139,8 +139,7 @@ class TestCriterion5:
         s_idx = state_index(s, 10)
         from coldstart_dynaq.env import step
 
-        for _ in range(10_000):
-            d = sample(true, rng)
+        for d in sample(true, rng, 10_000):
             out = step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)
             model_update(model, s_idx, a, state_index(out.next_state, 10), out.cost)
         tv = 0.5 * float(np.abs(transition_pmf(model, s_idx, a) - true.pmf).sum())

@@ -1,16 +1,27 @@
 import datetime as dt
+import math
+import operator
 import warnings
+from bisect import bisect_right
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from coldstart_dynaq import bench
-from coldstart_dynaq.agents import AgentConfig, evaluate, train
+from coldstart_dynaq.agents import AgentConfig, evaluate, rollout, train
 from coldstart_dynaq.demand import discretized_gamma, synthesize_history
-from coldstart_dynaq.env import COST_MAX, CostParams, DomainError, InventoryState, state_index
+from coldstart_dynaq.env import (
+    COST_MAX,
+    CostParams,
+    DomainError,
+    InventoryState,
+    day_tables,
+    state_index,
+)
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
-from coldstart_dynaq.qcore import QTable, q_update
+from coldstart_dynaq.qcore import QTable, greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
 from helpers import point_mass
 
@@ -151,6 +162,32 @@ class TestTrain:
             m.total_cost for m in warmed.episode_metrics
         ]
 
+    def test_refuses_a_warm_start_of_another_model_variant(self):
+        # a tabular warm start once seeded a det-net configuration with its tabular model
+        offline = synthesize_history(point_mass(4, 10), 5, dt.date(2021, 1, 1),
+                                     np.random.default_rng(0))
+        warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
+        config = q_learning_config(model_variant="det-net", warm_start=warm)
+        with pytest.raises(DomainError, match="tabular model .* cannot seed a det-net model"):
+            train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0)
+
+    def test_refuses_a_warm_start_of_other_spaces(self):
+        # a warm start at cs 1.0 once recovered the demands of cs 5.0 training on its own tables
+        offline = synthesize_history(point_mass(4, 10), 5, dt.date(2021, 1, 1),
+                                     np.random.default_rng(0))
+        warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
+        spaces = ModelSpaces(CostParams(cs=5.0), s_max=10, a_max=10, d_max=10)
+        with pytest.raises(DomainError, match=r"cs=1\.0.* cannot seed .*cs=5\.0"):
+            train(q_learning_config(warm_start=warm), discretized_gamma(5.0, 5.0, 10), spaces, S0)
+
+    def test_episode_total_adds_the_days_left_to_right(self):
+        # sum() of floats compensates from Python 3.12 on, which moved the
+        # last bits of totals and so the records with the Python version
+        runs = train(q_learning_config(), discretized_gamma(5.0, 5.0, 10), SPACES, S0).episode_metrics
+        left_to_right = [reduce(operator.add, m.daily_costs, 0.0) for m in runs]
+        assert any(math.fsum(m.daily_costs) != total for m, total in zip(runs, left_to_right))
+        assert [m.total_cost for m in runs] == left_to_right
+
 
 def learned_state(model) -> list[bytes]:
     """What a model has learned: tabular counts and cost sums, or net parameters."""
@@ -255,12 +292,20 @@ class TestEvaluate:
         b = evaluate(agent.q, dist, SPACES, S0, 30, 3, np.random.default_rng(2))
         assert [m.total_cost for m in a] == [m.total_cost for m in b]
 
-    def test_refuses_a_generator_the_stream_cannot_copy(self):
-        # its draws are PCG64 arithmetic: an MT19937 would silently get others
+    def test_draws_numpy_demands_from_an_mt19937_generator(self):
+        # each run's demands are numpy's own draws, so any bit generator serves
         dist = discretized_gamma(5.0, 5.0, 10)
         q = train(q_learning_config(episodes=1), dist, SPACES, S0).q
-        with pytest.raises(DomainError, match="MT19937"):
-            evaluate(q, dist, SPACES, S0, 5, 1, np.random.Generator(np.random.MT19937(0)))
+        rng, ref = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        runs = evaluate(q, dist, SPACES, S0, 5, 3, rng)
+        policy = greedy_policy(q).tolist()
+        for m in runs:
+            demands = [bisect_right(dist.cdf, ref.random()) for _ in range(5)]
+            want = rollout(day_tables(SPACES), state_index(S0, 10), demands, policy.__getitem__)
+            assert (m.daily_costs, m.shortage_fraction, m.avg_holding) == (
+                want.daily_costs, want.shortage_fraction, want.avg_holding)
+        # the generator is left where those draws leave it
+        assert rng.integers(2**32, size=4).tolist() == ref.integers(2**32, size=4).tolist()
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net"])

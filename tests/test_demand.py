@@ -86,21 +86,36 @@ class TestSample:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
         dist = point_mass(4, 10)
-        assert all(sample(dist, rng) == 4 for _ in range(50))
+        assert sample(dist, rng, 50) == [4] * 50
 
     def test_law_of_large_numbers(self):
         dist = discretized_gamma(5.0, 1.0, 10)
         rng = np.random.default_rng(1)
-        draws = [sample(dist, rng) for _ in range(10**5)]
+        draws = sample(dist, rng, 10**5)
         assert abs(np.mean(draws) - dist.mean()) < 0.1
 
     def test_seed_determinism(self):
         dist = discretized_gamma(5.0, 3.0, 10)
         rng = np.random.default_rng(7)
-        first = [sample(dist, rng) for _ in range(20)]
+        first = sample(dist, rng, 20)
         rng = np.random.default_rng(7)
-        second = [sample(dist, rng) for _ in range(20)]
+        second = sample(dist, rng, 20)
         assert first == second
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_draws_as_n_scalar_draws(self, bit_generator, n):
+        # one rng.random(n) call takes the uniforms n rng.random() calls
+        # would, and leaves the generator, cached half included, where they do
+        dist = discretized_gamma(5.0, 3.0, 10)
+        rng, ref = (np.random.Generator(bit_generator(11)) for _ in range(2))
+        for g in (rng, ref):
+            g.integers(5, dtype=np.int32)
+        want = [bisect_right(dist.cdf, ref.random()) for _ in range(n)]
+        assert sample(dist, rng, n) == want
+        # 32-bit draws read the cached half first, where the generator has one
+        next_words = [g.integers(2**32, size=3, dtype=np.uint32).tolist() for g in (rng, ref)]
+        assert next_words[0] == next_words[1]
 
     def test_draw_above_pmf_total_is_d_max(self):
         # the pmf sums to 1 - 5e-10, inside the tolerance; a uniform above
@@ -108,10 +123,10 @@ class TestSample:
         dist = DemandDistribution(np.array([0.3, 0.7 - 5e-10, 0.0]))
 
         class Uniform:
-            def random(self):
-                return 0.99999999999999
+            def random(self, n):
+                return np.full(n, 0.99999999999999)
 
-        assert sample(dist, Uniform()) == 2
+        assert sample(dist, Uniform(), 1) == [2]
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(any),

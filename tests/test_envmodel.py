@@ -202,8 +202,8 @@ class TestTabularUpdate:
         dist = discretized_gamma(5.0, 5.0, 10)
         rng = np.random.default_rng(0)
         m = EnvModel(SPACES)
-        for _ in range(10**4):
-            observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+        for d in sample(dist, rng, 10**4):
+            observe(m, PAIR_S, PAIR_A, d)
         pmf = np.array(m.demand_counts) / sum(m.demand_counts)
         assert 0.5 * np.abs(pmf - dist.pmf).sum() < 0.03
 
@@ -250,8 +250,8 @@ class TestSimulate:
         dist = discretized_gamma(5.0, 3.0, 10)
         m = EnvModel(SPACES)
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+        for d in sample(dist, rng, 50):
+            observe(m, PAIR_S, PAIR_A, d)
         a = [simulate(m, S, A, np.random.default_rng(4)) for _ in range(10)]
         b = [simulate(m, S, A, np.random.default_rng(4)) for _ in range(10)]
         assert a == b
@@ -265,8 +265,8 @@ class TestSimulate:
         dist = discretized_gamma(5.0, 5.0, 10)
         m = EnvModel(SPACES)
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+        for d in sample(dist, rng, 100):
+            observe(m, PAIR_S, PAIR_A, d)
         reachable = {
             state_index(step(PAIR_S, PAIR_A, d, SPACES.cost_params, 10, 10).next_state, 10)
             for d in range(11)
@@ -298,8 +298,8 @@ class TestTransitionProb:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             m = EnvModel(SPACES)
-            for _ in range(30):
-                observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+            for d in sample(dist, rng, 30):
+                observe(m, PAIR_S, PAIR_A, d)
             est = transition_prob(m, S, A, NEXT)
             hits += abs(est - dist.pmf[2]) <= 0.1
         assert hits >= 80
@@ -460,8 +460,8 @@ class TestNetVariants:
         m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(6))
         dist = discretized_gamma(5.0, 5.0, 10)
         rng = np.random.default_rng(7)
-        for _ in range(30):
-            observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+        for d in sample(dist, rng, 30):
+            observe(m, PAIR_S, PAIR_A, d)
         read_rng = np.random.default_rng(8)
         pmf = [
             transition_prob(m, S, A, demand_to_next_state(SPACES, S, A, d), read_rng)
@@ -527,8 +527,8 @@ def test_save_load_round_trip(tmp_path, variant):
     m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(11))
     dist = discretized_gamma(5.0, 3.0, 10)
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        observe(m, PAIR_S, PAIR_A, sample(dist, rng))
+    for d in sample(dist, rng, 20):
+        observe(m, PAIR_S, PAIR_A, d)
     path = tmp_path / "model.npz"
     save_model(m, path)
     with np.load(path) as arrays:

@@ -105,21 +105,26 @@ class TestGenerateOffline:
 
     def test_single_day_bounds(self):
         f = self._forecaster()
-        offline = generate_offline(f, START, 1, rng=np.random.default_rng(4))
+        offline = generate_offline(f, 1, rng=np.random.default_rng(4))
         assert len(offline) == 1
         assert 0 <= offline.quantities[0] <= 10
 
     def test_same_rng_gives_the_same_series(self):
         # every generated day draws its dropout masks from rng
         f = self._forecaster()
-        a = generate_offline(f, START, 5, rng=np.random.default_rng(5))
-        b = generate_offline(f, START, 5, rng=np.random.default_rng(5))
+        a = generate_offline(f, 5, rng=np.random.default_rng(5))
+        b = generate_offline(f, 5, rng=np.random.default_rng(5))
         assert (a.start, len(a)) == (b.start, len(b))
         assert list(a.quantities) == list(b.quantities)
 
+    def test_starts_the_day_after_the_history(self):
+        f = self._forecaster()
+        offline = generate_offline(f, 3, rng=np.random.default_rng(9))
+        assert offline.start == f.history.date(len(f.history)) == dt.date(2021, 3, 22)
+
     def test_default_horizon(self):
         f = self._forecaster()
-        offline = generate_offline(f, START, 10, rng=np.random.default_rng(7))
+        offline = generate_offline(f, 10, rng=np.random.default_rng(7))
         assert len(offline) == 10
         assert offline.quantities.dtype.kind == "i"
 
@@ -128,14 +133,14 @@ class TestGenerateOffline:
         f = self._forecaster()
         history = f.history
         start, quantities = history.start, history.quantities.copy()
-        generate_offline(f, START, 6, rng=np.random.default_rng(6))
+        generate_offline(f, 6, rng=np.random.default_rng(6))
         assert f.history is history and history.start == start
         assert history.quantities.tobytes() == quantities.tobytes()
 
     def test_invalid_horizon(self):
         f = self._forecaster()
         with pytest.raises(DomainError):
-            generate_offline(f, START, 0, rng=np.random.default_rng(8))
+            generate_offline(f, 0, rng=np.random.default_rng(8))
 
     def test_days_past_the_last_date_fail_before_any_draw(self):
         # the history ends three days before date.max, so 10 more days pass it
@@ -146,7 +151,7 @@ class TestGenerateOffline:
         rng = np.random.default_rng(8)
         state = rng.bit_generator.state
         with pytest.raises(DomainError, match=f"{n + 10} days from {start} pass 9999-12-31"):
-            generate_offline(f, START, 10, rng=rng)
+            generate_offline(f, 10, rng=rng)
         assert rng.bit_generator.state == state
 
 

@@ -294,7 +294,7 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
     monkeypatch.setattr(agents, "plan", keeping_plan)
     q = QTable(num_states(SPACES.s_max), num_actions(SPACES.a_max), 0.3, 0.9)
     ref = np.zeros(q.shape)
-    demand_rng = np.random.default_rng(3)
+    demands = sample(DEMAND, np.random.default_rng(3), 20)
     steps = 0
     with (WordStream(np.random.default_rng(1)) as explore,
           WordStream(np.random.default_rng(2)) as planning):
@@ -310,8 +310,8 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
             assert np.array(learner.q.rows).tobytes() == ref.tobytes()
             steps += 1
 
-        agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5), 10), 20,
-                       learner.act, lambda: sample(DEMAND, demand_rng), learn)
+        agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5), 10), demands,
+                       learner.act, learn)
     assert steps == 20 and learner.planning_steps == 100 and ref.any()
     monkeypatch.undo()
     # a transfer configuration learns on a copy of the warm start's rows
