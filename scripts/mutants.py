@@ -237,6 +237,21 @@ MUTANTS = {
             "tests/test_incgamma.py::test_every_shape_and_edge_of_the_spec_grid",
         ],
     ),
+    # Temme's expansion stops one row short of the cut table, or one column
+    # short in each row; the terms left out sit below half an ulp of every
+    # result scipy was compared on, so only the bound test sees them
+    "igam-table-row-short": (
+        INCGAMMA,
+        "    for d in _IGAM_D:\n",
+        "    for d in _IGAM_D[:-1]:\n",
+        ["tests/test_incgamma.py::test_cut_table_is_never_exhausted"],
+    ),
+    "igam-table-column-short": (
+        INCGAMMA,
+        "        for n in range(1, len(d)):\n",
+        "        for n in range(1, len(d) - 1):\n",
+        ["tests/test_incgamma.py::test_cut_table_is_never_exhausted"],
+    ),
 }
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)

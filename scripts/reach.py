@@ -1,0 +1,135 @@
+"""Check that every function in src/ is entered by some command.
+
+The script runs, in one process under sys.settrace, every command of the
+console script on tiny configs: table1, scenario1, scenario2 and fig3 on
+each model variant, a two-worker table1, a scenario2 on a transactions
+file, train, evaluate and forecast, and table1 on demand moments that
+drive each branch of the Gamma CDF. It lists each function defined in
+src/ that none of them entered, and exits non-zero if one is not on
+ALLOWED, or if a name on ALLOWED is entered or gone.
+
+    python scripts/reach.py
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from coldstart_dynaq import cli  # noqa: E402
+
+# Functions only tests call. They wait to move to tests/helpers.py until
+# benchmarks/run.py's TRACED list stops wrapping them; total_planning_steps
+# stays while the benchmark's record check calls it.
+ALLOWED = {
+    "env.py": {
+        "InventoryState.total", "age_and_receive", "period_cost", "consume_demand", "step",
+        "enumerate_states",
+    },
+    "envmodel.py": {
+        "recover_demand", "demand_to_next_state", "estimate_cost", "simulate", "sample_visited",
+    },
+    "demand.py": {"DemandDistribution.mean"},
+    "nn.py": {"Network.parameters"},
+    "bench.py": {"total_planning_steps"},
+}
+
+TINY = {
+    "repetitions": 1, "train_episodes": 1, "horizon": 5, "test_days": 5,
+    "test_repetitions": 2, "source_days": 30, "forecaster_epochs": 1, "warm_epochs": 1,
+    "offline_horizon": 10,
+}
+# moments whose Gamma shape and edges reach the branches the defaults do not:
+# shape 50 puts the edges 4.5 and 5.5 in Temme's expansion, and shape 0.8
+# puts the edge 0.5 at x = 1.056, in the series for the upper function near 0
+MOMENTS = ({"mu": 5.0, "sigma2": 0.5}, {"mu": 0.38, "sigma2": 0.18})
+
+
+def functions(path: Path) -> dict:
+    """Each function defined in path, by (first line, name), to its qualified name."""
+    found = {}
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                todo.append(const)
+                # a class body runs at import; a lambda or comprehension is part of a function
+                if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                    found[const.co_firstlineno, const.co_name] = const.co_qualname
+    return found
+
+
+def run_commands(tmp: Path) -> None:
+    def config(name, **fields):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({**TINY, **fields}))
+        return str(path)
+
+    tiny = config("tiny")
+    runs = [
+        [command, "--config", tiny, "--model", variant, "--out", str(tmp / command)]
+        for command in ("table1", "scenario1", "scenario2", "fig3")
+        for variant in ("tabular", "det-net", "mc-dropout")
+    ]
+    runs += [
+        ["table1", "--config", config("two", repetitions=2), "--workers", "2"],
+        ["train", "--config", tiny, "--out", str(tmp / "train"), "--transfer", "on"],
+        ["evaluate", "--config", tiny, "--qtable", str(tmp / "train" / "qtable.json")],
+        ["forecast", "--config", tiny, "--out", str(tmp / "forecast")],
+        ["scenario2", "--config", config(
+            "data", dataset_path=str(tmp / "forecast" / "offline_demand.csv"),
+            product_name="forecasted")],
+    ]
+    runs += [["table1", "--config", config(f"moments{i}", **m)] for i, m in enumerate(MOMENTS)]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"error: coldstart-dynaq {' '.join(argv)} exited {code}")
+
+
+def main() -> int:
+    package = SRC / "coldstart_dynaq"
+    entered = set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(str(package)):
+            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.settrace(tracer)
+        try:
+            run_commands(Path(tmp))
+        finally:
+            sys.settrace(None)
+    bad = []
+    for path in sorted(package.glob("*.py")):
+        allowed = ALLOWED.get(path.name, set())
+        found = functions(path)
+        missed = {
+            qualname for (line, name), qualname in found.items()
+            if (str(path), line, name) not in entered
+        }
+        for qualname in sorted(missed - allowed):
+            bad.append(f"{path.name}: {qualname} is entered by no command")
+        for qualname in sorted(allowed - missed):
+            state = "entered" if qualname in found.values() else "gone"
+            bad.append(f"{path.name}: {qualname} is allowed but {state}; take it off ALLOWED")
+        if missed & allowed:
+            print(f"{path.name}: allowed unreached: {', '.join(sorted(missed & allowed))}")
+    for line in bad:
+        print(f"error: {line}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,7 +38,8 @@ def _spec_from_args(args) -> bench.ExperimentSpec:
         # a missing file raises an OSError that names it, which main reports
         try:
             values = json.loads(path.read_text())
-        except ValueError as exc:  # not UTF-8 text, or not JSON
+        # not UTF-8 text, not JSON, or nested past the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"unreadable config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise DomainError(f"config {path} must be a JSON object")

@@ -131,41 +131,47 @@ def load_transactions(path, product_name: str) -> DemandSeries:
 
     Expects a header with date, product and quantity columns (ISO-8601
     dates), and a quantity in every row that is a non-negative whole
-    number ("3" or "3.0"); any other row, or a row that takes its day's
-    total past the int64 range, is one DomainError naming it.
-    Rows are filtered to `product_name`, summed per day, and missing days
-    inside the observed span are zero-filled.
+    number ("3" or "3.0"); any other row, a row that takes its day's total
+    past the int64 range, or a row the csv module cannot read, is one
+    DomainError naming it. Rows are filtered to `product_name`, summed per
+    day, and missing days inside the observed span are zero-filled.
     """
     totals: dict[dt.date, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"date", "product", "quantity"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DomainError(f"{path}: need columns {sorted(required)}")
-        for rownum, row in enumerate(reader, start=2):
-            # a short row holds None in its missing fields
-            try:
-                day = dt.date.fromisoformat(row["date"].strip())
-                qty = float(row["quantity"])
-                product = row["product"].strip()
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise DomainError(f"{path}: unparseable row {rownum}: {exc}") from exc
-            # a fraction would be truncated and a negative row netted into
-            # its day's total; inf, nan and 1e400 are not whole either
-            if not (qty >= 0 and qty.is_integer()):
-                raise DomainError(
-                    f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
-                    "is not a non-negative whole number"
-                )
-            if product != product_name:
-                continue
-            total = totals.get(day, 0) + int(qty)
-            if total > _MAX_DAY_TOTAL:
-                raise DomainError(
-                    f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
-                    f"takes the total of {day} past {_MAX_DAY_TOTAL}"
-                )
-            totals[day] = total
+        rownum = 0  # rows read, the header included
+        try:
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise DomainError(f"{path}: need columns {sorted(required)}")
+            rownum = 1
+            for rownum, row in enumerate(reader, start=2):
+                # a short row holds None in its missing fields
+                try:
+                    day = dt.date.fromisoformat(row["date"].strip())
+                    qty = float(row["quantity"])
+                    product = row["product"].strip()
+                except (ValueError, TypeError, AttributeError) as exc:
+                    raise DomainError(f"{path}: unparseable row {rownum}: {exc}") from exc
+                # a fraction would be truncated and a negative row netted into
+                # its day's total; inf, nan and 1e400 are not whole either
+                if not (qty >= 0 and qty.is_integer()):
+                    raise DomainError(
+                        f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
+                        "is not a non-negative whole number"
+                    )
+                if product != product_name:
+                    continue
+                total = totals.get(day, 0) + int(qty)
+                if total > _MAX_DAY_TOTAL:
+                    raise DomainError(
+                        f"{path}: row {rownum}: quantity {row['quantity'].strip()!r} "
+                        f"takes the total of {day} past {_MAX_DAY_TOTAL}"
+                    )
+                totals[day] = total
+        # a field longer than csv.field_size_limit()
+        except csv.Error as exc:
+            raise DomainError(f"{path}: unreadable row {rownum + 1}: {exc}") from exc
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
     first = min(totals)

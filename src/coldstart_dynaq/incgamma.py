@@ -9,7 +9,9 @@ a port of the Cephes igam routine as scipy.special.gammainc ships it
   near x = 0 (DLMF 8.7.3);
 - Temme's uniform asymptotic expansion (DLMF 8.12.3/8.12.4) where x is
   near a and a > 20, with the d_{k,n} coefficients of DiDonato & Morris
-  (1986, ACM TOMS 12) and Temme (1979) in _IGAM_D;
+  (1986, ACM TOMS 12) and Temme (1979) in _IGAM_D, cut to the 12 x 18
+  block of scipy's 25 x 25 that its loops can read (a bound test shows
+  they break before any later entry);
 - the prefactor x^a e^-x / Gamma(a) through Boost's lanczos13m53 sum,
   and Cephes' own lgam, lgam1p (a Taylor series in Hurwitz zeta values),
   expm1, log1pmx and erfc.
@@ -414,7 +416,10 @@ def _erfc(a):
     return 2.0 - y if a < 0 else y
 
 
-# d_{k,n} of Temme's expansion, 25 x 25 (DLMF 8.12.12), as scipy ships them
+# d_{k,n} of Temme's expansion (DLMF 8.12.12): rows 0-11 and columns 0-17 of the
+# 25 x 25 table scipy ships, entry for entry. Where _asymptotic_series runs, a > 20
+# and -0.361 < eta < 0.290, and both of its loops break by row 11 and column 17, so
+# no later entry is ever read; test_cut_table_is_never_exhausted bounds both loops.
 _IGAM_D = (
     (
         -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
@@ -423,9 +428,6 @@ _IGAM_D = (
         8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
         1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
         -2.551419399494625e-11, -5.830772132550426e-11, 2.4361948020667415e-11,
-        -5.0276692801141755e-12, 1.1004392031956135e-13, 3.3717632624009856e-13,
-        -1.392388722418162e-13, 2.8534893807047445e-14, -5.139111834242572e-16,
-        -1.9752288294349442e-15,
     ),
     (
         -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
@@ -434,9 +436,6 @@ _IGAM_D = (
         4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
         1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
         4.162792991842583e-10, -8.56390702649298e-11, 6.067215101604758e-14,
-        7.1624989648114856e-12, -2.933186643771437e-12, 5.996696365683689e-13,
-        -2.1671786527323313e-16, -4.978339972369262e-14, 2.0291628823713425e-14,
-        -4.13125571381061e-15,
     ),
     (
         0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
@@ -445,9 +444,6 @@ _IGAM_D = (
         -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
         -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617112e-09,
         9.428356159014678e-13, 1.2872252400089318e-10, -5.5645956134363323e-11,
-        1.197593554636698e-11, -4.1689782251838634e-15, -1.0940640427884595e-12,
-        4.662239946390136e-13, -9.905105763906907e-14, 1.8931876768373515e-17,
-        8.859221872591127e-15,
     ),
     (
         0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
@@ -456,9 +452,6 @@ _IGAM_D = (
         -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
         -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
         -9.460496661855133e-10, 2.1541049775774907e-10, -1.388823336813903e-14,
-        -2.1894761681963938e-11, 9.790998951171684e-12, -2.178219188018096e-12,
-        6.208819573407901e-17, 2.126978363279737e-13, -9.344688791517433e-14,
-        2.045367122678285e-14,
     ),
     (
         -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
@@ -467,9 +460,6 @@ _IGAM_D = (
         8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
         2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09,
         -2.3024517174528067e-13, -3.9409233028046403e-10, 1.86023389685045e-10,
-        -4.356323005056618e-11, 1.278600101629623e-15, 4.67927502665792e-12,
-        -2.149246470613483e-12, 4.908815614809652e-13, -6.33859148489156e-18,
-        -5.045332069080094e-14,
     ),
     (
         -0.00033679855336635813, -6.972813758365858e-05, 0.0002772753244959392,
@@ -478,9 +468,6 @@ _IGAM_D = (
         -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
         4.8240967037894184e-08, -1.7989466721743514e-14, -6.306194500013523e-09,
         3.162417628774568e-09, -7.840924253697429e-10, 5.192679165254041e-15,
-        9.358944242306784e-11, -4.513426216163278e-11, 1.0799129993116828e-11,
-        -3.661886712685252e-17, -1.210902069055155e-12, 5.680743584990564e-13,
-        -1.3249659916340829e-13,
     ),
     (
         0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
@@ -489,9 +476,6 @@ _IGAM_D = (
         -2.0291327396058603e-06, 5.788792863149004e-07, 2.338630673826657e-13,
         -8.828600746330484e-08, 4.7435958880408125e-08, -1.2545415020710382e-08,
         8.649648858010293e-14, 1.6846058979264062e-09, -8.575492823577594e-10,
-        2.1598224929232125e-10, -7.613230520476153e-16, -2.6639822008536144e-11,
-        1.3065700536611057e-11, -3.1799163902367977e-12, 4.710976121367431e-18,
-        3.6902800842763465e-13,
     ),
     (
         0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
@@ -500,9 +484,6 @@ _IGAM_D = (
         4.93875893393627e-10, -1.0595367014026043e-06, 6.166714376110408e-07,
         -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08,
         -1.4578352908731272e-08, 3.887645959386175e-09, -3.881002251019412e-17,
-        -5.327994173877286e-10, 2.7437977643314844e-10, -6.995796092070568e-11,
-        2.589986387486848e-17, 8.856689099669639e-12, -4.403168815871311e-12,
-        1.0865561947091654e-12,
     ),
     (
         -0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721,
@@ -511,9 +492,6 @@ _IGAM_D = (
         6.783342904865167e-06, -2.1075476666258803e-06, -1.7213731432817144e-11,
         3.773587741611098e-07, -2.1867506700122867e-07, 6.220228804018927e-08,
         6.597703826733e-16, -9.590386497425686e-09, 5.213214492280807e-09,
-        -1.3991589583935709e-09, 5.382058999060575e-16, 1.9484714275467745e-10,
-        -1.0127287556389682e-10, 2.6077347197254926e-11, -5.090418699993299e-18,
-        -3.3721464474854593e-12,
     ),
     (
         -0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328,
@@ -522,9 +500,6 @@ _IGAM_D = (
         -8.858589014125599e-10, 4.5284535953805374e-06, -2.8427815022504407e-06,
         8.708234177864641e-07, 3.6886101871706966e-12, -1.534469519070206e-07,
         8.862466778790695e-08, -2.5184812301826817e-08, -1.0225912098215092e-14,
-        3.896947075815478e-09, -2.1267304792235634e-09, 5.737013552805138e-10,
-        -1.887749850169741e-19, -8.093153869465787e-11, 4.23827232834492e-11,
-        -1.1002224534207727e-11,
     ),
     (
         0.0013324454494800656, -0.0019144384985654776, 0.0011089369134596636,
@@ -533,9 +508,6 @@ _IGAM_D = (
         -3.127053674781734e-05, 1.044986828530338e-05, 4.8435226265680926e-11,
         -2.148256587345626e-06, 1.329369701097492e-06, -4.029569309210103e-07,
         -1.756787766632329e-13, 7.014504316366825e-08, -4.040787734999483e-08,
-        1.1474026743371962e-08, 3.9642746853563326e-18, -1.7804938269892715e-09,
-        9.748026254873165e-10, -2.6405338676507616e-10, 5.794875163403742e-18,
-        3.764774955354384e-11,
     ),
     (
         0.001579727660730835, 0.00016251626278391583, -0.0020633421035543276,
@@ -544,148 +516,5 @@ _IGAM_D = (
         2.12114184918303e-09, -2.5779417251947842e-05, 1.7281818956040464e-05,
         -5.641377387290428e-06, -1.1024320105776174e-11, 1.1223224418895176e-06,
         -6.869339637952674e-07, 2.0653236975414888e-07, 4.6714772409838506e-14,
-        -3.5609886164949055e-08, 2.0470855345905963e-08, -5.809173863328336e-09,
-        -1.332821287582869e-16, 9.035460439133513e-10, -4.959878251733084e-10,
-        1.3481607129399748e-10,
-    ),
-    (
-        -0.004072512119514016, 0.00640336283380807, -0.004041016108167662,
-        -2.183732802866233e-06, 0.002174044180125464, -0.001970044051841889,
-        0.0008359546974796246, 1.9445447567109655e-08, -0.000257793871204217,
-        0.00019009987368139304, -6.769649993743896e-05, -1.4440629666426571e-10,
-        1.5712512518742267e-05, -1.0304008744776892e-05, 3.304517767401387e-06,
-        7.982976024232571e-13, -6.4097794149313e-07, 3.8894624761300054e-07,
-        -1.161834764494887e-07, -2.816808630596451e-15, 1.9878012911297094e-08,
-        -1.1407719956357511e-08, 3.2355857064185554e-09, 4.175946829345594e-20,
-        -5.042311271810582e-10,
-    ),
-    (
-        -0.0059475779383993, -0.0005401647678926045, 0.00879104135507679,
-        -0.009857631558785612, 0.005013469503102154, 1.2807521786221875e-06,
-        -0.0020626019342754685, 0.0017109128573523059, -0.000676953127141338,
-        -6.901154567656214e-09, 0.00018855128143995903, -0.0001339521566349197,
-        4.626318303352804e-05, 4.003423061332135e-11, -1.0255652921494033e-05,
-        6.612086372797651e-06, -2.0913022027253007e-06, -2.0951775649603836e-13,
-        3.975602904199325e-07, -2.395621197881589e-07, 7.118288338214586e-08,
-        8.925574873053455e-16, -1.2101547235064675e-08, 6.935061824833439e-09,
-        -1.96614644538561e-09,
-    ),
-    (
-        0.01740202778752271, -0.029527880945699123, 0.020045875571402798,
-        7.0289515966903405e-06, -0.012375421071343148, 0.011976293444235253,
-        -0.0054156038466518525, -6.329089339641862e-08, 0.0018855118129005065,
-        -0.001473473274825001, 0.0005551581009770838, 5.240683441255066e-10,
-        -0.00014357913535784837, 9.91812932249433e-05, -3.346083474947831e-05,
-        -3.575583729109899e-12, 7.1560851960630075e-06, -4.551680262815553e-06,
-        1.4236576649271474e-06, 1.8803149082089665e-14, -2.662340389892921e-07,
-        1.5950642189595716e-07, -4.71875146738411e-08, -6.510787295875518e-17,
-        7.979509102674624e-09,
-    ),
-    (
-        0.03024912416090589, 0.0024817436002649977, -0.049939134373457025,
-        0.05991564300930787, -0.03248320760162339, -5.721296865210344e-06,
-        0.015085251778569354, -0.013261324005088445, 0.0055515262632426145,
-        3.026318225703001e-08, -0.0017229548406756724, 0.0012893570099929638,
-        -0.00046845138348319875, -1.830259937893045e-10, 0.00011449739014822654,
-        -7.737856522124447e-05, 2.5625836246985202e-05, 1.0766165333192815e-12,
-        -5.324680928242262e-06, 3.349634863064464e-06, -1.0381253128684019e-06,
-        -5.608909920621128e-15, 1.9150821930676592e-07, -1.1418365800203487e-07,
-        3.3654425209171787e-08,
-    ),
-    (
-        -0.09905102088015905, 0.17954011706123485, -0.12989606383463778,
-        -3.1478872752284355e-05, 0.09051063527684813, -0.0928288244111844,
-        0.04441211283987781, 2.7779236316835886e-07, -0.017229543805449696,
-        0.014182925050891573, -0.005621416163374734, -2.39598509186381e-09,
-        0.0016029634366079909, -0.0011606784674435774, 0.00041001337768153875,
-        1.836580075409066e-11, -9.58442565636559e-05, 6.364306233776471e-05,
-        -2.076250624489065e-05, -1.1806020912804483e-13, 4.213180823912065e-06,
-        -2.626224133701247e-06, 8.077062049493066e-07, 6.012591212363273e-16,
-        -1.472973737401884e-07,
-    ),
-    (
-        -0.19994542198219728, -0.015056113040026424, 0.36470239469348487,
-        -0.4643519231173355, 0.26640934719197895, 3.403826602714719e-05,
-        -0.13784338709329624, 0.1276467178337056, -0.056213828755200985,
-        -1.753150885483011e-07, 0.019235592956768112, -0.015088821281095314,
-        0.005740185445135012, 1.0622382710310225e-09, -0.0015335082692563998,
-        0.0010819320643228215, -0.0003737251019394566, -6.617090972903199e-12,
-        8.426361738090962e-05, -5.515070682748348e-05, 1.776953644834807e-05,
-        3.882792321020553e-14, -3.53513697488768e-06, 2.186583213004527e-06,
-        -6.68128494476256e-07,
-    ),
-    (
-        0.7243860850402943, -1.3918010932653375, 1.0654143352413967,
-        0.0001876173868950258, -0.827055011761527, 0.8935243334782842,
-        -0.44971003995291337, -1.6107401567546651e-06, 0.1923559016527109,
-        -0.1659770216004261, 0.06888222268181433, 1.3910091724608687e-08,
-        -0.02146911561508663, 0.016228980898865892, -0.005979601617258426,
-        -1.1287469112826745e-10, 0.0015167451119784856, -0.00104786342935539,
-        0.0003553907288912642, 8.170432211180152e-13, -7.77730134424524e-05,
-        5.029141389700772e-05, -1.6035083867000518e-05, 1.2469354315487606e-14,
-        3.1369106244517616e-06,
-    ),
-    (
-        1.6668949727276812, 0.1165462765994632, -3.3288393225018904, 4.469232548286404,
-        -2.6977693045875806, -0.0002600667859891061, 1.5389017615694538,
-        -1.4937962361134611, 0.6888196463323315, 1.3077482004552384e-06,
-        -0.2576296332559629, 0.21097676102125448, -0.08371440835921988,
-        -7.792042888135476e-09, 0.0242679230648336, -0.017813678334552312,
-        0.006397033038890006, 4.943080709048052e-11, -0.0015554602758465635,
-        0.0010561196919903215, -0.000352771844604729, 9.300233464502246e-14,
-        7.528585502655717e-05, -4.818651556915635e-05, 1.5227271505597605e-05,
-    ),
-    (
-        -6.618829886137293, 13.397985455142589, -10.789350606845145,
-        -0.0014352254537875018, 9.23336945961898, -10.456552819547769,
-        5.510552602903347, 1.2024439690716742e-05, -2.5762961164755818,
-        2.320744274538718, -1.0045728797216285, -1.0207833290021913e-07,
-        0.3397509217116947, -0.2672051745075747, 0.10235252851562705,
-        8.432973048487163e-10, -0.027998284958442594, 0.020066274144976814,
-        -0.007055436891508624, 1.9402238183698188e-12, 0.0016562888105449611,
-        -0.0011082898580743682, 0.0003654545161310169, -5.129003202697179e-11,
-        -7.634010369686903e-05,
-    ),
-    (
-        -17.112706061976095, -1.1208044642899115, 37.131966511885445,
-        -52.29827102534896, 33.058589696624615, 0.002479129897620022,
-        -20.61089403411526, 20.88672775145582, -10.045703956517752,
-        -1.2238783449063012e-05, 4.077013427422114, -3.473667358470195,
-        1.4329352617312006, 7.135991441187971e-08, -0.4479725715911561,
-        0.3411266608064446, -0.12699786326594922, -2.895367726908153e-10,
-        0.03312577627825986, -0.023274087021036102, 0.008039999350364889,
-        -1.177805216235265e-09, -0.001832162489107167, 0.0012108282933588664,
-        -0.0003947994124682252,
-    ),
-    (
-        73.89033153567425, -156.80141270402274, 132.2177542759164, 0.013692876877324546,
-        -123.66496885920151, 146.2068939106273, -80.36558772486535,
-        -0.00011259851148881298, 40.77013219617994, -38.21034001327303,
-        17.19522294277362, 9.351970795516835e-07, -6.271615990774704, 5.116899907185264,
-        -2.0319658112299095, -4.950721558276154e-09, 0.596263972943326,
-        -0.44220765337238094, 0.16079998700166273, -2.4733786203223403e-08,
-        -0.040307574759979765, 0.02784905074709787, -0.009475185899205422,
-        6.419922235909132e-06, 0.002125018077469946,
-    ),
-    (
-        212.1683709838252, 13.107863022633868, -496.9828593287175, 731.215952669692,
-        -482.1382172089085, -0.028817248692894887, 326.167203029471, -343.8934028008712,
-        171.95193870816232, 0.00014038077378096157, -75.2594195897599,
-        66.51969984520935, -28.447519748152462, -7.613702615875392e-07,
-        9.540223710530437, -7.517530111331138, 2.894399756887196, -4.66121949995382e-07,
-        -0.8061514959879409, 0.5848300657063102, -0.20845408972964957,
-        0.00014765818959305816, 0.05100043386375302, -0.03306625214188366,
-        0.015109265210467774,
-    ),
-    (
-        -989.5964309832236, 2192.555536090523, -1928.3586782723355,
-        -0.15925738122215252, 1956.9985945919857, -2407.2514765081555,
-        1375.6149959336497, 0.0012920735237496668, -752.5941715948055,
-        731.7166874220871, -341.37023466220063, -9.985739026060805e-06,
-        133.56313181291574, -112.76295161252794, 46.31039609820446,
-        -7.923738713361476e-06, -14.510726927018647, 11.111771248100563,
-        -4.169081794527089, 0.0031008219800117806, 1.1220095449981469,
-        -0.7605237992614992, 0.36262236505085255, 0.2216867741940747,
-        0.48683443692930506,
     ),
 )

@@ -133,7 +133,11 @@ def _check_payload(path, payload) -> None:
 
 def load_qtable(path) -> QTable:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        # not UTF-8 text, not JSON, or nested past the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"unreadable Q-table {path}: {exc}") from exc
     _check_payload(path, payload)
     n_s, n_a = payload["shape"]
     q = QTable(n_s, n_a, payload["alpha"], payload["gamma"])

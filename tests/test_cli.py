@@ -71,6 +71,14 @@ class TestArgumentHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: unreadable config {path}: ")
 
+    def test_deeply_nested_config_json(self, tmp_path, capsys):
+        # the JSON decoder's RecursionError was a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["table1", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unreadable config {path}: ")
+
     def test_config_not_a_json_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -376,6 +384,16 @@ class TestArtifactCommands:
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_evaluate_deeply_nested_qtable(self, tmp_path, capsys):
+        # the JSON decoder's RecursionError was a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["evaluate", "--qtable", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unreadable Q-table {path}: ")
+
     def test_evaluate_missing_qtable_returns_error(self, tmp_path, capsys):
         code = main(["evaluate", "--qtable", str(tmp_path / "none.json")])
         assert code == 1
@@ -410,6 +428,19 @@ class TestArtifactCommands:
         assert out == ""
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "row 2" in err[0]
+
+    def test_transactions_field_past_the_csv_limit_is_one_error_line(self, tmp_path, capsys):
+        # csv.Error, which is no ValueError, was a traceback
+        data = tmp_path / "tx.csv"
+        data.write_text(f"date,product,quantity\n2021-01-01,{'x' * 200_000},1\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "dataset_path": str(data)}))
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(path), "--out", str(tmp_path / "fc")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {data}: unreadable row 2: ")
 
     def test_fractional_quantity_is_one_error_line(self, tmp_path, capsys):
         # a quantity of 2.7 was truncated to 2 without a word

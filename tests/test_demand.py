@@ -180,7 +180,9 @@ class TestLoadTransactions:
         "date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,Boule 200g,1e400\n",
         "date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,Boule 200g\n",
         "date,quantity,product\n2021-01-01,3,Boule 200g\n2021-01-02,4\n",
-    ], ids=["inf", "1e400", "no-quantity", "short-row-product-last"])
+        # a field past csv.field_size_limit() raised csv.Error, which is no ValueError
+        f"date,product,quantity\n2021-01-01,Boule 200g,3\n2021-01-02,{'x' * 200_000},1\n",
+    ], ids=["inf", "1e400", "no-quantity", "short-row-product-last", "long-field"])
     def test_malformed_row_reports_number(self, tmp_path, text):
         f = tmp_path / "tx.csv"
         f.write_text(text)
@@ -205,6 +207,13 @@ class TestLoadTransactions:
         f = tmp_path / "tx.csv"
         self._write(f, rows)
         with pytest.raises(DomainError, match="row 3: quantity .* past 9223372036854775807"):
+            load_transactions(f, "Boule 200g")
+
+    def test_header_field_past_the_csv_limit_is_row_1(self, tmp_path):
+        # csv.Error is no ValueError, and ended the run in a traceback
+        f = tmp_path / "tx.csv"
+        f.write_text(f"date,product,{'x' * 200_000}\n2021-01-01,Boule 200g,3\n")
+        with pytest.raises(DomainError, match="unreadable row 1: field larger than field limit"):
             load_transactions(f, "Boule 200g")
 
     def test_whole_quantity_with_a_decimal_point(self, tmp_path):

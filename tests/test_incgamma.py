@@ -2,8 +2,14 @@
 
 The port is kept only while these hold: every (shape, edge) pair that
 discretized_gamma builds from the specs below, a seeded random sample that
-takes each branch of Cephes igam by name, and the edge prologue. nan
-compares equal to nan; every other result must be the same float.
+takes each branch of Cephes igam by name, a sample pressed into the corners
+of both asymptotic branches (a just above 20 or 200, |x - a| / a just below
+its bound), and the edge prologue. nan compares equal to nan; every other
+result must be the same float.
+
+Scipy cannot show that the cut Temme table is long enough: a table one row
+or one column shorter matches it on every pair tried too. A bound test
+shows instead that no argument reads past the kept block.
 """
 
 import math
@@ -15,7 +21,10 @@ from scipy import special
 
 from coldstart_dynaq.demand import discretized_gamma
 from coldstart_dynaq.env import DomainError
-from coldstart_dynaq.incgamma import gammainc
+from coldstart_dynaq import incgamma
+from coldstart_dynaq.incgamma import (
+    _IGAM_D, _LARGE, _LARGERATIO, _SMALL, _SMALLRATIO, MACHEP, gammainc,
+)
 
 MOMENTS = (0.1, 0.5, 1.0, 2.0, 3.0, 4.48, 5.0, 9.0, 20.0, 50.0)
 D_MAX = 30
@@ -106,6 +115,122 @@ def test_random_pairs_of_each_branch(name):
     pairs = [draw(name, rng) for _ in range(4000)]
     assert {branch(a, x) for a, x in pairs} == {name}
     assert mismatches(pairs) == []
+
+
+def corner(name, rng):
+    """One pair of the named asymptotic branch with a just above its least
+    value and |x - a| / a just below its bound, each within a log-uniform
+    relative distance down to 1e-15; a pair rounded out of the branch is drawn again."""
+    low = _SMALL if name == "asymptotic-mid" else _LARGE
+    while True:
+        a = low * (1 + 10.0 ** rng.uniform(-15, 0))
+        bound = _SMALLRATIO if name == "asymptotic-mid" else _LARGERATIO / math.sqrt(a)
+        ratio = bound * (1 - 10.0 ** rng.uniform(-15, 0))
+        x = a * (1 + rng.choice((-1, 1)) * ratio)
+        if branch(a, x) == name:
+            return a, x
+
+
+@pytest.mark.parametrize("name", ["asymptotic-mid", "asymptotic-large"])
+def test_corner_pairs_of_each_asymptotic_branch(name):
+    rng = random.Random(f"incgamma-corner-{name}")
+    assert mismatches([corner(name, rng) for _ in range(4000)]) == []
+
+
+# each bound below must hold with this factor to spare, which covers the
+# rounding of eta, its powers and the sums many times over
+SAFETY = 2.0
+
+
+def eta_range():
+    """The least and greatest eta of Temme's expansion where gammainc calls it.
+
+    gammainc calls it for a > _SMALL with |x - a| / a below _SMALLRATIO,
+    or below _LARGERATIO / sqrt(a) once a > _LARGE; eta grows with x / a - 1.
+    """
+    ratio = max(_SMALLRATIO, _LARGERATIO / math.sqrt(_LARGE))
+    return tuple(math.copysign(math.sqrt(-2 * (math.log1p(s) - s)), s) for s in (-ratio, ratio))
+
+
+def last_column_read(row, lo, hi):
+    """The last column the inner loop of _asymptotic_series can read in row
+    for an eta in [lo, hi], or None if it may run off the row's end.
+
+    On each of 256 intervals, column n's term is at most |d_n| far^n
+    (far the interval's end farthest from 0), and c_k summed up to n is at
+    least its value at the midpoint less its greatest slope times half the
+    width. The loop breaks at the first column where the term is below
+    MACHEP times c_k.
+    """
+    last = 0
+    pieces = 256
+    width = (hi - lo) / pieces
+    for i in range(pieces):
+        mid = lo + (i + 0.5) * width
+        far = max(abs(mid - width / 2), abs(mid + width / 2))
+        ck, slope = row[0], 0.0
+        for n in range(1, len(row)):
+            ck += row[n] * mid**n
+            slope += n * abs(row[n]) * far ** (n - 1)
+            if SAFETY * abs(row[n]) * far**n < MACHEP * (abs(ck) - slope * width / 2):
+                last = max(last, n)
+                break
+        else:
+            return None
+    return last
+
+
+def last_row_read(table, a_min, eta_max):
+    """The first row at which the outer loop of _asymptotic_series breaks
+    for every a > a_min and |eta| <= eta_max, or None if it may run off the table.
+
+    |c_k| is at most the sum of |d_k,n| eta_max^n, and |c_0| at least |d_0,0|
+    less the other terms of that sum. So row k's term is at most
+    |c_k| a_min^-k, and the total so far at least |c_0| less the bounds of
+    rows 1 to k. The loop breaks once the term is below MACHEP times the total.
+    """
+    most = [sum(abs(d) * eta_max**n for n, d in enumerate(row)) for row in table]
+    total = 2 * abs(table[0][0]) - most[0]
+    for k in range(1, len(table)):
+        term = most[k] * a_min**-k
+        total -= term
+        if SAFETY * term < MACHEP * total:
+            return k
+    return None
+
+
+def test_cut_table_is_never_exhausted(monkeypatch):
+    # with the table cut to rows 0..K-1 and columns 0..N-1, the loops of
+    # _asymptotic_series break where they did with scipy's 25 x 25, so the
+    # same operations run in the same order
+    n_rows, n_cols = len(_IGAM_D), len(_IGAM_D[0])
+    assert {len(row) for row in _IGAM_D} == {n_cols}
+    lo, hi = eta_range()
+    # the last kept row and column are needed, and suffice
+    assert last_row_read(_IGAM_D, _SMALL, max(-lo, hi)) == n_rows - 1
+    columns = [last_column_read(row, lo, hi) for row in _IGAM_D]
+    assert None not in columns and max(columns) == n_cols - 1
+    # and the loops can reach them: at a = 1 on a table of ones no term
+    # shrinks, and eta = -0.6 keeps every power above MACHEP, so the loops
+    # read every entry
+    reads = set()
+
+    class Ones:
+        """A row of ones that notes each column read."""
+
+        def __init__(self, k):
+            self.k = k
+
+        def __len__(self):
+            return n_cols
+
+        def __getitem__(self, n):
+            reads.add((self.k, n))
+            return 1.0
+
+    monkeypatch.setattr(incgamma, "_IGAM_D", tuple(Ones(k) for k in range(n_rows)))
+    incgamma._asymptotic_series(1.0, 0.51)
+    assert reads == {(k, n) for k in range(n_rows) for n in range(n_cols)}
 
 
 EDGES = (0.0, 5e-324, 1.0, math.inf, math.nan, -1.0)

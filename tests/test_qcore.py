@@ -368,6 +368,15 @@ def test_load_refuses_non_finite_values(tmp_path, bad):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "{nope"], ids=["nested", "not-json"])
+def test_load_refuses_unreadable_json_naming_the_file(tmp_path, text):
+    # a file nested past the recursion limit was a RecursionError
+    path = tmp_path / "q.json"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"unreadable Q-table {path}: "):
+        load_qtable(path)
+
+
 def test_invalid_learning_params():
     with pytest.raises(ValueError):
         QTable(2, 2, 0.0, 0.9)
