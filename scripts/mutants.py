@@ -34,9 +34,22 @@ WORDSTREAM = "src/coldstart_dynaq/wordstream.py"
 QCORE = "src/coldstart_dynaq/qcore.py"
 INCGAMMA = "src/coldstart_dynaq/incgamma.py"
 AGENTS = "src/coldstart_dynaq/agents.py"
+ENV = "src/coldstart_dynaq/env.py"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
+    # the reference day serves the freshest bucket first; the hot path reads
+    # the day tables, so no record digest sees it
+    "step-serves-newest-first": (
+        ENV,
+        "max(x1 - demand, 0), max(x2 - max(demand - x1, 0), 0), max(x3 - max(demand - x1 - x2, 0), 0)",
+        "max(x1 - max(demand - x3 - x2, 0), 0), max(x2 - max(demand - x3, 0), 0), max(x3 - demand, 0)",
+        [
+            "tests/test_env.py::TestConsumeDemand::test_matches_unit_greedy_oracle",
+            "tests/test_env.py::test_day_tables_equal_step_everywhere",
+            "tests/test_acceptance.py::TestCriterion2::test_fifo_exhaustive_brute_force",
+        ],
+    ),
     # each later MC-dropout layer as one 2-D (rows * samples, width) @ W product
     "mc-predict-2d-product": (
         NN,

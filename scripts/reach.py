@@ -6,11 +6,13 @@ each model variant, a two-worker table1, a scenario2 on a transactions
 file, train, evaluate and forecast, and table1 on demand moments that
 drive each branch of the Gamma CDF. It lists each function defined in
 src/ that none of them entered, and exits non-zero if one is not on
-ALLOWED, or if a name on ALLOWED is entered or gone.
+ALLOWED, if a name on ALLOWED is entered or gone, or if benchmarks/run.py
+does not use it.
 
     python scripts/reach.py
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -25,21 +27,18 @@ sys.path.insert(0, str(SRC))
 
 from coldstart_dynaq import cli  # noqa: E402
 
-# Functions only tests call. They wait to move to tests/helpers.py until
-# benchmarks/run.py's TRACED list stops wrapping them; total_planning_steps
-# stays while the benchmark's record check calls it.
+# Functions only tests and the benchmark call. They wait to move to
+# tests/helpers.py until benchmarks/run.py's TRACED list stops wrapping
+# them; total_planning_steps stays while the benchmark's record check
+# calls it. A name run.py does not use has no place here.
 ALLOWED = {
-    "env.py": {
-        "InventoryState.total", "age_and_receive", "period_cost", "consume_demand", "step",
-        "enumerate_states",
-    },
+    "env.py": {"step"},
     "envmodel.py": {
         "recover_demand", "demand_to_next_state", "estimate_cost", "simulate", "sample_visited",
     },
-    "demand.py": {"DemandDistribution.mean"},
-    "nn.py": {"Network.parameters"},
     "bench.py": {"total_planning_steps"},
 }
+RUN_PY = ROOT / "benchmarks" / "run.py"
 
 TINY = {
     "repetitions": 1, "train_episodes": 1, "horizon": 5, "test_days": 5,
@@ -65,6 +64,23 @@ def functions(path: Path) -> dict:
                 if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
                     found[const.co_firstlineno, const.co_name] = const.co_qualname
     return found
+
+
+def benchmark_names(path: Path) -> set:
+    """The (module, function) pairs of run.py's TRACED tuple, and ("bench", name)
+    for each bench.<name> or <...>.bench.<name> it reads. The file is parsed,
+    not imported: importing it sets the BLAS thread variables."""
+    tree = ast.parse(path.read_text())
+    names = {
+        ("bench", node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (isinstance(node.value, ast.Name) and node.value.id == "bench"
+             or isinstance(node.value, ast.Attribute) and node.value.attr == "bench")
+    }
+    for node in tree.body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["TRACED"]:
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def run_commands(tmp: Path) -> None:
@@ -111,7 +127,12 @@ def main() -> int:
             run_commands(Path(tmp))
         finally:
             sys.settrace(None)
-    bad = []
+    used = benchmark_names(RUN_PY)
+    bad = [
+        f"{file}: {name} is allowed but {RUN_PY.name} does not use it; take it off ALLOWED"
+        for file, names in sorted(ALLOWED.items()) for name in sorted(names)
+        if (file.removesuffix(".py"), name) not in used
+    ]
     for path in sorted(package.glob("*.py")):
         allowed = ALLOWED.get(path.name, set())
         found = functions(path)

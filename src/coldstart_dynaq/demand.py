@@ -43,9 +43,6 @@ class DemandDistribution:
     def d_max(self) -> int:
         return len(self.pmf) - 1
 
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.pmf)), self.pmf))
-
 
 @dataclass(frozen=True)
 class DemandSeries:
@@ -129,16 +126,19 @@ def sample(dist: DemandDistribution, rng: np.random.Generator, n: int) -> list[i
 def load_transactions(path, product_name: str) -> DemandSeries:
     """Aggregate a comma-separated transactions file into a daily demand series.
 
-    Expects a header with date, product and quantity columns (ISO-8601
-    dates), and a quantity in every row that is a non-negative whole
+    Expects UTF-8 text (a byte-order mark is skipped), a header with date,
+    product and quantity columns (ISO-8601 dates), and in every row no more
+    fields than the header and a quantity that is a non-negative whole
     number ("3" or "3.0"); any other row, a row that takes its day's total
     past the int64 range, or a row the csv module cannot read, is one
     DomainError naming it. Rows are filtered to `product_name`, summed per
     day, and missing days inside the observed span are zero-filled.
     """
     totals: dict[dt.date, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    # a byte that is not UTF-8 reads as a lone surrogate, which encode()
+    # refuses line by line, so that the error names its row
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.DictReader(line for line in fh if line.encode())
         required = {"date", "product", "quantity"}
         rownum = 0  # rows read, the header included
         try:
@@ -146,6 +146,8 @@ def load_transactions(path, product_name: str) -> DemandSeries:
                 raise DomainError(f"{path}: need columns {sorted(required)}")
             rownum = 1
             for rownum, row in enumerate(reader, start=2):
+                if None in row:
+                    raise DomainError(f"{path}: row {rownum} has more fields than the header")
                 # a short row holds None in its missing fields
                 try:
                     day = dt.date.fromisoformat(row["date"].strip())
@@ -169,9 +171,10 @@ def load_transactions(path, product_name: str) -> DemandSeries:
                         f"takes the total of {day} past {_MAX_DAY_TOTAL}"
                     )
                 totals[day] = total
-        # a field longer than csv.field_size_limit()
-        except csv.Error as exc:
-            raise DomainError(f"{path}: unreadable row {rownum + 1}: {exc}") from exc
+        # a field longer than csv.field_size_limit(), or a byte that is not UTF-8
+        except (csv.Error, UnicodeEncodeError) as exc:
+            reason = "not UTF-8 text" if isinstance(exc, UnicodeEncodeError) else exc
+            raise DomainError(f"{path}: unreadable row {rownum + 1}: {reason}") from exc
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
     first = min(totals)
@@ -183,7 +186,7 @@ def load_transactions(path, product_name: str) -> DemandSeries:
 
 def save_series(series: DemandSeries, path, product_name: str):
     """Write a series in the same transactions format load_transactions reads."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "product", "quantity"])
         for i, qty in enumerate(series.quantities):

@@ -6,16 +6,15 @@ the post-receive stock, demand is served oldest-first, and unmet demand is
 lost and penalized. Holding cost is charged on the pre-sale inventory, not
 the end-of-day inventory.
 
-The dataclass functions below are the readable reference for one day.
-An order is a plain int there as everywhere, and every bound (s_max,
-a_max, d_max) is passed in: ExperimentSpec holds their only defaults.
-Hot loops instead use the integer core: states as dense indices (see
-state_index) and the day dynamics tabulated once per ModelSpaces by
-day_tables, so one day is a lookup of next-state index and cost by
-(table row, order, demand). The day ages the stock before it charges or
-serves anything, so the one-day bucket s1 is discarded unread and the
-tables keep one row per live pair (s2, s3): state index s reads row
-s % (s_max+1)**2.
+step() is the readable reference for one day, on dataclass states. An
+order is a plain int there as everywhere, and every bound (s_max, a_max,
+d_max) is passed in: ExperimentSpec holds their only defaults. Hot loops
+instead use the integer core: states as dense indices (see state_index)
+and the day dynamics tabulated once per ModelSpaces by day_tables, so
+one day is a lookup of next-state index and cost by (table row, order,
+demand). The day ages the stock before it charges or serves anything,
+so the one-day bucket s1 is discarded unread and the tables keep one row
+per live pair (s2, s3): state index s reads row s % (s_max+1)**2.
 """
 
 import functools
@@ -56,9 +55,6 @@ class InventoryState:
     s2: int
     s3: int
 
-    def total(self) -> int:
-        return self.s1 + self.s2 + self.s3
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -98,69 +94,28 @@ def _check_state(state: InventoryState, s_max: int) -> None:
             raise DomainError(f"state component {v} outside [0, {s_max}]")
 
 
-def age_and_receive(state: InventoryState, order: int, s_max: int, a_max: int) -> InventoryState:
-    """Shift every bucket down one day of shelf-life and receive yesterday's order.
+def step(
+    state: InventoryState, order: int, demand: int, params: CostParams, s_max: int, a_max: int
+) -> DayOutcome:
+    """Run one full day: age the stock and receive yesterday's order, charge
+    holding on that stock and the lost sales, then serve demand oldest first.
 
-    The previous one-day bucket is implicitly discarded; its cost was
-    already charged through the b1 holding term.
+    The one-day bucket s1 is discarded as the stock ages; its cost was
+    charged through the b1 holding term the day before.
     """
     _check_state(state, s_max)
     if not (0 <= order <= a_max):
         raise DomainError(f"order {order} outside [0, {a_max}]")
-    return InventoryState(state.s2, state.s3, order)
-
-
-def period_cost(state: InventoryState, demand: int, params: CostParams) -> float:
-    """Holding cost on the post-receive stock plus the lost-sales penalty."""
     if demand < 0:
         raise DomainError(f"demand must be >= 0, got {demand}")
-    shortage = max(demand - state.total(), 0)
-    return (
-        params.b1 * state.s1
-        + params.b2 * state.s2
-        + params.b3 * state.s3
-        + params.cs * shortage
+    x1, x2, x3 = state.s2, state.s3, order
+    shortage = max(demand - (x1 + x2 + x3), 0)
+    cost = params.b1 * x1 + params.b2 * x2 + params.b3 * x3 + params.cs * shortage
+    # FIFO: each bucket loses the demand left over after the older ones
+    left = InventoryState(
+        max(x1 - demand, 0), max(x2 - max(demand - x1, 0), 0), max(x3 - max(demand - x1 - x2, 0), 0)
     )
-
-
-def consume_demand(state: InventoryState, demand: int) -> InventoryState:
-    """Serve demand oldest stock first (FIFO over shelf-life buckets)."""
-    if demand < 0:
-        raise DomainError(f"demand must be >= 0, got {demand}")
-    s1 = max(state.s1 - demand, 0)
-    s2 = state.s2 if demand < state.s1 else max(state.s2 - (demand - state.s1), 0)
-    if demand < state.s1 + state.s2:
-        s3 = state.s3
-    else:
-        s3 = max(state.s3 - (demand - state.s1 - state.s2), 0)
-    return InventoryState(s1, s2, s3)
-
-
-def step(
-    state: InventoryState, order: int, demand: int, params: CostParams, s_max: int, a_max: int
-) -> DayOutcome:
-    """Run one full day: receive/age, charge cost, serve demand."""
-    aged = age_and_receive(state, order, s_max, a_max)
-    cost = period_cost(aged, demand, params)
-    after_sales = consume_demand(aged, demand)
-    served = min(demand, aged.total())
-    return DayOutcome(
-        next_state=after_sales,
-        cost=cost,
-        shortage=demand - served,
-        demand_served=served,
-    )
-
-
-def enumerate_states(s_max: int) -> list[InventoryState]:
-    """All states in the dense index order used by state_index."""
-    n = s_max + 1
-    return [
-        InventoryState(s1, s2, s3)
-        for s1 in range(n)
-        for s2 in range(n)
-        for s3 in range(n)
-    ]
+    return DayOutcome(left, cost, shortage, demand - shortage)
 
 
 def state_index(state: InventoryState, s_max: int) -> int:
@@ -218,8 +173,8 @@ def day_tables(spaces: ModelSpaces) -> DayTables:
     (read-only, cached).
 
     Built one demand slice at a time to keep the transient memory small;
-    the cost keeps period_cost's operation order so every entry is
-    bit-identical to step().
+    the cost and the leftover demand keep step()'s operation order, so
+    every entry is bit-identical to it.
     """
     p, n = spaces.cost_params, spaces.s_max + 1
     r = np.arange(n**2)

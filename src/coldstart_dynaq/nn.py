@@ -8,9 +8,8 @@ demand forecaster.
 
 A network keeps its parameters in one flat vector, `flat`: the weight
 matrices, then the bias vectors, with `weights` and `biases` reshaped
-views of it in `parameters()` order. The net's `AdamState` holds what
-training needs beside it, so a net holds none of it once its optimiser
-is gone:
+views of it in that order. The net's `AdamState` holds what training
+needs beside it, so a net holds none of it once its optimiser is gone:
 
 - the gradient vector `grad`, in the layout of `flat`, which a backward
   pass writes through its views; Adam updates `flat` with one
@@ -91,9 +90,6 @@ class Network:
         # from the copied flat vector; rebuilding the views keeps them on it
         return _restore, (self.sizes, self.dropout, self.head, self.flat)
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.weights + self.biases
-
 
 def _restore(sizes: list[int], dropout: float, head: str, flat: np.ndarray) -> Network:
     net = Network.__new__(Network)
@@ -113,8 +109,9 @@ class AdamState:
     """Adam (Kingma & Ba 2015) over net.flat, and the net's training state.
 
     m and v are the rows of `moments`; grad is the gradient, with grads
-    its views in parameters() order; `_step_buffers` maps a batch size to
-    its step buffers. apply matches a per-array update bit for bit.
+    its views, the weights' then the biases'; `_step_buffers` maps a
+    batch size to its step buffers. apply matches a per-array update bit
+    for bit.
     """
 
     def __init__(self, net: Network):

@@ -1,5 +1,6 @@
-"""Test-only helpers: a point-mass demand law, one day read from the day
-tables by state index, and reference versions of the nn training path
+"""Test-only helpers: every state in index order, a demand law's mean and
+a point-mass law, one day read from the day tables by state index, a
+net's parameter arrays, and reference versions of the nn training path
 (forward, loss, backward, mask draws and Adam) as plain per-array numpy,
 which the buffered nn code must match bit for bit."""
 
@@ -7,6 +8,22 @@ import numpy as np
 
 from coldstart_dynaq import nn
 from coldstart_dynaq.demand import DemandDistribution
+from coldstart_dynaq.env import InventoryState
+
+
+def enumerate_states(s_max: int) -> list[InventoryState]:
+    """All states in the dense index order used by state_index."""
+    n = s_max + 1
+    return [
+        InventoryState(s1, s2, s3)
+        for s1 in range(n)
+        for s2 in range(n)
+        for s3 in range(n)
+    ]
+
+
+def mean(dist: DemandDistribution) -> float:
+    return float(np.dot(np.arange(len(dist.pmf)), dist.pmf))
 
 
 def point_mass(value: int, d_max: int) -> DemandDistribution:
@@ -20,6 +37,11 @@ def day_of(tables, s: int, a: int, d: int) -> tuple[int, float]:
     read at s's table row s % (s_max+1)**2."""
     r = s % len(tables.next)
     return int(tables.next[r, a, d]), float(tables.cost[r, a, d])
+
+
+def parameters(net) -> list[np.ndarray]:
+    """The net's weight matrices, then its bias vectors: views of net.flat."""
+    return net.weights + net.biases
 
 
 def draw_masks_reference(net, batch, rng):
@@ -66,7 +88,7 @@ def batch_loss(net, X, Y, masks=None) -> float:
 
 
 def loss_and_grads_reference(net, X, Y, masks):
-    """The batch loss and one fresh gradient array per parameter, in parameters() order."""
+    """The batch loss and one fresh gradient array per parameter, in parameters(net) order."""
     acts, pres, out = forward_reference(net, X, masks)
     loss, dz = loss_reference(net, out, Y)
     layers = len(net.weights)
@@ -87,13 +109,13 @@ class AdamReference:
 
     def __init__(self, net):
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
+        self.m = [np.zeros_like(p) for p in parameters(net)]
+        self.v = [np.zeros_like(p) for p in parameters(net)]
 
     def apply(self, net, grads):
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(net.parameters(), grads, self.m, self.v):
+        for p, g, m, v in zip(parameters(net), grads, self.m, self.v):
             m *= nn.ADAM_BETA1
             m += (1 - nn.ADAM_BETA1) * g
             v *= nn.ADAM_BETA2

@@ -16,16 +16,11 @@ from scipy.stats import binomtest
 from coldstart_dynaq import bench, nn
 from coldstart_dynaq.cli import main as cli_main
 from coldstart_dynaq.demand import discretized_gamma, sample
-from coldstart_dynaq.env import (
-    InventoryState,
-    consume_demand,
-    enumerate_states,
-    state_index,
-)
+from coldstart_dynaq.env import CostParams, InventoryState, state_index, step
 from coldstart_dynaq.envmodel import EnvModel, model_update, transition_pmf
 from coldstart_dynaq.qcore import QTable, q_update
 from coldstart_dynaq.schedule import StcSchedule, stc_value
-from helpers import batch_loss
+from helpers import batch_loss, enumerate_states, parameters
 
 
 def _verdict(number: int, label: str, passed: bool) -> None:
@@ -79,12 +74,15 @@ class TestCriterion2:
                         break
             return InventoryState(*buckets)
 
+        # step() serves the stock x it ages to: s2 and s3 age to x1 and x2,
+        # and the order is received as x3
         cases = 0
         ok = True
-        for state in enumerate_states(s_max=3):
+        for x in enumerate_states(s_max=3):
             for d in range(10):
                 cases += 1
-                ok = ok and consume_demand(state, d) == unit_greedy(state, d)
+                out = step(InventoryState(0, x.s1, x.s2), x.s3, d, CostParams(), 3, 3)
+                ok = ok and out.next_state == unit_greedy(x, d)
         _verdict(2, "FIFO equals unit-greedy oracle on 640 cases", ok and cases == 640)
 
 
@@ -111,7 +109,7 @@ class TestCriterion4:
             Y = rng.normal(size=(7, 3)) if head == "regression" else rng.integers(0, 3, size=7)
             _, grads = nn._loss_and_grads(net, nn.AdamState(net), X, Y, None)
             h = 1e-4
-            for p, g in zip(net.parameters(), grads):
+            for p, g in zip(parameters(net), grads):
                 flat = p.reshape(-1)
                 for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
                     orig = flat[idx]
@@ -137,7 +135,6 @@ class TestCriterion5:
         rng = np.random.default_rng(42)
         s, a = InventoryState(0, 0, 5), 3
         s_idx = state_index(s, 10)
-        from coldstart_dynaq.env import step
 
         for d in sample(true, rng, 10_000):
             out = step(s, a, d, spaces.cost_params, spaces.s_max, spaces.a_max)

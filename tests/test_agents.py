@@ -23,7 +23,7 @@ from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import QTable, greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
-from helpers import point_mass
+from helpers import parameters, point_mass
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 S0 = InventoryState(0, 0, 5)
@@ -194,7 +194,7 @@ def learned_state(model) -> list[bytes]:
     if model.variant == "tabular":
         return [np.array(model.demand_counts).tobytes(), repr(model.cost_sums).encode()]
     return [p.tobytes() for net in (model.transition_net, model.cost_net)
-            for p in net.parameters()]
+            for p in parameters(net)]
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])

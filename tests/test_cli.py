@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import datetime as dt
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldstart_dynaq import bench
@@ -501,29 +502,125 @@ ODD_VALUES = st.sampled_from([
 ])
 
 
+def assert_runs_or_is_one_error_line(files: dict, argv: list) -> None:
+    """main(argv) in a fresh temporary directory holding files (name: text
+    or bytes) exits 0, or exits 1 with one stderr line, an error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, content in files.items():
+                Path(name).write_bytes(content if isinstance(content, bytes) else content.encode())
+            # outside pytest a warning prints to stderr: count it as a line
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (
+        code, lines
+    )
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.dictionaries(
     st.sampled_from(sorted(f.name for f in dataclasses.fields(bench.ExperimentSpec))),
     ODD_VALUES, min_size=1, max_size=3,
 ))
 def test_any_config_runs_or_is_one_error_line(override):
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
     # an out_dir or dataset_path of "x" is read or written in a temporary directory
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            Path("config.json").write_text(json.dumps({**TINY, "workers": 1, **override}))
-            # outside pytest a warning prints to stderr: count it as a line
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["table1", "--config", "config.json"])
-        finally:
-            os.chdir(cwd)
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
-    assert code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")), (
-        code, lines
+    config = json.dumps({**TINY, "workers": 1, **override})
+    assert_runs_or_is_one_error_line({"config.json": config}, ["table1", "--config", "config.json"])
+
+
+# 27 states and 3 orders; a short test keeps an accepted Q-table cheap to evaluate
+SMALL = json.dumps({"s_max": 2, "a_max": 2, "initial_state": [0, 0, 2], "test_days": 3})
+QTABLE = {"shape": [27, 3], "alpha": 0.1, "gamma": 0.9, "values": [0.0] * 81}
+# json.dumps writes nan and inf as the NaN and Infinity tokens json.load accepts
+ODD_NUMBERS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 10**400, 2**63, -1, 0, 0.5, True, None, "1", [1], {},
+])
+QTABLE_PAYLOADS = st.builds(
+    lambda shape, alpha, gamma, values, drop: {
+        key: value for key, value in dict(shape=shape, alpha=alpha, gamma=gamma,
+                                           values=values).items() if key != drop
+    },
+    st.one_of(st.just([27, 3]), ODD_NUMBERS, st.sampled_from(
+        [[3, 27], [27], [27, 3, 1], [0, 3], [27.0, 3], [10**400, 3], "27x3"])),
+    st.one_of(st.just(0.1), ODD_NUMBERS),
+    st.one_of(st.just(0.9), ODD_NUMBERS),
+    st.one_of(
+        st.just([0.0] * 81),
+        st.builds(lambda i, v: [0.0] * i + [v] + [0.0] * (80 - i), st.integers(0, 80), ODD_NUMBERS),
+        st.lists(st.floats(-1e3, 1e3), min_size=80, max_size=82),
+        ODD_NUMBERS,
+    ),
+    # most payloads keep every key
+    st.sampled_from([None] * 4 + ["shape", "alpha", "gamma", "values"]),
+)
+QTABLE_TEXTS = st.one_of(
+    st.builds(json.dumps, QTABLE_PAYLOADS),
+    # nested past the decoder's recursion limit, or left open
+    st.builds(lambda n, c: c * n, st.sampled_from([1, 50, 100_000]), st.sampled_from("[{")),
+    st.sampled_from([
+        "[]", "null", "1", '"qtable"', "",
+        # an integer past the interpreter's digit limit for int()
+        json.dumps(QTABLE).replace('"alpha": 0.1', '"alpha": ' + "9" * 5000),
+        json.dumps(QTABLE).replace("0.0]", "1e400]"),
+    ]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(QTABLE_TEXTS)
+def test_any_qtable_file_evaluates_or_is_one_error_line(text):
+    assert_runs_or_is_one_error_line(
+        {"small.json": SMALL, "q.json": text},
+        ["evaluate", "--config", "small.json", "--qtable", "q.json"],
+    )
+
+
+HEADERS = st.sampled_from([
+    "date,product,quantity", "\ufeffdate,product,quantity", "quantity,date,product",
+    "date,product,quantity,quantity", "date,date,product,quantity", "date,product", "",
+])
+ODD_ROWS = st.builds(
+    ",".join,
+    st.lists(st.sampled_from([
+        "2021-01-05", "0000-01-01", "10000-01-01", "2021-02-30", "9999-12-31", "Boule 200g",
+        "Brötchen", "3", "0", "-1", "2.7", "1e400", "inf", "nan", "1e300", "9" * 30, "",
+        "a\x00b", "x" * 200_000, '"2021-01-05', "\ufeff3",
+    ]), max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(HEADERS, st.integers(0, 30), st.lists(st.tuples(st.integers(0, 30), ODD_ROWS), max_size=2),
+       st.sampled_from(["utf-8", "latin-1"]))
+@example("\ufeffdate,product,quantity", 20, [], "utf-8")
+@example("date,product,quantity", 20, [(3, "2021-01-05,Brötchen,1")], "latin-1")
+@example("date,product,quantity", 20, [(3, "2021-01-05,a\x00b,1")], "utf-8")
+@example("date,product,quantity", 20, [(3, "2021-01-05," + "x" * 200_000 + ",1")], "utf-8")
+@example("date,product,quantity", 20, [(3, "2021-01-05,Boule 200g,1e400")], "utf-8")
+@example("date,product,quantity", 20, [(3, "2021-01-05,Boule 200g,1,extra")], "utf-8")
+def test_any_transactions_file_forecasts_or_is_one_error_line(header, days, odd, encoding):
+    # days of rows in the header's columns from 2021-01-01, with odd rows
+    # put in among them; in latin-1 an odd row's ö is not UTF-8
+    rows = []
+    for i in range(days):
+        row = {"date": dt.date(2021, 1, 1) + dt.timedelta(i), "product": "Boule 200g",
+               "quantity": i % 7}
+        rows.append(",".join(str(row.get(name.lstrip("\ufeff"), "")) for name in header.split(",")))
+    for at, row in odd:
+        rows.insert(at, row)
+    text = "\n".join([header, *rows]) + "\n"
+    config = json.dumps({**TINY, "dataset_path": "tx.csv", "forecaster_epochs": 1})
+    assert_runs_or_is_one_error_line(
+        {"config.json": config, "tx.csv": text.encode(encoding, errors="replace")},
+        ["forecast", "--config", "config.json", "--out", "fc"],
     )
 
 

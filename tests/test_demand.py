@@ -22,14 +22,14 @@ from coldstart_dynaq.demand import (
     synthesize_history,
 )
 from coldstart_dynaq.env import DomainError
-from helpers import point_mass
+from helpers import mean, point_mass
 
 
 class TestDiscretizedGamma:
     def test_moment_matching(self):
         # shape 5, scale 1: mode near 4, mean close to 5 despite truncation
         dist = discretized_gamma(5.0, 5.0, 10)
-        assert abs(dist.mean() - 5.0) < 0.25
+        assert abs(mean(dist) - 5.0) < 0.25
 
     def test_pmf2_near_reported_value(self):
         dist = discretized_gamma(5.0, 5.0, 10)
@@ -42,7 +42,7 @@ class TestDiscretizedGamma:
 
     def test_truncation_bias_bound(self):
         for var in (1.0, 3.0, 5.0):
-            assert abs(discretized_gamma(5.0, var, 10).mean() - 5.0) < 0.25
+            assert abs(mean(discretized_gamma(5.0, var, 10)) - 5.0) < 0.25
 
     @pytest.mark.parametrize("mean, variance", [
         (5.0, 1.0), (5.0, 3.0), (5.0, 5.0), (4.48, 5.0), (2.0, 8.0), (0.5, 0.1), (9.0, 20.0),
@@ -92,7 +92,7 @@ class TestSample:
         dist = discretized_gamma(5.0, 1.0, 10)
         rng = np.random.default_rng(1)
         draws = sample(dist, rng, 10**5)
-        assert abs(np.mean(draws) - dist.mean()) < 0.1
+        assert abs(np.mean(draws) - mean(dist)) < 0.1
 
     def test_seed_determinism(self):
         dist = discretized_gamma(5.0, 3.0, 10)
@@ -214,6 +214,31 @@ class TestLoadTransactions:
         f = tmp_path / "tx.csv"
         f.write_text(f"date,product,{'x' * 200_000}\n2021-01-01,Boule 200g,3\n")
         with pytest.raises(DomainError, match="unreadable row 1: field larger than field limit"):
+            load_transactions(f, "Boule 200g")
+
+    def test_header_with_a_byte_order_mark_loads(self, tmp_path):
+        # a spreadsheet's UTF-8 export starts with one; it was read as part
+        # of the first column's name, and the file refused for want of "date"
+        f = tmp_path / "tx.csv"
+        f.write_bytes(b"\xef\xbb\xbfdate,product,quantity\n2021-01-01,Boule 200g,3\n")
+        assert list(load_transactions(f, "Boule 200g").quantities) == [3]
+
+    def test_row_with_more_fields_than_the_header_is_refused(self, tmp_path):
+        # the extra field was dropped and the row counted
+        f = tmp_path / "tx.csv"
+        self._write(f, ["2021-01-01,Boule 200g,3", "2021-01-02,Boule 200g,3,extra"])
+        with pytest.raises(DomainError, match="row 3 has more fields than the header"):
+            load_transactions(f, "Boule 200g")
+
+    @pytest.mark.parametrize("row", [1, 2, 5, 3001])
+    def test_byte_that_is_not_utf8_names_its_row(self, tmp_path, row):
+        # the decoder's error named no file and no row; the file is decoded
+        # in blocks, so the row must not be the one read when its block is
+        lines = ["date,product,quantity"] + ["2021-01-01,Boule 200g,1"] * 4000
+        lines[row - 1] += "ö"
+        f = tmp_path / "tx.csv"
+        f.write_bytes("\n".join(lines).encode("latin-1"))
+        with pytest.raises(DomainError, match=f"tx.csv: unreadable row {row}: not UTF-8 text"):
             load_transactions(f, "Boule 200g")
 
     def test_whole_quantity_with_a_decimal_point(self, tmp_path):

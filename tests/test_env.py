@@ -7,77 +7,93 @@ from coldstart_dynaq.env import (
     DomainError,
     InventoryState,
     ModelSpaces,
-    age_and_receive,
-    consume_demand,
     day_tables,
-    enumerate_states,
     num_actions,
     num_states,
-    period_cost,
     state_index,
     step,
 )
+from helpers import enumerate_states
 
 PARAMS = CostParams(0.7, 0.3, 0.0, 1.0)
 
 
+def total(x: InventoryState) -> int:
+    return x.s1 + x.s2 + x.s3
+
+
+def aged(state: InventoryState, order: int) -> InventoryState:
+    """The stock step() charges and serves: a day of no demand leaves it."""
+    return step(state, order, 0, PARAMS, 10, 10).next_state
+
+
+def cost_on(x: InventoryState, demand: int) -> float:
+    """step()'s cost of a day whose aged stock is x: x3 is the order received."""
+    return step(InventoryState(0, x.s1, x.s2), x.s3, demand, PARAMS, 10, 10).cost
+
+
+def serve(x: InventoryState, demand: int) -> InventoryState:
+    """step()'s next state of a day whose aged stock is x."""
+    return step(InventoryState(0, x.s1, x.s2), x.s3, demand, PARAMS, 10, 10).next_state
+
+
 class TestAgeAndReceive:
     def test_shift_and_receive(self):
-        assert age_and_receive(InventoryState(0, 1, 4), 6, 10, 10) == InventoryState(1, 4, 6)
+        assert aged(InventoryState(0, 1, 4), 6) == InventoryState(1, 4, 6)
 
     def test_empty_fixed_point(self):
-        assert age_and_receive(InventoryState(0, 0, 0), 0, 10, 10) == InventoryState(0, 0, 0)
+        assert aged(InventoryState(0, 0, 0), 0) == InventoryState(0, 0, 0)
 
     def test_hand_trace(self):
-        assert age_and_receive(InventoryState(0, 0, 5), 3, 10, 10) == InventoryState(0, 5, 3)
+        assert aged(InventoryState(0, 0, 5), 3) == InventoryState(0, 5, 3)
 
     def test_out_of_range_action(self):
         with pytest.raises(DomainError):
-            age_and_receive(InventoryState(0, 0, 0), 11, 10, 10)
+            aged(InventoryState(0, 0, 0), 11)
         with pytest.raises(DomainError):
-            age_and_receive(InventoryState(0, 0, 0), -1, 10, 10)
+            aged(InventoryState(0, 0, 0), -1)
 
 
 class TestPeriodCost:
     def test_shortage_only(self):
-        assert period_cost(InventoryState(0, 0, 5), 7, PARAMS) == pytest.approx(2.0)
+        assert cost_on(InventoryState(0, 0, 5), 7) == pytest.approx(2.0)
 
     def test_empty_zero(self):
-        assert period_cost(InventoryState(0, 0, 0), 0, PARAMS) == 0.0
+        assert cost_on(InventoryState(0, 0, 0), 0) == 0.0
 
     def test_holding_only(self):
-        assert period_cost(InventoryState(2, 3, 4), 1, PARAMS) == pytest.approx(2.3)
+        assert cost_on(InventoryState(2, 3, 4), 1) == pytest.approx(2.3)
 
     def test_negative_demand(self):
         with pytest.raises(DomainError):
-            period_cost(InventoryState(0, 0, 0), -1, PARAMS)
+            cost_on(InventoryState(0, 0, 0), -1)
 
     def test_monotone_in_demand(self):
         state = InventoryState(1, 2, 3)
-        costs = [period_cost(state, d, PARAMS) for d in range(15)]
+        costs = [cost_on(state, d) for d in range(15)]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
 
 
 class TestConsumeDemand:
     def test_fifo_partial(self):
-        assert consume_demand(InventoryState(2, 3, 4), 4) == InventoryState(0, 1, 4)
+        assert serve(InventoryState(2, 3, 4), 4) == InventoryState(0, 1, 4)
 
     def test_zero_demand_identity(self):
-        assert consume_demand(InventoryState(2, 3, 4), 0) == InventoryState(2, 3, 4)
+        assert serve(InventoryState(2, 3, 4), 0) == InventoryState(2, 3, 4)
 
     def test_drain_everything(self):
-        assert consume_demand(InventoryState(1, 1, 1), 10) == InventoryState(0, 0, 0)
+        assert serve(InventoryState(1, 1, 1), 10) == InventoryState(0, 0, 0)
 
     def test_conservation(self):
         for state in enumerate_states(s_max=3):
             for d in range(10):
-                after = consume_demand(state, d)
-                assert state.total() - after.total() == min(d, state.total())
+                after = serve(state, d)
+                assert total(state) - total(after) == min(d, total(state))
 
     def test_fifo_dominance(self):
         for state in enumerate_states(s_max=3):
             for d in range(10):
-                after = consume_demand(state, d)
+                after = serve(state, d)
                 if state.s1 + state.s2 >= d:
                     assert after.s3 == state.s3
                 if state.s1 >= d:
@@ -96,7 +112,7 @@ class TestConsumeDemand:
 
         for state in enumerate_states(s_max=3):
             for d in range(10):
-                assert consume_demand(state, d) == greedy(state, d)
+                assert serve(state, d) == greedy(state, d)
 
 
 class TestStep:

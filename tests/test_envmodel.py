@@ -14,7 +14,6 @@ from coldstart_dynaq.env import (
     DomainError,
     InventoryState,
     day_tables,
-    enumerate_states,
     num_states,
     state_index,
     step,
@@ -37,7 +36,7 @@ from coldstart_dynaq.envmodel import (
     transition_prob,
 )
 from coldstart_dynaq.wordstream import WordStream
-from helpers import day_of, draw_masks_reference, forward_reference
+from helpers import day_of, draw_masks_reference, enumerate_states, forward_reference
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 PAIR_S = InventoryState(0, 0, 3)

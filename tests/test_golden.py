@@ -52,6 +52,7 @@ import pytest
 
 from coldstart_dynaq import bench, cli
 from coldstart_dynaq.env import InventoryState
+from helpers import parameters
 
 # Starting in the probed state makes fig3's trace non-empty from warm
 # starts and, for Q-learning, from a cold visit halfway through.
@@ -202,7 +203,7 @@ def _hash_learned(h, q, model) -> None:
         h.update(repr(model.cost_sums).encode())
     else:
         for net in (model.transition_net, model.cost_net):
-            for p in net.parameters():
+            for p in parameters(net):
                 h.update(p.tobytes())
 
 

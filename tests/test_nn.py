@@ -15,6 +15,7 @@ from helpers import (
     day_of,
     draw_masks_reference,
     forward_reference,
+    parameters,
     point_mass,
     train_step_reference,
 )
@@ -88,7 +89,7 @@ class TestGradients:
         else:
             Y = rng.integers(0, 3, size=7)
         _, grads = nn._loss_and_grads(net, nn.AdamState(net), X, Y, None)
-        params = net.parameters()
+        params = parameters(net)
         h = 1e-4
         for p, g in zip(params, grads):
             flat = p.reshape(-1)
@@ -126,9 +127,9 @@ class TestGradients:
     def test_adam_zero_gradient_no_move(self):
         net = make_net([2, 3, 1])
         adam = nn.AdamState(net)
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in parameters(net)]
         adam.apply(net, np.zeros_like(net.flat))
-        for b, p in zip(before, net.parameters()):
+        for b, p in zip(before, parameters(net)):
             assert np.array_equal(b, p)
 
 
@@ -231,7 +232,7 @@ def train_against_reference(sizes, head, dropout, batch, steps):
     # m and v are laid out as the parameters in net.flat
     adam_m, adam_v = (sum(nn._views(net.sizes, x), []) for x in adam.moments)
     for p, ref_p, m, ref_m, v, ref_v in zip(
-        net.parameters(), ref_net.parameters(), adam_m, ref_adam.m, adam_v, ref_adam.v
+        parameters(net), parameters(ref_net), adam_m, ref_adam.m, adam_v, ref_adam.v
     ):
         assert np.array_equal(p, ref_p)
         assert np.array_equal(m, ref_m)
@@ -274,13 +275,13 @@ def test_restored_net_keeps_its_parameters_on_its_flat_vector(restore):
         loss = nn.train_step(net, adam, X, Y, rng=rng)
         assert nn.train_step(twin, twin_adam, X, Y, rng=twin_rng) == loss
     assert np.array_equal(twin.flat, net.flat) and not np.array_equal(twin.flat, start)
-    # the parameters and their gradients read the restored vectors, in parameters() order
-    assert np.array_equal(np.concatenate(twin.parameters(), axis=None), twin.flat)
+    # the parameters and their gradients read the restored vectors, the weights then the biases
+    assert np.array_equal(np.concatenate(parameters(twin), axis=None), twin.flat)
     _, grads = nn._loss_and_grads(twin, twin_adam, X, Y, None)
     assert np.array_equal(np.concatenate(grads, axis=None), twin_adam.grad)
     twin.flat[:] = 7.0
-    assert all(np.all(p == 7.0) for p in twin.parameters())
-    assert all(np.all(p != 7.0) for p in net.parameters())
+    assert all(np.all(p == 7.0) for p in parameters(twin))
+    assert all(np.all(p != 7.0) for p in parameters(net))
 
 
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
@@ -299,7 +300,7 @@ def test_copied_env_model_trains_like_the_original(variant):
     train(m, np.random.default_rng(3), days[50:])
     train(c, np.random.default_rng(3), days[50:])
     for net in ("transition_net", "cost_net"):
-        for p, q in zip(getattr(m, net).parameters(), getattr(c, net).parameters()):
+        for p, q in zip(parameters(getattr(m, net)), parameters(getattr(c, net))):
             assert p is not q and np.array_equal(p, q)
     for adam in ("transition_adam", "cost_adam"):
         assert np.array_equal(getattr(m, adam).moments, getattr(c, adam).moments)
