@@ -61,7 +61,7 @@ MUTANTS = {
     "det-net-2d-product": (
         NN,
         "        return forward(net, X)\n",
-        "        return forward(net, X[:, 0])[:, None] if stacked else forward(net, X)\n",
+        "        return _forward(net, X[:, 0])[:, None]\n",
         [
             "tests/test_envmodel.py::test_plan_draws_as_the_per_pair_loop[det-net]",
             "tests/test_envmodel.py::TestDetNetReads::test_planned_costs_are_one_pair_reads",
@@ -154,6 +154,7 @@ MUTANTS = {
         [
             "tests/test_qcore.py::test_row_minima_stay_exact_and_leave_the_rows_as_a_full_scan_does",
             "tests/test_qcore.py::test_rows_match_the_numpy_reference_bit_for_bit",
+            "tests/test_agents.py::test_train_matches_the_reference_learner",
         ],
     ),
     # a copied Q-table hands out the same row lists, so a transfer
@@ -189,6 +190,7 @@ MUTANTS = {
             "test_cost_means_are_the_quotients_after_every_update",
             "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
             "[scenario2-tabular-learned]",
+            "tests/test_agents.py::test_train_matches_the_reference_learner",
         ],
     ),
     # recovery takes the first demand reaching the next state and ignores the cost
@@ -196,7 +198,10 @@ MUTANTS = {
         ENVMODEL,
         "    if row.count(s_next) > 1:\n",
         "    if False:\n",
-        ["tests/test_envmodel.py::TestRecoverDemand::test_every_transition_of_the_default_spaces"],
+        [
+            "tests/test_envmodel.py::TestRecoverDemand::test_every_transition_of_the_default_spaces",
+            "tests/test_agents.py::test_train_matches_the_reference_learner",
+        ],
     ),
     # fig3's probe reads an MC-dropout model on a copy of the model's own
     # stream 3 instead of stream 4; tabular and det-net reads draw nothing

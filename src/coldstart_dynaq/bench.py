@@ -275,7 +275,10 @@ def source_series(spec: ExperimentSpec):
 
 def fit_forecaster(spec: ExperimentSpec) -> Forecaster:
     history = source_series(spec)
-    # the spec checks a synthetic history's calendar; a loaded one is checked before the fit
+    # the spec checks a synthetic history's length and calendar; a loaded one is checked here
+    if len(history) <= spec.window + 1:
+        raise DomainError(f"{spec.dataset_path} holds {len(history)} days of history; "
+                          f"window {spec.window} needs more than {spec.window + 1}")
     if len(history) + spec.offline_horizon > days_from(history.start):
         raise DomainError(f"offline_horizon {spec.offline_horizon} takes the {len(history)} days "
                           f"of {spec.dataset_path} from {history.start} past {dt.date.max}")

@@ -21,6 +21,8 @@ from .incgamma import gammainc
 _PMF_TOL = 1e-9
 # a day's total must fit the int64 quantities of a DemandSeries
 _MAX_DAY_TOTAL = int(np.iinfo(np.int64).max)
+# more days than this between two dates of a product's rows is a mistyped year
+_MAX_GAP_DAYS = 366
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,10 @@ def load_transactions(path, product_name: str) -> DemandSeries:
     number ("3" or "3.0"); any other row, a row that takes its day's total
     past the int64 range, or a row the csv module cannot read, is one
     DomainError naming it. Rows are filtered to `product_name`, summed per
-    day, and missing days inside the observed span are zero-filled.
+    day, and missing days inside the observed span are zero-filled. Two
+    consecutive dates of the product's rows more than _MAX_GAP_DAYS apart
+    are one DomainError naming both, since a mistyped year would otherwise
+    zero-fill decades.
     """
     totals: dict[dt.date, int] = {}
     # a byte that is not UTF-8 reads as a lone surrogate, which encode()
@@ -177,11 +182,15 @@ def load_transactions(path, product_name: str) -> DemandSeries:
             raise DomainError(f"{path}: unreadable row {rownum + 1}: {reason}") from exc
     if not totals:
         raise DomainError(f"{path}: no rows for product {product_name!r}")
-    first = min(totals)
-    quantities = np.zeros((max(totals) - first).days + 1, dtype=int)
+    days = sorted(totals)
+    for a, b in zip(days, days[1:]):
+        if (b - a).days > _MAX_GAP_DAYS:
+            raise DomainError(f"{path}: rows for {product_name!r} jump from {a} to {b}, "
+                              f"more than {_MAX_GAP_DAYS} days; is a year mistyped?")
+    quantities = np.zeros((days[-1] - days[0]).days + 1, dtype=int)
     for day, total in totals.items():
-        quantities[(day - first).days] = total
-    return DemandSeries(first, quantities)
+        quantities[(day - days[0]).days] = total
+    return DemandSeries(days[0], quantities)
 
 
 def save_series(series: DemandSeries, path, product_name: str):

@@ -244,10 +244,11 @@ def model_update(m: EnvModel, s: int, a: int, s_next: int, cost: float) -> None:
         nn.train_step(m.cost_net, m.cost_adam, x, np.array([[cost]]), rng=m.rng)
 
 
-def _mc_mean(m: EnvModel, net: nn.Network, x: np.ndarray, rng) -> np.ndarray:
-    # never m.rng: a read drawing from the training stream would change what
-    # is learned; a det-net read draws nothing
-    return nn.mc_predict(net, x, nn.mc_uniforms(net, MC_SAMPLES, rng))
+def _mc_mean(m: EnvModel, net: nn.Network, i: int, rng) -> np.ndarray:
+    # visited pair i's one-row stack, read on rng and never m.rng: a read drawing
+    # from the training stream would change what is learned; a det-net draws nothing
+    u = nn.mc_uniforms(net, MC_SAMPLES, rng)[None]
+    return nn.mc_predict(net, np.array([[m.inputs[i]]]), u)[0, 0]
 
 
 def _mc_row(m: EnvModel) -> int:
@@ -263,7 +264,7 @@ def transition_pmf(
     if m.variant == "tabular":
         pmf = np.array(m.demand_counts)
     else:
-        pmf = _mc_mean(m, m.transition_net, np.array(m.inputs[i]), rng)
+        pmf = _mc_mean(m, m.transition_net, i, rng)
     return pmf / pmf.sum()
 
 
@@ -271,7 +272,7 @@ def estimate_cost(m: EnvModel, s: int, a: int, rng: np.random.Generator | None =
     i = _slot(m, s, a)
     if m.variant == "tabular":
         return m.cost_sums[i] / m.cost_counts[i]
-    return float(_mc_mean(m, m.cost_net, np.array(m.inputs[i]), rng)[0])
+    return float(_mc_mean(m, m.cost_net, i, rng)[0])
 
 
 def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, int, float]]:

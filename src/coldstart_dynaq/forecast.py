@@ -97,8 +97,8 @@ def predict_next(
     It is a single dropout-sampled forward pass, its masks drawn from rng,
     which preserves day-to-day variability in generated series.
     """
-    x = _design_row(f.window, f.d_max, series, day_index)
-    raw = float(nn.mc_predict(f.net, x, nn.mc_uniforms(f.net, 1, rng))[0])
+    x = _design_row(f.window, f.d_max, series, day_index)[None, None]
+    raw = float(nn.mc_predict(f.net, x, nn.mc_uniforms(f.net, 1, rng)[None])[0, 0, 0])
     value = math.floor(raw * f.d_max + 0.5)
     return min(max(value, 0), f.d_max)
 

@@ -36,8 +36,13 @@ order of the draws pins every result:
   rng.random((samples, width)) (`mc_uniforms`), and splits the columns
   per layer. Row i holds sample i's uniforms, first layer first, which is
   the order in which one single-row training pass per sample would draw
-  them. `mc_predict` computes over uniforms already drawn, for one row or
-  a stack of rows, so a caller may draw many reads before computing them.
+  them. `mc_predict` computes over uniforms already drawn, so a caller may
+  draw many reads before computing them.
+
+`train_step` takes a (batch, n) matrix; `forward` and `mc_predict` read a
+(rows, 1, n) stack, with one vector-matrix product per row, which gives
+each row the bits of its own one-row stack (a (rows, n) matrix product
+rounds differently). Any other shape is one ValueError.
 """
 
 import math
@@ -220,26 +225,17 @@ def _forward(net: Network, X: np.ndarray, masks=None, buf: _Buffers | None = Non
     return _softmax(z) if net.head == "categorical" else z
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+def _stack(net: Network, x: np.ndarray) -> np.ndarray:
+    """x as a float (rows, 1, n) stack over the net's n inputs; any other shape is a ValueError."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim != 3 or X.shape[1:] != (1, net.sizes[0]):
+        raise ValueError(f"expected a (rows, 1, {net.sizes[0]}) stack, got shape {X.shape}")
+    return X
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """One deterministic forward pass, dropout off, over the last axis of x.
-
-    x is one row, a (batch, n) matrix or a (rows, 1, n) stack. A stack runs
-    one vector-matrix product per row, so each row's output equals that
-    row's own forward bit for bit; a (batch, n) matrix product rounds
-    differently.
-    """
-    X, single = _as_batch(x)
-    if X.shape[-1] != net.sizes[0]:
-        raise ValueError(f"input dim {X.shape[-1]} != network input {net.sizes[0]}")
-    out = _forward(net, X)
-    return out[0] if single else out
+    """The deterministic pass, dropout off, of a (rows, 1, n) stack, as a (rows, 1, outputs) one."""
+    return _forward(net, _stack(net, x))
 
 
 def _loss(net: Network, out: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -291,8 +287,10 @@ def train_step(
     Y: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One Adam step on the batch loss; returns the pre-step loss."""
-    X, _ = _as_batch(X)
+    """One Adam step on the loss of a (batch, n) matrix X; returns the pre-step loss."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != net.sizes[0]:
+        raise ValueError(f"train_step takes a (batch, {net.sizes[0]}) matrix, got shape {X.shape}")
     masks = None
     if net.dropout > 0.0:
         if rng is None:
@@ -302,9 +300,7 @@ def train_step(
     with np.errstate(over="ignore", invalid="ignore"):
         loss, _ = _loss_and_grads(net, adam, X, Y, masks)
     if not math.isfinite(loss):
-        raise FloatingPointError(
-            f"non-finite loss {loss} (batch {X.shape}, head {net.head})"
-        )
+        raise FloatingPointError(f"non-finite loss {loss} (batch {X.shape}, head {net.head})")
     adam.apply(net, adam.grad)
     return loss
 
@@ -331,32 +327,24 @@ def mc_uniforms(net: Network, samples: int, rng: np.random.Generator | None) -> 
 def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Monte-Carlo dropout: the mean over stochastic forward passes.
 
-    x is one input row, 1-D or of shape (1, n), with u its (samples,
-    mask_width) uniforms from mc_uniforms; or a (rows, 1, n) stack with u a
-    (rows, samples, mask_width) stack. The mean has the shape forward(net,
-    x) returns. Sample i keeps a hidden unit when its uniform is below
-    1 - dropout and scales it by 1 / (1 - dropout), as a training pass masks.
-    Each row's mean equals, bit for bit, that of `samples` single-row
-    passes masked in that order; samples=1 is one dropout-sampled pass.
+    x is a (rows, 1, n) stack and u its (rows, samples, mask_width) stack
+    of mc_uniforms; the means are a (rows, 1, outputs) stack. Sample i keeps
+    a hidden unit when its uniform is below 1 - dropout and scales it by
+    1 / (1 - dropout), as a training pass masks. Each row's mean equals, bit
+    for bit, that of `samples` single-row passes masked in that order;
+    samples=1 is one dropout-sampled pass.
 
     A row's first layer is the same in every sample, so it runs once per
     row. Each later layer is one vector-matrix product per sample, run as a
     (rows * samples, 1, width) @ W stack, because a 2-D matrix product
     rounds differently. Without dropout every pass is the deterministic one.
     """
-    X = np.asarray(x, dtype=float)
-    n = net.sizes[0]
-    stacked = X.ndim == 3
-    if not (X.shape in ((n,), (1, n)) or stacked and X.shape[1:] == (1, n)):
-        raise ValueError(
-            f"mc_predict takes one input row of {n} values or a (rows, 1, {n}) stack, "
-            f"got shape {X.shape}"
-        )
-    rows = len(X) if stacked else 1
-    U = np.asarray(u) if stacked else np.asarray(u)[None]
+    X = _stack(net, x)
+    rows = len(X)
+    U = np.asarray(u)
     if U.ndim != 3 or U.shape[0] != rows or U.shape[1] < 1 or U.shape[2] != mask_width(net):
         raise ValueError(
-            f"mc_predict needs ({rows}, samples, {mask_width(net)}) uniforms, got {np.shape(u)}"
+            f"mc_predict needs ({rows}, samples, {mask_width(net)}) uniforms, got {U.shape}"
         )
     if net.dropout == 0.0:
         return forward(net, X)
@@ -366,7 +354,7 @@ def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     # a mask (u < keep) / keep is 0 or 1 / keep: multiplying by the kept
     # flag, then by 1 / keep, rounds as multiplying by the mask does
     scale = 1.0 / keep
-    z = X.reshape(rows, 1, n) @ net.weights[0]
+    z = X @ net.weights[0]
     z += net.biases[0]
     col = 0
     for width, w, b in zip(net.sizes[1:-1], net.weights[1:], net.biases[1:]):
@@ -382,7 +370,4 @@ def mc_predict(net: Network, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     if net.head == "categorical":
         draws = _softmax(draws)
     # the sum and division np.mean makes, without its Python-level wrapper
-    mean = draws.sum(axis=1) / samples
-    if stacked:
-        return mean[:, None, :]
-    return mean if X.ndim == 2 else mean[0]
+    return (draws.sum(axis=1) / samples)[:, None, :]

@@ -1,14 +1,18 @@
 """Test-only helpers: every state in index order, a demand law's mean and
 a point-mass law, one day read from the day tables by state index, a
-net's parameter arrays, and reference versions of the nn training path
+net's parameter arrays, reference versions of the nn training path
 (forward, loss, backward, mask draws and Adam) as plain per-array numpy,
-which the buffered nn code must match bit for bit."""
+which the buffered nn code must match bit for bit, and a reference
+tabular learner, which agents.train must match bit for bit."""
+
+from bisect import bisect_right
 
 import numpy as np
 
 from coldstart_dynaq import nn
 from coldstart_dynaq.demand import DemandDistribution
-from coldstart_dynaq.env import InventoryState
+from coldstart_dynaq.env import InventoryState, num_actions, num_states, state_index, step
+from coldstart_dynaq.schedule import stc_steps, stc_value
 
 
 def enumerate_states(s_max: int) -> list[InventoryState]:
@@ -131,3 +135,70 @@ def train_step_reference(net, adam, X, Y, rng):
     loss, grads = loss_and_grads_reference(net, X, Y, masks)
     adam.apply(net, grads)
     return loss
+
+
+def reference_train(config, dist, spaces, s0):
+    """agents.train on the tabular model, as the algorithms are written.
+
+    Q-learning (Watkins & Dayan 1992) with Dyna planning (Sutton 1990):
+    numpy Generators drawn one call at a time, env.step on dataclass
+    states, each demand recovered by trying every demand through step, a
+    full-row minimum in every update, and the mean cost divided per draw.
+    Returns the Q array, each episode's (total cost, shortage fraction,
+    mean holding), and the planning steps taken.
+    """
+    env_rng, explore_rng, plan_rng, _ = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(4))
+    states = enumerate_states(spaces.s_max)
+    p, s_max, a_max = spaces.cost_params, spaces.s_max, spaces.a_max
+    Q = np.zeros((num_states(s_max), num_actions(a_max)))
+    counts = np.zeros(spaces.d_max + 1)
+    pairs, cost_sums, cost_counts = [], {}, {}
+    fits = stc_steps(config.planning_schedule, 0) > 0
+    t = planning_steps = 0
+    episodes = []
+
+    def update(s, a, s_next, cost):
+        target = cost + config.gamma * Q[s_next].min()
+        Q[s, a] = Q[s, a] + config.alpha * (target - Q[s, a])
+
+    def day(s, a, d):
+        out = step(states[s], a, d, p, s_max, a_max)
+        return state_index(out.next_state, s_max), out.cost, out.shortage
+
+    for _ in range(config.episodes):
+        s = state_index(s0, s_max)
+        total, holding, shortages = 0.0, 0, 0
+        for _ in range(config.horizon):
+            d = bisect_right(dist.cdf, env_rng.random())
+            if explore_rng.random() < stc_value(config.epsilon_schedule, t):
+                a = int(explore_rng.integers(a_max + 1))
+            else:
+                ties = np.flatnonzero(Q[s] == Q[s].min())
+                a = int(ties[explore_rng.integers(len(ties))])
+            n_plan = stc_steps(config.planning_schedule, t)
+            t += 1
+            s_next, cost, shortage = day(s, a, d)
+            update(s, a, s_next, cost)
+            if fits:
+                outcomes = [day(s, a, e)[:2] for e in range(spaces.d_max + 1)]
+                reach = [e for e, (n, _) in enumerate(outcomes) if n == s_next]
+                exact = [e for e in reach if abs(outcomes[e][1] - cost) <= 1e-9]
+                counts[(exact or reach)[0]] += 1
+                if (s, a) not in cost_sums:
+                    pairs.append((s, a))
+                cost_sums[s, a] = cost_sums.get((s, a), 0.0) + cost
+                cost_counts[s, a] = cost_counts.get((s, a), 0) + 1
+            for _ in range(n_plan):
+                ps, pa = pairs[plan_rng.integers(len(pairs))]
+                cdf = np.cumsum(counts / counts.sum())
+                cdf[-1] = 1.0
+                e = int(np.searchsorted(cdf, plan_rng.random(), side="right"))
+                update(ps, pa, day(ps, pa, e)[0], cost_sums[ps, pa] / cost_counts[ps, pa])
+            planning_steps += n_plan
+            total += cost
+            holding += states[s].s2 + states[s].s3 + a
+            shortages += shortage > 0
+            s = s_next
+        episodes.append((total, shortages / config.horizon, holding / config.horizon))
+    return Q, episodes, planning_steps

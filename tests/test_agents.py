@@ -23,7 +23,7 @@ from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import QTable, greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
-from helpers import parameters, point_mass
+from helpers import parameters, point_mass, reference_train
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 S0 = InventoryState(0, 0, 5)
@@ -187,6 +187,24 @@ class TestTrain:
         left_to_right = [reduce(operator.add, m.daily_costs, 0.0) for m in runs]
         assert any(math.fsum(m.daily_costs) != total for m, total in zip(runs, left_to_right))
         assert [m.total_cost for m in runs] == left_to_right
+
+
+@pytest.mark.parametrize("episodes", [1, 5])
+@pytest.mark.parametrize("algorithm", bench.ExperimentSpec().algorithms)
+def test_train_matches_the_reference_learner(algorithm, episodes):
+    # the default table1 spec's tabular configuration, trained by the
+    # algorithm as written, with none of the fast path's caches
+    spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
+    eps, plan = bench.schedules(params, algorithm)
+    config = AgentConfig(params.alpha, params.gamma, eps, plan, horizon=spec.horizon,
+                         episodes=episodes, seed=12345)
+    dist, spaces = spec.true_demand(), spec.spaces()
+    learner = train(config, dist, spaces, spec.initial_state)
+    q, runs, planning_steps = reference_train(config, dist, spaces, spec.initial_state)
+    assert learner.q.values.tobytes() == q.tobytes()
+    assert [(m.total_cost, m.shortage_fraction, m.avg_holding)
+            for m in learner.episode_metrics] == runs
+    assert learner.planning_steps == planning_steps
 
 
 def learned_state(model) -> list[bytes]:

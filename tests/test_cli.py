@@ -478,6 +478,27 @@ class TestArtifactCommands:
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {named}")
 
+    @pytest.mark.parametrize("rows, named", [
+        # a year typed as 1900 among 20 days of 2021 was fitted as 44,000 days
+        (["1900-01-01,Boule 200g,3", *(f"2021-01-{d:02},Boule 200g,3" for d in range(1, 21))],
+         "error: tx.csv: rows for 'Boule 200g' jump from 1900-01-01 to 2021-01-01, "),
+        # the fit named neither the file nor the window it was short of
+        ([f"2021-01-0{d},Boule 200g,3" for d in range(1, 4)],
+         "error: tx.csv holds 3 days of history; window 7 needs more than 8"),
+    ], ids=["mistyped-year", "three-days"])
+    def test_unusable_history_fails_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                                   rows, named):
+        monkeypatch.setattr(bench, "train_forecaster",
+                            lambda *a, **k: pytest.fail("the forecaster was fitted"))
+        (tmp_path / "tx.csv").write_text("\n".join(["date,product,quantity", *rows]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({**TINY, "dataset_path": "tx.csv"}))
+        assert main(["forecast", "--config", "config.json", "--out", "fc"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(named)
+
     def test_forecast_writes_series(self, tiny_config, tmp_path):
         out = tmp_path / "fc"
         code = main([

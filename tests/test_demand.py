@@ -163,6 +163,17 @@ class TestLoadTransactions:
         series = load_transactions(f, "Boule 200g")
         assert list(series.quantities) == [3, 0, 0, 2]
 
+    def test_dates_more_than_366_days_apart_are_a_mistyped_year(self, tmp_path):
+        # a 1900 row among 20 days of 2021 zero-filled a 44,000-day history
+        f = tmp_path / "tx.csv"
+        days = [f"2021-01-{d:02},Boule 200g,3" for d in range(1, 21)]
+        self._write(f, [*days[:5], "1900-01-01,Boule 200g,3", *days[5:], "2021-03-01,Croissant,1"])
+        with pytest.raises(DomainError, match=r"tx.csv: .* from 1900-01-01 to 2021-01-01"):
+            load_transactions(f, "Boule 200g")
+        # a leap year's 366 days apart load, zero-filled
+        self._write(f, ["2020-01-01,Boule 200g,3", "2021-01-01,Boule 200g,2"])
+        assert list(load_transactions(f, "Boule 200g").quantities) == [3, *[0] * 365, 2]
+
     def test_empty_result_error(self, tmp_path):
         f = tmp_path / "tx.csv"
         self._write(f, ["2021-01-01,Croissant,3"])

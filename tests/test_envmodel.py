@@ -358,7 +358,9 @@ def simulate_reference(m, s, a, rng):
     x = m._encode(s, a)
 
     def read(net):
-        return nn.forward(net, x) if m.variant == "det-net" else mc_read_reference(m, net, x, rng)
+        if m.variant == "det-net":
+            return nn.forward(net, x[None, None])[0, 0]
+        return mc_read_reference(m, net, x, rng)
 
     pmf = read(m.transition_net)
     d = bisect_right(cdf_of(pmf / pmf.sum()), rng.random())

@@ -26,7 +26,8 @@ def constant_series(value, days, rng_seed=0):
 
 def mean_prediction(f, series, day):
     """The forecaster's dropout-off prediction for `day`, clamped to [0, d_max]."""
-    raw = float(nn.forward(f.net, _design_row(f.window, f.d_max, series, day))[0]) * f.d_max
+    x = _design_row(f.window, f.d_max, series, day)[None, None]
+    raw = float(nn.forward(f.net, x)[0, 0, 0]) * f.d_max
     return min(max(raw, 0.0), float(f.d_max))
 
 

@@ -30,7 +30,7 @@ class TestForward:
         net = make_net([3, 4, 2])
         for w in net.weights:
             w[:] = 0.0
-        assert np.array_equal(nn.forward(net, np.array([1.0, -2.0, 3.0])), [0.0, 0.0])
+        assert np.array_equal(nn.forward(net, np.array([[[1.0, -2.0, 3.0]]])), [[[0.0, 0.0]]])
 
     def test_hand_arithmetic_1d(self):
         net = make_net([1, 1, 1])
@@ -38,16 +38,16 @@ class TestForward:
         net.biases[0][:] = 1.0
         net.weights[1][:] = 1.0
         net.biases[1][:] = 0.0
-        assert nn.forward(net, np.array([3.0]))[0] == pytest.approx(7.0)
+        assert nn.forward(net, np.array([[[3.0]]]))[0, 0, 0] == pytest.approx(7.0)
 
     def test_dimension_mismatch(self):
         net = make_net([3, 4, 2])
         with pytest.raises(ValueError):
-            nn.forward(net, np.zeros(5))
+            nn.forward(net, np.zeros((1, 1, 5)))
 
     def test_softmax_head_valid_distribution(self):
         net = make_net([3, 8, 5], head="categorical")
-        out = nn.forward(net, np.array([1.0, 2.0, 3.0]))
+        out = nn.forward(net, np.array([[[1.0, 2.0, 3.0]]]))
         assert np.all(out > 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -56,7 +56,7 @@ class TestTrainStep:
     def test_matching_target_keeps_loss_zero(self):
         net = make_net([2, 4, 1])
         X = np.array([[0.3, 0.7]])
-        target = nn.forward(net, X)
+        target = nn.forward(net, X[:, None])[:, 0]
         adam = nn.AdamState(net)
         loss = nn.train_step(net, adam, X, target)
         assert loss == pytest.approx(0.0, abs=1e-15)
@@ -136,16 +136,16 @@ class TestGradients:
 class TestMcPredict:
     def test_no_dropout_mean_is_forward(self):
         net = make_net([3, 4, 2])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[[1.0, 2.0, 3.0]]])
         u = nn.mc_uniforms(net, 10, None)
         assert u.shape == (10, 0)
-        assert np.array_equal(nn.mc_predict(net, x, u), nn.forward(net, x))
+        assert np.array_equal(nn.mc_predict(net, x, u[None]), nn.forward(net, x))
 
     def test_seeded_reproducibility(self):
         net = make_net([3, 8, 2], dropout=0.5)
-        x = np.array([0.1, 0.2, 0.3])
-        a = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5)))
-        b = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5)))
+        x = np.array([[[0.1, 0.2, 0.3]]])
+        a = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5))[None])
+        b = nn.mc_predict(net, x, nn.mc_uniforms(net, 10, np.random.default_rng(5))[None])
         assert np.array_equal(a, b)
 
 
@@ -166,6 +166,8 @@ def mc_predict_reference(net, x, samples, rng):
 @pytest.mark.parametrize("row_shape", ["1-D", "(1, n)"])
 @pytest.mark.parametrize("hidden", [(128, 64), (6,), ()], ids=["128-64", "6", "no-hidden"])
 def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
+    # the reference reads the row in row_shape; mc_predict reads it as a
+    # one-row stack, whose one mean is taken back in that shape
     out = 1 if head == "regression" else 11
     for seed in range(3):
         net = make_net([4, *hidden, out], head=head, dropout=0.5, seed=seed)
@@ -174,7 +176,10 @@ def test_mc_predict_matches_per_sample_loop(head, samples, row_shape, hidden):
             x = x[None, :]
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         mean = mc_predict_reference(net, x, samples, ref_rng)
-        pred = nn.mc_predict(net, x, nn.mc_uniforms(net, samples, rng))
+        stack = x.reshape(1, 1, 4)
+        pred = nn.mc_predict(net, stack, nn.mc_uniforms(net, samples, rng)[None])
+        assert pred.shape == (1, 1, out)
+        pred = pred[0] if row_shape == "(1, n)" else pred[0, 0]
         assert pred.shape == mean.shape
         assert np.array_equal(pred, mean)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -330,7 +335,7 @@ def test_stacked_forward_matches_one_row_forwards(rows, net_name):
     stacked = nn.forward(net, X[:, None, :])
     assert stacked.shape == (rows, 1, net.sizes[-1])
     for x, out in zip(X, stacked):
-        assert out[0].tobytes() == nn.forward(net, x).tobytes()
+        assert out.tobytes() == nn.forward(net, x[None, None])[0].tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 37, 170])
@@ -346,7 +351,7 @@ def test_stacked_mc_predict_matches_one_row_reads(rows, samples, net_name):
     stacked = nn.mc_predict(net, X[:, None, :], U)
     assert stacked.shape == (rows, 1, net.sizes[-1])
     for x, u, out in zip(X, U, stacked):
-        assert out[0].tobytes() == nn.mc_predict(net, x, u).tobytes()
+        assert out.tobytes() == nn.mc_predict(net, x[None, None], u[None])[0].tobytes()
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -357,8 +362,30 @@ def test_mc_predict_rejects_multi_row_input(dropout):
         nn.mc_predict(net, np.ones((2, 3)), u)
 
 
+@pytest.mark.parametrize("entry, shape", [
+    ("forward", (3,)), ("forward", (1, 3)),
+    ("mc_predict", (3,)), ("mc_predict", (1, 3)),
+    ("train_step", (3,)), ("train_step", (2, 1, 3)),
+], ids=["forward-1-D", "forward-(1, n)", "mc_predict-1-D", "mc_predict-(1, n)",
+        "train_step-1-D", "train_step-stack"])
+def test_each_entry_point_takes_one_input_shape(entry, shape):
+    # forward and mc_predict read a (rows, 1, n) stack, train_step a (batch, n) matrix
+    net = make_net([3, 4, 2], dropout=0.5)
+    before = net.flat.copy()
+    rng = np.random.default_rng(0)
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match=r"got shape \("):
+        if entry == "forward":
+            nn.forward(net, x)
+        elif entry == "mc_predict":
+            nn.mc_predict(net, x, nn.mc_uniforms(net, 10, rng)[None])
+        else:
+            nn.train_step(net, nn.AdamState(net), x, np.zeros((len(x), 2)), rng=rng)
+    assert np.array_equal(net.flat, before)
+
+
 @pytest.mark.parametrize("x_shape, u_shape", [
-    ((3,), (2, 10, 4)),  # one row with a stack of uniforms
+    ((1, 1, 3), (2, 10, 4)),  # a one-row stack with a two-row stack of uniforms
     ((2, 1, 3), (10, 4)),  # a stack with one row's uniforms
     ((2, 1, 3), (3, 10, 4)),  # one row of uniforms too many
     ((2, 1, 3), (2, 0, 4)),  # no samples
