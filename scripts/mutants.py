@@ -157,16 +157,29 @@ MUTANTS = {
             "tests/test_agents.py::test_train_matches_the_reference_learner",
         ],
     ),
-    # a copied Q-table hands out the same row lists, so a transfer
-    # configuration trains the warm start's own rows and the next
+    # a warm start's copied Q-table hands out the same row lists, so a
+    # transfer configuration trains the warm start's own rows and the next
     # configuration of the replication starts from them
     "qtable-copy-shares-rows": (
-        QCORE,
-        "        out.rows = [row[:] for row in self.rows]\n",
-        "        out.rows = list(self.rows)\n",
+        AGENTS,
+        "        q = [row[:] for row in warm.q]\n",
+        "        q = list(warm.q)\n",
         [
             "tests/test_qcore.py::test_learner_q_is_current_after_every_step",
             "tests/test_golden.py::test_records_match_golden_digest[scenario2-tabular]",
+        ],
+    ),
+    # the learner takes any learning rate; the learner is the one place
+    # alpha is checked, a warm-started configuration's too
+    "learner-alpha-unchecked": (
+        AGENTS,
+        "        if not (0.0 < alpha < 1.0):\n"
+        "            raise ValueError(f\"alpha must be in (0,1), got {alpha}\")\n",
+        "",
+        [
+            "tests/test_agents.py::TestTrain::"
+            "test_refuses_learning_params_out_of_range_with_or_without_a_warm_start",
+            "tests/test_qcore.py::test_invalid_learning_params",
         ],
     ),
     # borrow() lends the generator without rewinding the stream's unused

@@ -6,8 +6,9 @@ exploration and planning constant, and adjusted Dyna-Q decays both with a
 search-then-convergence schedule of the global environment-step counter.
 bench names the algorithms and builds their schedules. An optional warm
 start, a Learner pre-trained on forecasted demand, replaces the zero
-Q-table and empty model with copies of its own. Only a learner whose model
-is read fits it: Q-learning without an observer leaves its model as it was
+Q-table and empty model with copies of its own; the learning rate and
+discount are always the config's. Only a learner whose model is read
+fits it: Q-learning without an observer leaves its model as it was
 built, or as the warm start's copy.
 
 Randomness is split into four independent streams (environment demand,
@@ -27,9 +28,9 @@ env's day tables. After each real step a Learner plans one burst,
 envmodel.plan, which draws the whole burst before it reads the model,
 and hands its simulated transitions to one q_update call, which applies
 them in draw order; the real step is a q_update call of its own. A
-Learner updates its Q-table's list rows in place, with each row's
-minimum beside them, so learner.q is current after every step, and a
-tabular model's per-step work is Python over the next-state rows it
+Learner's Q-table is list rows, which it updates in place with each
+row's minimum beside them, so learner.q is current after every step, and
+a tabular model's per-step work is Python over the next-state rows it
 keeps per visited pair.
 """
 
@@ -50,7 +51,7 @@ from .env import (
     state_index,
 )
 from .envmodel import EnvModel, model_update, plan
-from .qcore import QTable, greedy_policy, q_update, select_action
+from .qcore import greedy_policy, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 from .wordstream import WordStream
 
@@ -124,25 +125,31 @@ class Learner:
     """Epsilon-greedy Q-learning with Dyna planning, as rollout's act/learn.
 
     A learner is the trained agent and, built over offline demand, the warm
-    start: its Q-table q, its model, its planning_steps and the
-    episode_metrics train records. The schedules are functions of the
-    learner's own step counter t. observer(learner, s, a, s_next, cost),
-    when given, is called last in every learn step, with q, mins and the
-    model already updated for it. learn fits the model on each real step
-    only when fits_model is set: when the learner plans or has an
-    observer, or when its owner sets it.
+    start: its Q-table q, its model, its learning rate alpha and discount
+    gamma, each in (0, 1), its planning_steps and the episode_metrics
+    train records. The schedules are functions of the learner's own step
+    counter t. observer(learner, s, a, s_next, cost), when given, is
+    called last in every learn step, with q, mins and the model already
+    updated for it. learn fits the model on each real step only when
+    fits_model is set: when the learner plans or has an observer, or when
+    its owner sets it.
 
-    act and learn work on q.rows in place, and learn keeps mins, each
+    act and learn work on q's rows in place, and learn keeps mins, each
     row's minimum, for q_update. They draw from the exploration and
     planning WordStreams they are given; whoever opened those closes them.
     A learner that plans nothing needs no planning stream.
     """
 
-    def __init__(self, q: QTable, model: EnvModel, epsilon: StcSchedule,
-                 planning: StcSchedule, explore_rng: WordStream,
+    def __init__(self, q: list, model: EnvModel, alpha: float, gamma: float,
+                 epsilon: StcSchedule, planning: StcSchedule, explore_rng: WordStream,
                  plan_rng: WordStream | None = None, observer=None):
+        if not (0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must be in (0,1), got {alpha}")
+        if not (0.0 < gamma < 1.0):
+            raise ValueError(f"gamma must be in (0,1), got {gamma}")
         self.q, self.model = q, model
-        self.mins = [min(row) for row in q.rows]
+        self.alpha, self.gamma = alpha, gamma
+        self.mins = [min(row) for row in q]
         self.epsilon, self.planning = epsilon, planning
         self.explore_rng, self.plan_rng = explore_rng, plan_rng
         self.observer = observer
@@ -158,11 +165,11 @@ class Learner:
         # the planning depth of the learn() call that follows
         self.n_plan = stc_steps(self.planning, self.t)
         self.t += 1
-        return select_action(self.q.rows[s], eps, self.explore_rng)
+        return select_action(self.q[s], eps, self.explore_rng)
 
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
-        rows, mins, model = self.q.rows, self.mins, self.model
-        alpha, gamma = self.q.alpha, self.q.gamma
+        rows, mins, model = self.q, self.mins, self.model
+        alpha, gamma = self.alpha, self.gamma
         # the real step first: a non-finite cost raises before the model sees it
         q_update(rows, mins, ((s, a, s_next, cost),), alpha, gamma)
         if self.fits_model:
@@ -173,11 +180,11 @@ class Learner:
             self.observer(self, s, a, s_next, cost)
 
 
-def _tables(spaces: ModelSpaces, q: QTable, dist: DemandDistribution) -> DayTables:
+def _tables(spaces: ModelSpaces, q: list, dist: DemandDistribution) -> DayTables:
     """The day tables of spaces, once q and dist are checked to fit them."""
-    shape = (num_states(spaces.s_max), num_actions(spaces.a_max))
-    if q.shape != shape:
-        raise DomainError(f"Q-table shape {q.shape} != (states, orders) {shape}")
+    shape, got = (num_states(spaces.s_max), num_actions(spaces.a_max)), (len(q), len(q[0]))
+    if got != shape:
+        raise DomainError(f"Q-table shape {got} != (states, orders) {shape}")
     if dist.d_max > spaces.d_max:
         raise DomainError(f"demand reaches {dist.d_max} > d_max {spaces.d_max}")
     return day_tables(spaces)
@@ -205,18 +212,18 @@ def train(
         np.random.default_rng(child) for child in ss.spawn(4)
     )
     if warm is not None:
-        q = warm.q.copy()
-        q.alpha, q.gamma = config.alpha, config.gamma
+        q = [row[:] for row in warm.q]
         model = warm.model.copy()
         model.rng = model_rng
     else:
-        q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), config.alpha, config.gamma)
+        # every entry of a fresh table is the one float 0.0
+        q = [[0.0] * num_actions(spaces.a_max) for _ in range(num_states(spaces.s_max))]
         model = EnvModel(spaces, variant=config.model_variant, rng=model_rng)
     tables = _tables(spaces, q, true_demand)
     s0 = state_index(initial_state, spaces.s_max)
     with WordStream(explore_rng) as explore, WordStream(plan_rng) as planning:
-        learner = Learner(q, model, config.epsilon_schedule, config.planning_schedule,
-                          explore, planning, observer)
+        learner = Learner(q, model, config.alpha, config.gamma, config.epsilon_schedule,
+                          config.planning_schedule, explore, planning, observer)
         learner.episode_metrics = [
             rollout(tables, s0, sample(true_demand, env_rng, config.horizon), learner.act,
                     learner.learn)
@@ -226,7 +233,7 @@ def train(
 
 
 def evaluate(
-    q: QTable,
+    q: list,
     true_demand: DemandDistribution,
     spaces: ModelSpaces,
     initial_state: InventoryState,
@@ -236,7 +243,7 @@ def evaluate(
 ) -> list[RunMetrics]:
     """Run q's deterministic greedy policy against fresh demand draws from rng."""
     tables = _tables(spaces, q, true_demand)
-    policy = greedy_policy(q).tolist()
+    policy = greedy_policy(q)
     s0 = state_index(initial_state, spaces.s_max)
     return [
         rollout(tables, s0, sample(true_demand, rng, days), policy.__getitem__)

@@ -30,7 +30,6 @@ from .demand import (
 from .env import CostParams, DomainError, InventoryState, is_finite_real, state_index
 from .envmodel import ModelSpaces, UnvisitedPairError, check_options, transition_prob
 from .forecast import Forecaster, build_warm_start, generate_offline, train_forecaster
-from .qcore import QTable
 from .schedule import StcSchedule, constant, stc_steps
 
 ALGORITHMS = ("q-learning", "dyna-q", "adjusted-dyna-q")
@@ -326,7 +325,7 @@ def summarize(runs: list[RunMetrics]) -> dict:
     }
 
 
-def _test(spec: ExperimentSpec, q: QTable, rng: np.random.Generator) -> list[RunMetrics]:
+def _test(spec: ExperimentSpec, q: list, rng: np.random.Generator) -> list[RunMetrics]:
     """test_repetitions runs of test_days days of q's greedy policy."""
     return evaluate(
         q, spec.true_demand(), spec.spaces(), spec.initial_state,

@@ -84,7 +84,7 @@ def _cmd_train(args):
     )
     out = Path(spec.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    save_qtable(agent.q, out / "qtable.json")
+    save_qtable(agent.q, agent.alpha, agent.gamma, out / "qtable.json")
     save_model(agent.model, out / "model.npz")
     # convergence data: per-episode mean daily cost, and the
     # across-episode mean at each within-episode iteration index

@@ -24,7 +24,6 @@ from .env import (
     state_index,
 )
 from .envmodel import EnvModel
-from .qcore import QTable
 from .schedule import constant
 from .wordstream import WordStream
 
@@ -147,12 +146,12 @@ def build_warm_start(
         raise DomainError(f"offline demand exceeds d_max {spaces.d_max}")
     ss = np.random.SeedSequence(seed)
     explore_rng, model_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    q = QTable(num_states(spaces.s_max), num_actions(spaces.a_max), alpha, gamma)
+    q = [[0.0] * num_actions(spaces.a_max) for _ in range(num_states(spaces.s_max))]
     model = EnvModel(spaces, variant=model_variant, rng=model_rng)
     s0 = state_index(initial_state, spaces.s_max)
     tables, demands = day_tables(spaces), offline.quantities.tolist()
     with WordStream(explore_rng) as explore:
-        learner = Learner(q, model, constant(epsilon), constant(0.0), explore)
+        learner = Learner(q, model, alpha, gamma, constant(epsilon), constant(0.0), explore)
         learner.fits_model = True
         for _ in range(epochs):
             rollout(tables, s0, demands, learner.act, learner.learn)

@@ -21,7 +21,7 @@ from coldstart_dynaq.env import (
 )
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
-from coldstart_dynaq.qcore import QTable, greedy_policy, q_update
+from coldstart_dynaq.qcore import greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
 from helpers import parameters, point_mass, reference_train
 
@@ -83,13 +83,13 @@ class TestTrain:
             seed=0,
         )
         alt = train(degenerate, dist, SPACES, S0)
-        assert np.array_equal(ref.q.values, alt.q.values)
+        assert ref.q == alt.q
 
     def test_zero_demand_optimum_is_no_order(self):
         dist = point_mass(0, 10)
         agent = train(adjusted_config(episodes=30, seed=1), dist, SPACES, InventoryState(0, 0, 0))
         empty = state_index(InventoryState(0, 0, 0), 10)
-        assert int(np.argmin(agent.q.values[empty])) == 0
+        assert greedy_policy(agent.q)[empty] == 0
 
     def test_metrics_shape(self):
         dist = discretized_gamma(5.0, 3.0, 10)
@@ -104,7 +104,7 @@ class TestTrain:
         dist = discretized_gamma(5.0, 5.0, 10)
         a = train(adjusted_config(seed=5), dist, SPACES, S0)
         b = train(adjusted_config(seed=5), dist, SPACES, S0)
-        assert np.array_equal(a.q.values, b.q.values)
+        assert a.q == b.q
         assert a.planning_steps == b.planning_steps
         assert [m.total_cost for m in a.episode_metrics] == [
             m.total_cost for m in b.episode_metrics
@@ -154,10 +154,10 @@ class TestTrain:
         offline = synthesize_history(point_mass(4, 10), 5, dt.date(2021, 1, 1),
                                      np.random.default_rng(0))
         warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
-        warm.q.rows = [[0.0] * len(row) for row in warm.q.rows]
+        warm.q = [[0.0] * len(row) for row in warm.q]
         warm.model = EnvModel(SPACES)
         warmed = train(adjusted_config(seed=9, warm_start=warm), dist, SPACES, S0)
-        assert np.array_equal(cold.q.values, warmed.q.values)
+        assert cold.q == warmed.q
         assert [m.total_cost for m in cold.episode_metrics] == [
             m.total_cost for m in warmed.episode_metrics
         ]
@@ -180,6 +180,18 @@ class TestTrain:
         with pytest.raises(DomainError, match=r"cs=1\.0.* cannot seed .*cs=5\.0"):
             train(q_learning_config(warm_start=warm), discretized_gamma(5.0, 5.0, 10), spaces, S0)
 
+    @pytest.mark.parametrize("key, value", [("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
+                                            ("alpha", -2.0), ("gamma", 0.0), ("gamma", 1.0)])
+    def test_refuses_learning_params_out_of_range_with_or_without_a_warm_start(self, key, value):
+        # a warm start's copied table once took the config's alpha and gamma unchecked
+        offline = synthesize_history(point_mass(4, 10), 5, dt.date(2021, 1, 1),
+                                     np.random.default_rng(0))
+        warm = build_warm_start(offline, SPACES, epochs=1, seed=0)
+        for warm_start in (None, warm):
+            config = q_learning_config(warm_start=warm_start, **{key: value})
+            with pytest.raises(ValueError, match=rf"^{key} must be in \(0,1\), got {value}$"):
+                train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0)
+
     def test_episode_total_adds_the_days_left_to_right(self):
         # sum() of floats compensates from Python 3.12 on, which moved the
         # last bits of totals and so the records with the Python version
@@ -201,7 +213,7 @@ def test_train_matches_the_reference_learner(algorithm, episodes):
     dist, spaces = spec.true_demand(), spec.spaces()
     learner = train(config, dist, spaces, spec.initial_state)
     q, runs, planning_steps = reference_train(config, dist, spaces, spec.initial_state)
-    assert learner.q.values.tobytes() == q.tobytes()
+    assert np.array(learner.q).tobytes() == q.tobytes()
     assert [(m.total_cost, m.shortage_fraction, m.avg_holding)
             for m in learner.episode_metrics] == runs
     assert learner.planning_steps == planning_steps
@@ -233,7 +245,7 @@ def test_probe_does_not_change_training(variant):
     plain = train(config, dist, SPACES, s0)
     assert len(probe.trace) == 10 and None not in probe.trace
     assert probed.observer is probe and plain.observer is None
-    assert probed.q.values.tobytes() == plain.q.values.tobytes()
+    assert np.array(probed.q).tobytes() == np.array(plain.q).tobytes()
     assert learned_state(probed.model) == learned_state(plain.model)
     assert [m.daily_costs for m in probed.episode_metrics] == [
         m.daily_costs for m in plain.episode_metrics
@@ -272,7 +284,7 @@ def test_observer_is_called_once_per_real_step_after_its_q_update():
     seen = []
 
     def observer(learner, s, a, s_next, cost):
-        seen.append((learner.t, (s, a, s_next, cost), [row[:] for row in learner.q.rows]))
+        seen.append((learner.t, (s, a, s_next, cost), [row[:] for row in learner.q]))
 
     config = q_learning_config(episodes=2)
     learner = train(config, discretized_gamma(5.0, 5.0, 10), SPACES, S0, observer=observer)
@@ -281,12 +293,12 @@ def test_observer_is_called_once_per_real_step_after_its_q_update():
         c for m in learner.episode_metrics for c in m.daily_costs
     ]
     # each step's rows are the last step's with this step's update applied
-    q = QTable(*learner.q.shape, config.alpha, config.gamma)
-    mins = [min(row) for row in q.rows]
+    q = [[0.0] * len(row) for row in learner.q]
+    mins = [min(row) for row in q]
     for _, step, rows in seen:
-        q_update(q.rows, mins, (step,), config.alpha, config.gamma)
-        assert rows == q.rows
-    assert q.rows == learner.q.rows
+        q_update(q, mins, (step,), config.alpha, config.gamma)
+        assert rows == q
+    assert q == learner.q
 
 
 class TestEvaluate:
@@ -316,7 +328,7 @@ class TestEvaluate:
         q = train(q_learning_config(episodes=1), dist, SPACES, S0).q
         rng, ref = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
         runs = evaluate(q, dist, SPACES, S0, 5, 3, rng)
-        policy = greedy_policy(q).tolist()
+        policy = greedy_policy(q)
         for m in runs:
             demands = [bisect_right(dist.cdf, ref.random()) for _ in range(5)]
             want = rollout(day_tables(SPACES), state_index(S0, 10), demands, policy.__getitem__)
@@ -336,5 +348,6 @@ def test_costs_at_the_bound_train_finitely(variant):
         warnings.simplefilter("error")
         learner = train(config, discretized_gamma(5.0, 5.0, 10), spaces, InventoryState(0, 0, 0))
     # shortages at cost COST_MAX reached the table
-    assert learner.q.values.max() > COST_MAX / 10
-    assert np.isfinite(learner.q.values).all()
+    values = np.array(learner.q)
+    assert values.max() > COST_MAX / 10
+    assert np.isfinite(values).all()

@@ -383,7 +383,8 @@ class TestArtifactCommands:
         out, err = capsys.readouterr()
         assert out == ""
         err = err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # every refusal names the file, an alpha out of range too
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
     def test_evaluate_deeply_nested_qtable(self, tmp_path, capsys):
         # the JSON decoder's RecursionError was a traceback

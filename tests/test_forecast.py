@@ -162,7 +162,7 @@ class TestBuildWarmStart:
         warm = build_warm_start(offline, SPACES, epochs=100, seed=0,
                                 initial_state=InventoryState(0, 0, 0))
         empty = state_index(InventoryState(0, 0, 0), 10)
-        assert int(np.argmin(warm.q.values[empty])) == 0
+        assert int(np.argmin(warm.q[empty])) == 0
 
     def test_model_supported_on_offline_classes(self):
         offline = synthesize_history(point_mass(4, 10), 10, START, np.random.default_rng(10))
@@ -176,17 +176,18 @@ class TestBuildWarmStart:
         offline = synthesize_history(dist, 10, START, np.random.default_rng(11))
         a = build_warm_start(offline, SPACES, epochs=20, seed=2)
         b = build_warm_start(offline, SPACES, epochs=20, seed=2)
-        assert np.array_equal(a.q.values, b.q.values)
+        assert a.q == b.q
         assert np.array_equal(a.model.demand_counts, b.model.demand_counts)
         assert list(a.model.visited) == list(b.model.visited)
 
     def test_q_zero_on_unvisited_pairs(self):
         offline = synthesize_history(point_mass(4, 10), 10, START, np.random.default_rng(12))
         warm = build_warm_start(offline, SPACES, epochs=5, seed=3)
-        assert np.all(np.isfinite(warm.q.values))
+        values = np.array(warm.q)
+        assert np.all(np.isfinite(values))
         visited_states = {k[0] for k in warm.model.visited}
-        untouched = [i for i in range(warm.q.shape[0]) if i not in visited_states]
-        assert np.all(warm.q.values[untouched] == 0.0)
+        untouched = [i for i in range(len(values)) if i not in visited_states]
+        assert np.all(values[untouched] == 0.0)
 
     def test_empty_series_rejected(self):
         empty = synthesize_history(point_mass(0, 10), 0, START, np.random.default_rng(13))

@@ -197,7 +197,7 @@ FORECAST_GOLDEN = "4a8261ce8e206ab8b44ca935da0ff0ba9d616f7a753a684f70cd87f2ebf9d
 
 
 def _hash_learned(h, q, model) -> None:
-    h.update(q.values.tobytes())
+    h.update(np.array(q, dtype=float).tobytes())
     if model.variant == "tabular":
         h.update(np.array(model.demand_counts).tobytes())
         h.update(repr(model.cost_sums).encode())

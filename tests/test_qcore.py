@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from coldstart_dynaq import agents
+from coldstart_dynaq import agents, bench
 from coldstart_dynaq.demand import discretized_gamma, sample, synthesize_history
 from coldstart_dynaq.env import (
     CostParams,
@@ -23,7 +24,6 @@ from coldstart_dynaq.env import (
 from coldstart_dynaq.envmodel import EnvModel
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import (
-    QTable,
     greedy_policy,
     load_qtable,
     q_update,
@@ -34,55 +34,56 @@ from coldstart_dynaq.schedule import StcSchedule, constant
 from coldstart_dynaq.wordstream import WordStream
 
 
-def make_q(n_states=3, n_actions=3, alpha=0.3, gamma=0.9):
-    return QTable(n_states, n_actions, alpha, gamma)
+ALPHA, GAMMA = 0.3, 0.9
+
+
+def make_q(n_states=3, n_actions=3):
+    """A fresh Q-table: list rows of zeros."""
+    return [[0.0] * n_actions for _ in range(n_states)]
 
 
 def rows_and_mins(q):
     """q's own list rows, which q_update updates in place, and each row's minimum."""
-    return q.rows, [min(row) for row in q.rows]
+    return q, [min(row) for row in q]
 
 
 class TestQUpdate:
     def test_single_step_from_zero(self):
         q = make_q()
-        q_update(*rows_and_mins(q), [(0, 1, 2, 2.0)], q.alpha, q.gamma)
-        assert q.rows[0][1] == pytest.approx(0.6)
+        q_update(*rows_and_mins(q), [(0, 1, 2, 2.0)], ALPHA, GAMMA)
+        assert q[0][1] == pytest.approx(0.6)
 
     def test_zero_cost_fixed_point(self):
         q = make_q()
-        q_update(*rows_and_mins(q), [(0, 0, 1, 0.0)], q.alpha, q.gamma)
-        assert q.rows[0][0] == 0.0
+        q_update(*rows_and_mins(q), [(0, 0, 1, 0.0)], ALPHA, GAMMA)
+        assert q[0][0] == 0.0
 
     def test_hand_evaluation(self):
         q = make_q()
-        q.rows[0][0] = 1.0
-        q.rows[1] = [1.0] * 3
-        q_update(*rows_and_mins(q), [(0, 0, 1, 0.1)], q.alpha, q.gamma)
-        assert q.rows[0][0] == pytest.approx(1.0)
+        q[0][0] = 1.0
+        q[1] = [1.0] * 3
+        q_update(*rows_and_mins(q), [(0, 0, 1, 0.1)], ALPHA, GAMMA)
+        assert q[0][0] == pytest.approx(1.0)
 
     def test_only_target_entry_changes(self):
-        q = make_q()
-        q.rows = np.arange(9).reshape(3, 3).astype(float).tolist()
-        before = q.values
-        rows, mins = rows_and_mins(q)
-        q_update(rows, mins, [(1, 2, 0, 3.0)], q.alpha, q.gamma)
+        q = np.arange(9).reshape(3, 3).astype(float).tolist()
+        before = np.array(q)
+        q_update(*rows_and_mins(q), [(1, 2, 0, 3.0)], ALPHA, GAMMA)
         mask = np.ones_like(before, dtype=bool)
         mask[1, 2] = False
-        assert np.array_equal(q.values[mask], before[mask])
+        assert np.array_equal(np.array(q)[mask], before[mask])
 
     def test_non_finite_cost(self):
         q = make_q()
         with pytest.raises(ValueError):
-            q_update(*rows_and_mins(q), [(0, 0, 1, float("nan"))], q.alpha, q.gamma)
+            q_update(*rows_and_mins(q), [(0, 0, 1, float("nan"))], ALPHA, GAMMA)
         # within a burst: the transitions before the bad one have landed,
         # and its own entry and the ones after it are unchanged
         for bad in (float("nan"), float("inf"), -float("inf")):
-            q = make_q()
-            rows, mins = rows_and_mins(q)
+            rows, mins = rows_and_mins(make_q())
             with pytest.raises(ValueError):
                 q_update(rows, mins, [(0, 1, 2, 2.0), (1, 0, 0, 1.0), (2, 2, 1, bad),
-                                      (2, 0, 1, 4.0)], q.alpha, q.gamma)
+                                      (2, 0, 1, 4.0)], ALPHA, GAMMA)
             assert rows[0][1] == pytest.approx(0.6)
             assert rows[1][0] == pytest.approx(0.3)
             assert rows[2] == [0.0, 0.0, 0.0]
@@ -126,13 +127,10 @@ class TestSelectAction:
 
 class TestGreedyPolicy:
     def test_single_state(self):
-        q = make_q(1, 2)
-        q.rows[0] = [2.0, 1.0]
-        assert greedy_policy(q)[0] == 1
+        assert greedy_policy([[2.0, 1.0]]) == [1]
 
     def test_all_equal_picks_lowest_index(self):
-        q = make_q(4, 3)
-        assert list(greedy_policy(q)) == [0, 0, 0, 0]
+        assert greedy_policy(make_q(4, 3)) == [0, 0, 0, 0]
 
     def test_matches_value_iteration_on_toy_mdp(self):
         # 2 states, 2 actions, deterministic: action 0 stays (cost 1 in s0,
@@ -146,15 +144,35 @@ class TestGreedyPolicy:
             v = np.min(costs + gamma * v[nxt], axis=1)
         oracle = np.argmin(costs + gamma * v[nxt], axis=1)
 
-        q = QTable(2, 2, 0.5, gamma)
-        rows, mins = rows_and_mins(q)
+        rows, mins = rows_and_mins(make_q(2, 2))
         rng = np.random.default_rng(4)
         s = 0
         for _ in range(20000):
             a = select_action(rows[s], 0.3, rng)
-            q_update(rows, mins, [(s, a, nxt[s, a], costs[s, a])], q.alpha, q.gamma)
+            q_update(rows, mins, [(s, a, nxt[s, a], costs[s, a])], 0.5, gamma)
             s = nxt[s, a]
-        assert np.array_equal(greedy_policy(q), oracle)
+        assert greedy_policy(rows) == oracle.tolist()
+
+    def test_trained_table_matches_numpy_argmin(self):
+        # a short Dyna-Q run on the table1 spec leaves most rows all ties
+        spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
+        eps, plan = bench.schedules(params, "dyna-q")
+        config = agents.AgentConfig(params.alpha, params.gamma, eps, plan,
+                                    horizon=spec.horizon, episodes=3)
+        q = agents.train(config, spec.true_demand(), spec.spaces(), spec.initial_state).q
+        assert sum(len(set(row)) == 1 for row in q) > len(q) // 2
+        assert greedy_policy(q) == np.argmin(np.array(q), axis=1).tolist()
+
+
+# entries that tie, signed zeros and magnitudes far apart
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, 1e300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 11).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=1, max_size=20)))
+def test_greedy_policy_takes_numpy_argmins_tie_rule(rows):
+    assert greedy_policy(rows) == np.argmin(np.array(rows), axis=1).tolist()
 
 
 def numpy_q_update(values, s, a, cost, s_next, alpha, gamma):
@@ -177,8 +195,7 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
     # greedy ties common, and raise their tied minimum entry by entry;
     # epsilon is 0, 1 or uniform in between
     n_states, n_actions, steps = 12, 11, 100_000
-    q = QTable(n_states, n_actions, 0.3, 0.9)
-    rows, mins = rows_and_mins(q)
+    rows, mins = rows_and_mins(make_q(n_states, n_actions))
     ref = np.zeros((n_states, n_actions))
     ref_rng, row_rng = np.random.default_rng(7), np.random.default_rng(7)
     plan = np.random.default_rng(8)
@@ -197,10 +214,10 @@ def test_rows_match_the_numpy_reference_bit_for_bit():
         ties += eps == 0.0 and rows[s].count(min(rows[s])) > 1
         a = numpy_select_action(ref, s, eps, ref_rng)
         ref_actions.append(a)
-        numpy_q_update(ref, s, a, cost, s_next, q.alpha, q.gamma)
+        numpy_q_update(ref, s, a, cost, s_next, ALPHA, GAMMA)
         a = select_action(rows[s], eps, row_rng)
         row_actions.append(a)
-        q_update(rows, mins, [(s, a, s_next, cost)], q.alpha, q.gamma)
+        q_update(rows, mins, [(s, a, s_next, cost)], ALPHA, GAMMA)
     assert ties > steps // 20
     assert row_actions == ref_actions
     assert np.array(rows).tobytes() == ref.tobytes()
@@ -277,10 +294,9 @@ def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn
 
     monkeypatch.setattr(agents, "q_update", keeping_update)
     learner = learn()
-    assert updated and all(rows is learner.q.rows for rows in updated)
+    assert updated and all(rows is learner.q for rows in updated)
     assert not hasattr(learner, "rows") and not hasattr(learner, "finish")
-    assert learner.q.values.any()
-    assert learner.q.values.tobytes() == np.array(learner.q.rows).tobytes()
+    assert any(any(row) for row in learner.q)
 
 
 def test_learner_q_is_current_after_every_step(monkeypatch):
@@ -292,22 +308,22 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
         return bursts[-1]
 
     monkeypatch.setattr(agents, "plan", keeping_plan)
-    q = QTable(num_states(SPACES.s_max), num_actions(SPACES.a_max), 0.3, 0.9)
-    ref = np.zeros(q.shape)
+    q = make_q(num_states(SPACES.s_max), num_actions(SPACES.a_max))
+    ref = np.zeros((len(q), len(q[0])))
     demands = sample(DEMAND, np.random.default_rng(3), 20)
     steps = 0
     with (WordStream(np.random.default_rng(1)) as explore,
           WordStream(np.random.default_rng(2)) as planning):
-        learner = agents.Learner(q, EnvModel(SPACES), constant(0.4), constant(5.0),
-                                 explore, planning)
+        learner = agents.Learner(q, EnvModel(SPACES), ALPHA, GAMMA, constant(0.4),
+                                 constant(5.0), explore, planning)
 
         def learn(s, a, s_next, cost):
             nonlocal steps
             learner.learn(s, a, s_next, cost)
-            numpy_q_update(ref, s, a, cost, s_next, q.alpha, q.gamma)
+            numpy_q_update(ref, s, a, cost, s_next, ALPHA, GAMMA)
             for ps, pa, sim_next, sim_cost in bursts.pop():
-                numpy_q_update(ref, ps, pa, sim_cost, sim_next, q.alpha, q.gamma)
-            assert np.array(learner.q.rows).tobytes() == ref.tobytes()
+                numpy_q_update(ref, ps, pa, sim_cost, sim_next, ALPHA, GAMMA)
+            assert np.array(learner.q).tobytes() == ref.tobytes()
             steps += 1
 
         agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5), 10), demands,
@@ -316,30 +332,22 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
     monkeypatch.undo()
     # a transfer configuration learns on a copy of the warm start's rows
     warm = _warm_start()
-    before = [row[:] for row in warm.q.rows]
+    before = [row[:] for row in warm.q]
     assert any(any(row) for row in before)
     config = agents.AgentConfig(planning_schedule=StcSchedule(10.0, 2.0, 500.0), warm_start=warm,
                                 horizon=30, episodes=1)
     trained = agents.train(config, DEMAND, SPACES, InventoryState(0, 0, 5))
-    assert trained.q.rows != before
-    assert warm.q.rows == before
-
-
-def test_values_is_read_only():
-    # a write into the array built from the rows would be lost
-    q = make_q()
-    with pytest.raises(ValueError):
-        q.values[0, 0] = 1.0
+    assert trained.q != before
+    assert warm.q == before
 
 
 def test_serialization_round_trip(tmp_path):
-    q = make_q(4, 3)
-    q.rows = np.random.default_rng(5).normal(size=(4, 3)).tolist()
+    q = np.random.default_rng(5).normal(size=(4, 3)).tolist()
     path = tmp_path / "q.json"
-    save_qtable(q, path)
-    loaded = load_qtable(path)
-    assert loaded.alpha == q.alpha and loaded.gamma == q.gamma
-    assert np.array_equal(loaded.values, q.values)
+    save_qtable(q, ALPHA, GAMMA, path)
+    payload = json.loads(path.read_text())
+    assert (payload["shape"], payload["alpha"], payload["gamma"]) == ([4, 3], ALPHA, GAMMA)
+    assert load_qtable(path) == q
 
 
 def test_load_builds_float_rows(tmp_path):
@@ -348,11 +356,11 @@ def test_load_builds_float_rows(tmp_path):
     path.write_text(json.dumps(
         {"shape": [2, 3], "alpha": 0.3, "gamma": 0.9, "values": [0, 1, 2.5, -3, 4, 0.25]}))
     q = load_qtable(path)
-    assert q.rows == [[0.0, 1.0, 2.5], [-3.0, 4.0, 0.25]]
-    assert all(type(v) is float for row in q.rows for v in row)
+    assert q == [[0.0, 1.0, 2.5], [-3.0, 4.0, 0.25]]
+    assert all(type(v) is float for row in q for v in row)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    save_qtable(q, first)
-    save_qtable(load_qtable(first), second)
+    save_qtable(q, ALPHA, GAMMA, first)
+    save_qtable(load_qtable(first), ALPHA, GAMMA, second)
     assert first.read_bytes() == second.read_bytes()
     assert '"values": [0.0, 1.0, 2.5, -3.0, 4.0, 0.25]' in first.read_text()
 
@@ -361,9 +369,9 @@ def test_load_builds_float_rows(tmp_path):
 def test_load_refuses_non_finite_values(tmp_path, bad):
     # argmin would pick a NaN entry's action, so such a table must not load
     q = make_q(4, 3)
-    q.rows[2][1] = bad
+    q[2][1] = bad
     path = tmp_path / "q.json"
-    save_qtable(q, path)
+    save_qtable(q, ALPHA, GAMMA, path)
     with pytest.raises(DomainError):
         load_qtable(path)
 
@@ -377,8 +385,24 @@ def test_load_refuses_unreadable_json_naming_the_file(tmp_path, text):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("key, value", [("alpha", 0), ("alpha", 1), ("alpha", 1.5), ("gamma", 1.0)])
+def test_load_refuses_learning_params_out_of_range_naming_the_file(tmp_path, key, value):
+    # an alpha or gamma out of (0, 1) gave the one error line that left out the file
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(
+        {"shape": [3, 3], "alpha": 0.3, "gamma": 0.9, "values": [0.0] * 9, key: value}))
+    with pytest.raises(DomainError,
+                       match=rf"^{re.escape(str(path))}: {key} must be in \(0,1\), got {value}$"):
+        load_qtable(path)
+
+
 def test_invalid_learning_params():
-    with pytest.raises(ValueError):
-        QTable(2, 2, 0.0, 0.9)
-    with pytest.raises(ValueError):
-        QTable(2, 2, 0.5, 1.0)
+    # the learner that uses alpha and gamma is the one place they are checked
+    def learner(alpha, gamma):
+        return agents.Learner(make_q(), EnvModel(SPACES), alpha, gamma, constant(0.4),
+                              constant(0.0), None)
+
+    with pytest.raises(ValueError, match=r"^alpha must be in \(0,1\), got 0.0$"):
+        learner(0.0, 0.9)
+    with pytest.raises(ValueError, match=r"^gamma must be in \(0,1\), got 1.0$"):
+        learner(0.5, 1.0)
