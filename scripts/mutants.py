@@ -236,6 +236,22 @@ MUTANTS = {
             for variant in ("tabular", "det-net", "mc-dropout")
         ],
     ),
+    # a warm start's model copy keeps a copy of the warm start's generator,
+    # so a transfer configuration's MC-dropout masks are not its own stream's
+    "copy-keeps-model-generator": (
+        ENVMODEL,
+        " | {id(self.rng): rng}",
+        "",
+        [
+            "tests/test_nn.py::"
+            "test_model_copy_trains_on_its_own_generator_and_copies_only_adam_moments",
+            *(
+                "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
+                f"[{experiment}-mc-dropout-learned]"
+                for experiment in ("scenario1", "scenario2")
+            ),
+        ],
+    ),
     # an episode's total is the correctly rounded sum of its days, as
     # Python 3.12's compensated sum() comes close to, not left-to-right addition
     "episode-total-compensated": (

@@ -7,7 +7,9 @@ file, train, evaluate and forecast, and table1 on demand moments that
 drive each branch of the Gamma CDF. It lists each function defined in
 src/ that none of them entered, and exits non-zero if one is not on
 ALLOWED, if a name on ALLOWED is entered or gone, or if benchmarks/run.py
-does not use it.
+does not use it. For information only, it also prints, per entered
+function, the first line of each statement no command ran whose enclosing
+block ran; most are input checks.
 
     python scripts/reach.py
 """
@@ -52,7 +54,7 @@ MOMENTS = ({"mu": 5.0, "sigma2": 0.5}, {"mu": 0.38, "sigma2": 0.18})
 
 
 def functions(path: Path) -> dict:
-    """Each function defined in path, by (first line, name), to its qualified name."""
+    """Each function defined in path, by (first line, name), to its code object."""
     found = {}
     todo = [compile(path.read_text(), str(path), "exec")]
     while todo:
@@ -62,8 +64,51 @@ def functions(path: Path) -> dict:
                 todo.append(const)
                 # a class body runs at import; a lambda or comprehension is part of a function
                 if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
-                    found[const.co_firstlineno, const.co_name] = const.co_qualname
+                    found[const.co_firstlineno, const.co_name] = const
     return found
+
+
+def unrun(body: list, code_lines: set, ran: set) -> list:
+    """The first lines of the statements in body that did not run, and of
+    those in the blocks of each that did. A statement ran if a line of it
+    did; one with no instruction, such as a docstring, is passed over."""
+    out = []
+    for stmt in body:
+        span = set(range(stmt.lineno, stmt.end_lineno + 1))
+        if not span & code_lines:
+            continue
+        if not span & ran:
+            out.append(stmt.lineno)
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue  # a nested function is a function of its own
+        blocks = [
+            value for _, value in ast.iter_fields(stmt)
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt)
+        ]
+        # an except clause or a match case holds a block of its own
+        clauses = (*getattr(stmt, "handlers", ()), *getattr(stmt, "cases", ()))
+        blocks += [clause.body for clause in clauses]
+        for block in blocks:
+            out += unrun(block, code_lines, ran)
+    return out
+
+
+def unrun_statements(path: Path, found: dict, entered: set, ran: set) -> dict:
+    """Each function of path that a command entered, by qualified name, to the
+    first lines of its statements that no command ran (see unrun)."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        code = found.get((first, node.name))
+        if code is None or (str(path), first, node.name) not in entered:
+            continue
+        lines = unrun(node.body, {line for *_, line in code.co_lines()}, ran)
+        if lines:
+            out[code.co_qualname] = sorted(lines)
+    return out
 
 
 def benchmark_names(path: Path) -> set:
@@ -114,12 +159,18 @@ def run_commands(tmp: Path) -> None:
 
 def main() -> int:
     package = SRC / "coldstart_dynaq"
-    entered = set()
+    entered, ran = set(), set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return on_line
 
     def tracer(frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(str(package)):
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+            return on_line
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(tracer)
@@ -137,16 +188,20 @@ def main() -> int:
         allowed = ALLOWED.get(path.name, set())
         found = functions(path)
         missed = {
-            qualname for (line, name), qualname in found.items()
+            code.co_qualname for (line, name), code in found.items()
             if (str(path), line, name) not in entered
         }
         for qualname in sorted(missed - allowed):
             bad.append(f"{path.name}: {qualname} is entered by no command")
         for qualname in sorted(allowed - missed):
-            state = "entered" if qualname in found.values() else "gone"
+            state = "entered" if qualname in {c.co_qualname for c in found.values()} else "gone"
             bad.append(f"{path.name}: {qualname} is allowed but {state}; take it off ALLOWED")
         if missed & allowed:
             print(f"{path.name}: allowed unreached: {', '.join(sorted(missed & allowed))}")
+        ran_here = {line for file, line in ran if file == str(path)}
+        for qualname, lines in unrun_statements(path, found, entered, ran_here).items():
+            listed = ", ".join(map(str, lines))
+            print(f"{path.name}: {qualname}: statements no command ran: {listed}")
     for line in bad:
         print(f"error: {line}")
     return 1 if bad else 0

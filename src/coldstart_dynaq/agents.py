@@ -6,10 +6,10 @@ exploration and planning constant, and adjusted Dyna-Q decays both with a
 search-then-convergence schedule of the global environment-step counter.
 bench names the algorithms and builds their schedules. An optional warm
 start, a Learner pre-trained on forecasted demand, replaces the zero
-Q-table and empty model with copies of its own; the learning rate and
-discount are always the config's. Only a learner whose model is read
-fits it: Q-learning without an observer leaves its model as it was
-built, or as the warm start's copy.
+Q-table and empty model with copies of its own, the model's on the run's
+dropout stream; the learning rate and discount are always the config's.
+Only a learner whose model is read fits it: Q-learning without an
+observer leaves its model as it was built, or as the warm start's copy.
 
 Randomness is split into four independent streams (environment demand,
 exploration, planning and network dropout), so planning depth never
@@ -208,17 +208,16 @@ def train(
         raise DomainError(f"a warm start's {warm.model.variant} model over {warm.model.spaces} "
                           f"cannot seed a {config.model_variant} model over {spaces}")
     ss = np.random.SeedSequence(config.seed)
-    env_rng, explore_rng, plan_rng, model_rng = (
+    env_rng, explore_rng, plan_rng, dropout_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
     if warm is not None:
         q = [row[:] for row in warm.q]
-        model = warm.model.copy()
-        model.rng = model_rng
+        model = warm.model.copy(dropout_rng)
     else:
         # every entry of a fresh table is the one float 0.0
         q = [[0.0] * num_actions(spaces.a_max) for _ in range(num_states(spaces.s_max))]
-        model = EnvModel(spaces, variant=config.model_variant, rng=model_rng)
+        model = EnvModel(spaces, variant=config.model_variant, rng=dropout_rng)
     tables = _tables(spaces, q, true_demand)
     s0 = state_index(initial_state, spaces.s_max)
     with WordStream(explore_rng) as explore, WordStream(plan_rng) as planning:

@@ -38,6 +38,7 @@ file for inspection with numpy.load; nothing in the package reads it back.
 
 import json
 from bisect import bisect_right
+from copy import deepcopy
 from itertools import accumulate
 
 import numpy as np
@@ -138,14 +139,12 @@ class EnvModel:
             [s // (n * n) / sp.s_max, s // n % n / sp.s_max, s % n / sp.s_max, a / sp.a_max]
         )
 
-    def copy(self) -> "EnvModel":
-        import copy as _copy
-
-        # the day tables, the next-state rows cut from them and the encoded
-        # inputs are shared and read-only
-        memo = {id(row): row for row in (*self.next_rows, *self.inputs)}
-        memo[id(self.tables)] = self.tables
-        return _copy.deepcopy(self, memo)
+    def copy(self, rng: np.random.Generator | None) -> "EnvModel":
+        """What this model has learned, in a model whose nets train on rng."""
+        # the copy shares what no update writes; a tabular model built without
+        # a generator holds no None but its rng, which maps to rng alone
+        shared = (self.spaces, self.tables, *self.pairs, *self.next_rows, *self.inputs)
+        return deepcopy(self, {id(x): x for x in shared} | {id(self.rng): rng})
 
 
 def _slot(m: EnvModel, s: int, a: int) -> int:

@@ -145,9 +145,9 @@ def build_warm_start(
     if offline.quantities.max() > spaces.d_max:
         raise DomainError(f"offline demand exceeds d_max {spaces.d_max}")
     ss = np.random.SeedSequence(seed)
-    explore_rng, model_rng = (np.random.default_rng(c) for c in ss.spawn(2))
+    explore_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     q = [[0.0] * num_actions(spaces.a_max) for _ in range(num_states(spaces.s_max))]
-    model = EnvModel(spaces, variant=model_variant, rng=model_rng)
+    model = EnvModel(spaces, variant=model_variant, rng=dropout_rng)
     s0 = state_index(initial_state, spaces.s_max)
     tables, demands = day_tables(spaces), offline.quantities.tolist()
     with WordStream(explore_rng) as explore:

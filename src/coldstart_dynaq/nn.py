@@ -22,8 +22,9 @@ needs beside it, so a net holds none of it once its optimiser is gone:
   pass overwrites with its ReLU gate and gradient, and the dropout
   uniforms, which become the masks. Every step at that size reuses them.
 
-A copy or an unpickled net or optimiser rebuilds its views on its own
-copied vector, and an optimiser its buffers afresh.
+A copy or an unpickled net rebuilds its views on its own copied vector.
+An optimiser copies only its step count and moments, and builds its
+gradient, the gradient's views and its buffers afresh.
 
 Dropout masks come from uniform doubles u as (u < keep) / keep, so the
 order of the draws pins every result:
@@ -114,28 +115,28 @@ class AdamState:
     """Adam (Kingma & Ba 2015) over net.flat, and the net's training state.
 
     m and v are the rows of `moments`; grad is the gradient, with grads
-    its views, the weights' then the biases'; `_step_buffers` maps a
-    batch size to its step buffers. apply matches a per-array update bit
-    for bit.
+    its views, the weights' then the biases'; `_scratch` is apply's
+    working space; `_step_buffers` maps a batch size to its step buffers.
+    apply matches a per-array update bit for bit. A copy or a pickle holds
+    the step count, the layer sizes and the moments alone: every step
+    writes the gradient and the buffers before it reads them.
     """
 
     def __init__(self, net: Network):
         self.step_count = 0
         self._sizes = list(net.sizes)
         self.moments = np.zeros((2, net.flat.size))
-        self.grad = np.zeros(net.flat.size)
-        self._scratch = np.empty((2, net.flat.size))
         self._attach()
 
     def _attach(self) -> None:
+        self.grad = np.zeros(self.moments.shape[1])
         self.grads = sum(_views(self._sizes, self.grad), [])
+        self._scratch = np.empty(self.moments.shape)
         self._step_buffers = {}
 
     def __getstate__(self) -> dict:
-        # deepcopy and pickle would copy each gradient view on its own,
-        # detached from the copied grad; __setstate__ rebuilds them on it,
-        # and the step buffers afresh
-        return {k: v for k, v in self.__dict__.items() if k not in ("grads", "_step_buffers")}
+        # __setstate__ builds the gradient, its views and the buffers afresh
+        return {k: self.__dict__[k] for k in ("step_count", "_sizes", "moments")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -253,9 +253,9 @@ def test_probe_does_not_change_training(variant):
 
 
 def built_model(config, variant):
-    """The model train builds for config, before any step: from spawn child 3, model_rng."""
-    model_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
-    return EnvModel(SPACES, variant=variant, rng=model_rng)
+    """The model train builds for config, before any step: from spawn child 3, dropout_rng."""
+    dropout_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
+    return EnvModel(SPACES, variant=variant, rng=dropout_rng)
 
 
 @pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])

@@ -222,7 +222,7 @@ class TestTabularUpdate:
         for d in (2, 7):
             observe_table(m, 40, 3, d)
         before = list(m.cost_means)
-        c = m.copy()
+        c = m.copy(None)
         assert c.cost_means == before and c.cost_means is not m.cost_means
         c.cost_means[0] = 99.0
         observe_table(c, 40, 3, 9)
@@ -627,7 +627,7 @@ class TestDetNetReads:
     def test_copy_keeps_its_own_reads(self):
         m = self.trained(21)
         before = self.predictions(m)
-        c = m.copy()
+        c = m.copy(np.random.default_rng(26))
         s, a = self.PAIRS[1]
         observe_table(c, s, a, 9)
         self.assert_same(self.predictions(m), before)

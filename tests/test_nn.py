@@ -295,20 +295,48 @@ def test_copied_env_model_trains_like_the_original(variant):
                           rng=np.random.default_rng(0))
     days = np.random.default_rng(1).integers(0, [1331, 11, 11], size=(100, 3)).tolist()
 
-    def train(model, rng, days):
-        model.rng = rng
+    def train(model, days):
         for s, a, d in days:
             envmodel.model_update(model, s, a, *day_of(model.tables, s, a, d))
 
-    train(m, np.random.default_rng(2), days[:50])
-    c = m.copy()
-    train(m, np.random.default_rng(3), days[50:])
-    train(c, np.random.default_rng(3), days[50:])
+    train(m, days[:50])
+    c = m.copy(np.random.default_rng(3))
+    m.rng = np.random.default_rng(3)
+    train(m, days[50:])
+    train(c, days[50:])
     for net in ("transition_net", "cost_net"):
         for p, q in zip(parameters(getattr(m, net)), parameters(getattr(c, net))):
             assert p is not q and np.array_equal(p, q)
     for adam in ("transition_adam", "cost_adam"):
         assert np.array_equal(getattr(m, adam).moments, getattr(c, adam).moments)
+
+
+@pytest.mark.parametrize("variant", ["tabular", "det-net", "mc-dropout"])
+def test_model_copy_trains_on_its_own_generator_and_copies_only_adam_moments(variant):
+    # a tabular model may be built without a generator, a neural one may not
+    rng = None if variant == "tabular" else np.random.default_rng(0)
+    m = envmodel.EnvModel(ModelSpaces(CostParams(), 10, 10, 10), variant=variant, rng=rng)
+    for s, a, d in np.random.default_rng(1).integers(0, [1331, 11, 11], size=(30, 3)).tolist():
+        envmodel.model_update(m, s, a, *day_of(m.tables, s, a, d))
+    copy_rng = np.random.default_rng(2)
+    c = m.copy(copy_rng)
+    assert c.rng is copy_rng and m.rng is rng
+    # no other attribute of the copy took the generator's place
+    assert {k for k, v in vars(c).items() if v is copy_rng} == {"rng"}
+    if variant == "tabular":
+        assert c.cost_means == m.cost_means and c.pairs == m.pairs
+        return
+    for name in ("transition_adam", "cost_adam"):
+        adam, twin = getattr(m, name), getattr(c, name)
+        assert twin.step_count == adam.step_count == 30
+        assert np.array_equal(twin.moments, adam.moments)
+        for attr in ("moments", "grad", "_scratch"):
+            assert not np.shares_memory(getattr(twin, attr), getattr(adam, attr))
+        # a pickle carries the moments (2N doubles) but not the gradient and
+        # apply's working space (3N doubles)
+        data = pickle.dumps(adam)
+        assert np.array_equal(pickle.loads(data).moments, adam.moments)
+        assert adam.moments.nbytes < len(data) < adam.moments.nbytes + adam.grad.nbytes
 
 
 def trained_model_and_inputs(variant, rows):
