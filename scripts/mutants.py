@@ -157,6 +157,18 @@ MUTANTS = {
             "tests/test_agents.py::test_train_matches_the_reference_learner",
         ],
     ),
+    # a tabular planning burst keeps a row's cached minimum when the entry
+    # holding it rises; q_update's own copy of the rule is the one above
+    "planned-row-min-no-recompute": (
+        QCORE,
+        "        elif old == low < new:\n            mins[ps] = min(row)\n",
+        "",
+        [
+            "tests/test_envmodel.py::test_tabular_burst_on_one_visited_pair",
+            "tests/test_envmodel.py::test_plan_draws_as_the_per_pair_loop[tabular]",
+            "tests/test_agents.py::test_train_matches_the_reference_learner",
+        ],
+    ),
     # a warm start's copied Q-table hands out the same row lists, so a
     # transfer configuration trains the warm start's own rows and the next
     # configuration of the replication starts from them

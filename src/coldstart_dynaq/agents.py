@@ -24,14 +24,15 @@ Generator, and an observer that draws keeps a generator of its own.
 
 Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), over a list of demands on state indices and the
-env's day tables. After each real step a Learner plans one burst,
-envmodel.plan, which draws the whole burst before it reads the model,
-and hands its simulated transitions to one q_update call, which applies
-them in draw order; the real step is a q_update call of its own. A
-Learner's Q-table is list rows, which it updates in place with each
-row's minimum beside them, so learner.q is current after every step, and
-a tabular model's per-step work is Python over the next-state rows it
-keeps per visited pair.
+env's day tables. After each real step, a q_update call of its own, a
+Learner plans one burst, which draws the whole burst before it reads the
+model. A tabular burst is one qcore.plan_tabular call, which applies each
+simulated transition as it reads it; a neural burst is envmodel.plan,
+whose transitions one q_update call applies in draw order. A Learner's
+Q-table is list rows, which it updates in place with each row's minimum
+beside them, so learner.q is current after every step, and a tabular
+model's per-step work is Python over the next-state rows it keeps per
+visited pair.
 """
 
 import time
@@ -51,7 +52,7 @@ from .env import (
     state_index,
 )
 from .envmodel import EnvModel, model_update, plan
-from .qcore import greedy_policy, q_update, select_action
+from .qcore import greedy_policy, plan_tabular, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 from .wordstream import WordStream
 
@@ -135,8 +136,9 @@ class Learner:
     its owner sets it.
 
     act and learn work on q's rows in place, and learn keeps mins, each
-    row's minimum, for q_update. They draw from the exploration and
-    planning WordStreams they are given; whoever opened those closes them.
+    row's minimum, for q_update and plan_tabular. They draw from the
+    exploration and planning WordStreams they are given; whoever opened
+    those closes them.
     A learner that plans nothing needs no planning stream.
     """
 
@@ -174,7 +176,10 @@ class Learner:
         q_update(rows, mins, ((s, a, s_next, cost),), alpha, gamma)
         if self.fits_model:
             model_update(model, s, a, s_next, cost)
-        q_update(rows, mins, plan(model, self.n_plan, self.plan_rng), alpha, gamma)
+        if model.variant == "tabular":
+            plan_tabular(model, self.n_plan, self.plan_rng, rows, mins, alpha, gamma)
+        else:
+            q_update(rows, mins, plan(model, self.n_plan, self.plan_rng), alpha, gamma)
         self.planning_steps += self.n_plan
         if self.observer is not None:
             self.observer(self, s, a, s_next, cost)

@@ -19,18 +19,19 @@ neural model encodes the pair's net input once, also as a list;
 recovering a demand then scans that row, a simulated next state is one
 list lookup, and a net's input rows are built from the encoded lists.
 
-Planning runs in bursts: plan(m, n, stream) returns the n transitions
-that n sample_visited and simulate calls would, from the same draws of
-one WordStream. A tabular or det-net burst takes all its draws in one
-WordStream.burst pass, and a tabular burst is then a Python loop over the
-cached rows and cost_means, each pair's mean cost, which model_update
-keeps (and save_model leaves out) so that no draw divides; an MC-dropout
-burst makes numpy's array draws on the generator the stream lends it.
-Both nets read through one stacked MC-dropout pass per net: a det-net
-burst reads its distinct pairs at once (its masks have width 0, so the
-pass is the deterministic forward), and an MC-dropout burst reads its
-pairs up to eight at a time. Every MC-dropout read averages MC_SAMPLES
-dropout passes.
+Planning runs in bursts: n sample_visited and simulate calls, made from
+the same draws of one WordStream. A neural model's burst is
+plan(m, n, stream), which returns its n transitions. A tabular burst is
+qcore.plan_tabular, which applies each transition to the Q-table as it
+reads it, from the cached rows and cost_means, each pair's mean cost,
+which model_update keeps (and save_model leaves out) so that no draw
+divides. A tabular or det-net burst takes all its draws in one
+WordStream.burst pass; an MC-dropout burst makes numpy's array draws on
+the generator the stream lends it. Both nets read through one stacked
+MC-dropout pass per net: a det-net burst reads its distinct pairs at
+once (its masks have width 0, so the pass is the deterministic forward),
+and an MC-dropout burst reads its pairs up to eight at a time. Every
+MC-dropout read averages MC_SAMPLES dropout passes.
 
 save_model writes a model's visit memory and learned numbers to an .npz
 file for inspection with numpy.load; nothing in the package reads it back.
@@ -316,18 +317,17 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
 
 
 def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, float]]:
-    """One planning burst: n simulated transitions (s, a, s_next, cost) in draw order.
+    """A neural model's burst: n simulated transitions (s, a, s_next, cost) in draw order.
 
     It draws what n sample_visited + simulate calls would, in their order.
     No draw depends on a prediction, and the weights do not change within a
     burst, so every pair and uniform comes first: each pair, then its demand
-    uniform, or for MC-dropout its row of simulate's uniforms. A tabular or
-    det-net burst takes its (pair, uniform) draws in one stream.burst pass.
-    A tabular model then reads each next state from the pair's cached row,
-    with no numpy call per step. A det-net reads the burst's distinct pairs
-    with one stacked pass per net. An MC-dropout burst draws on the
-    generator stream.borrow() lends it and reads the pairs _MC_CHUNK at a
-    time the same way.
+    uniform, or for MC-dropout its row of simulate's uniforms. A det-net
+    burst takes its (pair, uniform) draws in one stream.burst pass and reads
+    the burst's distinct pairs with one stacked pass per net. An MC-dropout
+    burst draws on the generator stream.borrow() lends it and reads the
+    pairs _MC_CHUNK at a time the same way. A tabular model plans through
+    qcore.plan_tabular.
     """
     if not n:
         return []
@@ -348,15 +348,7 @@ def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, f
                     rng.random(out=row)
                 burst += _neural_outcomes(m, slots, rows)
         return burst
-    draws = stream.burst(len(m.pairs), n)
-    if m.variant == "tabular":
-        pairs, next_rows, cdf, means = m.pairs, m.next_rows, m.demand_cdf, m.cost_means
-        burst = []
-        for i, u in draws:
-            s, a = pairs[i]
-            burst.append((s, a, next_rows[i][bisect_right(cdf, u)], means[i]))
-        return burst
-    slots, us = zip(*draws)
+    slots, us = stream.burst(len(m.pairs), n)
     return _neural_outcomes(m, slots, np.array(us)[:, None])
 
 

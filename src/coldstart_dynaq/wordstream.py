@@ -16,12 +16,13 @@ random_raw and next_double never touch the cached half. The one hot-loop
 function that takes an rng, qcore.select_action, calls only these two,
 so it takes a stream in place of a Generator; demand draws are one
 rng.random(n) call per episode and need no stream.
-burst(k, n) returns a planning burst's n (integers(k), random()) draws
-in one pass with the same arithmetic inline; envmodel.plan takes every
-tabular and det-net planning draw from it. A burst of _VECTOR_MIN pairs
-or more does that arithmetic with numpy uint64 operations over one block
-of words, in the same interleaving, and goes back to the Python loop
-over those same words if any of its draws is rejected. borrow() lends
+burst(k, n) returns a planning burst's n integers(k) draws and the n
+random() draws interleaved with them, as two lists, in one pass with the
+same arithmetic inline; every tabular and det-net planning draw comes
+from it. A burst of _VECTOR_MIN pairs or more does that arithmetic with
+numpy uint64 operations over one block of words, in the same
+interleaving, and goes back to the Python loop over those same words if
+any of its draws is rejected. borrow() lends
 the generator itself for numpy's array draws, such as an MC-dropout
 burst's rows of uniforms, and the stream resumes where those draws left
 it.
@@ -112,10 +113,11 @@ class WordStream:
             if m & _LOW >= n or m & _LOW >= (_HALF - n) % n:
                 return m >> 32
 
-    def burst(self, k: int, n: int) -> list[tuple[int, float]]:
+    def burst(self, k: int, n: int) -> tuple[list[int], list[float]]:
         """n (integers(k), random()) draws, as n pairs of those calls would take them.
 
-        The same arithmetic as integers and random, inline: a planning burst
+        They come back as two lists, the indices and the uniforms. The
+        arithmetic is that of integers and random, inline: a planning burst
         takes its draws in one pass with no method call per draw. A burst of
         _VECTOR_MIN pairs or more computes them from one block of words with
         numpy (_vector_pairs); the scalar loop serves shorter bursts, a
@@ -124,23 +126,23 @@ class WordStream:
         if not 1 <= k <= _HALF:
             raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {k}")
         if k == 1:
-            return [(0, self.random()) for _ in range(n)]
+            return [0] * n, [self.random() for _ in range(n)]
         # a low half at or above this settles Lemire's draw (see integers)
         floor = (_HALF - k) % k
-        out = []
+        indices, uniforms = [], []
         if n >= _VECTOR_MIN:
             if self._cached:
-                out = self._scalar_pairs(k, 1, floor)
+                self._scalar_pairs(k, 1, floor, indices, uniforms)
             if not self._cached:
-                out += self._vector_pairs(k, n - len(out), floor)
-        out += self._scalar_pairs(k, n - len(out), floor)
-        return out
+                self._vector_pairs(k, n - len(indices), floor, indices, uniforms)
+        self._scalar_pairs(k, n - len(indices), floor, indices, uniforms)
+        return indices, uniforms
 
-    def _scalar_pairs(self, k: int, n: int, floor: int) -> list[tuple[int, float]]:
+    def _scalar_pairs(self, k: int, n: int, floor: int, indices: list, uniforms: list) -> None:
         words, refill = self._words, self._refill
         pop = words.pop
+        add_index, add_uniform = indices.append, uniforms.append
         cached, half = self._cached, self._half
-        out = []
         for _ in range(n):
             while True:
                 if cached:
@@ -153,19 +155,20 @@ class WordStream:
                 if m & _LOW >= floor:
                     break
             w = pop() if words else refill()
-            out.append((m >> 32, (w >> 11) * 2**-53))
+            add_index(m >> 32)
+            add_uniform((w >> 11) * 2**-53)
         self._cached, self._half = cached, half
-        return out
 
-    def _vector_pairs(self, k: int, n: int, floor: int) -> list[tuple[int, float]]:
+    def _vector_pairs(self, k: int, n: int, floor: int, indices: list, uniforms: list) -> None:
         """n pairs from no cached half, computed over one block of words; none if one rejects.
 
         With no rejection each two pairs take three words [I, R, R]: pair 2g
         takes I's low half and the first R, pair 2g+1 I's high half and the
         second R. An odd n ends on [I, R] and leaves I's high half cached.
         If any draw rejects, the block stays on the buffer, where it is the
-        next words to draw and the most recent ones drawn, and the empty
-        list tells the caller to take them with the scalar loop.
+        next words to draw and the most recent ones drawn, and the lists
+        stay as they are, for the caller to take those words with the
+        scalar loop.
         """
         need = (3 * n + 1) // 2
         words, raw = self._words, self._raw
@@ -186,14 +189,14 @@ class WordStream:
             if have < need:
                 self._raw = block
                 words[:] = block[::-1].tolist()
-            return []
+            return
         del words[-need:]
         self._cached, self._half = bool(n & 1), int(index_words[-1] >> _SHIFT_U64)
         uniform_words = np.empty(n, dtype=np.uint64)
         uniform_words[0::2] = block[1::3]
         uniform_words[1::2] = block[2::3]
-        uniforms = (uniform_words >> _MANTISSA_SHIFT_U64) * 2**-53
-        return list(zip((m >> _SHIFT_U64).tolist(), uniforms.tolist()))
+        indices += (m >> _SHIFT_U64).tolist()
+        uniforms += ((uniform_words >> _MANTISSA_SHIFT_U64) * 2**-53).tolist()
 
     def close(self) -> None:
         """Move the generator back over the unused words and hand back the cached half."""

@@ -35,7 +35,8 @@ from coldstart_dynaq.envmodel import (
     transition_pmf,
     transition_prob,
 )
-from coldstart_dynaq.wordstream import WordStream
+from coldstart_dynaq.qcore import plan_tabular, q_update
+from coldstart_dynaq.wordstream import _VECTOR_MIN, WordStream
 from helpers import day_of, draw_masks_reference, enumerate_states, forward_reference
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
@@ -376,23 +377,67 @@ def plan_reference(m, n, rng):
     return burst
 
 
+ALPHA, GAMMA = 0.3, 0.9
+
+
+def random_q(seed):
+    """Q rows over SPACES of distinct random entries, whose minima updates can raise, and mins."""
+    rows = np.random.default_rng(seed).random((num_states(10), 11)).tolist()
+    return rows, [min(row) for row in rows]
+
+
+def as_bytes(rows, mins):
+    return np.array(rows).tobytes(), np.array(mins).tobytes()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_plan_draws_as_the_per_pair_loop(variant):
+    # a tabular burst is applied as it is drawn: it must leave the Q rows and
+    # row minima that q_update leaves after the reference burst
     m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40))
     days = np.random.default_rng(41).integers(0, [1331, 11, 11], size=(60, 3)).tolist()
     for s, a, d in days[:30]:
         observe_table(m, s, a, d)
+    rows, mins = random_q(48)
+    want_rows, want_mins = random_q(48)
     seeds = np.random.SeedSequence(42).spawn(30)
     for (s, a, d), seed, n in zip(days[30:], seeds, [1, 2, 7, 100, 0, 250] * 5):
         observe_table(m, s, a, d)
         ref = rebuilt(m)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with WordStream(got_rng) as stream:
-            got = plan(m, n, stream)
+            if variant == "tabular":
+                plan_tabular(m, n, stream, rows, mins, ALPHA, GAMMA)
+            else:
+                got = plan(m, n, stream)
         # numpy's own per-pair draws: the stream must leave the generator where they do
         want = plan_reference(ref, n, want_rng)
-        assert got == want
+        if variant == "tabular":
+            q_update(want_rows, want_mins, want, ALPHA, GAMMA)
+            assert as_bytes(rows, mins) == as_bytes(want_rows, want_mins)
+        else:
+            assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_tabular_burst_on_one_visited_pair():
+    # one pair draws no index, and a burst this long would take the numpy
+    # block path for any other pair count; the pair's entry starts as its
+    # row's minimum, so the first update that raises it moves that minimum
+    m = EnvModel(SPACES)
+    for d in (2, 5, 2, 9):
+        observe_table(m, S, A, d)
+    rows, mins = random_q(49)
+    rows[S][A] = mins[S] = -1.0
+    want_rows, want_mins = [row[:] for row in rows], mins[:]
+    got_rng, want_rng = np.random.default_rng(50), np.random.default_rng(50)
+    with WordStream(got_rng) as stream:
+        plan_tabular(m, 2 * _VECTOR_MIN, stream, rows, mins, ALPHA, GAMMA)
+    q_update(want_rows, want_mins, plan_reference(rebuilt(m), 2 * _VECTOR_MIN, want_rng),
+             ALPHA, GAMMA)
+    assert mins[S] > -1.0
+    assert as_bytes(rows, mins) == as_bytes(want_rows, want_mins)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("variant", ["det-net", "mc-dropout"])
@@ -447,9 +492,16 @@ def test_empty_burst_on_an_empty_model(variant, wrapped):
     rng = np.random.default_rng(44)
     state = rng.bit_generator.state
     draws = WordStream(rng) if wrapped else rng
-    assert plan(m, 0, draws) == []
-    with pytest.raises(UnvisitedPairError):
-        plan(m, 1, draws)
+    if variant == "tabular":
+        rows, mins = random_q(45)
+        plan_tabular(m, 0, draws, rows, mins, ALPHA, GAMMA)
+        with pytest.raises(UnvisitedPairError):
+            plan_tabular(m, 1, draws, rows, mins, ALPHA, GAMMA)
+        assert as_bytes(rows, mins) == as_bytes(*random_q(45))
+    else:
+        assert plan(m, 0, draws) == []
+        with pytest.raises(UnvisitedPairError):
+            plan(m, 1, draws)
     if wrapped:
         draws.close()
     assert rng.bit_generator.state == state

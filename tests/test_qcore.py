@@ -21,7 +21,7 @@ from coldstart_dynaq.env import (
     num_states,
     state_index,
 )
-from coldstart_dynaq.envmodel import EnvModel
+from coldstart_dynaq.envmodel import EnvModel, sample_visited, simulate
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import (
     greedy_policy,
@@ -286,31 +286,31 @@ def _warm_start():
 def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn):
     # every update lands in the table's own rows, so a finished learner
     # holds no second copy and its q is the table it learned
-    updated, update = [], agents.q_update
+    updated, update, planned = [], agents.q_update, agents.plan_tabular
 
     def keeping_update(rows, *args):
         updated.append(rows)
         return update(rows, *args)
 
+    def keeping_plan(m, n, stream, rows, *args):
+        updated.append(rows)
+        return planned(m, n, stream, rows, *args)
+
     monkeypatch.setattr(agents, "q_update", keeping_update)
+    monkeypatch.setattr(agents, "plan_tabular", keeping_plan)
     learner = learn()
     assert updated and all(rows is learner.q for rows in updated)
     assert not hasattr(learner, "rows") and not hasattr(learner, "finish")
     assert any(any(row) for row in learner.q)
 
 
-def test_learner_q_is_current_after_every_step(monkeypatch):
-    # each step's real update, then its planned burst, as plan returned it
-    bursts, plan = [], agents.plan
-
-    def keeping_plan(*args):
-        bursts.append(plan(*args))
-        return bursts[-1]
-
-    monkeypatch.setattr(agents, "plan", keeping_plan)
+def test_learner_q_is_current_after_every_step():
+    # each step's real update, then its planned burst, drawn pair by pair
+    # with numpy on a generator of the planning stream's seed
     q = make_q(num_states(SPACES.s_max), num_actions(SPACES.a_max))
     ref = np.zeros((len(q), len(q[0])))
     demands = sample(DEMAND, np.random.default_rng(3), 20)
+    plan_ref = np.random.default_rng(2)
     steps = 0
     with (WordStream(np.random.default_rng(1)) as explore,
           WordStream(np.random.default_rng(2)) as planning):
@@ -321,7 +321,9 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
             nonlocal steps
             learner.learn(s, a, s_next, cost)
             numpy_q_update(ref, s, a, cost, s_next, ALPHA, GAMMA)
-            for ps, pa, sim_next, sim_cost in bursts.pop():
+            for _ in range(learner.n_plan):
+                ps, pa = sample_visited(learner.model, plan_ref)
+                sim_next, sim_cost = simulate(learner.model, ps, pa, plan_ref)
                 numpy_q_update(ref, ps, pa, sim_cost, sim_next, ALPHA, GAMMA)
             assert np.array(learner.q).tobytes() == ref.tobytes()
             steps += 1
@@ -329,7 +331,6 @@ def test_learner_q_is_current_after_every_step(monkeypatch):
         agents.rollout(day_tables(SPACES), state_index(InventoryState(0, 0, 5), 10), demands,
                        learner.act, learn)
     assert steps == 20 and learner.planning_steps == 100 and ref.any()
-    monkeypatch.undo()
     # a transfer configuration learns on a copy of the warm start's rows
     warm = _warm_start()
     before = [row[:] for row in warm.q]

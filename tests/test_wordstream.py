@@ -36,6 +36,15 @@ def test_stream_matches_numpy_draw_for_draw():
         assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
+def numpy_burst(rng, k: int, n: int) -> tuple[list[int], list[float]]:
+    """n interleaved rng.integers(k) and rng.random() draws, as burst's two lists."""
+    indices, uniforms = [], []
+    for _ in range(n):
+        indices.append(int(rng.integers(k)))
+        uniforms.append(rng.random())
+    return indices, uniforms
+
+
 # A burst of _VECTOR_MIN pairs or more is computed with numpy over one
 # block of words: the lengths around that switch take their block from the
 # buffered words, and a 300-step burst takes about 450 words, so its block
@@ -51,8 +60,7 @@ def test_burst_matches_interleaved_draws(k, cached):
         assert wrapped.integers(11) == ref.integers(11)
     with WordStream(wrapped) as stream:
         for n in (0, 1, 7, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 300, 100):
-            want = [(int(ref.integers(k)), ref.random()) for _ in range(n)]
-            assert stream.burst(k, n) == want
+            assert stream.burst(k, n) == numpy_burst(ref, k, n)
             # a scalar draw between bursts, from where the burst left off
             assert stream.integers(5) == ref.integers(5)
     assert wrapped.bit_generator.state == ref.bit_generator.state
@@ -78,7 +86,7 @@ def test_borrow_lends_the_generator_where_the_stream_left_it(cached):
         # the borrowed integers(300) left a cached half when it took a fresh word
         assert stream.integers(7) == ref.integers(7)
         assert stream.random() == ref.random()
-        assert stream.burst(11, 4) == [(int(ref.integers(11)), ref.random()) for _ in range(4)]
+        assert stream.burst(11, 4) == numpy_burst(ref, 11, 4)
     assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
