@@ -130,21 +130,39 @@ MUTANTS = {
             "tests/test_envmodel.py::test_planned_demand_is_drawn_from_the_normalised_pmf[mc-dropout]",
         ],
     ),
-    # a planning burst takes each pair index from the first 32-bit half,
-    # without Lemire's rejection
+    # a planning burst's rejected pair is drawn by integers(), which here
+    # keeps its first 32-bit half without Lemire's rejection
     "burst-no-rejection": (
         WORDSTREAM,
-        "                if m & _LOW >= floor:\n                    break\n",
-        "                break\n",
-        ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
+        "            if m & _LOW >= n or m & _LOW >= (_HALF - n) % n:\n",
+        "            if True:\n",
+        [
+            "tests/test_wordstream.py::test_stream_matches_numpy_draw_for_draw",
+            "tests/test_wordstream.py::test_burst_matches_interleaved_draws",
+            "tests/test_wordstream.py::test_any_interleaving_of_draws_matches_numpy",
+        ],
     ),
-    # a long burst's numpy block keeps every pair index without Lemire's
-    # rejection, where the scalar loop would draw again
-    "vector-burst-no-rejection": (
+    # a burst keeps every pair index of its slice of the pair cache without
+    # Lemire's rejection, where integers() would draw again
+    "burst-slice-no-rejection": (
         WORDSTREAM,
-        "        if ((m & _LOW_U64) < floor).any():\n",
-        "        if False:\n",
-        ["tests/test_wordstream.py::test_burst_matches_interleaved_draws"],
+        "            rejected = floor and low.min() < floor\n",
+        "            rejected = False\n",
+        [
+            "tests/test_wordstream.py::test_burst_matches_interleaved_draws",
+            "tests/test_wordstream.py::test_any_interleaving_of_draws_matches_numpy",
+        ],
+    ),
+    # a stream that leaves the pair cache after an odd number of pairs drops
+    # the pending high half, so the next 32-bit draw takes a fresh word
+    "unpair-drops-pending-half": (
+        WORDSTREAM,
+        "                self._cached, self._half = True, int(self._halves[pos])\n",
+        "                self._cached = False\n",
+        [
+            "tests/test_wordstream.py::test_burst_matches_interleaved_draws",
+            "tests/test_wordstream.py::test_any_interleaving_of_draws_matches_numpy",
+        ],
     ),
     # q_update keeps a row's cached minimum when the entry holding it rises
     "row-min-no-recompute": (

@@ -17,15 +17,17 @@ function that takes an rng, qcore.select_action, calls only these two,
 so it takes a stream in place of a Generator; demand draws are one
 rng.random(n) call per episode and need no stream.
 burst(k, n) returns a planning burst's n integers(k) draws and the n
-random() draws interleaved with them, as two lists, in one pass with the
-same arithmetic inline; every tabular and det-net planning draw comes
-from it. A burst of _VECTOR_MIN pairs or more does that arithmetic with
-numpy uint64 operations over one block of words, in the same
-interleaving, and goes back to the Python loop over those same words if
-any of its draws is rejected. borrow() lends
-the generator itself for numpy's array draws, such as an MC-dropout
-burst's rows of uniforms, and the stream resumes where those draws left
-it.
+random() draws interleaved with them, as two lists; every tabular and
+det-net planning draw comes from it. A burst reads its pairs from a
+cache that one numpy pass over a block of words fills with the next
+_PAIRS pairs in draw order: each pair's 32-bit index half and its
+uniform. A burst multiplies its slice of halves by k and tests Lemire's
+rejection for the whole slice at once; a rejected pair returns the
+stream to its words just before that pair, which integers(k) and
+random() then draw. random(), integers() and close() first return the
+stream to its words. borrow() lends the generator itself for numpy's
+array draws, such as an MC-dropout burst's rows of uniforms, and the
+stream resumes where those draws left it.
 """
 
 from contextlib import contextmanager
@@ -35,11 +37,10 @@ import numpy as np
 from .env import DomainError
 
 _BLOCK = 256
+# pairs per cache fill; even, so that a fill ends on whole [I, R, R] triples
+_PAIRS = 512
 _HALF = 1 << 32
 _LOW = _HALF - 1
-# burst lengths from which numpy over one block of words beats the scalar
-# loop: timed both ways on burst(150, n), they cross between 35 and 45 pairs
-_VECTOR_MIN = 40
 # uint64 operands, so that numpy 1.x's value-based casting keeps uint64 too
 _LOW_U64 = np.uint64(_LOW)
 _SHIFT_U64 = np.uint64(32)
@@ -62,11 +63,14 @@ class WordStream:
             )
         self.rng = rng
         self._read_half()
-        # the unused words of the current block, the next one last; they
-        # are the last len(_words) words of _raw, the block as drawn
+        # the unused words of the current block, the next one last
         self._words = []
-        self._raw = np.empty(0, dtype=np.uint64)
         self._pop = self._words.pop
+        # the pair cache (see _fill); its uniforms are empty whenever the
+        # stream draws from its words instead
+        self._uniforms = []
+        self._block = self._halves = None
+        self._lead = self._pos = 0
 
     def __enter__(self) -> "WordStream":
         return self
@@ -79,11 +83,58 @@ class WordStream:
         self._cached, self._half = bool(state["has_uint32"]), state["uinteger"]
 
     def _refill(self) -> int:
-        self._raw = self.rng.bit_generator.random_raw(_BLOCK)
-        self._words[:] = self._raw[::-1].tolist()
+        self._words[:] = self.rng.bit_generator.random_raw(_BLOCK)[::-1].tolist()
         return self._pop()
 
+    def _fill(self) -> None:
+        """Cache the next pairs of integers(k) and random() draws, from the buffered words on.
+
+        A pending cached half is pair 0, and the next word is its uniform.
+        Whole [I, R, R] triples follow: pair 2g takes I's low half and the
+        first R, pair 2g+1 I's high half and the second R. The fill takes
+        every buffered word, rounded up to whole triples, and at least
+        _PAIRS pairs' worth of words from random_raw after them.
+        """
+        words = self._words
+        lead = int(self._cached)
+        triples = max(_PAIRS // 2, -(-(len(words) - lead) // 3))
+        block = self.rng.bit_generator.random_raw(lead + 3 * triples - len(words))
+        if words:
+            block = np.concatenate((np.array(words[::-1], dtype=np.uint64), block))
+            words.clear()
+        index_words = block[lead::3]
+        halves = np.empty(lead + 2 * triples, dtype=np.uint64)
+        np.bitwise_and(index_words, _LOW_U64, out=halves[lead::2])
+        np.right_shift(index_words, _SHIFT_U64, out=halves[lead + 1::2])
+        doubles = (block >> _MANTISSA_SHIFT_U64) * 2**-53
+        uniforms = doubles[lead:].reshape(triples, 3)[:, 1:].ravel().tolist()
+        if lead:
+            halves[0] = self._half
+            uniforms.insert(0, float(doubles[0]))
+        self._block, self._lead, self._halves, self._pos = block, lead, halves, 0
+        self._uniforms = uniforms
+
+    def _unpair(self) -> None:
+        """Put the cache's unread words back on the buffer, with the cached half they leave."""
+        pos, lead = self._pos, self._lead
+        start = 0
+        if pos >= lead:
+            g, odd = divmod(pos - lead, 2)
+            start = lead + 3 * g + 2 * odd
+            if odd:
+                self._cached, self._half = True, int(self._halves[pos])
+            else:
+                # numpy keeps the last high half drawn once it is spent
+                self._cached = False
+                if g:
+                    self._half = int(self._halves[pos - 1])
+        self._words[:] = self._block[start:][::-1].tolist()
+        self._uniforms = []
+        self._block = self._halves = None
+
     def random(self) -> float:
+        if self._uniforms:
+            self._unpair()
         try:
             w = self._pop()
         except IndexError:
@@ -96,6 +147,8 @@ class WordStream:
             if n == 1:
                 return 0
             raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if self._uniforms:
+            self._unpair()
         while True:
             if self._cached:
                 self._cached = False
@@ -116,12 +169,14 @@ class WordStream:
     def burst(self, k: int, n: int) -> tuple[list[int], list[float]]:
         """n (integers(k), random()) draws, as n pairs of those calls would take them.
 
-        They come back as two lists, the indices and the uniforms. The
-        arithmetic is that of integers and random, inline: a planning burst
-        takes its draws in one pass with no method call per draw. A burst of
-        _VECTOR_MIN pairs or more computes them from one block of words with
-        numpy (_vector_pairs); the scalar loop serves shorter bursts, a
-        cached half at the start, and a block in which a draw is rejected.
+        They come back as two lists, the indices and the uniforms. A burst
+        takes its pairs from the cache (see _fill), refilled as it runs
+        out: for each slice of cached halves it computes m = half * k, tests
+        Lemire's rejection on the low 32 bits of all of them at once, and
+        keeps the high 32 bits as the indices. A rejected pair, which comes
+        about k / 2**32 of the time, is drawn by integers(k) and random()
+        from the words just before it, and the next slice fills the cache
+        anew. k == 1 draws only the uniforms, with random().
         """
         if not 1 <= k <= _HALF:
             raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {k}")
@@ -130,76 +185,37 @@ class WordStream:
         # a low half at or above this settles Lemire's draw (see integers)
         floor = (_HALF - k) % k
         indices, uniforms = [], []
-        if n >= _VECTOR_MIN:
-            if self._cached:
-                self._scalar_pairs(k, 1, floor, indices, uniforms)
-            if not self._cached:
-                self._vector_pairs(k, n - len(indices), floor, indices, uniforms)
-        self._scalar_pairs(k, n - len(indices), floor, indices, uniforms)
+        while n > 0:
+            if not self._uniforms:
+                self._fill()
+            pos, cache = self._pos, self._uniforms
+            end = min(pos + n, len(cache))
+            # a half is below 2**32 and k at most 2**32, so no product wraps
+            m = self._halves[pos:end] * np.uint64(k)
+            # the low 32 bits of each product: a cast to uint32 wraps
+            low = m.astype(np.uint32)
+            rejected = floor and low.min() < floor
+            if rejected:
+                end = pos + int((low < floor).argmax())
+                m = m[:end - pos]
+            indices += (m >> _SHIFT_U64).tolist()
+            uniforms += cache[pos:end]
+            n -= end - pos
+            self._pos = end
+            if rejected:
+                # back to the words before the rejected pair, which draw it
+                self._unpair()
+                indices.append(self.integers(k))
+                uniforms.append(self.random())
+                n -= 1
+            elif end == len(cache):
+                self._unpair()
         return indices, uniforms
-
-    def _scalar_pairs(self, k: int, n: int, floor: int, indices: list, uniforms: list) -> None:
-        words, refill = self._words, self._refill
-        pop = words.pop
-        add_index, add_uniform = indices.append, uniforms.append
-        cached, half = self._cached, self._half
-        for _ in range(n):
-            while True:
-                if cached:
-                    cached = False
-                    m = half * k
-                else:
-                    w = pop() if words else refill()
-                    cached, half = True, w >> 32
-                    m = (w & _LOW) * k
-                if m & _LOW >= floor:
-                    break
-            w = pop() if words else refill()
-            add_index(m >> 32)
-            add_uniform((w >> 11) * 2**-53)
-        self._cached, self._half = cached, half
-
-    def _vector_pairs(self, k: int, n: int, floor: int, indices: list, uniforms: list) -> None:
-        """n pairs from no cached half, computed over one block of words; none if one rejects.
-
-        With no rejection each two pairs take three words [I, R, R]: pair 2g
-        takes I's low half and the first R, pair 2g+1 I's high half and the
-        second R. An odd n ends on [I, R] and leaves I's high half cached.
-        If any draw rejects, the block stays on the buffer, where it is the
-        next words to draw and the most recent ones drawn, and the lists
-        stay as they are, for the caller to take those words with the
-        scalar loop.
-        """
-        need = (3 * n + 1) // 2
-        words, raw = self._words, self._raw
-        have = len(words)
-        if have >= need:
-            block = raw[len(raw) - have:len(raw) - have + need]
-        else:
-            block = np.concatenate(
-                (raw[len(raw) - have:], self.rng.bit_generator.random_raw(need - have))
-            )
-        index_words = block[0::3]
-        m = np.empty(n, dtype=np.uint64)
-        m[0::2] = index_words & _LOW_U64
-        m[1::2] = index_words[:n // 2] >> _SHIFT_U64
-        # a half is below 2**32 and k at most 2**32, so no product wraps
-        m *= np.uint64(k)
-        if ((m & _LOW_U64) < floor).any():
-            if have < need:
-                self._raw = block
-                words[:] = block[::-1].tolist()
-            return
-        del words[-need:]
-        self._cached, self._half = bool(n & 1), int(index_words[-1] >> _SHIFT_U64)
-        uniform_words = np.empty(n, dtype=np.uint64)
-        uniform_words[0::2] = block[1::3]
-        uniform_words[1::2] = block[2::3]
-        indices += (m >> _SHIFT_U64).tolist()
-        uniforms += ((uniform_words >> _MANTISSA_SHIFT_U64) * 2**-53).tolist()
 
     def close(self) -> None:
         """Move the generator back over the unused words and hand back the cached half."""
+        if self._uniforms:
+            self._unpair()
         bit_generator = self.rng.bit_generator
         if self._words:
             # advance resets the cached half, which is written back below

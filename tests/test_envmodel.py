@@ -36,7 +36,7 @@ from coldstart_dynaq.envmodel import (
     transition_prob,
 )
 from coldstart_dynaq.qcore import plan_tabular, q_update
-from coldstart_dynaq.wordstream import _VECTOR_MIN, WordStream
+from coldstart_dynaq.wordstream import _PAIRS, WordStream
 from helpers import day_of, draw_masks_reference, enumerate_states, forward_reference
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
@@ -401,7 +401,9 @@ def test_plan_draws_as_the_per_pair_loop(variant):
     rows, mins = random_q(48)
     want_rows, want_mins = random_q(48)
     seeds = np.random.SeedSequence(42).spawn(30)
-    for (s, a, d), seed, n in zip(days[30:], seeds, [1, 2, 7, 100, 0, 250] * 5):
+    # the last burst is longer than one fill of the stream's pair cache
+    ns = [1, 2, 7, 100, 0, 250] * 4 + [1, 2, 7, 100, 0, _PAIRS + 100]
+    for (s, a, d), seed, n in zip(days[30:], seeds, ns):
         observe_table(m, s, a, d)
         ref = rebuilt(m)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -421,9 +423,10 @@ def test_plan_draws_as_the_per_pair_loop(variant):
 
 
 def test_tabular_burst_on_one_visited_pair():
-    # one pair draws no index, and a burst this long would take the numpy
-    # block path for any other pair count; the pair's entry starts as its
-    # row's minimum, so the first update that raises it moves that minimum
+    # one pair draws no index, and a burst this long would span two fills
+    # of the stream's pair cache for any other pair count; the pair's entry
+    # starts as its row's minimum, so the first update that raises it moves
+    # that minimum
     m = EnvModel(SPACES)
     for d in (2, 5, 2, 9):
         observe_table(m, S, A, d)
@@ -432,8 +435,8 @@ def test_tabular_burst_on_one_visited_pair():
     want_rows, want_mins = [row[:] for row in rows], mins[:]
     got_rng, want_rng = np.random.default_rng(50), np.random.default_rng(50)
     with WordStream(got_rng) as stream:
-        plan_tabular(m, 2 * _VECTOR_MIN, stream, rows, mins, ALPHA, GAMMA)
-    q_update(want_rows, want_mins, plan_reference(rebuilt(m), 2 * _VECTOR_MIN, want_rng),
+        plan_tabular(m, _PAIRS + 9, stream, rows, mins, ALPHA, GAMMA)
+    q_update(want_rows, want_mins, plan_reference(rebuilt(m), _PAIRS + 9, want_rng),
              ALPHA, GAMMA)
     assert mins[S] > -1.0
     assert as_bytes(rows, mins) == as_bytes(want_rows, want_mins)

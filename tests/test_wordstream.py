@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coldstart_dynaq.env import DomainError
-from coldstart_dynaq.wordstream import _VECTOR_MIN, WordStream
+from coldstart_dynaq.wordstream import _PAIRS, WordStream
 
 # n == 1 draws nothing, 2**32 takes a 32-bit half as it is, and 2**31 + 5
 # rejects about half of its draws
@@ -45,13 +47,13 @@ def numpy_burst(rng, k: int, n: int) -> tuple[list[int], list[float]]:
     return indices, uniforms
 
 
-# A burst of _VECTOR_MIN pairs or more is computed with numpy over one
-# block of words: the lengths around that switch take their block from the
-# buffered words, and a 300-step burst takes about 450 words, so its block
-# is the buffer's rest followed by fresh words. 3 * 2**30 rejects a quarter
-# of all low halves and 2**31 + 1 about half, so nearly every block of
-# theirs holds a rejection and goes back to the scalar loop; 246 and
-# 2**32 - 5 almost never reject, and 2**32 never does.
+# A burst reads its pairs from a cache that one fill gives _PAIRS pairs.
+# The integers(5) between bursts puts the cache's unread words back on the
+# buffer, so each burst starts a fill that takes them first: the lengths
+# around _PAIRS end that fill or take the first pair of the next one, and
+# 3 * _PAIRS spans several. 3 * 2**30 rejects a quarter of all low halves and 2**31 + 1 about
+# half, so their bursts draw many pairs from the words; 246 and 2**32 - 5
+# almost never reject, and 2**32 never does.
 @pytest.mark.parametrize("k", [1, 2, 3, 246, 2**32 - 5, 2**32, 3 * 2**30, 2**31 + 1])
 @pytest.mark.parametrize("cached", [False, True])
 def test_burst_matches_interleaved_draws(k, cached):
@@ -59,10 +61,58 @@ def test_burst_matches_interleaved_draws(k, cached):
     if cached:
         assert wrapped.integers(11) == ref.integers(11)
     with WordStream(wrapped) as stream:
-        for n in (0, 1, 7, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 300, 100):
+        for n in (0, 1, 7, _PAIRS - 1, _PAIRS, _PAIRS + 1, 3 * _PAIRS, 300, 100):
             assert stream.burst(k, n) == numpy_burst(ref, k, n)
             # a scalar draw between bursts, from where the burst left off
             assert stream.integers(5) == ref.integers(5)
+    assert wrapped.bit_generator.state == ref.bit_generator.state
+
+
+# (kind, k, count): a burst of count pairs, a run of count random() or
+# integers(k) calls, or a borrow whose generator draws count integers(k)
+# and one random() itself
+DRAWS = st.one_of(
+    st.tuples(st.just("burst"), st.sampled_from(
+        (1, 2, 3, 11, 246, 370, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32)), st.integers(0, 700)),
+    st.tuples(st.just("random"), st.just(0), st.integers(1, 300)),
+    st.tuples(st.sampled_from(("integers", "borrow")), st.sampled_from(NS), st.integers(0, 3)),
+)
+
+
+def draw_both(stream, ref, kind, k, count):
+    """One of DRAWS from the stream and the same calls on numpy's ref, which must agree."""
+    if kind == "burst":
+        assert stream.burst(k, count) == numpy_burst(ref, k, count)
+    elif kind == "random":
+        assert [stream.random() for _ in range(count)] == [ref.random() for _ in range(count)]
+    elif kind == "integers":
+        got = [stream.integers(k) for _ in range(count)]
+        assert got == [int(ref.integers(k)) for _ in range(count)]
+    else:
+        with stream.borrow() as rng:
+            # the lent generator is where numpy's own draws left the reference
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(k, size=count).tolist() == ref.integers(k, size=count).tolist()
+            assert rng.random() == ref.random()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.booleans(), st.integers(0, 2**32), st.lists(DRAWS, max_size=12))
+# the first random() refills a 256-word block, whose rest the burst's fill takes
+@example(False, 3, [("random", 0, 1), ("burst", 370, 600)])
+@example(True, 3, [("random", 0, 1), ("burst", 370, 600)])
+# with these seeds the second burst rejects the last pair of the first
+# fill, and the next burst fills the cache from the words after the redraw,
+# with a cached half pending (seed 10) or none (seed 2)
+@example(False, 10, [("burst", 2, _PAIRS - 3), ("burst", 3 * 2**30, 3), ("burst", 246, 300)])
+@example(False, 2, [("burst", 2, _PAIRS - 3), ("burst", 3 * 2**30, 3), ("burst", 246, 300)])
+def test_any_interleaving_of_draws_matches_numpy(cached, seed, draws):
+    ref, wrapped = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached:
+        assert wrapped.integers(11) == ref.integers(11)
+    with WordStream(wrapped) as stream:
+        for kind, k, count in draws:
+            draw_both(stream, ref, kind, k, count)
     assert wrapped.bit_generator.state == ref.bit_generator.state
 
 
