@@ -65,6 +65,21 @@ MUTANTS = {
         [
             "tests/test_envmodel.py::test_plan_draws_as_the_per_pair_loop[det-net]",
             "tests/test_envmodel.py::TestDetNetReads::test_planned_costs_are_one_pair_reads",
+            "tests/test_agents.py::test_train_matches_the_reference_learner[dyna-q-1-det-net]",
+        ],
+    ),
+    # a det-net burst's distinct-pair reads zipped with its draws in first-seen
+    # order, not mapped back to each draw's pair
+    "det-net-reads-unmapped": (
+        ENVMODEL,
+        "    if reads is not slots:\n"
+        "        preds = map(dict(zip(reads, preds)).__getitem__, slots)\n",
+        "",
+        [
+            "tests/test_envmodel.py::test_plan_draws_as_the_per_pair_loop[det-net]",
+            "tests/test_agents.py::test_train_matches_the_reference_learner[dyna-q-1-det-net]",
+            "tests/test_agents.py::"
+            "test_train_matches_the_reference_learner[adjusted-dyna-q-1-det-net]",
         ],
     ),
     # Adam's step as lr * (m_hat / denominator) instead of (lr * m_hat) / denominator
@@ -178,8 +193,8 @@ MUTANTS = {
     # a tabular planning burst keeps a row's cached minimum when the entry
     # holding it rises; q_update's own copy of the rule is the one above
     "planned-row-min-no-recompute": (
-        QCORE,
-        "        elif old == low < new:\n            mins[ps] = min(row)\n",
+        ENVMODEL,
+        "            elif old == low < new:\n                mins[ps] = min(row)\n",
         "",
         [
             "tests/test_envmodel.py::test_tabular_burst_on_one_visited_pair",

@@ -26,9 +26,8 @@ Training, evaluation and the warm start's offline replay all run one
 day loop, rollout(), over a list of demands on state indices and the
 env's day tables. After each real step, a q_update call of its own, a
 Learner plans one burst, which draws the whole burst before it reads the
-model. A tabular burst is one qcore.plan_tabular call, which applies each
-simulated transition as it reads it; a neural burst is envmodel.plan,
-whose transitions one q_update call applies in draw order. A Learner's
+model. Every burst is one envmodel.plan call, which applies its
+simulated transitions to the Q-table in draw order. A Learner's
 Q-table is list rows, which it updates in place with each row's minimum
 beside them, so learner.q is current after every step, and a tabular
 model's per-step work is Python over the next-state rows it keeps per
@@ -52,7 +51,7 @@ from .env import (
     state_index,
 )
 from .envmodel import EnvModel, model_update, plan
-from .qcore import greedy_policy, plan_tabular, q_update, select_action
+from .qcore import greedy_policy, q_update, select_action
 from .schedule import StcSchedule, constant, stc_steps, stc_value
 from .wordstream import WordStream
 
@@ -136,7 +135,7 @@ class Learner:
     its owner sets it.
 
     act and learn work on q's rows in place, and learn keeps mins, each
-    row's minimum, for q_update and plan_tabular. They draw from the
+    row's minimum, for q_update and plan. They draw from the
     exploration and planning WordStreams they are given; whoever opened
     those closes them.
     A learner that plans nothing needs no planning stream.
@@ -170,16 +169,11 @@ class Learner:
         return select_action(self.q[s], eps, self.explore_rng)
 
     def learn(self, s: int, a: int, s_next: int, cost: float) -> None:
-        rows, mins, model = self.q, self.mins, self.model
-        alpha, gamma = self.alpha, self.gamma
         # the real step first: a non-finite cost raises before the model sees it
-        q_update(rows, mins, ((s, a, s_next, cost),), alpha, gamma)
+        q_update(self.q, self.mins, ((s, a, s_next, cost),), self.alpha, self.gamma)
         if self.fits_model:
-            model_update(model, s, a, s_next, cost)
-        if model.variant == "tabular":
-            plan_tabular(model, self.n_plan, self.plan_rng, rows, mins, alpha, gamma)
-        else:
-            q_update(rows, mins, plan(model, self.n_plan, self.plan_rng), alpha, gamma)
+            model_update(self.model, s, a, s_next, cost)
+        plan(self.model, self.n_plan, self.plan_rng, self.q, self.mins, self.alpha, self.gamma)
         self.planning_steps += self.n_plan
         if self.observer is not None:
             self.observer(self, s, a, s_next, cost)

@@ -19,13 +19,13 @@ neural model encodes the pair's net input once, also as a list;
 recovering a demand then scans that row, a simulated next state is one
 list lookup, and a net's input rows are built from the encoded lists.
 
-Planning runs in bursts: n sample_visited and simulate calls, made from
-the same draws of one WordStream. A neural model's burst is
-plan(m, n, stream), which returns its n transitions. A tabular burst is
-qcore.plan_tabular, which applies each transition to the Q-table as it
-reads it, from the cached rows and cost_means, each pair's mean cost,
-which model_update keeps (and save_model leaves out) so that no draw
-divides. A tabular or det-net burst takes all its draws in one
+Planning runs in bursts. plan(m, n, stream, rows, mins, alpha, gamma),
+the one planning call of every variant, applies to a Q-table what n
+sample_visited and simulate calls draw from one WordStream. A tabular
+burst applies each transition as it reads it, from the cached rows and
+cost_means, each pair's mean cost, which model_update keeps (and
+save_model leaves out) so that no draw divides; one q_update call applies
+a neural burst. A tabular or det-net burst takes all its draws in one
 WordStream.burst pass; an MC-dropout burst makes numpy's array draws on
 the generator the stream lends it. Both nets read through one stacked
 MC-dropout pass per net: a det-net burst reads its distinct pairs at
@@ -38,6 +38,7 @@ file for inspection with numpy.load; nothing in the package reads it back.
 """
 
 import json
+import math
 from bisect import bisect_right
 from copy import deepcopy
 from itertools import accumulate
@@ -47,6 +48,7 @@ import numpy as np
 from . import nn
 from .demand import cdf_of
 from .env import DayTables, DomainError, ModelSpaces, day_tables, num_states
+from .qcore import q_update
 from .wordstream import WordStream
 
 VARIANTS = ("tabular", "det-net", "mc-dropout")
@@ -289,7 +291,6 @@ def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, 
     split = MC_SAMPLES * t_width
     reads = list(dict.fromkeys(slots)) if m.variant == "det-net" else slots
     rows = len(reads)
-    pairs, next_rows = m.pairs, m.next_rows
     x = np.array([m.inputs[i] for i in reads])[:, None, :]
     # a det-net's mask columns are empty in every row, so any rows serve
     t_u = u[:rows, :split].reshape(rows, MC_SAMPLES, t_width)
@@ -299,7 +300,7 @@ def _neural_outcomes(m: EnvModel, slots, u: np.ndarray) -> list[tuple[int, int, 
     preds = zip(cdf_of(pmfs), nn.mc_predict(m.cost_net, x, c_u)[:, 0, 0].tolist())
     if reads is not slots:
         preds = map(dict(zip(reads, preds)).__getitem__, slots)
-    return [(*pairs[i], next_rows[i][bisect_right(cdf, d)], cost)
+    return [(*m.pairs[i], m.next_rows[i][bisect_right(cdf, d)], cost)
             for i, d, (cdf, cost) in zip(slots, u[:, split].tolist(), preds)]
 
 
@@ -316,23 +317,48 @@ def simulate(m: EnvModel, s: int, a: int, rng: np.random.Generator) -> tuple[int
     return _neural_outcomes(m, [i], rng.random((1, _mc_row(m))))[0][2:]
 
 
-def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, float]]:
-    """A neural model's burst: n simulated transitions (s, a, s_next, cost) in draw order.
+def plan(m: EnvModel, n: int, stream: WordStream, rows: list, mins: list,
+         alpha: float, gamma: float) -> None:
+    """A planning burst of n steps, each applied to the Q-table rows as q_update applies it.
 
     It draws what n sample_visited + simulate calls would, in their order.
-    No draw depends on a prediction, and the weights do not change within a
-    burst, so every pair and uniform comes first: each pair, then its demand
-    uniform, or for MC-dropout its row of simulate's uniforms. A det-net
-    burst takes its (pair, uniform) draws in one stream.burst pass and reads
-    the burst's distinct pairs with one stacked pass per net. An MC-dropout
-    burst draws on the generator stream.borrow() lends it and reads the
-    pairs _MC_CHUNK at a time the same way. A tabular model plans through
-    qcore.plan_tabular.
+    No draw depends on a read or an update, and nothing a burst reads
+    changes within it, so every pair and uniform comes first: each pair,
+    then its demand uniform, or for MC-dropout its row of simulate's
+    uniforms. A tabular or det-net burst takes them in one stream.burst
+    pass; an MC-dropout burst draws on the generator stream.borrow() lends
+    it. A tabular step reads its transition where it applies it: pair i's
+    cached next-state row at the uniform's place on the demand cdf, and
+    its mean cost m.cost_means[i], with q_update's operation order and
+    row-minimum rule. A det-net burst reads its distinct pairs with one
+    stacked pass per net, an MC-dropout burst its pairs _MC_CHUNK at a
+    time, and one q_update call applies a neural burst in draw order.
+    mins[i] is min(rows[i]). A non-finite cost raises ValueError with the
+    whole burst drawn, its entry unchanged and every earlier step applied.
     """
     if not n:
-        return []
-    if not m.pairs:
+        return
+    pairs = m.pairs
+    if not pairs:
         raise UnvisitedPairError("model has no observed pairs yet")
+    if m.variant == "tabular":
+        next_rows, cdf, means = m.next_rows, m.demand_cdf, m.cost_means
+        isfinite = math.isfinite
+        for i, u in zip(*stream.burst(len(pairs), n)):
+            cost = means[i]
+            if not isfinite(cost):
+                raise ValueError(f"cost must be finite, got {cost}")
+            target = cost + gamma * mins[next_rows[i][bisect_right(cdf, u)]]
+            ps, pa = pairs[i]
+            row = rows[ps]
+            old = row[pa]
+            new = row[pa] = old + alpha * (target - old)
+            low = mins[ps]
+            if new < low:
+                mins[ps] = new
+            elif old == low < new:
+                mins[ps] = min(row)
+        return
     if m.variant == "mc-dropout":
         # no draw waits on a read, so a long burst may draw and read in
         # chunks: a whole 20-step burst's uniforms are 600 kB, and holding
@@ -341,15 +367,16 @@ def plan(m: EnvModel, n: int, stream: WordStream) -> list[tuple[int, int, int, f
         burst = []
         with stream.borrow() as rng:
             for start in range(0, n, _MC_CHUNK):
-                rows = u[:min(_MC_CHUNK, n - start)]
+                chunk = u[:min(_MC_CHUNK, n - start)]
                 slots = []
-                for row in rows:
-                    slots.append(int(rng.integers(len(m.pairs))))
+                for row in chunk:
+                    slots.append(int(rng.integers(len(pairs))))
                     rng.random(out=row)
-                burst += _neural_outcomes(m, slots, rows)
-        return burst
-    slots, us = stream.burst(len(m.pairs), n)
-    return _neural_outcomes(m, slots, np.array(us)[:, None])
+                burst += _neural_outcomes(m, slots, chunk)
+    else:
+        slots, us = stream.burst(len(pairs), n)
+        burst = _neural_outcomes(m, slots, np.array(us)[:, None])
+    q_update(rows, mins, burst, alpha, gamma)
 
 
 def transition_prob(

@@ -4,36 +4,33 @@ All Q operations work on dense state/action indices; the env module owns
 the bijection between states and indices.
 
 A Q-table is its list rows, one list of Python floats per state, which
-q_update, plan_tabular and select_action work on in place: per-call
-numpy overhead on an 11-element row costs more than the arithmetic, and
-Python floats are IEEE doubles, so the same operations in the same order
-give the same bits. The learning rate and discount are the Learner's, which checks
+q_update and select_action work on in place: per-call numpy overhead on
+an 11-element row costs more than the arithmetic, and Python floats are
+IEEE doubles, so the same operations in the same order give the same
+bits. The learning rate and discount are the Learner's, which checks
 them and passes them to each update call; a file stores them beside the
 values. q_update applies a sequence of transitions in one loop: a real
-step, or a neural model's planning burst, costs one call. plan_tabular
-applies a tabular model's planning burst in the loop that reads it, with
-no transition built between the draw and its update. A Learner keeps
-mins beside the rows, each row's minimum, which both read for their
-target and keep current, so an update scans a row only when it raises
-that row's minimum. min is exact, so the target's bits are those of
-min(rows[s_next]).
+step, or a neural model's planning burst, costs one call. A tabular
+model's burst, envmodel.plan, applies the same update in the loop that
+reads it, with no transition built between the draw and its update. A
+Learner keeps mins beside the rows, each row's minimum, which both read
+for their target and keep current, so an update scans a row only when it
+raises that row's minimum. min is exact, so the target's bits are those
+of min(rows[s_next]).
 """
 
 import json
 import math
-from bisect import bisect_right
 
 import numpy as np
 
 from .env import DomainError, is_finite_real
-from .envmodel import EnvModel, UnvisitedPairError
-from .wordstream import WordStream
 
 
 def q_update(rows: list, mins: list, transitions, alpha: float, gamma: float) -> None:
     """Q-learning steps toward cost + gamma * min_a' Q(s', a'), one per transition, in order.
 
-    transitions holds (s, a, s_next, cost) tuples, as envmodel.plan returns
+    transitions holds (s, a, s_next, cost) tuples, as envmodel.plan reads
     them for a neural model. rows is a Q-table and mins[i] is min(rows[i]).
     Each step changes rows[s][a] and mins[s]: mins[s] takes the new entry if
     it is lower, and is recomputed only when the entry that rose was the
@@ -53,42 +50,6 @@ def q_update(rows: list, mins: list, transitions, alpha: float, gamma: float) ->
             mins[s] = new
         elif old == low < new:
             mins[s] = min(row)
-
-
-def plan_tabular(m: EnvModel, n: int, stream: WordStream, rows: list, mins: list,
-                 alpha: float, gamma: float) -> None:
-    """A tabular model's planning burst of n steps, each applied to rows as q_update applies it.
-
-    The draws are stream.burst's, those n sample_visited + simulate calls
-    would take: each pair index, then its demand uniform. Each step reads
-    its transition where it applies it: pair i's next state is its cached
-    row at the uniform's place on the demand cdf, and its cost is its mean
-    cost m.cost_means[i]. The update is q_update's, in the same operation
-    order and with the same row-minimum rule. A non-finite cost raises
-    ValueError with the whole burst drawn, its entry unchanged and every
-    earlier step applied.
-    """
-    if not n:
-        return
-    pairs = m.pairs
-    if not pairs:
-        raise UnvisitedPairError("model has no observed pairs yet")
-    next_rows, cdf, means = m.next_rows, m.demand_cdf, m.cost_means
-    isfinite = math.isfinite
-    for i, u in zip(*stream.burst(len(pairs), n)):
-        cost = means[i]
-        if not isfinite(cost):
-            raise ValueError(f"cost must be finite, got {cost}")
-        target = cost + gamma * mins[next_rows[i][bisect_right(cdf, u)]]
-        ps, pa = pairs[i]
-        row = rows[ps]
-        old = row[pa]
-        new = row[pa] = old + alpha * (target - old)
-        low = mins[ps]
-        if new < low:
-            mins[ps] = new
-        elif old == low < new:
-            mins[ps] = min(row)
 
 
 def select_action(row: list, epsilon: float, rng: np.random.Generator) -> int:

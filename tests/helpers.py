@@ -3,14 +3,15 @@ a point-mass law, one day read from the day tables by state index, a
 net's parameter arrays, reference versions of the nn training path
 (forward, loss, backward, mask draws and Adam) as plain per-array numpy,
 which the buffered nn code must match bit for bit, and a reference
-tabular learner, which agents.train must match bit for bit."""
+learner on the tabular or det-net model, which agents.train must match
+bit for bit."""
 
 from bisect import bisect_right
 
 import numpy as np
 
 from coldstart_dynaq import nn
-from coldstart_dynaq.demand import DemandDistribution
+from coldstart_dynaq.demand import DemandDistribution, cdf_of
 from coldstart_dynaq.env import InventoryState, num_actions, num_states, state_index, step
 from coldstart_dynaq.schedule import stc_steps, stc_value
 
@@ -138,22 +139,33 @@ def train_step_reference(net, adam, X, Y, rng):
 
 
 def reference_train(config, dist, spaces, s0):
-    """agents.train on the tabular model, as the algorithms are written.
+    """agents.train on the tabular or det-net model, as the algorithms are written.
 
     Q-learning (Watkins & Dayan 1992) with Dyna planning (Sutton 1990):
     numpy Generators drawn one call at a time, env.step on dataclass
     states, each demand recovered by trying every demand through step, a
-    full-row minimum in every update, and the mean cost divided per draw.
-    Returns the Q array, each episode's (total cost, shortage fraction,
-    mean holding), and the planning steps taken.
+    full-row minimum in every update, and the tabular model's mean cost
+    divided per draw. A det-net model is two nets built on the fourth
+    stream, as EnvModel builds them, each fitted on every real step by the
+    reference training step, and read one planned pair at a time by the
+    reference forward pass. Returns the Q array, each episode's (total
+    cost, shortage fraction, mean holding), and the planning steps taken.
     """
-    env_rng, explore_rng, plan_rng, _ = (
+    env_rng, explore_rng, plan_rng, dropout_rng = (
         np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(4))
     states = enumerate_states(spaces.s_max)
     p, s_max, a_max = spaces.cost_params, spaces.s_max, spaces.a_max
     Q = np.zeros((num_states(s_max), num_actions(a_max)))
     counts = np.zeros(spaces.d_max + 1)
     pairs, cost_sums, cost_counts = [], {}, {}
+    if config.model_variant not in ("tabular", "det-net"):
+        raise ValueError(f"no reference learner for a {config.model_variant} model")
+    neural = config.model_variant == "det-net"
+    if neural:
+        # a demand-class head and a cost head over (s1, s2, s3, order) / (s_max, s_max, s_max, a_max)
+        t_net = nn.Network([4, 128, 64, spaces.d_max + 1], head="categorical", rng=dropout_rng)
+        c_net = nn.Network([4, 128, 64, 1], head="regression", rng=dropout_rng)
+        t_adam, c_adam = AdamReference(t_net), AdamReference(c_net)
     fits = stc_steps(config.planning_schedule, 0) > 0
     t = planning_steps = 0
     episodes = []
@@ -165,6 +177,10 @@ def reference_train(config, dist, spaces, s0):
     def day(s, a, d):
         out = step(states[s], a, d, p, s_max, a_max)
         return state_index(out.next_state, s_max), out.cost, out.shortage
+
+    def encode(s, a):
+        return np.array([[states[s].s1 / s_max, states[s].s2 / s_max, states[s].s3 / s_max,
+                          a / a_max]])
 
     for _ in range(config.episodes):
         s = state_index(s0, s_max)
@@ -184,17 +200,30 @@ def reference_train(config, dist, spaces, s0):
                 outcomes = [day(s, a, e)[:2] for e in range(spaces.d_max + 1)]
                 reach = [e for e, (n, _) in enumerate(outcomes) if n == s_next]
                 exact = [e for e in reach if abs(outcomes[e][1] - cost) <= 1e-9]
-                counts[(exact or reach)[0]] += 1
+                recovered = (exact or reach)[0]
                 if (s, a) not in cost_sums:
                     pairs.append((s, a))
                 cost_sums[s, a] = cost_sums.get((s, a), 0.0) + cost
                 cost_counts[s, a] = cost_counts.get((s, a), 0) + 1
+                if neural:
+                    x = encode(s, a)
+                    train_step_reference(t_net, t_adam, x, np.array([recovered]), dropout_rng)
+                    train_step_reference(c_net, c_adam, x, np.array([[cost]]), dropout_rng)
+                else:
+                    counts[recovered] += 1
             for _ in range(n_plan):
                 ps, pa = pairs[plan_rng.integers(len(pairs))]
-                cdf = np.cumsum(counts / counts.sum())
-                cdf[-1] = 1.0
-                e = int(np.searchsorted(cdf, plan_rng.random(), side="right"))
-                update(ps, pa, day(ps, pa, e)[0], cost_sums[ps, pa] / cost_counts[ps, pa])
+                if neural:
+                    x = encode(ps, pa)
+                    pmf = forward_reference(t_net, x)[2][0]
+                    e = bisect_right(cdf_of(pmf / pmf.sum()), plan_rng.random())
+                    planned_cost = float(forward_reference(c_net, x)[2][0, 0])
+                else:
+                    cdf = np.cumsum(counts / counts.sum())
+                    cdf[-1] = 1.0
+                    e = int(np.searchsorted(cdf, plan_rng.random(), side="right"))
+                    planned_cost = cost_sums[ps, pa] / cost_counts[ps, pa]
+                update(ps, pa, day(ps, pa, e)[0], planned_cost)
             planning_steps += n_plan
             total += cost
             holding += states[s].s2 + states[s].s3 + a

@@ -201,15 +201,20 @@ class TestTrain:
         assert [m.total_cost for m in runs] == left_to_right
 
 
-@pytest.mark.parametrize("episodes", [1, 5])
-@pytest.mark.parametrize("algorithm", bench.ExperimentSpec().algorithms)
-def test_train_matches_the_reference_learner(algorithm, episodes):
-    # the default table1 spec's tabular configuration, trained by the
-    # algorithm as written, with none of the fast path's caches
+@pytest.mark.parametrize("algorithm, episodes, variant", [
+    *(pytest.param(algorithm, episodes, "tabular", id=f"{algorithm}-{episodes}")
+      for episodes in (1, 5) for algorithm in bench.ExperimentSpec().algorithms),
+    *(pytest.param(algorithm, 1, "det-net", id=f"{algorithm}-1-det-net")
+      for algorithm in bench.ExperimentSpec().algorithms),
+])
+def test_train_matches_the_reference_learner(algorithm, episodes, variant):
+    # the default table1 spec's configuration, trained by the algorithm as
+    # written, with none of the fast path's caches: no cached rows or mean
+    # costs, and a det-net read per planned pair, not per distinct pair
     spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
     eps, plan = bench.schedules(params, algorithm)
-    config = AgentConfig(params.alpha, params.gamma, eps, plan, horizon=spec.horizon,
-                         episodes=episodes, seed=12345)
+    config = AgentConfig(params.alpha, params.gamma, eps, plan, model_variant=variant,
+                         horizon=spec.horizon, episodes=episodes, seed=12345)
     dist, spaces = spec.true_demand(), spec.spaces()
     learner = train(config, dist, spaces, spec.initial_state)
     q, runs, planning_steps = reference_train(config, dist, spaces, spec.initial_state)

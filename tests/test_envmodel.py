@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldstart_dynaq import agents, bench, envmodel, nn
+from coldstart_dynaq import agents, bench, envmodel, nn, qcore
 from coldstart_dynaq.demand import cdf_of, discretized_gamma, sample
 from coldstart_dynaq.env import (
     CostParams,
@@ -35,7 +35,7 @@ from coldstart_dynaq.envmodel import (
     transition_pmf,
     transition_prob,
 )
-from coldstart_dynaq.qcore import plan_tabular, q_update
+from coldstart_dynaq.qcore import q_update
 from coldstart_dynaq.wordstream import _PAIRS, WordStream
 from helpers import day_of, draw_masks_reference, enumerate_states, forward_reference
 
@@ -390,10 +390,24 @@ def as_bytes(rows, mins):
     return np.array(rows).tobytes(), np.array(mins).tobytes()
 
 
+def handed_to_q_update(monkeypatch):
+    """The transitions plan hands envmodel.q_update, one list per call, applied as they pass."""
+    handed = []
+
+    def record(rows, mins, transitions, alpha, gamma):
+        handed.append(list(transitions))
+        q_update(rows, mins, handed[-1], alpha, gamma)
+
+    monkeypatch.setattr(envmodel, "q_update", record)
+    return handed
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_plan_draws_as_the_per_pair_loop(variant):
-    # a tabular burst is applied as it is drawn: it must leave the Q rows and
-    # row minima that q_update leaves after the reference burst
+def test_plan_draws_as_the_per_pair_loop(monkeypatch, variant):
+    # every burst must leave the Q rows and row minima that q_update leaves
+    # after the reference burst; a neural burst must also hand q_update the
+    # reference's transitions, in one call
+    handed = handed_to_q_update(monkeypatch)
     m = EnvModel(SPACES, variant=variant, rng=np.random.default_rng(40))
     days = np.random.default_rng(41).integers(0, [1331, 11, 11], size=(60, 3)).tolist()
     for s, a, d in days[:30]:
@@ -407,18 +421,15 @@ def test_plan_draws_as_the_per_pair_loop(variant):
         observe_table(m, s, a, d)
         ref = rebuilt(m)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        handed.clear()
         with WordStream(got_rng) as stream:
-            if variant == "tabular":
-                plan_tabular(m, n, stream, rows, mins, ALPHA, GAMMA)
-            else:
-                got = plan(m, n, stream)
+            plan(m, n, stream, rows, mins, ALPHA, GAMMA)
         # numpy's own per-pair draws: the stream must leave the generator where they do
         want = plan_reference(ref, n, want_rng)
-        if variant == "tabular":
-            q_update(want_rows, want_mins, want, ALPHA, GAMMA)
-            assert as_bytes(rows, mins) == as_bytes(want_rows, want_mins)
-        else:
-            assert got == want
+        q_update(want_rows, want_mins, want, ALPHA, GAMMA)
+        assert as_bytes(rows, mins) == as_bytes(want_rows, want_mins)
+        if variant != "tabular":
+            assert handed == ([want] if n else [])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -435,7 +446,7 @@ def test_tabular_burst_on_one_visited_pair():
     want_rows, want_mins = [row[:] for row in rows], mins[:]
     got_rng, want_rng = np.random.default_rng(50), np.random.default_rng(50)
     with WordStream(got_rng) as stream:
-        plan_tabular(m, _PAIRS + 9, stream, rows, mins, ALPHA, GAMMA)
+        plan(m, _PAIRS + 9, stream, rows, mins, ALPHA, GAMMA)
     q_update(want_rows, want_mins, plan_reference(rebuilt(m), _PAIRS + 9, want_rng),
              ALPHA, GAMMA)
     assert mins[S] > -1.0
@@ -470,9 +481,10 @@ def test_planned_demand_is_drawn_from_the_normalised_pmf(variant):
         assert envmodel._neural_outcomes(m, [m.visited[s, a]], u)[0][2] == want
 
 
-def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
+def test_mc_dropout_plan_draws_from_the_planning_generator_alone(monkeypatch):
     # the training stream m.rng draws the nets' training masks; a burst
     # drawing from it would change what the model learns next
+    handed = handed_to_q_update(monkeypatch)
     m = EnvModel(SPACES, variant="mc-dropout", rng=np.random.default_rng(45))
     for s, a, d in np.random.default_rng(46).integers(0, [1331, 11, 11], size=(10, 3)).tolist():
         observe_table(m, s, a, d)
@@ -480,7 +492,8 @@ def test_mc_dropout_plan_draws_from_the_planning_generator_alone():
     rng = np.random.default_rng(47)
     plan_state = rng.bit_generator.state
     with WordStream(rng) as stream:
-        assert len(plan(m, 20, stream)) == 20
+        plan(m, 20, stream, *random_q(48), ALPHA, GAMMA)
+    assert [len(burst) for burst in handed] == [20]
     assert m.rng.bit_generator.state == state
     assert rng.bit_generator.state != plan_state
 
@@ -495,16 +508,11 @@ def test_empty_burst_on_an_empty_model(variant, wrapped):
     rng = np.random.default_rng(44)
     state = rng.bit_generator.state
     draws = WordStream(rng) if wrapped else rng
-    if variant == "tabular":
-        rows, mins = random_q(45)
-        plan_tabular(m, 0, draws, rows, mins, ALPHA, GAMMA)
-        with pytest.raises(UnvisitedPairError):
-            plan_tabular(m, 1, draws, rows, mins, ALPHA, GAMMA)
-        assert as_bytes(rows, mins) == as_bytes(*random_q(45))
-    else:
-        assert plan(m, 0, draws) == []
-        with pytest.raises(UnvisitedPairError):
-            plan(m, 1, draws)
+    rows, mins = random_q(45)
+    plan(m, 0, draws, rows, mins, ALPHA, GAMMA)
+    with pytest.raises(UnvisitedPairError):
+        plan(m, 1, draws, rows, mins, ALPHA, GAMMA)
+    assert as_bytes(rows, mins) == as_bytes(*random_q(45))
     if wrapped:
         draws.close()
     assert rng.bit_generator.state == state
@@ -561,6 +569,8 @@ def test_agents_bind_the_envmodel_functions():
     # the learner and fig3's probe must call the public names, the ones a traced run wraps
     for name in ("model_update", "plan"):
         assert getattr(agents, name) is getattr(envmodel, name)
+    # a neural burst's update, which a traced run wraps through this name too
+    assert envmodel.q_update is qcore.q_update
     assert bench.transition_prob is envmodel.transition_prob
 
 
@@ -698,11 +708,13 @@ class TestDetNetReads:
             estimate_cost(m, s, a, rng)
         assert rng.bit_generator.state == state
 
-    def test_planned_costs_are_one_pair_reads(self):
+    def test_planned_costs_are_one_pair_reads(self, monkeypatch):
         # the burst reads its distinct pairs in one stacked pass per net
+        handed = handed_to_q_update(monkeypatch)
         m = self.trained(24)
         with WordStream(np.random.default_rng(25)) as stream:
-            burst = plan(m, 50, stream)
+            plan(m, 50, stream, *random_q(26), ALPHA, GAMMA)
+        [burst] = handed
         assert {(s, a) for s, a, _, _ in burst} == set(self.PAIRS)
         for s, a, _, cost in burst:
             assert cost == estimate_cost(m, s, a)

@@ -286,7 +286,7 @@ def _warm_start():
 def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn):
     # every update lands in the table's own rows, so a finished learner
     # holds no second copy and its q is the table it learned
-    updated, update, planned = [], agents.q_update, agents.plan_tabular
+    updated, update, planned = [], agents.q_update, agents.plan
 
     def keeping_update(rows, *args):
         updated.append(rows)
@@ -297,7 +297,7 @@ def test_a_finished_learner_holds_only_its_written_back_table(monkeypatch, learn
         return planned(m, n, stream, rows, *args)
 
     monkeypatch.setattr(agents, "q_update", keeping_update)
-    monkeypatch.setattr(agents, "plan_tabular", keeping_plan)
+    monkeypatch.setattr(agents, "plan", keeping_plan)
     learner = learn()
     assert updated and all(rows is learner.q for rows in updated)
     assert not hasattr(learner, "rows") and not hasattr(learner, "finish")
