@@ -55,7 +55,28 @@ MUTANTS = {
         NN,
         "z = (a.reshape(rows * samples, 1, width) @ w)",
         "z = (a.reshape(rows * samples, width) @ w)",
-        ["tests/test_nn.py::test_stacked_mc_predict_matches_one_row_reads"],
+        [
+            "tests/test_nn.py::test_stacked_mc_predict_matches_one_row_reads",
+            "tests/test_agents.py::"
+            "test_train_matches_the_reference_learner[dyna-q-1-mc-dropout]",
+            "tests/test_agents.py::"
+            "test_train_matches_the_reference_learner[adjusted-dyna-q-1-mc-dropout]",
+        ],
+    ),
+    # an MC-dropout read keeps a unit whose uniform is exactly keep; the
+    # records cannot see it, since a uniform equals 0.5 with probability 2**-53
+    "mc-mask-keeps-at-keep": (
+        NN,
+        "kept = U < keep",
+        "kept = U <= keep",
+        ["tests/test_nn.py::test_a_uniform_at_keep_drops_its_unit[mc_predict]"],
+    ),
+    # a training step keeps a unit whose uniform is exactly keep
+    "train-mask-keeps-at-keep": (
+        NN,
+        "np.less(u, self.keep, out=u)",
+        "np.less_equal(u, self.keep, out=u)",
+        ["tests/test_nn.py::test_a_uniform_at_keep_drops_its_unit[train_step]"],
     ),
     # a det-net burst read as one 2-D (pairs, 4) @ W product per layer
     "det-net-2d-product": (
@@ -91,7 +112,13 @@ MUTANTS = {
         "        step /= v_hat\n",
         "        step = np.divide(m_hat, np.sqrt(v_hat, out=v_hat) + ADAM_EPS, out=scratch[0])\n"
         "        step *= ADAM_LR\n",
-        ["tests/test_nn.py::test_train_step_matches_per_array_reference"],
+        [
+            "tests/test_nn.py::test_train_step_matches_per_array_reference",
+            "tests/test_agents.py::"
+            "test_train_matches_the_reference_learner[dyna-q-1-mc-dropout]",
+            "tests/test_agents.py::"
+            "test_train_matches_the_reference_learner[adjusted-dyna-q-1-mc-dropout]",
+        ],
     ),
     # Adam stops dividing m by 1 - beta1**t one step early, at t = 355,
     # where that correction is still one ulp below 1

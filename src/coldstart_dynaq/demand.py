@@ -7,6 +7,7 @@ for real transaction data. sample() draws an episode's or a history's
 demands at once, so a day loop walks a list.
 """
 
+import calendar
 import csv
 import datetime as dt
 import math
@@ -87,12 +88,6 @@ def cdf_of(pmf: np.ndarray) -> list:
     cdf = np.cumsum(pmf, axis=-1)
     cdf[..., -1] = 1.0
     return cdf.tolist()
-
-
-def feature_dim(window: int) -> int:
-    # window lags + window mean, then 7 day-of-week + weekend flag +
-    # week number + sin/cos day-in-month + sin/cos day-in-year
-    return window + 1 + 13
 
 
 def discretized_gamma(mean: float, variance: float, d_max: int) -> DemandDistribution:
@@ -206,9 +201,10 @@ def extract_features(series: DemandSeries, day_index: int, window: int) -> np.nd
     """Features for predicting the demand of day `day_index`.
 
     The first window + 1 entries are the `window` previous demands (most
-    recent first) and their mean; the rest encode the calendar of the day
-    before: one-hot day-of-week, weekend flag, ISO week scaled to [0, 1],
-    and sin/cos positions within the month and the year.
+    recent first) and their mean; the 13 after them encode the calendar of
+    the day before: one-hot day-of-week, weekend flag, ISO week scaled to
+    [0, 1], and sin/cos positions within the month and the year. So a
+    vector holds window + 14 entries.
     """
     if day_index < window:
         raise DomainError(f"day_index {day_index} needs >= {window} days of history")
@@ -223,13 +219,8 @@ def extract_features(series: DemandSeries, day_index: int, window: int) -> np.nd
     dow[date.weekday()] = 1.0
     weekend = 1.0 if date.weekday() >= 5 else 0.0
     week = date.isocalendar().week / 53.0
-    days_in_month = (
-        dt.date(date.year + (date.month == 12), date.month % 12 + 1, 1)
-        - dt.date(date.year, date.month, 1)
-    ).days
-    month_angle = 2.0 * math.pi * date.day / days_in_month
-    year_len = 366 if date.year % 4 == 0 and (date.year % 100 != 0 or date.year % 400 == 0) else 365
-    year_angle = 2.0 * math.pi * date.timetuple().tm_yday / year_len
+    month_angle = 2.0 * math.pi * date.day / calendar.monthrange(date.year, date.month)[1]
+    year_angle = 2.0 * math.pi * date.timetuple().tm_yday / (365 + calendar.isleap(date.year))
     return np.concatenate([
         lags,
         [lags.mean()],

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .agents import Learner, rollout
-from .demand import DemandSeries, extract_features, feature_dim
+from .demand import DemandSeries, extract_features
 from .env import (
     DomainError,
     InventoryState,
@@ -70,9 +70,7 @@ def train_forecaster(
     X = np.stack([_design_row(window, d_max, series, day) for day in days])
     y = series.quantities[window:].astype(float)[:, None] / d_max
 
-    net = nn.Network(
-        [feature_dim(window), *_HIDDEN, 1], dropout=_DROPOUT, head="regression", rng=rng
-    )
+    net = nn.Network([X.shape[1], *_HIDDEN, 1], dropout=_DROPOUT, head="regression", rng=rng)
     adam = nn.AdamState(net)
     n = len(X)
     for _ in range(epochs):

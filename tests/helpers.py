@@ -3,8 +3,8 @@ a point-mass law, one day read from the day tables by state index, a
 net's parameter arrays, reference versions of the nn training path
 (forward, loss, backward, mask draws and Adam) as plain per-array numpy,
 which the buffered nn code must match bit for bit, and a reference
-learner on the tabular or det-net model, which agents.train must match
-bit for bit."""
+learner on the tabular, det-net or MC-dropout model, which agents.train
+must match bit for bit."""
 
 from bisect import bisect_right
 
@@ -13,6 +13,7 @@ import numpy as np
 from coldstart_dynaq import nn
 from coldstart_dynaq.demand import DemandDistribution, cdf_of
 from coldstart_dynaq.env import InventoryState, num_actions, num_states, state_index, step
+from coldstart_dynaq.envmodel import MC_SAMPLES
 from coldstart_dynaq.schedule import stc_steps, stc_value
 
 
@@ -138,18 +139,38 @@ def train_step_reference(net, adam, X, Y, rng):
     return loss
 
 
+def read_reference(net, x, rng):
+    """A planned read of the one-row input x: the net's deterministic pass,
+    or with dropout the mean of MC_SAMPLES one-row passes, in sample order.
+
+    Each pass draws its sample's rng.random(mask_width) uniforms at once and
+    masks each hidden layer, first layer first, with (u < keep) / keep.
+    """
+    if net.dropout == 0.0:
+        return forward_reference(net, x)[2][0]
+    keep = 1.0 - net.dropout
+    cuts = np.cumsum([0, *net.sizes[1:-1]])
+    passes = []
+    for u in rng.random((MC_SAMPLES, nn.mask_width(net))):
+        masks = [(u[None, a:b] < keep) / keep for a, b in zip(cuts, cuts[1:])]
+        passes.append(forward_reference(net, x, masks)[2][0])
+    return np.mean(passes, axis=0)
+
+
 def reference_train(config, dist, spaces, s0):
-    """agents.train on the tabular or det-net model, as the algorithms are written.
+    """agents.train on the tabular, det-net or MC-dropout model, as the algorithms are written.
 
     Q-learning (Watkins & Dayan 1992) with Dyna planning (Sutton 1990):
     numpy Generators drawn one call at a time, env.step on dataclass
     states, each demand recovered by trying every demand through step, a
     full-row minimum in every update, and the tabular model's mean cost
-    divided per draw. A det-net model is two nets built on the fourth
-    stream, as EnvModel builds them, each fitted on every real step by the
-    reference training step, and read one planned pair at a time by the
-    reference forward pass. Returns the Q array, each episode's (total
-    cost, shortage fraction, mean holding), and the planning steps taken.
+    divided per draw. A neural model is two nets built on the fourth
+    stream, as EnvModel builds them (at dropout 0.5 for MC-dropout), each
+    fitted on every real step by the reference training step on that
+    stream, and read one planned pair at a time by read_reference: the
+    transition net's read, the demand's uniform, then the cost net's read.
+    Returns the Q array, each episode's (total cost, shortage fraction,
+    mean holding), and the planning steps taken.
     """
     env_rng, explore_rng, plan_rng, dropout_rng = (
         np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(4))
@@ -158,13 +179,15 @@ def reference_train(config, dist, spaces, s0):
     Q = np.zeros((num_states(s_max), num_actions(a_max)))
     counts = np.zeros(spaces.d_max + 1)
     pairs, cost_sums, cost_counts = [], {}, {}
-    if config.model_variant not in ("tabular", "det-net"):
+    if config.model_variant not in ("tabular", "det-net", "mc-dropout"):
         raise ValueError(f"no reference learner for a {config.model_variant} model")
-    neural = config.model_variant == "det-net"
+    neural = config.model_variant != "tabular"
     if neural:
         # a demand-class head and a cost head over (s1, s2, s3, order) / (s_max, s_max, s_max, a_max)
-        t_net = nn.Network([4, 128, 64, spaces.d_max + 1], head="categorical", rng=dropout_rng)
-        c_net = nn.Network([4, 128, 64, 1], head="regression", rng=dropout_rng)
+        dropout = 0.5 if config.model_variant == "mc-dropout" else 0.0
+        t_net = nn.Network([4, 128, 64, spaces.d_max + 1], dropout=dropout, head="categorical",
+                           rng=dropout_rng)
+        c_net = nn.Network([4, 128, 64, 1], dropout=dropout, head="regression", rng=dropout_rng)
         t_adam, c_adam = AdamReference(t_net), AdamReference(c_net)
     fits = stc_steps(config.planning_schedule, 0) > 0
     t = planning_steps = 0
@@ -215,9 +238,9 @@ def reference_train(config, dist, spaces, s0):
                 ps, pa = pairs[plan_rng.integers(len(pairs))]
                 if neural:
                     x = encode(ps, pa)
-                    pmf = forward_reference(t_net, x)[2][0]
+                    pmf = read_reference(t_net, x, plan_rng)
                     e = bisect_right(cdf_of(pmf / pmf.sum()), plan_rng.random())
-                    planned_cost = float(forward_reference(c_net, x)[2][0, 0])
+                    planned_cost = float(read_reference(c_net, x, plan_rng)[0])
                 else:
                     cdf = np.cumsum(counts / counts.sum())
                     cdf[-1] = 1.0

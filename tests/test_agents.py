@@ -204,17 +204,20 @@ class TestTrain:
 @pytest.mark.parametrize("algorithm, episodes, variant", [
     *(pytest.param(algorithm, episodes, "tabular", id=f"{algorithm}-{episodes}")
       for episodes in (1, 5) for algorithm in bench.ExperimentSpec().algorithms),
-    *(pytest.param(algorithm, 1, "det-net", id=f"{algorithm}-1-det-net")
-      for algorithm in bench.ExperimentSpec().algorithms),
+    *(pytest.param(algorithm, 1, variant, id=f"{algorithm}-1-{variant}")
+      for variant in ("det-net", "mc-dropout") for algorithm in bench.ExperimentSpec().algorithms),
 ])
 def test_train_matches_the_reference_learner(algorithm, episodes, variant):
     # the default table1 spec's configuration, trained by the algorithm as
     # written, with none of the fast path's caches: no cached rows or mean
-    # costs, and a det-net read per planned pair, not per distinct pair
+    # costs, a det-net read per planned pair, not per distinct pair, and an
+    # MC-dropout read as one-row passes, which are slow enough that its
+    # episode is 30 days
     spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
     eps, plan = bench.schedules(params, algorithm)
+    horizon = 30 if variant == "mc-dropout" else spec.horizon
     config = AgentConfig(params.alpha, params.gamma, eps, plan, model_variant=variant,
-                         horizon=spec.horizon, episodes=episodes, seed=12345)
+                         horizon=horizon, episodes=episodes, seed=12345)
     dist, spaces = spec.true_demand(), spec.spaces()
     learner = train(config, dist, spaces, spec.initial_state)
     q, runs, planning_steps = reference_train(config, dist, spaces, spec.initial_state)

@@ -479,6 +479,19 @@ class TestArtifactCommands:
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {named}")
 
+    def test_a_history_reaching_december_9999_is_forecast(self, tmp_path, monkeypatch):
+        # the features of a December day built date(10000, 1, 1) and ended the fit
+        start = dt.date(9999, 11, 20)
+        rows = [f"{start + dt.timedelta(days=i)},Boule 200g,{i % 5}" for i in range(35)]
+        (tmp_path / "tx.csv").write_text("\n".join(["date,product,quantity", *rows]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(
+            {"dataset_path": "tx.csv", "offline_horizon": 3, "forecaster_epochs": 1}))
+        assert main(["forecast", "--config", "config.json", "--out", "fc"]) == 0
+        lines = Path("fc", "offline_demand.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "9999-12-25", "9999-12-26", "9999-12-27"]
+
     @pytest.mark.parametrize("rows, named", [
         # a year typed as 1900 among 20 days of 2021 was fitted as 44,000 days
         (["1900-01-01,Boule 200g,3", *(f"2021-01-{d:02},Boule 200g,3" for d in range(1, 21))],

@@ -15,7 +15,6 @@ from coldstart_dynaq.demand import (
     cdf_of,
     discretized_gamma,
     extract_features,
-    feature_dim,
     load_transactions,
     sample,
     save_series,
@@ -306,7 +305,19 @@ class TestExtractFeatures:
 
     def test_dimensionality(self):
         series = self._series([2] * 15)
-        assert extract_features(series, 9, window=7).shape == (feature_dim(7),)
+        assert extract_features(series, 9, window=7).shape == (7 + 1 + 13,)
+
+    @pytest.mark.parametrize("last_day", [
+        dt.date(2000, 2, 29), dt.date(2024, 2, 29), dt.date(2100, 2, 28), dt.date(9999, 12, 31),
+    ], ids=str)
+    def test_month_cosine_peaks_on_the_last_day(self, last_day):
+        # December 9999 failed: the month's length came from date(10000, 1, 1)
+        series = self._series([1] * 4, start=last_day - dt.timedelta(days=3))
+        assert series.date(3) == last_day
+        # after the 3 lags: their mean, 7 weekdays, weekend, week, month sine
+        month_cos = 3 + 1 + 7 + 2 + 1
+        assert extract_features(series, 4, window=3)[month_cos] == 1.0
+        assert extract_features(series, 3, window=3)[month_cos] < 1.0
 
     def test_insufficient_history(self):
         series = self._series([1, 2, 3])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coldstart_dynaq import forecast, nn
-from coldstart_dynaq.demand import DemandSeries, discretized_gamma, feature_dim, synthesize_history
+from coldstart_dynaq.demand import DemandSeries, discretized_gamma, synthesize_history
 from coldstart_dynaq.env import CostParams, DomainError, InventoryState, state_index
 from coldstart_dynaq.envmodel import ModelSpaces
 from coldstart_dynaq.forecast import (
@@ -38,7 +38,7 @@ def train_forecaster_reference(series, window, epochs, rng, d_max):
     """
     X = np.stack([_design_row(window, d_max, series, day) for day in range(window, len(series))])
     y = series.quantities[window:].astype(float)[:, None] / d_max
-    net = nn.Network([feature_dim(window), *forecast._HIDDEN, 1], dropout=forecast._DROPOUT,
+    net = nn.Network([window + 14, *forecast._HIDDEN, 1], dropout=forecast._DROPOUT,
                      head="regression", rng=rng)
     adam = AdamReference(net)
     for _ in range(epochs):

@@ -382,6 +382,37 @@ def test_stacked_mc_predict_matches_one_row_reads(rows, samples, net_name):
         assert out.tobytes() == nn.mc_predict(net, x[None, None], u[None])[0].tobytes()
 
 
+class ConstantUniforms:
+    """A generator stand-in whose random(out=) fills the buffer with one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+@pytest.mark.parametrize("entry", ["mc_predict", "train_step"])
+def test_a_uniform_at_keep_drops_its_unit(entry):
+    # a unit is kept when its uniform is below keep = 1 - dropout; a double
+    # lands on keep with probability 2**-53, so no record digest can tell
+    # (u < keep) from (u <= keep)
+    keep = 1.0 - 0.5
+    x = np.random.default_rng(1).uniform(0.0, 1.0, 4)
+
+    def result(u):
+        net = make_net([4, 16, 8, 3], head="categorical", dropout=0.5, seed=2)
+        if entry == "mc_predict":
+            U = np.full((1, 10, nn.mask_width(net)), u)
+            return nn.mc_predict(net, x[None, None], U).tobytes()
+        nn.train_step(net, nn.AdamState(net), x[None], np.array([1]), rng=ConstantUniforms(u))
+        return net.flat.tobytes()
+
+    assert result(keep) == result(0.75)
+    assert result(keep) != result(np.nextafter(keep, 0.0))
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_mc_predict_rejects_multi_row_input(dropout):
     net = make_net([3, 4, 2], dropout=dropout)
