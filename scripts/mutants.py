@@ -36,6 +36,16 @@ INCGAMMA = "src/coldstart_dynaq/incgamma.py"
 AGENTS = "src/coldstart_dynaq/agents.py"
 ENV = "src/coldstart_dynaq/env.py"
 
+
+def _transfer_references(*variants: str) -> list[str]:
+    """The reference learner's transfer cases, Dyna-Q and adjusted Dyna-Q on each variant."""
+    return [
+        "tests/test_agents.py::test_train_matches_the_reference_learner"
+        f"[{algorithm}-1-{v}-transfer]"
+        for v in variants for algorithm in ("dyna-q", "adjusted-dyna-q")
+    ]
+
+
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
     # the reference day serves the freshest bucket first; the hot path reads
@@ -239,6 +249,7 @@ MUTANTS = {
         [
             "tests/test_qcore.py::test_learner_q_is_current_after_every_step",
             "tests/test_golden.py::test_records_match_golden_digest[scenario2-tabular]",
+            *_transfer_references("tabular", "det-net", "mc-dropout"),
         ],
     ),
     # the learner takes any learning rate; the learner is the one place
@@ -303,9 +314,12 @@ MUTANTS = {
         "        learner.fits_model = True\n",
         "",
         [
-            "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
-            f"[scenario2-{variant}-learned]"
-            for variant in ("tabular", "det-net", "mc-dropout")
+            *(
+                "tests/test_golden.py::test_outputs_and_learned_bits_match_golden_digest"
+                f"[scenario2-{variant}-learned]"
+                for variant in ("tabular", "det-net", "mc-dropout")
+            ),
+            *_transfer_references("tabular", "det-net", "mc-dropout"),
         ],
     ),
     # a warm start's model copy keeps a copy of the warm start's generator,
@@ -322,6 +336,7 @@ MUTANTS = {
                 f"[{experiment}-mc-dropout-learned]"
                 for experiment in ("scenario1", "scenario2")
             ),
+            *_transfer_references("mc-dropout"),
         ],
     ),
     # an episode's total is the correctly rounded sum of its days, as

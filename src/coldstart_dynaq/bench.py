@@ -415,36 +415,26 @@ def run_table1(spec: ExperimentSpec) -> dict:
     configs = [(algorithm, False) for algorithm in spec.algorithms]
     records = _map_reps(spec, _table1_record, TABLE1_PARAMS, configs)
 
-    summary = {}
-    for algorithm in spec.algorithms:
-        rows = [r for r in records if r["algorithm"] == algorithm]
-        summary[algorithm] = {
-            "mean_daily_cost": float(np.mean([r["avg_daily_cost"] for r in rows])),
-            # deterministic, so every replication's count is the same
-            "planning_steps": rows[0]["train"]["planning_steps"],
-        }
-    # relative improvements, (baseline - value) / baseline
-    for stats in summary.values():
-        if "q-learning" in summary:
-            base = summary["q-learning"]["mean_daily_cost"]
-            stats["cost_improvement_vs_qlearning"] = (base - stats["mean_daily_cost"]) / base
-        if "dyna-q" in summary:
-            base = summary["dyna-q"]["planning_steps"]
-            stats["planning_improvement_vs_dynaq"] = (
-                (base - stats["planning_steps"]) / base if base else 0.0
-            )
+    cost = {a: float(np.mean([r["avg_daily_cost"] for r in records if r["algorithm"] == a]))
+            for a in spec.algorithms}
+    # deterministic, so every replication's count is the same
+    steps = {r["algorithm"]: r["train"]["planning_steps"] for r in records}
+    summary = {a: {} for a in spec.algorithms}
+    for name, values, baseline, improvement in (
+        ("mean_daily_cost", cost, "q-learning", "cost_improvement_vs_qlearning"),
+        ("planning_steps", steps, "dyna-q", "planning_improvement_vs_dynaq"),
+    ):
+        base = values.get(baseline)
+        for a, stats in summary.items():
+            stats[name] = values[a]
+            # relative improvement, (baseline - value) / baseline, where the
+            # baseline algorithm ran and its value is nonzero
+            if base:
+                stats[improvement] = (base - values[a]) / base
     report = {"experiment": "table1", "spec_name": spec.name, "summary": summary}
-    rows = []
-    for algorithm, stats in summary.items():
-        rows.append({
-            "algorithm": algorithm,
-            "sigma2": spec.sigma2,
-            "model": spec.model_variant,
-            "mean_daily_cost": f"{stats['mean_daily_cost']:.4f}",
-            "cost_improvement_vs_qlearning": f"{stats.get('cost_improvement_vs_qlearning', 0.0):.4f}",
-            "planning_steps": stats["planning_steps"],
-            "planning_improvement_vs_dynaq": f"{stats.get('planning_improvement_vs_dynaq', 0.0):.4f}",
-        })
+    rows = [_table_row({"algorithm": algorithm, "sigma2": spec.sigma2,
+                        "model": spec.model_variant}, stats)
+            for algorithm, stats in summary.items()]
     _emit(spec, records, report, rows)
     return {"records": records, "report": report}
 
@@ -483,12 +473,7 @@ def _run_scenario(spec: ExperimentSpec, params: ScheduleParams, testing: bool) -
         ]
         stats = {name: float(np.mean([g[name] for g in group])) for name in _SCENARIO_STATS}
         summary[f"{algorithm}|transfer={transfer}"] = stats
-        rows.append({
-            "algorithm": algorithm,
-            "transfer": transfer,
-            "phase": key,
-            **{name: f"{value:.4f}" for name, value in stats.items()},
-        })
+        rows.append(_table_row({"algorithm": algorithm, "transfer": transfer, "phase": key}, stats))
     report = {"experiment": experiment, "spec_name": spec.name, "summary": summary}
     _emit(spec, records, report, rows)
     return {"records": records, "report": report}
@@ -578,6 +563,12 @@ def run_fig3(spec: ExperimentSpec) -> dict:
 # ------------------------------------------------------------- plumbing
 
 
+def _table_row(head: dict, stats: dict) -> dict:
+    """A summary CSV row: head's fields as they are, then stats' floats to 4
+    decimals and its ints as they are."""
+    return {**head, **{k: f"{v:.4f}" if isinstance(v, float) else v for k, v in stats.items()}}
+
+
 def _strip_timings(record: dict) -> dict:
     return {k: v for k, v in record.items() if not k.startswith("wall_")}
 
@@ -594,11 +585,10 @@ def _emit(spec: ExperimentSpec, records, report, table_rows) -> None:
     with open(out / f"{prefix}_report.json", "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if table_rows:
-        with open(out / f"{prefix}_summary.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(table_rows[0]))
-            writer.writeheader()
-            writer.writerows(table_rows)
+    with open(out / f"{prefix}_summary.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(table_rows[0]))
+        writer.writeheader()
+        writer.writerows(table_rows)
     timings = [
         {"replication": r.get("replication"), "algorithm": r.get("algorithm"),
          "wall_train_seconds": r.get("wall_train_seconds")}

@@ -3,10 +3,12 @@ a point-mass law, one day read from the day tables by state index, a
 net's parameter arrays, reference versions of the nn training path
 (forward, loss, backward, mask draws and Adam) as plain per-array numpy,
 which the buffered nn code must match bit for bit, and a reference
-learner on the tabular, det-net or MC-dropout model, which agents.train
-must match bit for bit."""
+learner and warm start on the tabular, det-net or MC-dropout model,
+which agents.train and forecast.build_warm_start must match bit for
+bit."""
 
 from bisect import bisect_right
+from copy import deepcopy
 
 import numpy as np
 
@@ -157,99 +159,158 @@ def read_reference(net, x, rng):
     return np.mean(passes, axis=0)
 
 
-def reference_train(config, dist, spaces, s0):
+class ReferenceModel:
+    """A model of the tabular, det-net or MC-dropout variant, as written.
+
+    It keeps the visited (state, order) pairs in first-seen order and each
+    pair's cost sum and count. Each real step's demand is recovered by
+    trying every demand through env.step. A tabular model counts the
+    demands; a neural model is two nets built on rng, as EnvModel builds
+    them (at dropout 0.5 for MC-dropout), each fitted on every real step
+    by the reference training step on rng.
+    """
+
+    def __init__(self, spaces, variant, rng):
+        if variant not in ("tabular", "det-net", "mc-dropout"):
+            raise ValueError(f"no reference learner for a {variant} model")
+        self.spaces, self.rng = spaces, rng
+        self.states = enumerate_states(spaces.s_max)
+        self.pairs, self.cost_sums, self.cost_counts = [], {}, {}
+        self.counts = np.zeros(spaces.d_max + 1)
+        self.neural = variant != "tabular"
+        if self.neural:
+            # a demand-class head and a cost head over (s1, s2, s3, order) / (s_max, s_max, s_max, a_max)
+            dropout = 0.5 if variant == "mc-dropout" else 0.0
+            self.t_net = nn.Network([4, 128, 64, spaces.d_max + 1], dropout=dropout,
+                                    head="categorical", rng=rng)
+            self.c_net = nn.Network([4, 128, 64, 1], dropout=dropout, head="regression", rng=rng)
+            self.t_adam, self.c_adam = AdamReference(self.t_net), AdamReference(self.c_net)
+
+    def copy(self, rng):
+        """Copies of what this model has learned, whose nets train on rng."""
+        return deepcopy(self, {id(self.rng): rng})
+
+    def day(self, s, a, d):
+        """env.step from state index s: the next state index, the cost and the shortage."""
+        sp = self.spaces
+        out = step(self.states[s], a, d, sp.cost_params, sp.s_max, sp.a_max)
+        return state_index(out.next_state, sp.s_max), out.cost, out.shortage
+
+    def encode(self, s, a):
+        sp, state = self.spaces, self.states[s]
+        return np.array([[state.s1 / sp.s_max, state.s2 / sp.s_max, state.s3 / sp.s_max,
+                          a / sp.a_max]])
+
+    def fit(self, s, a, s_next, cost):
+        outcomes = [self.day(s, a, e)[:2] for e in range(self.spaces.d_max + 1)]
+        reach = [e for e, (n, _) in enumerate(outcomes) if n == s_next]
+        exact = [e for e in reach if abs(outcomes[e][1] - cost) <= 1e-9]
+        recovered = (exact or reach)[0]
+        if (s, a) not in self.cost_sums:
+            self.pairs.append((s, a))
+        self.cost_sums[s, a] = self.cost_sums.get((s, a), 0.0) + cost
+        self.cost_counts[s, a] = self.cost_counts.get((s, a), 0) + 1
+        if self.neural:
+            x = self.encode(s, a)
+            train_step_reference(self.t_net, self.t_adam, x, np.array([recovered]), self.rng)
+            train_step_reference(self.c_net, self.c_adam, x, np.array([[cost]]), self.rng)
+        else:
+            self.counts[recovered] += 1
+
+    def simulate(self, rng):
+        """One planned step drawn from rng one call at a time: a visited pair,
+        then a neural model's transition read, the demand's uniform and its
+        cost read, or a tabular demand and the pair's mean cost divided here.
+        Returns the pair, its next state index and the planned cost."""
+        s, a = self.pairs[rng.integers(len(self.pairs))]
+        if self.neural:
+            x = self.encode(s, a)
+            pmf = read_reference(self.t_net, x, rng)
+            e = bisect_right(cdf_of(pmf / pmf.sum()), rng.random())
+            cost = float(read_reference(self.c_net, x, rng)[0])
+        else:
+            cdf = np.cumsum(self.counts / self.counts.sum())
+            cdf[-1] = 1.0
+            e = int(np.searchsorted(cdf, rng.random(), side="right"))
+            cost = self.cost_sums[s, a] / self.cost_counts[s, a]
+        return s, a, self.day(s, a, e)[0], cost
+
+
+def _act(Q, s, epsilon, rng):
+    """Epsilon-greedy over Q's row s, greedy ties broken uniformly."""
+    if rng.random() < epsilon:
+        return int(rng.integers(Q.shape[1]))
+    ties = np.flatnonzero(Q[s] == Q[s].min())
+    return int(ties[rng.integers(len(ties))])
+
+
+def _update(Q, s, a, s_next, cost, alpha, gamma):
+    target = cost + gamma * Q[s_next].min()
+    Q[s, a] = Q[s, a] + alpha * (target - Q[s, a])
+
+
+def reference_warm_start(demands, spaces, alpha, gamma, epochs, epsilon, variant, s0, seed):
+    """forecast.build_warm_start as written: Q-learning over the offline
+    demands, epochs times from s0 at the constant epsilon, exploring on
+    the first of two streams spawned from seed and fitting a
+    ReferenceModel built on the second on every real step.
+    Returns the Q array and the model."""
+    explore_rng, model_rng = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+    model = ReferenceModel(spaces, variant, model_rng)
+    Q = np.zeros((num_states(spaces.s_max), num_actions(spaces.a_max)))
+    for _ in range(epochs):
+        s = state_index(s0, spaces.s_max)
+        for d in demands:
+            a = _act(Q, s, epsilon, explore_rng)
+            s_next, cost, _ = model.day(s, a, d)
+            _update(Q, s, a, s_next, cost, alpha, gamma)
+            model.fit(s, a, s_next, cost)
+            s = s_next
+    return Q, model
+
+
+def reference_train(config, dist, spaces, s0, warm=None):
     """agents.train on the tabular, det-net or MC-dropout model, as the algorithms are written.
 
     Q-learning (Watkins & Dayan 1992) with Dyna planning (Sutton 1990):
     numpy Generators drawn one call at a time, env.step on dataclass
-    states, each demand recovered by trying every demand through step, a
-    full-row minimum in every update, and the tabular model's mean cost
-    divided per draw. A neural model is two nets built on the fourth
-    stream, as EnvModel builds them (at dropout 0.5 for MC-dropout), each
-    fitted on every real step by the reference training step on that
-    stream, and read one planned pair at a time by read_reference: the
-    transition net's read, the demand's uniform, then the cost net's read.
-    Returns the Q array, each episode's (total cost, shortage fraction,
-    mean holding), and the planning steps taken.
+    states, a full-row minimum in every update, and a ReferenceModel built
+    on the fourth stream, fitted on every real step and drawn by simulate
+    one planned step at a time. A warm start, reference_warm_start's
+    (Q, model), starts the run from a copy of its Q array and a copy of
+    its model whose nets train on the fourth stream. Returns the Q array,
+    each episode's (total cost, shortage fraction, mean holding), and the
+    planning steps taken.
     """
     env_rng, explore_rng, plan_rng, dropout_rng = (
         np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(4))
-    states = enumerate_states(spaces.s_max)
-    p, s_max, a_max = spaces.cost_params, spaces.s_max, spaces.a_max
-    Q = np.zeros((num_states(s_max), num_actions(a_max)))
-    counts = np.zeros(spaces.d_max + 1)
-    pairs, cost_sums, cost_counts = [], {}, {}
-    if config.model_variant not in ("tabular", "det-net", "mc-dropout"):
-        raise ValueError(f"no reference learner for a {config.model_variant} model")
-    neural = config.model_variant != "tabular"
-    if neural:
-        # a demand-class head and a cost head over (s1, s2, s3, order) / (s_max, s_max, s_max, a_max)
-        dropout = 0.5 if config.model_variant == "mc-dropout" else 0.0
-        t_net = nn.Network([4, 128, 64, spaces.d_max + 1], dropout=dropout, head="categorical",
-                           rng=dropout_rng)
-        c_net = nn.Network([4, 128, 64, 1], dropout=dropout, head="regression", rng=dropout_rng)
-        t_adam, c_adam = AdamReference(t_net), AdamReference(c_net)
+    if warm is None:
+        Q = np.zeros((num_states(spaces.s_max), num_actions(spaces.a_max)))
+        model = ReferenceModel(spaces, config.model_variant, dropout_rng)
+    else:
+        Q, model = warm[0].copy(), warm[1].copy(dropout_rng)
     fits = stc_steps(config.planning_schedule, 0) > 0
     t = planning_steps = 0
     episodes = []
-
-    def update(s, a, s_next, cost):
-        target = cost + config.gamma * Q[s_next].min()
-        Q[s, a] = Q[s, a] + config.alpha * (target - Q[s, a])
-
-    def day(s, a, d):
-        out = step(states[s], a, d, p, s_max, a_max)
-        return state_index(out.next_state, s_max), out.cost, out.shortage
-
-    def encode(s, a):
-        return np.array([[states[s].s1 / s_max, states[s].s2 / s_max, states[s].s3 / s_max,
-                          a / a_max]])
-
     for _ in range(config.episodes):
-        s = state_index(s0, s_max)
+        s = state_index(s0, spaces.s_max)
         total, holding, shortages = 0.0, 0, 0
         for _ in range(config.horizon):
             d = bisect_right(dist.cdf, env_rng.random())
-            if explore_rng.random() < stc_value(config.epsilon_schedule, t):
-                a = int(explore_rng.integers(a_max + 1))
-            else:
-                ties = np.flatnonzero(Q[s] == Q[s].min())
-                a = int(ties[explore_rng.integers(len(ties))])
+            a = _act(Q, s, stc_value(config.epsilon_schedule, t), explore_rng)
             n_plan = stc_steps(config.planning_schedule, t)
             t += 1
-            s_next, cost, shortage = day(s, a, d)
-            update(s, a, s_next, cost)
+            s_next, cost, shortage = model.day(s, a, d)
+            _update(Q, s, a, s_next, cost, config.alpha, config.gamma)
             if fits:
-                outcomes = [day(s, a, e)[:2] for e in range(spaces.d_max + 1)]
-                reach = [e for e, (n, _) in enumerate(outcomes) if n == s_next]
-                exact = [e for e in reach if abs(outcomes[e][1] - cost) <= 1e-9]
-                recovered = (exact or reach)[0]
-                if (s, a) not in cost_sums:
-                    pairs.append((s, a))
-                cost_sums[s, a] = cost_sums.get((s, a), 0.0) + cost
-                cost_counts[s, a] = cost_counts.get((s, a), 0) + 1
-                if neural:
-                    x = encode(s, a)
-                    train_step_reference(t_net, t_adam, x, np.array([recovered]), dropout_rng)
-                    train_step_reference(c_net, c_adam, x, np.array([[cost]]), dropout_rng)
-                else:
-                    counts[recovered] += 1
+                model.fit(s, a, s_next, cost)
             for _ in range(n_plan):
-                ps, pa = pairs[plan_rng.integers(len(pairs))]
-                if neural:
-                    x = encode(ps, pa)
-                    pmf = read_reference(t_net, x, plan_rng)
-                    e = bisect_right(cdf_of(pmf / pmf.sum()), plan_rng.random())
-                    planned_cost = float(read_reference(c_net, x, plan_rng)[0])
-                else:
-                    cdf = np.cumsum(counts / counts.sum())
-                    cdf[-1] = 1.0
-                    e = int(np.searchsorted(cdf, plan_rng.random(), side="right"))
-                    planned_cost = cost_sums[ps, pa] / cost_counts[ps, pa]
-                update(ps, pa, day(ps, pa, e)[0], planned_cost)
+                _update(Q, *model.simulate(plan_rng), config.alpha, config.gamma)
             planning_steps += n_plan
             total += cost
-            holding += states[s].s2 + states[s].s3 + a
+            state = model.states[s]
+            holding += state.s2 + state.s3 + a
             shortages += shortage > 0
             s = s_next
         episodes.append((total, shortages / config.horizon, holding / config.horizon))

@@ -10,7 +10,7 @@ import pytest
 
 from coldstart_dynaq import bench
 from coldstart_dynaq.agents import AgentConfig, evaluate, rollout, train
-from coldstart_dynaq.demand import discretized_gamma, synthesize_history
+from coldstart_dynaq.demand import DemandSeries, discretized_gamma, synthesize_history
 from coldstart_dynaq.env import (
     COST_MAX,
     CostParams,
@@ -23,7 +23,7 @@ from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
 from coldstart_dynaq.forecast import build_warm_start
 from coldstart_dynaq.qcore import greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
-from helpers import parameters, point_mass, reference_train
+from helpers import parameters, point_mass, reference_train, reference_warm_start
 
 SPACES = ModelSpaces(CostParams(), s_max=10, a_max=10, d_max=10)
 S0 = InventoryState(0, 0, 5)
@@ -201,26 +201,52 @@ class TestTrain:
         assert [m.total_cost for m in runs] == left_to_right
 
 
-@pytest.mark.parametrize("algorithm, episodes, variant", [
-    *(pytest.param(algorithm, episodes, "tabular", id=f"{algorithm}-{episodes}")
+# a hand-made offline series for the transfer cases' warm start
+OFFLINE = [4, 6, 3, 5, 7, 2, 4, 5, 3, 6]
+
+
+@pytest.mark.parametrize("algorithm, episodes, variant, transfer", [
+    *(pytest.param(algorithm, episodes, "tabular", False, id=f"{algorithm}-{episodes}")
       for episodes in (1, 5) for algorithm in bench.ExperimentSpec().algorithms),
-    *(pytest.param(algorithm, 1, variant, id=f"{algorithm}-1-{variant}")
+    *(pytest.param(algorithm, 1, variant, False, id=f"{algorithm}-1-{variant}")
       for variant in ("det-net", "mc-dropout") for algorithm in bench.ExperimentSpec().algorithms),
+    *(pytest.param(algorithm, 1, variant, True, id=f"{algorithm}-1-{variant}-transfer")
+      for variant in ("tabular", "det-net", "mc-dropout")
+      for algorithm in ("dyna-q", "adjusted-dyna-q")),
 ])
-def test_train_matches_the_reference_learner(algorithm, episodes, variant):
+def test_train_matches_the_reference_learner(algorithm, episodes, variant, transfer):
     # the default table1 spec's configuration, trained by the algorithm as
     # written, with none of the fast path's caches: no cached rows or mean
     # costs, a det-net read per planned pair, not per distinct pair, and an
     # MC-dropout read as one-row passes, which are slow enough that its
-    # episode is 30 days
-    spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
-    eps, plan = bench.schedules(params, algorithm)
-    horizon = 30 if variant == "mc-dropout" else spec.horizon
-    config = AgentConfig(params.alpha, params.gamma, eps, plan, model_variant=variant,
-                         horizon=horizon, episodes=episodes, seed=12345)
+    # episode is 30 days; a transfer case is scenario2's 30-day month from
+    # a warm start of 3 epochs over OFFLINE
+    spec = bench.ExperimentSpec()
+    params = bench.SCENARIO2_PARAMS if transfer else bench.TABLE1_PARAMS
+    horizon = 30 if variant == "mc-dropout" or transfer else spec.horizon
     dist, spaces = spec.true_demand(), spec.spaces()
-    learner = train(config, dist, spaces, spec.initial_state)
-    q, runs, planning_steps = reference_train(config, dist, spaces, spec.initial_state)
+
+    def config(algorithm, warm_start=None):
+        eps, plan = bench.schedules(params, algorithm)
+        return AgentConfig(params.alpha, params.gamma, eps, plan, model_variant=variant,
+                           warm_start=warm_start, horizon=horizon, episodes=episodes, seed=12345)
+
+    reference_warm = None
+    if transfer:
+        warm_args = (params.alpha, params.gamma, 3, spec.warm_epsilon, variant,
+                     spec.initial_state, 54321)
+        offline = DemandSeries(dt.date(2021, 1, 1), np.array(OFFLINE))
+        warm = build_warm_start(offline, spaces, *warm_args)
+        reference_warm = reference_warm_start(OFFLINE, spaces, *warm_args)
+        # both transfer configurations train from the one warm start, as a
+        # replication's do, and leave its Q-table as it was learned
+        learner = {a: train(config(a, warm), dist, spaces, spec.initial_state)
+                   for a, on in bench.SCENARIO_CONFIGS if on}[algorithm]
+        assert np.array(warm.q).tobytes() == reference_warm[0].tobytes()
+    else:
+        learner = train(config(algorithm), dist, spaces, spec.initial_state)
+    q, runs, planning_steps = reference_train(config(algorithm), dist, spaces,
+                                              spec.initial_state, reference_warm)
     assert np.array(learner.q).tobytes() == q.tobytes()
     assert [(m.total_cost, m.shortage_fraction, m.avg_holding)
             for m in learner.episode_metrics] == runs

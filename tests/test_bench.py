@@ -109,6 +109,37 @@ class TestTable1:
         b = bench.run_table1(tiny_spec(master_seed=2))
         assert a["records"][0]["avg_daily_cost"] != b["records"][0]["avg_daily_cost"]
 
+    @pytest.mark.parametrize("algorithms, missing, kept", [
+        (["dyna-q", "adjusted-dyna-q"], "cost_improvement_vs_qlearning",
+         "planning_improvement_vs_dynaq"),
+        (["q-learning", "adjusted-dyna-q"], "planning_improvement_vs_dynaq",
+         "cost_improvement_vs_qlearning"),
+    ], ids=["without-q-learning", "without-dyna-q"])
+    def test_no_improvement_over_a_baseline_that_did_not_run(self, tmp_path, algorithms,
+                                                             missing, kept):
+        # the CSV used to print 0.0000 for it
+        result = bench.run_table1(tiny_spec(repetitions=1, train_episodes=1, horizon=5,
+                                            algorithms=algorithms, out_dir=str(tmp_path)))
+        for stats in result["report"]["summary"].values():
+            assert missing not in stats and kept in stats
+        header = (tmp_path / "table1_summary.csv").read_text().splitlines()[0].split(",")
+        assert missing not in header and kept in header
+
+    def test_a_baseline_that_costs_nothing_gives_no_improvement(self, tmp_path):
+        # no demand and no stock: Q-learning's mean daily cost is 0, which
+        # ended the run in a ZeroDivisionError with no file written
+        spec = tiny_spec(repetitions=1, train_episodes=1, horizon=5, mu=0.001, sigma2=1e-6,
+                         initial_state=[0, 0, 0], out_dir=str(tmp_path))
+        summary = bench.run_table1(spec)["report"]["summary"]
+        assert summary["q-learning"]["mean_daily_cost"] == 0.0
+        for stats in summary.values():
+            assert "cost_improvement_vs_qlearning" not in stats
+        for name in ("records.jsonl", "report.json", "summary.csv", "timings.json"):
+            assert (tmp_path / f"table1_{name}").exists()
+        header = (tmp_path / "table1_summary.csv").read_text().splitlines()[0]
+        assert header == ("algorithm,sigma2,model,mean_daily_cost,planning_steps,"
+                          "planning_improvement_vs_dynaq")
+
 
 class TestScenarios:
     def test_scenario1_record_shape(self):

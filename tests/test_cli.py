@@ -565,6 +565,8 @@ def assert_runs_or_is_one_error_line(files: dict, argv: list) -> None:
     st.sampled_from(sorted(f.name for f in dataclasses.fields(bench.ExperimentSpec))),
     ODD_VALUES, min_size=1, max_size=3,
 ))
+# no demand and no stock: Q-learning costs nothing, a baseline that was a ZeroDivisionError
+@example({"mu": 0.001, "sigma2": 1e-06, "initial_state": [0, 0, 0]})
 def test_any_config_runs_or_is_one_error_line(override):
     # an out_dir or dataset_path of "x" is read or written in a temporary directory
     config = json.dumps({**TINY, "workers": 1, **override})
