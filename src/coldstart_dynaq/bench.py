@@ -29,7 +29,7 @@ from .demand import (
 )
 from .env import CostParams, DomainError, InventoryState, is_finite_real, state_index
 from .envmodel import ModelSpaces, UnvisitedPairError, check_options, transition_prob
-from .forecast import Forecaster, build_warm_start, generate_offline, train_forecaster
+from .forecast import WINDOW, Forecaster, build_warm_start, generate_offline, train_forecaster
 from .schedule import StcSchedule, constant, stc_steps
 
 ALGORITHMS = ("q-learning", "dyna-q", "adjusted-dyna-q")
@@ -43,12 +43,15 @@ SCENARIO_CONFIGS = (
     ("q-learning", False),
 )
 
+# A scenario's cold-start month, and the greedy tests scenario2 runs on it.
+MONTH_DAYS = 30
+MONTH_TESTS = 100
+
 # Spec fields that must be at least 1: each counts workers, runs, days or epochs.
 # A mean over zero runs or days is 0/0, and zero epochs would report transfer
 # results from an untrained forecaster or an empty warm start.
 _COUNTS = ("repetitions", "workers", "train_episodes", "horizon", "test_days",
-           "test_repetitions", "offline_horizon", "window", "forecaster_epochs",
-           "warm_epochs")
+           "test_repetitions", "offline_horizon", "forecaster_epochs", "warm_epochs")
 
 # More worker processes than this is a config error, not a machine size.
 MAX_WORKERS = 64
@@ -58,16 +61,19 @@ MAX_WORKERS = 64
 # spec has 161,051), which also bounds the (s_max+1)^3 x (a_max+1) Q-table.
 # The day tables keep only the (s_max+1)^2 rows of the live buckets, at
 # most 12 bytes an entry, so they stay (s_max+1) times below 240 MB.
-# Simulated days are table1's: repetitions x algorithms x (train_episodes
-# x horizon + test_days x test_repetitions) (the default spec has 606,000).
+# Simulated days are the most any command takes from the spec: table1's
+# training and tests, or a scenario month's and its warm start's replay
+# (the default spec has 606,000).
 MAX_DAY_TABLE_ENTRIES = 2 * 10**7
 MAX_SIMULATED_DAYS = 10**10
 
-# The first day of the synthetic source history.
+# The first day of the synthetic source history, and the Gamma mean and
+# variance of its demand, the similar product's.
 HISTORY_START = dt.date(2021, 1, 1)
+SOURCE_MEAN, SOURCE_VAR = 4.48, 5.0
 
-# Spec fields that are a Gamma distribution's mean or variance.
-_MOMENTS = ("mu", "sigma2", "source_mean", "source_var")
+# The discount of every experiment's learners.
+GAMMA = 0.9
 
 
 def _is_int(value) -> bool:
@@ -96,7 +102,6 @@ PROBE_DEMAND_CLASS = 2
 @dataclass
 class ScheduleParams:
     alpha: float
-    gamma: float
     eps0: float
     eps_min: float
     eps_smoothing: float
@@ -105,9 +110,9 @@ class ScheduleParams:
     n_smoothing: float
 
 
-TABLE1_PARAMS = ScheduleParams(0.3, 0.9, 0.4, 0.1, 7500.0, 100.0, 10.0, 5000.0)
-SCENARIO1_PARAMS = ScheduleParams(0.1, 0.9, 0.4, 0.0, 1000.0, 100.0, 0.0, 1000.0)
-SCENARIO2_PARAMS = ScheduleParams(0.1, 0.9, 0.3, 0.1, 1000.0, 20.0, 10.0, 1000.0)
+TABLE1_PARAMS = ScheduleParams(0.3, 0.4, 0.1, 7500.0, 100.0, 10.0, 5000.0)
+SCENARIO1_PARAMS = ScheduleParams(0.1, 0.4, 0.0, 1000.0, 100.0, 0.0, 1000.0)
+SCENARIO2_PARAMS = ScheduleParams(0.1, 0.3, 0.1, 1000.0, 20.0, 10.0, 1000.0)
 
 
 @dataclass
@@ -136,14 +141,10 @@ class ExperimentSpec:
     # transfer-learning source product (synthetic stand-in by default)
     dataset_path: str | None = None
     product_name: str = "Boule 200g"
-    source_mean: float = 4.48
-    source_var: float = 5.0
     source_days: int = 500
-    window: int = 7
     forecaster_epochs: int = 200
     offline_horizon: int = 10
     warm_epochs: int = 50
-    warm_epsilon: float = 0.2
 
     def __post_init__(self):
         """Check every field, so a bad config fails with one DomainError before
@@ -161,15 +162,9 @@ class ExperimentSpec:
             raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers > MAX_WORKERS:
             raise DomainError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
-        low = {name: getattr(self, name) for name in _MOMENTS if getattr(self, name) <= 0}
-        if low:
-            raise DomainError(f"need {', '.join(f'{n} > 0' for n in _MOMENTS)}, got {low}")
-        if not 0 <= self.warm_epsilon <= 1:
-            raise DomainError(f"warm_epsilon must be in [0, 1], got {self.warm_epsilon}")
-        if self.dataset_path is None and self.source_days <= self.window + 1:
-            raise DomainError(
-                f"source_days must be > window + 1 = {self.window + 1}, got {self.source_days}"
-            )
+        if self.dataset_path is None and self.source_days <= WINDOW + 1:
+            raise DomainError(f"source_days must be > forecast.WINDOW + 1 = {WINDOW + 1}, "
+                              f"got {self.source_days}")
         # the offline days follow the history, and every day needs a date
         room = days_from(HISTORY_START)
         if self.dataset_path is None and self.source_days + self.offline_horizon > room:
@@ -197,25 +192,23 @@ class ExperimentSpec:
                 f"s_max, a_max and d_max give {entries} day-table entries, "
                 f"more than MAX_DAY_TABLE_ENTRIES = {MAX_DAY_TABLE_ENTRIES}"
             )
-        days = self.repetitions * len(self.algorithms) * (
+        table1 = len(self.algorithms) * (
             self.train_episodes * self.horizon + self.test_days * self.test_repetitions
         )
+        month = (len(SCENARIO_CONFIGS) * MONTH_DAYS * max(self.train_episodes, 1 + MONTH_TESTS)
+                 + self.warm_epochs * self.offline_horizon)
+        days = self.repetitions * max(table1, month)
         if days > MAX_SIMULATED_DAYS:
             raise DomainError(
-                "repetitions, algorithms, train_episodes, horizon, test_days and "
-                f"test_repetitions give {days} simulated days, "
-                f"more than MAX_SIMULATED_DAYS = {MAX_SIMULATED_DAYS}"
+                "repetitions, algorithms, train_episodes, horizon, test_days, "
+                f"test_repetitions, warm_epochs and offline_horizon give {days} simulated "
+                f"days, more than MAX_SIMULATED_DAYS = {MAX_SIMULATED_DAYS}"
             )
-        # moments that give no pmf, named by their fields
-        moments = [("mu", "sigma2")]
-        if self.dataset_path is None:
-            moments.append(("source_mean", "source_var"))
-        for mean, var in moments:
-            try:
-                discretized_gamma(getattr(self, mean), getattr(self, var), self.d_max)
-            except DomainError as e:
-                raise DomainError(f"{mean} {getattr(self, mean)!r} and {var} "
-                                  f"{getattr(self, var)!r} give no demand pmf: {e}") from None
+        try:
+            self.true_demand()
+        except DomainError as e:
+            raise DomainError(f"mu {self.mu!r} and sigma2 {self.sigma2!r} "
+                              f"give no demand pmf: {e}") from None
 
     def spaces(self) -> ModelSpaces:
         return ModelSpaces(
@@ -267,7 +260,7 @@ def source_series(spec: ExperimentSpec):
     a dataset path is configured, synthetic draws otherwise."""
     if spec.dataset_path is not None:
         return load_transactions(spec.dataset_path, spec.product_name)
-    dist = discretized_gamma(spec.source_mean, spec.source_var, spec.d_max)
+    dist = discretized_gamma(SOURCE_MEAN, SOURCE_VAR, spec.d_max)
     rng = derived_rng(spec.master_seed, 90001)
     return synthesize_history(dist, spec.source_days, HISTORY_START, rng)
 
@@ -275,15 +268,14 @@ def source_series(spec: ExperimentSpec):
 def fit_forecaster(spec: ExperimentSpec) -> Forecaster:
     history = source_series(spec)
     # the spec checks a synthetic history's length and calendar; a loaded one is checked here
-    if len(history) <= spec.window + 1:
+    if len(history) <= WINDOW + 1:
         raise DomainError(f"{spec.dataset_path} holds {len(history)} days of history; "
-                          f"window {spec.window} needs more than {spec.window + 1}")
+                          f"window {WINDOW} needs more than {WINDOW + 1}")
     if len(history) + spec.offline_horizon > days_from(history.start):
         raise DomainError(f"offline_horizon {spec.offline_horizon} takes the {len(history)} days "
                           f"of {spec.dataset_path} from {history.start} past {dt.date.max}")
     return train_forecaster(
         history,
-        window=spec.window,
         epochs=spec.forecaster_epochs,
         rng=derived_rng(spec.master_seed, 90002),
         d_max=spec.d_max,
@@ -304,9 +296,8 @@ def make_warm_start(
         offline_series(spec, forecaster, rep),
         spec.spaces(),
         alpha=params.alpha,
-        gamma=params.gamma,
+        gamma=GAMMA,
         epochs=spec.warm_epochs,
-        epsilon=spec.warm_epsilon,
         model_variant=spec.model_variant,
         initial_state=spec.initial_state,
         seed=seed_int(spec.master_seed, 90004, rep),
@@ -355,7 +346,7 @@ def _replication(spec: ExperimentSpec, record, params: ScheduleParams, configs, 
         agents = []
         for key in runs:
             config = AgentConfig(
-                params.alpha, params.gamma, eps, plan, spec.model_variant,
+                params.alpha, GAMMA, eps, plan, spec.model_variant,
                 warm if transfer else None, spec.horizon, spec.train_episodes,
                 seed_int(spec.master_seed, rep, j, *key),
             )
@@ -460,7 +451,8 @@ def _run_scenario(spec: ExperimentSpec, params: ScheduleParams, testing: bool) -
     2 trains once and tests the greedy policy test_repetitions times.
     """
     runs = [(i,) for i in range(1 if testing else spec.train_episodes)]
-    spec = replace(spec, train_episodes=1, horizon=30, test_days=30, test_repetitions=100)
+    spec = replace(spec, train_episodes=1, horizon=MONTH_DAYS, test_days=MONTH_DAYS,
+                   test_repetitions=MONTH_TESTS)
     experiment, key = ("scenario2", "test") if testing else ("scenario1", "train")
     records = _map_reps(
         spec, _scenario2_record if testing else _scenario1_record, params, SCENARIO_CONFIGS,
@@ -533,7 +525,7 @@ def run_fig3(spec: ExperimentSpec) -> dict:
     if any(got[name] < bound for name, bound in need.items()):
         bounds = ", ".join(f"{name} >= {bound}" for name, bound in need.items())
         raise DomainError(f"fig3's probe transition needs {bounds}, got {got}")
-    spec = replace(spec, train_episodes=1, horizon=30)
+    spec = replace(spec, train_episodes=1, horizon=MONTH_DAYS)
     records = _map_reps(
         spec, _fig3_record, SCENARIO2_PARAMS, SCENARIO_CONFIGS,
         forecaster=fit_forecaster(spec), probe=True,

@@ -31,6 +31,11 @@ _HIDDEN = (128, 64)
 _BATCH_SIZE = 32
 _DROPOUT = 0.5
 
+# The lag window: the forecaster reads the WINDOW days before the one it predicts.
+WINDOW = 7
+# The warm start's exploration rate, held for all of its epochs.
+WARM_EPSILON = 0.2
+
 
 @dataclass
 class Forecaster:
@@ -42,33 +47,28 @@ class Forecaster:
     """
 
     net: nn.Network
-    window: int
     history: DemandSeries
     d_max: int
 
 
-def _design_row(f_window: int, d_max: int, series: DemandSeries, day: int) -> np.ndarray:
-    x = extract_features(series, day, f_window)
-    x[: f_window + 1] /= d_max
+def _design_row(d_max: int, series: DemandSeries, day: int) -> np.ndarray:
+    x = extract_features(series, day, WINDOW)
+    x[: WINDOW + 1] /= d_max
     return x
 
 
 def train_forecaster(
     series: DemandSeries,
-    window: int = 7,
     epochs: int = 200,
     *,
     rng: np.random.Generator,
     d_max: int,
 ) -> Forecaster:
     """Fit the forecaster to (features, next-day demand) pairs by Adam/MSE in shuffled minibatches."""
-    if len(series) <= window + 1:
-        raise DomainError(
-            f"series of length {len(series)} too short for window {window}"
-        )
-    days = range(window, len(series))
-    X = np.stack([_design_row(window, d_max, series, day) for day in days])
-    y = series.quantities[window:].astype(float)[:, None] / d_max
+    if len(series) <= WINDOW + 1:
+        raise DomainError(f"series of length {len(series)} too short for window {WINDOW}")
+    X = np.stack([_design_row(d_max, series, day) for day in range(WINDOW, len(series))])
+    y = series.quantities[WINDOW:].astype(float)[:, None] / d_max
 
     net = nn.Network([X.shape[1], *_HIDDEN, 1], dropout=_DROPOUT, head="regression", rng=rng)
     adam = nn.AdamState(net)
@@ -80,7 +80,7 @@ def train_forecaster(
         for start in range(0, n, _BATCH_SIZE):
             end = start + _BATCH_SIZE
             nn.train_step(net, adam, X_epoch[start:end], y_epoch[start:end], rng=rng)
-    return Forecaster(net=net, window=window, history=series, d_max=d_max)
+    return Forecaster(net=net, history=series, d_max=d_max)
 
 
 def predict_next(
@@ -94,7 +94,7 @@ def predict_next(
     It is a single dropout-sampled forward pass, its masks drawn from rng,
     which preserves day-to-day variability in generated series.
     """
-    x = _design_row(f.window, f.d_max, series, day_index)[None, None]
+    x = _design_row(f.d_max, series, day_index)[None, None]
     raw = float(nn.mc_predict(f.net, x, nn.mc_uniforms(f.net, 1, rng)[None])[0, 0, 0])
     value = math.floor(raw * f.d_max + 0.5)
     return min(max(value, 0), f.d_max)
@@ -126,7 +126,7 @@ def build_warm_start(
     alpha: float = 0.1,
     gamma: float = 0.9,
     epochs: int = 50,
-    epsilon: float = 0.2,
+    epsilon: float = WARM_EPSILON,
     model_variant: str = "tabular",
     initial_state: InventoryState = InventoryState(0, 0, 5),
     seed: int = 0,

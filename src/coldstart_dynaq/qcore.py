@@ -22,8 +22,6 @@ of min(rows[s_next]).
 import json
 import math
 
-import numpy as np
-
 from .env import DomainError, is_finite_real
 
 
@@ -52,9 +50,11 @@ def q_update(rows: list, mins: list, transitions, alpha: float, gamma: float) ->
             mins[s] = min(row)
 
 
-def select_action(row: list, epsilon: float, rng: np.random.Generator) -> int:
+def select_action(row: list, epsilon: float, rng) -> int:
     """Epsilon-greedy over one cost row: explore uniformly, else argmin.
 
+    rng is the learner's wordstream.WordStream, or a numpy Generator: only
+    random() and integers(n) are called, which draw alike from both.
     Greedy ties are broken uniformly at random, which keeps early training
     (all-zero rows) from locking onto action 0.
     """

@@ -179,7 +179,7 @@ class WordStream:
         anew. k == 1 draws only the uniforms, with random().
         """
         if not 1 <= k <= _HALF:
-            raise DomainError(f"integers(n) needs 1 <= n <= 2**32, got {k}")
+            raise DomainError(f"burst(k, n) needs 1 <= k <= 2**32, got {k}")
         if k == 1:
             return [0] * n, [self.random() for _ in range(n)]
         # a low half at or above this settles Lemire's draw (see integers)

@@ -20,7 +20,7 @@ from coldstart_dynaq.env import (
     state_index,
 )
 from coldstart_dynaq.envmodel import EnvModel, ModelSpaces
-from coldstart_dynaq.forecast import build_warm_start
+from coldstart_dynaq.forecast import WARM_EPSILON, build_warm_start
 from coldstart_dynaq.qcore import greedy_policy, q_update
 from coldstart_dynaq.schedule import StcSchedule, constant
 from helpers import parameters, point_mass, reference_train, reference_warm_start
@@ -228,12 +228,12 @@ def test_train_matches_the_reference_learner(algorithm, episodes, variant, trans
 
     def config(algorithm, warm_start=None):
         eps, plan = bench.schedules(params, algorithm)
-        return AgentConfig(params.alpha, params.gamma, eps, plan, model_variant=variant,
+        return AgentConfig(params.alpha, bench.GAMMA, eps, plan, model_variant=variant,
                            warm_start=warm_start, horizon=horizon, episodes=episodes, seed=12345)
 
     reference_warm = None
     if transfer:
-        warm_args = (params.alpha, params.gamma, 3, spec.warm_epsilon, variant,
+        warm_args = (params.alpha, bench.GAMMA, 3, WARM_EPSILON, variant,
                      spec.initial_state, 54321)
         offline = DemandSeries(dt.date(2021, 1, 1), np.array(OFFLINE))
         warm = build_warm_start(offline, spaces, *warm_args)

@@ -50,12 +50,35 @@ class TestSpecFromJson:
         assert spec.algorithms == ("dyna-q",)
 
     def test_int_allowed_for_float_fields(self):
-        spec = bench.ExperimentSpec(mu=4, sigma2=3, source_mean=5, source_var=2, warm_epsilon=1)
+        spec = bench.ExperimentSpec(mu=4, sigma2=3)
         assert spec.true_demand().pmf.sum() == pytest.approx(1.0)
 
     def test_source_days_unchecked_with_dataset(self):
         # a transactions file sets its own length; the forecaster checks it
         bench.ExperimentSpec(dataset_path="sales.csv", source_days=0)
+
+
+class TestSimulatedDays:
+    @pytest.mark.parametrize("fields", [
+        # table1 counts 1e8 days; scenario1 trains five configurations for
+        # 30 days, 1e8 times
+        dict(repetitions=1, train_episodes=10**8, horizon=1, test_days=1,
+             algorithms=["q-learning"]),
+        dict(warm_epochs=10**15),
+    ], ids=["scenario1-months", "warm-epochs"])
+    def test_scenario_days_are_capped(self, fields):
+        with pytest.raises(DomainError, match=r"warm_epochs and offline_horizon give \d+ "
+                                              r"simulated days, more than MAX_SIMULATED_DAYS = "):
+            bench.ExperimentSpec(**fields)
+
+    def test_a_month_and_its_warm_start_count_to_the_day(self):
+        # 5 configurations x 30 days x (1 + 100 tests) + warm_epochs x 10 offline days
+        month = len(bench.SCENARIO_CONFIGS) * bench.MONTH_DAYS * (1 + bench.MONTH_TESTS)
+        epochs = (bench.MAX_SIMULATED_DAYS - month) // 10
+        assert month + epochs * 10 == bench.MAX_SIMULATED_DAYS
+        bench.ExperimentSpec(repetitions=1, warm_epochs=epochs)
+        with pytest.raises(DomainError, match="MAX_SIMULATED_DAYS"):
+            bench.ExperimentSpec(repetitions=1, warm_epochs=epochs + 1)
 
 
 class TestSchedules:

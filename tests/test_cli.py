@@ -32,6 +32,11 @@ TINY = {
     "offline_horizon": 5,
 }
 
+# scenario1's five configurations x 30 days x 1e8 trainings: 1.5e10 days,
+# where table1 counts 1e8
+OVER_CAP_MONTHS = {"repetitions": 1, "train_episodes": 100000000, "horizon": 1, "test_days": 1,
+                   "algorithms": ["q-learning"]}
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -123,17 +128,17 @@ class TestArgumentHandling:
         {"sigma2": "5"},
         {"mu": True},
         {"sigma2": float("nan")},
-        {"source_var": float("inf")},
+        {"mu": float("inf")},
         {"mu": 0},
         {"sigma2": -1.0},
-        {"source_mean": 0},
-        {"source_var": -2.0},
+        {"sigma2": 0},
+        {"mu": -2.0},
         {"mu": 1e300, "sigma2": 1e-300},  # a Gamma shape of inf
-        {"source_mean": 1e-300, "source_var": 1e300},  # a Gamma shape of 0
-        {"warm_epsilon": 1.5},
-        {"warm_epsilon": -0.1},
-        {"window": 0},
-        {"source_days": 8},  # the default window of 7 needs more than 8 days
+        {"mu": 1e-300, "sigma2": 1e300},  # a Gamma shape of 0
+        {"product_name": 5},
+        {"dataset_path": 5},
+        {"workers": bench.MAX_WORKERS + 1},
+        {"source_days": 8},  # forecast.WINDOW, 7 days, needs more than 8 days
         {"cost_params": ["a", 0.3, 0, 1]},
         {"cost_params": [0.7, 0.3]},
         {"cost_params": 5},
@@ -150,7 +155,7 @@ class TestArgumentHandling:
         {"algorithms": ["dyna-q", "dyna-q"], "repetitions": 1},  # one report row of two configs
         # integers past the float range, which math.isfinite cannot take
         {"mu": 10**400},
-        {"source_var": -(10**400)},
+        {"sigma2": -(10**400)},
         {"cost_params": [10**400, 0.3, 0, 1]},
         # days past datetime.date.max from the synthetic history's first day
         {"source_days": 3000000},
@@ -169,8 +174,6 @@ class TestArgumentHandling:
         # a Gamma shape of 1.7e308, whose CDF is nan
         ({"mu": 1.65e27, "sigma2": 1.6e-254}, "mu 1.65e+27 and sigma2 1.6e-254"),
         ({"mu": 1e300, "sigma2": 1e-300}, "mu 1e+300 and sigma2 1e-300"),
-        ({"source_mean": 1.65e27, "source_var": 1.6e-254},
-         "source_mean 1.65e+27 and source_var 1.6e-254"),
     ])
     def test_moments_without_a_pmf_are_named(self, tmp_path, capsys, override, named):
         path = tmp_path / "bad.json"
@@ -218,6 +221,35 @@ class TestArgumentHandling:
         assert main(["table1", "--config", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and f"{cap} = " in err[0]
+
+    @pytest.mark.parametrize("command, override", [
+        # 1.5e10 days of five one-month trainings, after a run list of 1e8 entries
+        ("scenario1", OVER_CAP_MONTHS),
+        # a warm start that replays its offline days 1e15 times
+        ("scenario2", {"warm_epochs": 10**15}),
+    ], ids=["scenario1-months", "warm-epochs"])
+    def test_scenario_days_past_the_cap_fail_before_work(
+        self, tmp_path, capsys, monkeypatch, command, override
+    ):
+        monkeypatch.setattr(bench, "fit_forecaster",
+                            lambda spec: pytest.fail("the forecaster was fitted"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(override))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "MAX_SIMULATED_DAYS = " in err[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("window", 7), ("warm_epsilon", 0.2), ("source_mean", 4.48), ("source_var", 5.0),
+    ])
+    def test_constants_are_no_config_keys(self, tmp_path, capsys, key, value):
+        # forecast.WINDOW, forecast.WARM_EPSILON, bench.SOURCE_MEAN and
+        # bench.SOURCE_VAR are constants, not spec fields
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**TINY, key: value}))
+        assert main(["forecast", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config keys: ['{key}']"]
 
     def test_out_of_memory_is_one_error_line(self, tiny_config, capsys, monkeypatch):
         def exhaust(spec):

@@ -26,17 +26,18 @@ def constant_series(value, days, rng_seed=0):
 
 def mean_prediction(f, series, day):
     """The forecaster's dropout-off prediction for `day`, clamped to [0, d_max]."""
-    x = _design_row(f.window, f.d_max, series, day)[None, None]
+    x = _design_row(f.d_max, series, day)[None, None]
     raw = float(nn.forward(f.net, x)[0, 0, 0]) * f.d_max
     return min(max(raw, 0.0), float(f.d_max))
 
 
-def train_forecaster_reference(series, window, epochs, rng, d_max):
+def train_forecaster_reference(series, epochs, rng, d_max):
     """The fit as a per-batch loop of reference steps, each batch gathered by its indices.
 
     Returns the net and the number of steps taken.
     """
-    X = np.stack([_design_row(window, d_max, series, day) for day in range(window, len(series))])
+    window = forecast.WINDOW
+    X = np.stack([_design_row(d_max, series, day) for day in range(window, len(series))])
     y = series.quantities[window:].astype(float)[:, None] / d_max
     net = nn.Network([window + 14, *forecast._HIDDEN, 1], dropout=forecast._DROPOUT,
                      head="regression", rng=rng)
@@ -56,8 +57,8 @@ class TestTrainForecaster:
         series = synthesize_history(discretized_gamma(5.0, 3.0, 10), 52, START,
                                     np.random.default_rng(14))
         rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
-        f = train_forecaster(series, window=7, epochs=200, rng=rng, d_max=10)
-        ref_net, steps = train_forecaster_reference(series, 7, 200, ref_rng, 10)
+        f = train_forecaster(series, epochs=200, rng=rng, d_max=10)
+        ref_net, steps = train_forecaster_reference(series, 200, ref_rng, 10)
         assert steps == 400
         assert f.net.flat.tobytes() == ref_net.flat.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -65,8 +66,8 @@ class TestTrainForecaster:
     def test_fitted_forecaster_holds_no_gradient(self):
         # the gradient lives with the fit's optimiser and goes with it: every
         # array the returned net holds is its parameter vector or a view of it
-        f = train_forecaster(constant_series(4, 40), window=7, epochs=1,
-                             rng=np.random.default_rng(0), d_max=10)
+        f = train_forecaster(constant_series(4, 40), epochs=1, rng=np.random.default_rng(0),
+                             d_max=10)
         held = [x for v in vars(f.net).values() for x in (v if isinstance(v, list) else [v])]
         arrays = [x for x in held if isinstance(x, np.ndarray)]
         assert len(arrays) == 1 + 2 * (len(f.net.sizes) - 1)
@@ -74,16 +75,14 @@ class TestTrainForecaster:
 
     def test_fits_constant_series(self):
         series = constant_series(4, 120)
-        f = train_forecaster(series, window=7, epochs=600, rng=np.random.default_rng(0),
-                             d_max=10)
+        f = train_forecaster(series, epochs=600, rng=np.random.default_rng(0), d_max=10)
         preds = [mean_prediction(f, series, day) for day in range(100, 115)]
         assert all(abs(p - 4) <= 0.5 for p in preds)
 
     def test_beats_trivial_error_bound(self):
         dist = discretized_gamma(5.0, 1.0, 10)
         series = synthesize_history(dist, 500, START, np.random.default_rng(1))
-        f = train_forecaster(series, window=7, epochs=100, rng=np.random.default_rng(2),
-                             d_max=10)
+        f = train_forecaster(series, epochs=100, rng=np.random.default_rng(2), d_max=10)
         holdout = range(400, 500)
         errors = [
             abs(mean_prediction(f, series, day) - series.quantities[day])
@@ -94,15 +93,13 @@ class TestTrainForecaster:
     def test_window_too_large(self):
         series = constant_series(4, 5)
         with pytest.raises(DomainError):
-            train_forecaster(series, window=7, epochs=1, rng=np.random.default_rng(0),
-                             d_max=10)
+            train_forecaster(series, epochs=1, rng=np.random.default_rng(0), d_max=10)
 
 
 class TestGenerateOffline:
     def _forecaster(self):
         series = constant_series(5, 80)
-        return train_forecaster(series, window=7, epochs=50, rng=np.random.default_rng(3),
-                                d_max=10)
+        return train_forecaster(series, epochs=50, rng=np.random.default_rng(3), d_max=10)
 
     def test_single_day_bounds(self):
         f = self._forecaster()

@@ -193,11 +193,11 @@ def test_predict_next_is_one_dropout_pass(dropout):
     for seed in range(3):
         # untrained, its scaled outputs fall both in [0, 10] and below 0
         net = make_net([21, 128, 64, 1], dropout=dropout, seed=seed)
-        f = forecast.Forecaster(net=net, window=7, history=history, d_max=10)
+        f = forecast.Forecaster(net=net, history=history, d_max=10)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         predictions, expected = [], []
         for day in range(7, 31):
-            x = forecast._design_row(7, 10, history, day)
+            x = forecast._design_row(10, history, day)
             raw = float(dropout_pass_reference(net, x, ref_rng)[0])
             expected.append(min(max(math.floor(raw * 10 + 0.5), 0), 10))
             predictions.append(forecast.predict_next(f, history, day, rng=rng))

@@ -157,7 +157,7 @@ class TestGreedyPolicy:
         # a short Dyna-Q run on the table1 spec leaves most rows all ties
         spec, params = bench.ExperimentSpec(), bench.TABLE1_PARAMS
         eps, plan = bench.schedules(params, "dyna-q")
-        config = agents.AgentConfig(params.alpha, params.gamma, eps, plan,
+        config = agents.AgentConfig(params.alpha, bench.GAMMA, eps, plan,
                                     horizon=spec.horizon, episodes=3)
         q = agents.train(config, spec.true_demand(), spec.spaces(), spec.initial_state).q
         assert sum(len(set(row)) == 1 for row in q) > len(q) // 2

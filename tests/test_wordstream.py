@@ -158,7 +158,7 @@ def test_refuses_a_generator_other_than_pcg64(bit_generator):
 
 @pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
 def test_integers_outside_the_32_bit_range(n):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=rf"^integers\(n\) needs 1 <= n <= 2\*\*32, got {n}$"):
         WordStream(np.random.default_rng(0)).integers(n)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=rf"^burst\(k, n\) needs 1 <= k <= 2\*\*32, got {n}$"):
         WordStream(np.random.default_rng(0)).burst(n, 3)
